@@ -20,9 +20,12 @@
 // absolute MFLOPS estimates reported for telemetry.
 //
 // The compression factor is *estimated* before the multiplication ever
-// runs (pb::pb_estimate_nnz_c's balls-into-bins model over the symbolic
-// phase's per-row flop counts), which is what lets a plan select its
-// algorithm at build time.  PB's Eq. 4 bound additionally charges the Cˆ
+// runs, which is what lets a plan select its algorithm at build time:
+// pb::pb_estimate_nnz_c counts a strided sample of output rows exactly
+// (at most about max(2^16, flop/32) accumulator updates, exact below
+// 2^16 flop) and scales their nnz per flop to the product; for a plain
+// mask the same pass counts the entries the mask keeps, which becomes
+// MaskModel::mask_nnz.  PB's Eq. 4 bound additionally charges the Cˆ
 // write+read term the bytes the plan's tuple format actually moves
 // (pb_tuple_bytes: 16 wide, 12 narrow, 8 key-only/f32 — see pb/tuple.hpp
 // and pb::predict_tuple_format), so the compressed streams' higher bounds
@@ -155,7 +158,8 @@ struct MaskModel {
   /// still expands every flop and filters at compress.  Complemented
   /// masks skip nothing (coverage stays 1).
   double coverage = 1.0;
-  /// nnz(mask): cap on surviving output nonzeros for a plain mask.
+  /// Cap on surviving output nonzeros for a plain mask: nnz(mask), or the
+  /// executor's sampled count of the product entries the mask keeps.
   nnz_t mask_nnz = 0;
   /// Density of the *kept* side — nnz(mask)/cells, complement-flipped —
   /// the quantity PB's ExpandMaskMode::kAuto gates on.  1.0 ("dense")

@@ -235,6 +235,12 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   const MaskSpec cmask = expand_masked ? MaskSpec{} : mask;
   const bool accumulating = epi.accumulate != nullptr;
 
+  // Phase fault hooks fire on the calling thread, outside the region, so an
+  // injected fault never crosses the OpenMP join: expand and sort_compress
+  // here (the region runs both), convert before the tail.
+  FaultInjector::at(FaultPoint::kExpand);
+  FaultInjector::at(FaultPoint::kSortCompress);
+
   // ---- shared state ----
   const auto buf_len = static_cast<std::size_t>(sym.bin_offsets.back());
   Tuple* expanded = nullptr;
@@ -546,6 +552,7 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   // ---- tail: prefix sum + scatter (the only barrier left); with an
   // accumulate epilogue the tail is the fused union build instead
   // (output_accum.hpp — count + prefix + merge-scatter against C_old) ----
+  FaultInjector::at(FaultPoint::kConvert);
   Timer tail_timer;
   if (accumulating) {
     const mtx::CsrMatrix& c_old = *epi.accumulate;

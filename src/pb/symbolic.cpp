@@ -2,8 +2,8 @@
 
 #include <omp.h>
 
+#include <algorithm>
 #include <cassert>
-#include <cmath>
 #include <stdexcept>
 #include <string>
 
@@ -16,22 +16,21 @@ namespace pbs::pb {
 
 namespace {
 
-// Both flop passes walk i over a.ncols reading b's row i: mismatched
+// Every flop pass reads b's row i for each inner index i of a: mismatched
 // inner dimensions must fail here, not read past b.rowptr.
-void check_inner_dims(const char* fn, const mtx::CscMatrix& a,
-                      const mtx::CsrMatrix& b) {
-  if (a.ncols != b.nrows) {
+void check_inner_dims(const char* fn, index_t a_ncols, index_t b_nrows) {
+  if (a_ncols != b_nrows) {
     throw std::invalid_argument(std::string(fn) +
                                 ": inner dimensions differ (" +
-                                std::to_string(a.ncols) + " vs " +
-                                std::to_string(b.nrows) + ")");
+                                std::to_string(a_ncols) + " vs " +
+                                std::to_string(b_nrows) + ")");
   }
 }
 
 }  // namespace
 
 nnz_t pb_count_flop(const mtx::CscMatrix& a, const mtx::CsrMatrix& b) {
-  check_inner_dims("pb_count_flop", a, b);
+  check_inner_dims("pb_count_flop", a.ncols, b.nrows);
   nnz_t flop = 0;
 #pragma omp parallel for reduction(+ : flop) schedule(static)
   for (index_t i = 0; i < a.ncols; ++i) {
@@ -42,7 +41,7 @@ nnz_t pb_count_flop(const mtx::CscMatrix& a, const mtx::CsrMatrix& b) {
 
 std::vector<nnz_t> pb_row_flops(const mtx::CscMatrix& a,
                                 const mtx::CsrMatrix& b) {
-  check_inner_dims("pb_row_flops", a, b);
+  check_inner_dims("pb_row_flops", a.ncols, b.nrows);
   std::vector<nnz_t> flops(static_cast<std::size_t>(a.nrows), 0);
 #pragma omp parallel for schedule(guided)
   for (index_t i = 0; i < a.ncols; ++i) {
@@ -56,46 +55,98 @@ std::vector<nnz_t> pb_row_flops(const mtx::CscMatrix& a,
   return flops;
 }
 
-nnz_t pb_estimate_nnz_c(const mtx::CscMatrix& a, const mtx::CsrMatrix& b) {
-  const std::vector<nnz_t> rf = pb_row_flops(a, b);
-  return pb_estimate_nnz_c(rf, b.ncols);
-}
-
-nnz_t pb_estimate_nnz_c_masked(std::span<const nnz_t> row_flops,
-                               const mtx::CsrMatrix& mask) {
-  if (row_flops.size() != static_cast<std::size_t>(mask.nrows)) {
+NnzEstimate pb_estimate_nnz_c(const mtx::CsrMatrix& a, const mtx::CsrMatrix& b,
+                              std::span<const nnz_t> row_flops,
+                              const mtx::CsrMatrix* mask) {
+  check_inner_dims("pb_estimate_nnz_c", a.ncols, b.nrows);
+  if (row_flops.size() != static_cast<std::size_t>(a.nrows)) {
     throw std::invalid_argument(
-        "pb_estimate_nnz_c_masked: mask row count (" +
-        std::to_string(mask.nrows) + ") differs from the product's (" +
-        std::to_string(row_flops.size()) + ")");
+        "pb_estimate_nnz_c: row_flops has " +
+        std::to_string(row_flops.size()) + " entries for " +
+        std::to_string(a.nrows) + " rows");
   }
-  const double ncols = static_cast<double>(mask.ncols);
-  if (ncols <= 0) return 0;
-  const auto nrows = static_cast<std::int64_t>(row_flops.size());
-  double estimate = 0;
-#pragma omp parallel for reduction(+ : estimate) schedule(static)
-  for (std::int64_t r = 0; r < nrows; ++r) {
-    const auto f = static_cast<double>(row_flops[static_cast<std::size_t>(r)]);
-    if (f <= 0) continue;
-    const auto cap =
-        static_cast<double>(mask.row_nnz(static_cast<index_t>(r)));
-    if (cap <= 0) continue;
-    estimate += std::min(ncols * -std::expm1(-f / ncols), cap);
+  if (mask != nullptr && (mask->nrows != a.nrows || mask->ncols != b.ncols)) {
+    throw std::invalid_argument("pb_estimate_nnz_c: mask is not shaped like "
+                                "the product");
   }
-  return static_cast<nnz_t>(estimate + 0.5);
-}
 
-nnz_t pb_estimate_nnz_c(std::span<const nnz_t> row_flops, index_t ncols_i) {
-  const double ncols = static_cast<double>(ncols_i);
-  if (ncols <= 0) return 0;
-  const auto nrows = static_cast<std::int64_t>(row_flops.size());
-  double estimate = 0;
-#pragma omp parallel for reduction(+ : estimate) schedule(static)
-  for (std::int64_t r = 0; r < nrows; ++r) {
-    const auto f = static_cast<double>(row_flops[static_cast<std::size_t>(r)]);
-    if (f > 0) estimate += ncols * -std::expm1(-f / ncols);
+  // The sample: every stride-th row that receives flop (see the header).
+  constexpr nnz_t kMinBudget = nnz_t{1} << 16;
+  nnz_t flop = 0;
+  for (const nnz_t f : row_flops) flop += f;
+  if (flop == 0) return {};
+  const nnz_t budget = std::max(kMinBudget, flop / 32);
+  const nnz_t stride = (flop + budget - 1) / budget;
+  std::vector<index_t> rows;
+  nnz_t busy_rows = 0;
+  for (index_t r = 0; r < a.nrows; ++r) {
+    if (row_flops[static_cast<std::size_t>(r)] != 0 &&
+        busy_rows++ % stride == 0) {
+      rows.push_back(r);
+    }
   }
-  return static_cast<nnz_t>(estimate + 0.5);
+
+  const bool stamps =
+      static_cast<nnz_t>(b.ncols) * max_threads() <= a.nnz() + b.nnz();
+  const auto nsampled = static_cast<std::int64_t>(rows.size());
+  nnz_t sampled_flop = 0;
+  nnz_t sampled_nnz = 0;
+  nnz_t sampled_kept = 0;
+#pragma omp parallel reduction(+ : sampled_flop, sampled_nnz, sampled_kept)
+  {
+    // stamp[j] == r: column j already counted for row r.  Without stamps,
+    // the row's columns are gathered, sorted and deduplicated instead.
+    std::vector<index_t> stamp;
+    std::vector<index_t> cols;
+    if (stamps) stamp.assign(static_cast<std::size_t>(b.ncols), -1);
+#pragma omp for schedule(dynamic, 16)
+    for (std::int64_t s = 0; s < nsampled; ++s) {
+      const index_t r = rows[static_cast<std::size_t>(s)];
+      sampled_flop += row_flops[static_cast<std::size_t>(r)];
+      if (stamps) {
+        // Branch-free: whether a column repeats is data-dependent noise
+        // to the branch predictor.
+        nnz_t distinct = 0;
+        for (const index_t k : a.row_cols(r)) {
+          for (const index_t j : b.row_cols(k)) {
+            auto& st = stamp[static_cast<std::size_t>(j)];
+            distinct += st != r ? 1 : 0;
+            st = r;
+          }
+        }
+        sampled_nnz += distinct;
+        if (mask == nullptr) continue;
+        for (const index_t j : mask->row_cols(r)) {
+          sampled_kept += stamp[static_cast<std::size_t>(j)] == r ? 1 : 0;
+        }
+      } else {
+        cols.clear();
+        for (const index_t k : a.row_cols(r)) {
+          const auto bj = b.row_cols(k);
+          cols.insert(cols.end(), bj.begin(), bj.end());
+        }
+        std::sort(cols.begin(), cols.end());
+        cols.erase(std::unique(cols.begin(), cols.end()), cols.end());
+        sampled_nnz += static_cast<nnz_t>(cols.size());
+        if (mask == nullptr) continue;
+        for (const index_t j : mask->row_cols(r)) {
+          sampled_kept +=
+              std::binary_search(cols.begin(), cols.end(), j) ? 1 : 0;
+        }
+      }
+    }
+  }
+
+  // stride 1 samples every row: scale is exactly 1 and the count exact.
+  const double scale =
+      static_cast<double>(flop) / static_cast<double>(sampled_flop);
+  NnzEstimate est;
+  est.nnz = static_cast<nnz_t>(static_cast<double>(sampled_nnz) * scale + 0.5);
+  est.masked =
+      mask == nullptr
+          ? est.nnz
+          : static_cast<nnz_t>(static_cast<double>(sampled_kept) * scale + 0.5);
+  return est;
 }
 
 namespace {

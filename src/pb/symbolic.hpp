@@ -84,32 +84,35 @@ nnz_t pb_count_flop(const mtx::CscMatrix& a, const mtx::CsrMatrix& b);
 std::vector<nnz_t> pb_row_flops(const mtx::CscMatrix& a,
                                 const mtx::CsrMatrix& b);
 
-/// Estimate of nnz(C) without running the multiplication: per output row,
-/// flop_r draws into ncols(B) column slots collide like a balls-into-bins
-/// process, so E[distinct] ≈ ncols·(1 − exp(−flop_r/ncols)).  Exact in the
-/// two regimes that matter (flop_r ≪ ncols ⇒ ≈flop_r; flop_r ≫ ncols ⇒
-/// ≈ncols) and within ~20% in between for unstructured matrices; banded or
-/// highly correlated patterns compress more than it predicts.  Cost is one
-/// O(nnz(A)) pass.  The ratio flop / estimate is the compression factor cf
-/// the roofline-guided algorithm selection runs on (model/selection.hpp).
-nnz_t pb_estimate_nnz_c(const mtx::CscMatrix& a, const mtx::CsrMatrix& b);
+/// Output size of a product as pb_estimate_nnz_c estimates it.
+struct NnzEstimate {
+  nnz_t nnz = 0;     ///< ≈ nnz(A·B)
+  nnz_t masked = 0;  ///< ≈ nnz(mask ∘ A·B); equals nnz when unmasked
+};
 
-/// Same estimator over an already-computed pb_row_flops histogram —
-/// callers holding one (e.g. the plan layer's selection pass) skip the
-/// O(nnz(A)) recount.
-nnz_t pb_estimate_nnz_c(std::span<const nnz_t> row_flops, index_t ncols);
-
-/// Structural-only masked estimate: a plain (non-complemented) output mask
-/// caps each output row at that row's mask support, so row r contributes
-/// min(estimate_r, nnz(mask(r,:))) — strictly sharper than the global
-/// min(estimate, nnz(mask)) the selection model applied before, and what
-/// keeps masked plans from over-provisioning for output the mask will
-/// drop.  Values of `mask` are ignored (pattern only).  Requires
-/// row_flops.size() == mask.nrows (the product's row count); throws
-/// std::invalid_argument otherwise.  ncols is taken from mask.ncols (the
-/// product's column count by the shape contract).
-nnz_t pb_estimate_nnz_c_masked(std::span<const nnz_t> row_flops,
-                               const mtx::CsrMatrix& mask);
+/// Estimate of nnz(C) without running the multiplication, from a sample of
+/// output rows counted exactly.  The sample is deterministic: every s-th
+/// row that receives flop, with s = ceil(flop / budget) and budget =
+/// max(2^16, flop/32).  Each sampled row's distinct columns are counted
+/// from A's and B's CSR rows, and the estimate scales the sample's
+/// nnz-per-flop up to the product: flop · Σ nnz_r / Σ flop_r.  So the pass
+/// does at most about max(2^16, flop/32) accumulator updates, is exact when
+/// flop ≤ 2^16, and, being a count rather than a model, sees banded and
+/// correlated patterns compress.  The sums are integers, so the estimate is
+/// bit-identical at any thread count.  Each thread's scratch is a column
+/// stamp array when threads · ncols(B) ≤ nnz(A) + nnz(B), else a row buffer
+/// that is sorted and deduplicated (a row of C has at most nnz(B) wedges).
+/// The ratio flop / nnz is the compression factor cf the roofline-guided
+/// algorithm selection runs on (model/selection.hpp).
+///
+/// `row_flops` is pb_row_flops(A, B).  A non-null `mask` is a plain
+/// (non-complemented) output mask, pattern only: the same pass also counts
+/// the sampled rows' columns the mask keeps, scaled the same way.  Throws
+/// std::invalid_argument when a.ncols != b.nrows, row_flops does not have
+/// a.nrows entries, or the mask is not a.nrows × b.ncols.
+NnzEstimate pb_estimate_nnz_c(const mtx::CsrMatrix& a, const mtx::CsrMatrix& b,
+                              std::span<const nnz_t> row_flops,
+                              const mtx::CsrMatrix* mask = nullptr);
 
 /// Cheap prediction of the tuple format pb_symbolic would select, without
 /// running symbolic: derives the bin count from flop and L2 the way the

@@ -339,7 +339,7 @@ struct SpGemmExecutor::Impl {
   // ---- analysis ------------------------------------------------------------
 
   /// Full analysis for one (structure, op): "auto" selection (mask-aware,
-  /// with the structural-only masked nnz estimate), kernel resolution,
+  /// with the sampled nnz estimate), kernel resolution,
   /// and the PB symbolic build when the choice lands on pb.  Shared
   /// analysis products from a batch caller arrive via `shared_row_flops`
   /// / `shared_nnz_est` (< 0 = unknown) so each O(nnz)/O(ncols) pass runs
@@ -373,12 +373,18 @@ struct SpGemmExecutor::Impl {
         row_flops_storage = pb::pb_row_flops(p.a_csc, p.b_csr);
         row_flops = row_flops_storage;
       }
-      const nnz_t nnz_est =
-          shared_nnz_est >= 0
-              ? shared_nnz_est
-              : pb::pb_estimate_nnz_c(row_flops, p.b_csr.ncols);
+      // A plain mask's kept count rides the same sampled pass; a batch's
+      // shared estimate covers only the unmasked product.
+      const mtx::CsrMatrix* plain_mask =
+          op.mask != nullptr && !op.complement ? op.mask : nullptr;
+      pb::NnzEstimate est;
+      if (shared_nnz_est >= 0 && plain_mask == nullptr) {
+        est.nnz = est.masked = shared_nnz_est;
+      } else {
+        est = pb::pb_estimate_nnz_c(p.a_csr, p.b_csr, row_flops, plain_mask);
+      }
       const double cf = static_cast<double>(fp.flop) /
-                        static_cast<double>(std::max<nnz_t>(nnz_est, 1));
+                        static_cast<double>(std::max<nnz_t>(est.nnz, 1));
       const AlgoInfo* hash = find_algorithm("hash");
       const bool hash_available =
           hash != nullptr && hash->supports_semiring(op.semiring);
@@ -415,11 +421,9 @@ struct SpGemmExecutor::Impl {
           mm.kept_density = op.complement ? 1.0 - density : density;
         }
         if (!op.complement) {
-          // Structural-only masked estimate: per-row caps make the
-          // output bound strictly sharper than the global nnz(mask) min.
-          mm.mask_nnz =
-              std::min(mm.mask_nnz,
-                       pb::pb_estimate_nnz_c_masked(row_flops, *op.mask));
+          // The sampled count of product entries the mask keeps is a
+          // sharper output bound than nnz(mask).
+          mm.mask_nnz = std::min(mm.mask_nnz, est.masked);
           if (fp.flop > 0) {
             nnz_t covered = 0;
             for (index_t r = 0; r < p.a_csr.nrows; ++r) {
@@ -815,8 +819,8 @@ std::vector<mtx::CsrMatrix> SpGemmExecutor::run(const SpGemmProblem& p,
 
   // One analysis pass shared by every op that plans: the fingerprint's
   // flop count always; the row-flop histogram and nnz estimate when any
-  // op runs "auto" selection (each op's mask terms still derive from the
-  // shared histogram).
+  // op runs "auto" selection (an op with a plain mask reruns the sampled
+  // estimate to count what its mask keeps).
   bool any_planned = false;
   bool any_auto = false;
   for (const SpGemmOp& op : ops) {
@@ -837,7 +841,7 @@ std::vector<mtx::CsrMatrix> SpGemmExecutor::run(const SpGemmProblem& p,
     fp = pb::StructureFingerprint::of(p.a_csc, p.b_csr);
     if (any_auto) {
       row_flops = pb::pb_row_flops(p.a_csc, p.b_csr);
-      nnz_est = pb::pb_estimate_nnz_c(row_flops, p.b_csr.ncols);
+      nnz_est = pb::pb_estimate_nnz_c(p.a_csr, p.b_csr, row_flops).nnz;
     }
   }
 

@@ -1,7 +1,7 @@
 // Executor layer: fingerprint-keyed plan cache (LRU hits/evictions),
 // value-only re-execution, batched descriptors over one analysis pass,
 // workspace-pooled concurrent serving, the calibration telemetry loop,
-// the structural-only masked nnz estimate, and PartitionedPlan's
+// the sampled nnz estimate behind "auto", and PartitionedPlan's
 // value-only slice refresh.
 #include <gtest/gtest.h>
 
@@ -561,28 +561,46 @@ TEST(Executor, CalibratesItsSelectionModelAfterTheWarmup) {
   EXPECT_LT(exec.samples().size(), 3u);
 }
 
-// ---- structural-only masked estimate --------------------------------------
+// ---- sampled nnz estimate: masks and the auto choice ----------------------
 
-TEST(MaskedEstimate, PerRowCapSharpensTheGlobalBound) {
+TEST(MaskedEstimate, CountsExactlyTheEntriesTheMaskKeeps) {
+  // flop ≤ 2^16, so every row is counted: both products are exact, through
+  // the column stamps (square) and the sort-unique path (wide B).  The
+  // mask holds part of C's pattern and random cells beside it.  B and the
+  // random cells have about 1800 and 1200 entries at either width.
   const mtx::CsrMatrix a = testutil::exact_er(300, 300, 6.0, 64);
-  const SpGemmProblem p = SpGemmProblem::square(a);
-  const std::vector<nnz_t> rf = pb::pb_row_flops(p.a_csc, p.b_csr);
-  const nnz_t unmasked = pb::pb_estimate_nnz_c(rf, p.b_csr.ncols);
+  for (const index_t b_cols : {300, 400000}) {
+    const double per_col = 1.0 / static_cast<double>(b_cols);
+    const mtx::CsrMatrix b =
+        testutil::exact_er(300, b_cols, 1800.0 * per_col, 65);
+    const SpGemmProblem p = SpGemmProblem::multiply(a, b);
+    const mtx::CsrMatrix c = reference_spgemm(p);
+    const mtx::CsrMatrix mask =
+        mtx::add(mtx::prune(c, 30.0),
+                 testutil::exact_er(300, b_cols, 1200.0 * per_col, 66));
+    const pb::NnzEstimate est = pb::pb_estimate_nnz_c(
+        p.a_csr, p.b_csr, pb::pb_row_flops(p.a_csc, p.b_csr), &mask);
+    EXPECT_EQ(est.nnz, c.nnz()) << b_cols;
+    EXPECT_EQ(est.masked, mtx::pattern_filter(c, mask).nnz()) << b_cols;
+  }
+  // Without a mask, masked mirrors nnz.
+  const SpGemmProblem sq = SpGemmProblem::square(a);
+  const pb::NnzEstimate plain = pb::pb_estimate_nnz_c(
+      sq.a_csr, sq.b_csr, pb::pb_row_flops(sq.a_csc, sq.b_csr));
+  EXPECT_EQ(plain.masked, plain.nnz);
+}
 
-  const mtx::CsrMatrix sparse_mask = testutil::exact_er(300, 300, 1.5, 65);
-  const nnz_t masked = pb::pb_estimate_nnz_c_masked(rf, sparse_mask);
-  EXPECT_LE(masked, unmasked);
-  EXPECT_LE(masked, sparse_mask.nnz());
-  EXPECT_GT(masked, 0);
-
-  // An identity mask caps every row at one surviving entry.
-  const mtx::CsrMatrix eye = mtx::CsrMatrix::identity(300);
-  EXPECT_LE(pb::pb_estimate_nnz_c_masked(rf, eye), 300);
-
-  // Shape mismatch is rejected.
-  const mtx::CsrMatrix wrong = testutil::exact_er(200, 300, 2.0, 66);
-  EXPECT_THROW((void)pb::pb_estimate_nnz_c_masked(rf, wrong),
-               std::invalid_argument);
+TEST(Executor, AutoPicksHashOnABandedSquareAndPbOnEr) {
+  const auto choice = [](const mtx::CsrMatrix& a) {
+    SpGemmExecutor exec;
+    RunInfo info;
+    exec.prepare(SpGemmProblem::square(a), SpGemmOp{}, &info);
+    return info.algo;
+  };
+  // The `cant` recipe of matrix/surrogates at n 1000: cf about 17.
+  EXPECT_EQ(choice(mtx::coo_to_csr(mtx::generate_banded(1000, 64.17, 67, 91))),
+            "hash");
+  EXPECT_EQ(choice(testutil::exact_er(4000, 4000, 8.0, 92)), "pb");
 }
 
 // ---- PartitionedPlan value-only refresh -----------------------------------

@@ -78,21 +78,38 @@ TEST(PbTelemetry, FlopAndNnzMatchIndependentCounts) {
               1e-12);
 }
 
+// Each schedule keeps its own timing identity.  Barrier phases run back to
+// back, so they sum to the total.  Pipelined phases overlap in one region:
+// the total is symbolic + the numeric wall, which also holds time bins wait
+// unclaimed, so the busy time the overlap did not hide fits in the wall.
 TEST(PbTelemetry, PhaseTimesPositiveAndSumToTotal) {
   const mtx::CsrMatrix a = testutil::exact_er(1000, 1000, 8.0, 24);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const PbResult r = pb_spgemm(p.a_csc, p.b_csr);
-  const PbTelemetry& t = r.stats;
-  EXPECT_GT(t.symbolic.seconds, 0.0);
-  EXPECT_GT(t.expand.seconds, 0.0);
-  EXPECT_GE(t.sort.seconds, 0.0);
-  EXPECT_GE(t.compress.seconds, 0.0);
-  EXPECT_GT(t.convert.seconds, 0.0);
-  EXPECT_NEAR(t.total_seconds(),
-              t.symbolic.seconds + t.expand.seconds + t.sort.seconds +
-                  t.compress.seconds + t.convert.seconds,
-              1e-12);
-  EXPECT_GT(t.mflops(), 0.0);
+  for (const PbSchedule schedule :
+       {PbSchedule::kBarrier, PbSchedule::kPipeline}) {
+    SCOPED_TRACE(to_string(schedule));
+    PbConfig cfg;
+    cfg.schedule = schedule;
+    const PbResult r = pb_spgemm(p.a_csc, p.b_csr, cfg);
+    const PbTelemetry& t = r.stats;
+    EXPECT_EQ(t.schedule, schedule);
+    EXPECT_GT(t.symbolic.seconds, 0.0);
+    EXPECT_GT(t.expand.seconds, 0.0);
+    EXPECT_GE(t.sort.seconds, 0.0);
+    EXPECT_GE(t.compress.seconds, 0.0);
+    EXPECT_GT(t.convert.seconds, 0.0);
+    const double busy = t.expand.seconds + t.sort.seconds +
+                        t.compress.seconds + t.convert.seconds;
+    if (schedule == PbSchedule::kBarrier) {
+      EXPECT_NEAR(t.total_seconds(), t.symbolic.seconds + busy, 1e-12);
+    } else {
+      EXPECT_GT(t.wall_seconds, 0.0);
+      EXPECT_NEAR(t.total_seconds(), t.symbolic.seconds + t.wall_seconds,
+                  1e-12);
+      EXPECT_LE(busy - t.overlap_seconds(), t.wall_seconds + 1e-12);
+    }
+    EXPECT_GT(t.mflops(), 0.0);
+  }
 }
 
 TEST(PbTelemetry, ByteModelFollowsTableIIIPerFormat) {

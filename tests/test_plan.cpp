@@ -3,8 +3,11 @@
 // invalidation, and workspace pooling across plan executions.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <stdexcept>
 
+#include "common/parallel.hpp"
+#include "matrix/mstats.hpp"
 #include "model/selection.hpp"
 #include "pb/partitioned.hpp"
 #include "pb/plan.hpp"
@@ -71,7 +74,7 @@ TEST(PbPlan, MismatchedInnerDimensionsThrowBeforeAnyFlopPass) {
   const SpGemmProblem p = SpGemmProblem::multiply(a, b);  // 50 vs 20 inner
   EXPECT_THROW((void)pb::pb_count_flop(p.a_csc, p.b_csr),
                std::invalid_argument);
-  EXPECT_THROW((void)pb::pb_estimate_nnz_c(p.a_csc, p.b_csr),
+  EXPECT_THROW((void)pb::pb_estimate_nnz_c(p.a_csr, p.b_csr, {}),
                std::invalid_argument);
   EXPECT_THROW((void)pb::StructureFingerprint::of(p.a_csc, p.b_csr),
                std::invalid_argument);
@@ -160,16 +163,71 @@ TEST(PbPlan, HintsReproduceTheUnhintedPlan) {
 
 // ---- compression-factor estimator ----------------------------------------
 
-TEST(Estimator, TracksActualCompressionOnRandomMatrices) {
-  const mtx::CsrMatrix a = testutil::exact_er(500, 500, 8.0, 15);
+pb::NnzEstimate estimate_square(const mtx::CsrMatrix& a) {
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const nnz_t est = pb::pb_estimate_nnz_c(p.a_csc, p.b_csr);
-  const nnz_t actual = reference_spgemm(p).nnz();
-  ASSERT_GT(actual, 0);
-  // The balls-into-bins model is exact in the sparse and dense limits and
-  // within tens of percent between them for unstructured matrices.
-  EXPECT_GT(est, actual / 2);
-  EXPECT_LT(est, actual * 2);
+  return pb::pb_estimate_nnz_c(p.a_csr, p.b_csr,
+                               pb::pb_row_flops(p.a_csc, p.b_csr));
+}
+
+// The `cant` recipe of matrix/surrogates at a small n: at n 1000 the flop
+// is 4.1M, so the estimator samples every 32nd row.  The square compresses
+// about 17×; a model of each row's flop landing uniformly over all columns
+// overestimates its nnz 4× (12× at n 7806).
+mtx::CsrMatrix cant_like(index_t n) {
+  return mtx::coo_to_csr(mtx::generate_banded(n, 64.17, 67, 91));
+}
+
+double rel_error(nnz_t est, nnz_t actual) {
+  return std::abs(static_cast<double>(est) / static_cast<double>(actual) - 1.0);
+}
+
+TEST(Estimator, WithinTenPercentOnABandedSquare) {
+  const mtx::CsrMatrix a = cant_like(1000);
+  ASSERT_GT(mtx::count_flops(a, a), nnz_t{32} << 16);  // sampled, not exact
+  const nnz_t actual = mtx::symbolic_nnz(a, a);
+  EXPECT_LT(rel_error(estimate_square(a).nnz, actual), 0.10);
+}
+
+TEST(Estimator, WithinFivePercentOnEr) {
+  const mtx::CsrMatrix a = testutil::exact_er(20000, 20000, 8.0, 15);
+  ASSERT_GT(mtx::count_flops(a, a), nnz_t{1} << 16);  // sampled, not exact
+  const nnz_t actual = mtx::symbolic_nnz(a, a);
+  EXPECT_LT(rel_error(estimate_square(a).nnz, actual), 0.05);
+}
+
+TEST(Estimator, ExactWhenFlopFitsTheBudget) {
+  const mtx::CsrMatrix a = testutil::exact_er(500, 500, 8.0, 16);
+  ASSERT_LE(mtx::count_flops(a, a), nnz_t{1} << 16);
+  EXPECT_EQ(estimate_square(a).nnz, mtx::symbolic_nnz(a, a));
+}
+
+TEST(Estimator, IdenticalAtOneAndFourThreads) {
+  for (const mtx::CsrMatrix& a :
+       {cant_like(1000), testutil::exact_er(20000, 20000, 8.0, 17)}) {
+    nnz_t one = 0;
+    nnz_t four = 0;
+    {
+      const ThreadCountGuard g(1);
+      one = estimate_square(a).nnz;
+    }
+    {
+      const ThreadCountGuard g(4);
+      four = estimate_square(a).nnz;
+    }
+    EXPECT_EQ(one, four);
+  }
+}
+
+TEST(Estimator, RejectsMisshapenInputs) {
+  const mtx::CsrMatrix a = testutil::exact_er(40, 40, 3.0, 20);
+  const SpGemmProblem p = SpGemmProblem::square(a);
+  const std::vector<nnz_t> rf = pb::pb_row_flops(p.a_csc, p.b_csr);
+  const std::vector<nnz_t> short_rf(rf.begin(), rf.end() - 1);
+  EXPECT_THROW((void)pb::pb_estimate_nnz_c(p.a_csr, p.b_csr, short_rf),
+               std::invalid_argument);
+  const mtx::CsrMatrix wrong = testutil::exact_er(30, 40, 2.0, 21);
+  EXPECT_THROW((void)pb::pb_estimate_nnz_c(p.a_csr, p.b_csr, rf, &wrong),
+               std::invalid_argument);
 }
 
 // ---- selection heuristic --------------------------------------------------

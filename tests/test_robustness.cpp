@@ -132,23 +132,28 @@ TEST(ExecutorFault, AllocFailureDegradesForEveryTupleFormat) {
 // A FaultInjectedError raised at a phase boundary is NOT absorbed by the
 // degradation path (it is not a bad_alloc): the run propagates it, every
 // lease is returned, the plan cache stays consistent, and the next run
-// on the same executor serves the exact fresh-executor product.
+// on the same executor serves the exact fresh-executor product.  Both
+// schedules fire every phase hook on the calling thread.
 TEST(ExecutorFault, PhaseThrowPropagatesAndExecutorRecovers) {
   const mtx::CsrMatrix a = testutil::exact_er(400, 400, 6.0, 43);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const SpGemmOp op = pb_op(pb::PbSchedule::kBarrier);
-  const mtx::CsrMatrix ref = fresh_run(p, op);
-  for (const FaultPoint point :
-       {FaultPoint::kPlanBuild, FaultPoint::kExpand,
-        FaultPoint::kSortCompress, FaultPoint::kConvert}) {
-    FaultGuard guard;
-    SpGemmExecutor exec;
-    FaultInjector::throw_at(point);
-    EXPECT_THROW(exec.run(p, op), FaultInjectedError)
-        << fault_point_name(point);
-    EXPECT_EQ(exec.pool_stats().in_flight, 0u) << fault_point_name(point);
-    EXPECT_TRUE(mtx::equal_exact(exec.run(p, op), ref))
-        << fault_point_name(point);
+  for (const pb::PbSchedule schedule :
+       {pb::PbSchedule::kBarrier, pb::PbSchedule::kPipeline}) {
+    SCOPED_TRACE(pb::to_string(schedule));
+    const SpGemmOp op = pb_op(schedule);
+    const mtx::CsrMatrix ref = fresh_run(p, op);
+    for (const FaultPoint point :
+         {FaultPoint::kPlanBuild, FaultPoint::kExpand,
+          FaultPoint::kSortCompress, FaultPoint::kConvert}) {
+      FaultGuard guard;
+      SpGemmExecutor exec;
+      FaultInjector::throw_at(point);
+      EXPECT_THROW(exec.run(p, op), FaultInjectedError)
+          << fault_point_name(point);
+      EXPECT_EQ(exec.pool_stats().in_flight, 0u) << fault_point_name(point);
+      EXPECT_TRUE(mtx::equal_exact(exec.run(p, op), ref))
+          << fault_point_name(point);
+    }
   }
 }
 

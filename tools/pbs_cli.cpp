@@ -225,6 +225,14 @@ int multiply_planned(const Cli& cli, const SpGemmProblem& problem,
   if (execs > 1)
     std::cout << ", steady execute " << rest_s / (execs - 1) * 1e3 << " ms";
   std::cout << "\n";
+  if (algo == "auto") {
+    // The estimator's error, visible: the cf the choice ran on against
+    // the product's.
+    std::cout << "  cf estimated " << info.choice.cf << ", actual "
+              << static_cast<double>(flop) /
+                     static_cast<double>(std::max<nnz_t>(c.nnz(), 1))
+              << "\n";
+  }
   if (amortization_report && execs > 1) {
     const double fresh_per_mult = plan_s + first_s;  // analysis paid in-line
     const double amortized = (plan_s + first_s + rest_s) / execs;
