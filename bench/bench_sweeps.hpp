@@ -60,8 +60,7 @@ inline void run_random_sweep(const std::string& artifact, MatrixKind kind,
 
   // Compressed-stream ablation: the same points multiplied over
   // bool_or_and with the 8 B key-only stream (auto) vs the 12 B narrow
-  // stream (forced), plus the 8 B narrow-f32 stream on the numeric
-  // semiring.  The key-only compress drops the semiring add and the value
+  // stream (forced).  The key-only compress drops the semiring add and the value
   // scatter from every radix pass, so sort+compress is where the win
   // concentrates.
   Table stream({"scale", "ef", "semiring", "format", "B/t", "sort+comp(ms)",
@@ -133,8 +132,6 @@ inline void run_random_sweep(const std::string& artifact, MatrixKind kind,
 
       pb::PbConfig narrow_cfg;
       narrow_cfg.format = pb::FormatPolicy::kNarrow;
-      pb::PbConfig f32_cfg;
-      f32_cfg.format = pb::FormatPolicy::kF32;
       // Boolean sweep: auto resolves to key-only (bool_or_and is
       // value-free); the narrow-forced run is the 12 B baseline the
       // acceptance floor compares against.
@@ -144,8 +141,6 @@ inline void run_random_sweep(const std::string& artifact, MatrixKind kind,
       const pb::PbTelemetry tbn =
           pb_best_telemetry_named("bool_or_and", problem, narrow_cfg, reps,
                                   warmup);
-      const pb::PbTelemetry tf32 =
-          pb_best_telemetry(problem, f32_cfg, reps, warmup);
       const double sc_narrow = tbn.sort.seconds + tbn.compress.seconds;
       auto stream_row = [&](const std::string& semiring,
                             const pb::PbTelemetry& tm) {
@@ -156,7 +151,6 @@ inline void run_random_sweep(const std::string& artifact, MatrixKind kind,
       };
       stream_row("bool_or_and", tko);
       stream_row("bool_or_and", tbn);
-      stream_row("plus_times", tf32);
       if (tko.format == pb::TupleFormat::kKeyOnly &&
           tbn.format == pb::TupleFormat::kNarrow) {
         const double sc_keyonly = tko.sort.seconds + tko.compress.seconds;
@@ -195,8 +189,7 @@ inline void run_random_sweep(const std::string& artifact, MatrixKind kind,
                      .raw("pb", pb_record(t))
                      .raw("pb_wide", pb_record(tw))
                      .raw("pb_bool_keyonly", pb_record(tko))
-                     .raw("pb_bool_narrow", pb_record(tbn))
-                     .raw("pb_f32", pb_record(tf32)));
+                     .raw("pb_bool_narrow", pb_record(tbn)));
       }
     }
   }
@@ -214,7 +207,7 @@ inline void run_random_sweep(const std::string& artifact, MatrixKind kind,
               << "x\n";
   }
   std::cout << "\n## Compressed streams: key-only (8 B) vs narrow (12 B) on "
-               "bool_or_and, narrow-f32 (8 B) on plus_times\n";
+               "bool_or_and\n";
   stream.print(std::cout);
   if (keyonly_speedup_points > 0) {
     std::cout << "\n# key-only sort+compress speedup vs narrow on bool_or_and "

@@ -108,7 +108,7 @@ std::vector<std::uint32_t> make_narrow_keys(std::size_t n, int row_bits,
   return keys;
 }
 
-// Paired key/value SoA sort — what pb_sort_compress_narrow runs.
+// Paired key/value SoA sort — what NarrowBinOps::sort runs per bin.
 void BM_RadixSortLsdNarrowKv(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const int row_bits = static_cast<int>(state.range(1));

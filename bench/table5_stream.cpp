@@ -6,7 +6,7 @@
 // Extended with the tuple-stream section: the same write-then-read pattern
 // Eq. 4 charges the Cˆ stream, run over each TupleFormat's physical
 // layout.  GB/s is flat across formats (it is the same machine), which is
-// the point — at equal bandwidth the 8 B key-only/f32 streams move twice
+// the point — at equal bandwidth the 8 B key-only stream moves twice
 // the tuples per second of the 16 B wide stream.
 #include <cstring>
 
@@ -92,35 +92,6 @@ std::vector<TupleStreamPoint> run_tuple_streams(std::size_t tuples, int reps) {
     add(pb::TupleFormat::kNarrow, best);
   }
   add(pb::TupleFormat::kKeyOnly, lane_copy_gbs<pb::wide_key_t>(tuples, reps));
-  {
-    AlignedBuffer<pb::narrow_key_t> ks(tuples), kd(tuples);
-    AlignedBuffer<pb::f32_val_t> vs(tuples), vd(tuples);
-#pragma omp parallel for schedule(static)
-    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(tuples); ++i) {
-      ks[static_cast<std::size_t>(i)] = 0;
-      vs[static_cast<std::size_t>(i)] = 0;
-    }
-    double best = 0;
-    for (int r = 0; r < reps + 1; ++r) {
-      Timer t;
-#pragma omp parallel for schedule(static)
-      for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(tuples);
-           ++i) {
-        kd[static_cast<std::size_t>(i)] = ks[static_cast<std::size_t>(i)];
-        vd[static_cast<std::size_t>(i)] = vs[static_cast<std::size_t>(i)];
-      }
-      const double s = t.elapsed_s();
-      const double gbs =
-          s > 0
-              ? 2.0 *
-                    static_cast<double>(tuples *
-                                        pb::kBytesPerTupleNarrowF32) /
-                    s / 1e9
-              : 0.0;
-      if (r > 0 && gbs > best) best = gbs;
-    }
-    add(pb::TupleFormat::kNarrowF32, best);
-  }
   return out;
 }
 

@@ -113,11 +113,9 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n";
 
-  // Exercise place_bins through the pipelined schedule (its acquire path
-  // first-touches the pool bin-by-bin on each bin's home node).
-  pb::PbConfig cfg;
-  cfg.schedule = pb::PbSchedule::kPipeline;
-  const pb::PbResult placed = pb::pb_spgemm(a_csc, a, cfg);
+  // Exercise place_bins through pb_execute (its acquire path first-touches
+  // the pool bin-by-bin on each bin's home node).
+  const pb::PbResult placed = pb::pb_spgemm(a_csc, a);
   std::cout << "# pipelined squaring through place_bins: "
             << placed.stats.mflops() << " MFLOPS, numeric wall "
             << placed.stats.wall_seconds * 1e3 << " ms, overlap hidden "

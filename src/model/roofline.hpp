@@ -32,7 +32,7 @@ double ai_outer_lower(double cf, double bytes_per_nnz = kDefaultBytesPerNnz);
 /// format: the (3·b)/cf input/output term keeps the COO cost b, but the
 /// write-Cˆ-then-read-it term — 2 of the denominator's (3 + 2·cf)·b —
 /// charges the bytes the expanded stream actually moves per tuple
-/// (pb/tuple.hpp: 16 wide, 12 narrow, 8 key-only/f32).  With
+/// (pb/tuple.hpp: 16 wide, 12 narrow, 8 key-only).  With
 /// tuple_bytes == bytes_per_nnz this reduces exactly to ai_outer_lower.
 double ai_outer_lower_tuple(double cf, double bytes_per_nnz,
                             double tuple_bytes);

@@ -27,7 +27,7 @@
 // mask the same pass counts the entries the mask keeps, which becomes
 // MaskModel::mask_nnz.  PB's Eq. 4 bound additionally charges the Cˆ
 // write+read term the bytes the plan's tuple format actually moves
-// (pb_tuple_bytes: 16 wide, 12 narrow, 8 key-only/f32 — see pb/tuple.hpp
+// (pb_tuple_bytes: 16 wide, 12 narrow, 8 key-only — see pb/tuple.hpp
 // and pb::predict_tuple_format), so the compressed streams' higher bounds
 // shift the crossover toward higher cf: with defaults it sits at cf ≈ 2.2
 // at 16 B, ≈ 3.0 at 12 B and ≈ 7.7 at 8 B — a value-free (boolean)
@@ -88,9 +88,9 @@ struct SelectionModel {
 
   /// Bytes each tuple of PB's expanded stream moves — the Cˆ term of
   /// Eq. 4.  16 for the wide AoS format; 12 when the plan's narrow SoA
-  /// format engages; 8 for the key-only (value-free semirings) and
-  /// narrow-f32 streams (pb/tuple.hpp; pb::predict_tuple_format tells a
-  /// caller which to expect before any symbolic work).  Lowering it
+  /// format engages; 8 for the key-only stream of value-free semirings
+  /// (pb/tuple.hpp; pb::predict_tuple_format tells a caller which to
+  /// expect before any symbolic work).  Lowering it
   /// raises PB's bound, moving the pb/hash crossover toward higher cf.
   double pb_tuple_bytes = kDefaultBytesPerNnz;
 
@@ -98,13 +98,12 @@ struct SelectionModel {
   /// near-STREAM bandwidth regardless of cf).
   double pb_efficiency = 0.85;
 
-  /// Multiplier on pb_efficiency when the pipelined schedule will run
-  /// (pb::PbSchedule::kPipeline resolved for the execution's thread
-  /// count): per-bin dataflow hides the fork-join tails and sorts bins
-  /// cache-hot, recovering a slice of the barrier schedule's idle time.
-  /// The product is capped at 0.98 — no schedule streams above the
-  /// machine.  Callers set pipelined_schedule; the default (false) keeps
-  /// every existing selection bit-identical.
+  /// Multiplier on pb_efficiency when PB's per-bin dataflow has threads
+  /// to overlap across: with more than one, it hides the fork-join tails
+  /// and sorts bins cache-hot while expand still runs.  The product is
+  /// capped at 0.98 — no schedule streams above the machine.  Callers set
+  /// pipelined_schedule (the executor: max_threads() > 1); the default
+  /// (false) applies no boost.
   double pb_pipeline_boost = 1.06;
   bool pipelined_schedule = false;
 

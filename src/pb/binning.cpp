@@ -31,22 +31,12 @@ int BinLayout::binid(index_t row) const {
   return 0;
 }
 
-const char* to_string(PbSchedule s) {
-  switch (s) {
-    case PbSchedule::kAuto: return "auto";
-    case PbSchedule::kBarrier: return "barrier";
-    case PbSchedule::kPipeline: return "pipeline";
-  }
-  return "?";
-}
-
 const char* to_string(FormatPolicy p) {
   switch (p) {
     case FormatPolicy::kAuto: return "auto";
     case FormatPolicy::kWide: return "wide";
     case FormatPolicy::kNarrow: return "narrow";
     case FormatPolicy::kKeyOnly: return "keyonly";
-    case FormatPolicy::kF32: return "f32";
   }
   return "?";
 }
@@ -65,7 +55,6 @@ const char* to_string(TupleFormat f) {
     case TupleFormat::kWide: return "wide";
     case TupleFormat::kNarrow: return "narrow";
     case TupleFormat::kKeyOnly: return "keyonly";
-    case TupleFormat::kNarrowF32: return "f32";
   }
   return "?";
 }

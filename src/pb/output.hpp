@@ -3,63 +3,22 @@
 // After compression each bin holds its surviving tuples sorted by
 // (row, col), and no row spans two bins.  Conversion is therefore
 // race-free per bin: count rows, prefix-sum into rowptr, then stream each
-// bin's tuples into its rows' final positions.
+// bin's tuples into its rows' final positions.  pb_execute folds the COUNT
+// pass into each bin's sort/compress task (the tuples are still cache-hot)
+// and runs only the prefix sum and the SCATTER as a short tail, so the
+// primitives below work one bin at a time.  Concurrent calls on distinct
+// bins may share `rowptr` (counting into slot row+1) and the output arrays
+// without atomics.
 //
 // This phase copies values without interpreting them, so unlike expand and
 // sort/compress it needs no semiring template: one conversion serves every
-// pb_spgemm<S> instantiation.
+// pb_execute<S> instantiation.
 #pragma once
 
-#include <span>
-#include <vector>
-
-#include "common/cancel.hpp"
-#include "matrix/csr.hpp"
 #include "pb/binning.hpp"
-#include "pb/pb_config.hpp"
 #include "pb/tuple.hpp"
 
 namespace pbs::pb {
-
-// The batch builders below accept an optional CancelToken, polled at bin
-// granularity: cancelled bins are skipped (their partial output is about
-// to be discarded) and the token's typed error is raised once the
-// parallel sweeps join — throwing from inside an `omp for` is illegal.
-
-/// A CSR matrix with single-precision values — the native output of a
-/// narrow-f32 plan when the caller asks for it (the default conversion
-/// widens back to the canonical f64 CsrMatrix).  Pattern arrays match
-/// mtx::CsrMatrix exactly; only the value width differs.
-struct CsrF32 {
-  index_t nrows = 0;
-  index_t ncols = 0;
-  std::vector<nnz_t> rowptr;
-  std::vector<index_t> colids;
-  std::vector<f32_val_t> vals;
-
-  [[nodiscard]] nnz_t nnz() const {
-    return rowptr.empty() ? 0 : rowptr.back();
-  }
-};
-
-/// Builds the canonical CSR result from compressed bins.
-/// `offsets[b]` is bin b's region origin in `tuples`; `merged[b]` the
-/// number of surviving tuples at that origin.
-mtx::CsrMatrix pb_build_csr(const Tuple* tuples,
-                            std::span<const nnz_t> offsets,
-                            std::span<const nnz_t> merged, index_t nrows,
-                            index_t ncols,
-                            const CancelToken* cancel = nullptr);
-
-// --- Per-bin streaming primitives --------------------------------------
-//
-// The batch builders above are two barrier-separated sweeps over all bins.
-// The pipelined schedule instead folds the COUNT pass into each bin's
-// sort/compress task (the tuples are still cache-hot) and runs only the
-// SCATTER as a second sweep, so both builders are also exposed one bin at
-// a time.  The race-freedom argument is unchanged: no row spans two bins,
-// so concurrent calls on distinct bins may share `rowptr` (counting into
-// slot row+1) and the output arrays without atomics.
 
 /// Counts bin `b`'s surviving rows into rowptr[row + 1] (+= per tuple).
 void pb_count_bin(const Tuple* bin_tuples, nnz_t merged, nnz_t* rowptr);
@@ -69,30 +28,20 @@ void pb_count_bin(const Tuple* bin_tuples, nnz_t merged, nnz_t* rowptr);
 void pb_scatter_bin(const Tuple* bin_tuples, nnz_t merged,
                     const nnz_t* rowptr, index_t* colids, value_t* vals);
 
-/// Narrow-format per-bin count: reads only the 4 B key array.
+/// Narrow-format per-bin count: reads only the 4 B key array and rebuilds
+/// each global row from the bin geometry (`layout`/`col_bits` must be the
+/// ones the stream was expanded with — SymbolicResult::layout / col_bits).
 void pb_count_bin_narrow(const narrow_key_t* bin_keys, nnz_t merged, int bin,
                          const BinLayout& layout, int col_bits,
                          nnz_t* rowptr);
 
-/// Narrow-format per-bin scatter.
+/// Narrow-format per-bin scatter: global (row, col) from the bin geometry,
+/// values copied straight from the SoA value array.
 void pb_scatter_bin_narrow(const narrow_key_t* bin_keys,
                            const value_t* bin_vals, nnz_t merged, int bin,
                            const BinLayout& layout, int col_bits,
                            const nnz_t* rowptr, index_t* colids,
                            value_t* vals);
-
-/// Narrow-format conversion: reconstructs the global (row, col) of each
-/// surviving tuple from the bin geometry while streaming — the row-count
-/// pass reads only the 4 B key array, and values are copied straight from
-/// the SoA value array.  `layout`/`col_bits` must be the ones the stream
-/// was expanded with (SymbolicResult::layout / col_bits).
-mtx::CsrMatrix pb_build_csr_narrow(const narrow_key_t* keys,
-                                   const value_t* vals,
-                                   std::span<const nnz_t> offsets,
-                                   std::span<const nnz_t> merged,
-                                   const BinLayout& layout, int col_bits,
-                                   index_t nrows, index_t ncols,
-                                   const CancelToken* cancel = nullptr);
 
 /// Key-only per-bin count: the stream is bare wide keys, read 8 B each.
 void pb_count_bin_keyonly(const wide_key_t* bin_keys, nnz_t merged,
@@ -100,48 +49,12 @@ void pb_count_bin_keyonly(const wide_key_t* bin_keys, nnz_t merged,
 
 /// Key-only per-bin scatter: every surviving entry's value is synthesized
 /// as `present` (a value-free semiring's present-value, 1.0 — "true" for
-/// bool_or_and), since the stream carries no values to copy.
+/// bool_or_and), since the stream carries no values to copy.  The
+/// bit-identity contract with a wide run of the same value-free semiring
+/// holds because the wide run's surviving values are all exactly `present`
+/// too (S::add/S::mul of nonzeros is 1.0 for bool_or_and).
 void pb_scatter_bin_keyonly(const wide_key_t* bin_keys, nnz_t merged,
                             const nnz_t* rowptr, index_t* colids,
                             value_t* vals, value_t present);
-
-/// Key-only conversion: pattern from the keys, values synthesized as
-/// `present` (see pb_scatter_bin_keyonly).  The bit-identity contract with
-/// a wide run of the same value-free semiring holds because the wide run's
-/// surviving values are all exactly `present` too (S::add/S::mul of
-/// nonzeros is 1.0 for bool_or_and).
-mtx::CsrMatrix pb_build_csr_keyonly(const wide_key_t* keys,
-                                    std::span<const nnz_t> offsets,
-                                    std::span<const nnz_t> merged,
-                                    index_t nrows, index_t ncols,
-                                    value_t present = 1.0,
-                                    const CancelToken* cancel = nullptr);
-
-/// Narrow-f32 per-bin scatter: values widen f32 → f64 on the way out.
-/// (The count pass is pb_count_bin_narrow — it reads only the key array,
-/// which is identical across the two narrow formats.)
-void pb_scatter_bin_narrow_f32(const narrow_key_t* bin_keys,
-                               const f32_val_t* bin_vals, nnz_t merged,
-                               int bin, const BinLayout& layout, int col_bits,
-                               const nnz_t* rowptr, index_t* colids,
-                               value_t* vals);
-
-/// Narrow-f32 conversion to the canonical f64 CSR (values widened).
-mtx::CsrMatrix pb_build_csr_narrow_f32(const narrow_key_t* keys,
-                                       const f32_val_t* vals,
-                                       std::span<const nnz_t> offsets,
-                                       std::span<const nnz_t> merged,
-                                       const BinLayout& layout, int col_bits,
-                                       index_t nrows, index_t ncols,
-                                       const CancelToken* cancel = nullptr);
-
-/// Narrow-f32 conversion to a *native* f32 CSR — no widening pass, for
-/// callers whose whole workload is single precision.
-CsrF32 pb_build_csr_narrow_f32_native(const narrow_key_t* keys,
-                                      const f32_val_t* vals,
-                                      std::span<const nnz_t> offsets,
-                                      std::span<const nnz_t> merged,
-                                      const BinLayout& layout, int col_bits,
-                                      index_t nrows, index_t ncols);
 
 }  // namespace pbs::pb

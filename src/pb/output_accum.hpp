@@ -15,13 +15,12 @@
 // Bit-identity contract with the post-pass: both-present entries combine
 // as S::add(c_old_value, product_value) — the same argument order
 // semiring_ewise_add uses — and single-side entries are copied, so the
-// fused result is bitwise equal to
-// semiring_ewise_add(c_old, pb_build_csr(...)).
+// fused result is bitwise equal to semiring_ewise_add(c_old, C) for the
+// product C that the unaccumulated run would have returned.
 //
-// Both schedules land here: the barrier path replaces its convert switch,
-// and the pipelined path replaces its tail (the per-bin folded row count
-// is skipped when accumulating — the union count needs C_old's rows,
-// which these builders walk anyway).
+// pb_execute runs these builders in place of its convert tail (the
+// per-bin folded row count is skipped when accumulating — the union count
+// needs C_old's rows, which these builders walk anyway).
 #pragma once
 
 #include <span>
@@ -106,7 +105,7 @@ void accum_scatter_bin(nnz_t merged, const mtx::CsrMatrix& c_old,
   });
 }
 
-/// The two-sweep batch driver shared by the four formats: union count per
+/// The two-sweep batch driver shared by the three formats: union count per
 /// bin, prefix sum, union scatter per bin.  `Adapter` decodes the stream —
 /// row(bin, i) / col(i) / val(i) with absolute stream indices.
 /// Cancellation is polled per bin; cancelled bins are skipped (the partial
@@ -182,22 +181,10 @@ struct KeyOnlyAccumAdapter {
   value_t val(nnz_t /*i*/) const { return present; }
 };
 
-struct NarrowF32AccumAdapter {
-  const narrow_key_t* keys = nullptr;
-  const f32_val_t* vals = nullptr;
-  const BinLayout* layout = nullptr;
-  int col_bits = 0;
-  index_t row(int bin, nnz_t i) const {
-    return layout->global_row(bin, narrow_key_local_row(keys[i], col_bits));
-  }
-  index_t col(nnz_t i) const { return narrow_key_col(keys[i], col_bits); }
-  value_t val(nnz_t i) const { return static_cast<value_t>(vals[i]); }
-};
-
 }  // namespace detail
 
 /// Wide-format fused-accumulate conversion (see the file comment for the
-/// contract all four builders share).
+/// contract all three builders share).
 template <typename S>
 mtx::CsrMatrix pb_build_csr_accum(const Tuple* tuples,
                                   std::span<const nnz_t> offsets,
@@ -224,7 +211,7 @@ mtx::CsrMatrix pb_build_csr_accum_narrow(
 }
 
 /// Key-only fused-accumulate conversion: product values are synthesized as
-/// `present` (the value-free convention of pb_build_csr_keyonly), so
+/// `present` (the value-free convention of pb_scatter_bin_keyonly), so
 /// both-present entries combine as S::add(c_old, present) and
 /// product-only entries store `present` — exactly what the post-pass does
 /// with the synthesized product.
@@ -237,19 +224,6 @@ mtx::CsrMatrix pb_build_csr_accum_keyonly(
   return detail::build_csr_accum<S>(detail::KeyOnlyAccumAdapter{keys, present},
                                     offsets, merged, c_old, layout, nrows,
                                     ncols, cancel);
-}
-
-/// Narrow-f32 fused-accumulate conversion: product values widen f32 → f64
-/// before the merge, matching pb_build_csr_narrow_f32's widening.
-template <typename S>
-mtx::CsrMatrix pb_build_csr_accum_narrow_f32(
-    const narrow_key_t* keys, const f32_val_t* vals,
-    std::span<const nnz_t> offsets, std::span<const nnz_t> merged,
-    const mtx::CsrMatrix& c_old, const BinLayout& layout, int col_bits,
-    index_t nrows, index_t ncols, const CancelToken* cancel = nullptr) {
-  return detail::build_csr_accum<S>(
-      detail::NarrowF32AccumAdapter{keys, vals, &layout, col_bits}, offsets,
-      merged, c_old, layout, nrows, ncols, cancel);
 }
 
 }  // namespace pbs::pb

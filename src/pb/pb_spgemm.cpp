@@ -34,9 +34,8 @@ void PbWorkspace::place_bins(std::span<const nnz_t> bin_offsets,
   const int nthreads = max_threads();
 
   // Byte range of bin b in the pool: one region wide (16 B tuples) and
-  // key-only (8 B keys, no value block at all), two for the narrow
-  // formats (the key block, then the value block at key_span(total) — 8 B
-  // values for kNarrow, 4 B for kNarrowF32).
+  // key-only (8 B keys, no value block at all), two for narrow (the key
+  // block, then the value block at key_span(total)).
   auto touch_bin = [&](std::size_t b) {
     const auto lo = static_cast<std::size_t>(bin_offsets[b]);
     const auto hi = static_cast<std::size_t>(bin_offsets[b + 1]);
@@ -53,14 +52,6 @@ void PbWorkspace::place_bins(std::span<const nnz_t> bin_offsets,
                     base + hi * sizeof(narrow_key_t));
         std::byte* vals = base + key_span(total);
         touch_pages(vals + lo * sizeof(value_t), vals + hi * sizeof(value_t));
-        break;
-      }
-      case TupleFormat::kNarrowF32: {
-        touch_pages(base + lo * sizeof(narrow_key_t),
-                    base + hi * sizeof(narrow_key_t));
-        std::byte* vals = base + key_span(total);
-        touch_pages(vals + lo * sizeof(f32_val_t),
-                    vals + hi * sizeof(f32_val_t));
         break;
       }
     }

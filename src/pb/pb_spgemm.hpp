@@ -89,13 +89,6 @@ struct NarrowStream {
   value_t* vals = nullptr;
 };
 
-/// The narrow-f32 tuple stream: u32 keys paired with f32 values (8 B per
-/// tuple; see pb/tuple.hpp).
-struct NarrowF32Stream {
-  narrow_key_t* keys = nullptr;
-  f32_val_t* vals = nullptr;
-};
-
 /// Pooling allocator for the pipeline's scratch memory: the expanded
 /// matrix Cˆ (flop tuples — the largest allocation of the algorithm, often
 /// several times the inputs) plus the per-thread radix-sort scratch of the
@@ -110,8 +103,8 @@ struct NarrowF32Stream {
 /// raw bytes and carve them per request, so one workspace serves every
 /// semiring instantiation and all tuple formats — a 12 B/tuple narrow
 /// stream fits inside the capacity a 16 B/tuple wide run of the same flop
-/// left behind, and the 8 B/tuple key-only and narrow-f32 streams fit
-/// inside either, so plans alternating formats reallocate nothing.
+/// left behind, and the 8 B/tuple key-only stream fits inside either, so
+/// plans alternating formats reallocate nothing.
 /// Crucially each lease reserves only what its format needs: a key-only
 /// acquire following a wide one asks for n·8 bytes, not n·16 — the pool
 /// must never charge value bytes to a format that has no value array.
@@ -209,17 +202,6 @@ class PbWorkspace {
     return k;
   }
 
-  /// Narrow-f32 key + value arrays for at least n tuples; the value array
-  /// starts on a cache-line boundary.  Contents undefined.
-  NarrowF32Stream acquire_narrow_f32(std::size_t n) {
-    note_request(n);
-    const std::uint64_t before = stats_.allocations;
-    std::byte* base = ensure(buf_, stats_.allocations, stats_.reuses,
-                             narrow_f32_bytes(n));
-    fresh_ = stats_.allocations != before;
-    return carve_narrow_f32(base, n);
-  }
-
   /// True when the most recent acquire()/acquire_narrow() had to
   /// (re)allocate the tuple pool — its pages are unmapped and their NUMA
   /// placement is still up for grabs (first-touch pending).
@@ -270,15 +252,6 @@ class PbWorkspace {
         ensure(s.buf, s.allocations, s.reuses, n * sizeof(wide_key_t)));
   }
 
-  /// Narrow-f32 per-thread sort scratch (key + f32 value arrays of n).
-  NarrowF32Stream acquire_scratch_narrow_f32(std::size_t slot,
-                                             std::size_t n) {
-    ScratchSlot& s = scratch_[slot];
-    std::byte* base =
-        ensure(s.buf, s.allocations, s.reuses, narrow_f32_bytes(n));
-    return carve_narrow_f32(base, n);
-  }
-
   /// Retained pool capacity in bytes.
   [[nodiscard]] std::size_t capacity() const { return buf_.size(); }
 
@@ -322,16 +295,6 @@ class PbWorkspace {
   static NarrowStream carve_narrow(std::byte* base, std::size_t n) {
     return {reinterpret_cast<narrow_key_t*>(base),
             reinterpret_cast<value_t*>(base + key_span(n))};
-  }
-
-  /// Keys, padded to a cache line, then f32 values.
-  static std::size_t narrow_f32_bytes(std::size_t n) {
-    return key_span(n) + n * sizeof(f32_val_t);
-  }
-
-  static NarrowF32Stream carve_narrow_f32(std::byte* base, std::size_t n) {
-    return {reinterpret_cast<narrow_key_t*>(base),
-            reinterpret_cast<f32_val_t*>(base + key_span(n))};
   }
 
   std::byte* ensure(AlignedBuffer<std::byte>& buf, std::uint64_t& allocations,

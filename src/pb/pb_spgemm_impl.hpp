@@ -3,9 +3,8 @@
 // back to back: build the symbolic plan, execute it once, and fold the
 // analysis cost back into the returned telemetry.  Included by
 // pb_spgemm.cpp, which explicitly instantiates pb_spgemm<S> for the
-// built-in semirings — include this header (plus plan_impl.hpp,
-// expand_impl.hpp and sort_compress_impl.hpp) directly only to
-// instantiate a custom semiring.
+// built-in semirings — include this header (plus plan_impl.hpp) directly
+// only to instantiate a custom semiring.
 #pragma once
 
 #include "pb/pb_spgemm.hpp"

@@ -1,19 +1,19 @@
-// Pipelined (per-bin task-dataflow) execution of a PB plan — the
-// PbSchedule::kPipeline backend of pb_execute (plan_impl.hpp dispatches
-// here; barrier execution stays in plan_impl.hpp).
+// Per-bin task-dataflow execution of a PB plan — the body of pb_execute
+// (plan_impl.hpp checks the arguments and calls pb_execute_pipeline).
 //
-// The barrier schedule runs expand, sort/compress and convert as three
-// team-wide loops with an implicit barrier between each: every thread
-// waits for the slowest thread of every phase, and the whole Cˆ buffer
-// goes cold between the expand that wrote a bin and the sort that reads
-// it.  But the dependence structure is per bin, not per phase: bin b is
-// sortable the moment the *last* expand flush into b lands, regardless of
-// how much expanding remains elsewhere.  This file exploits that:
+// Paper Algorithm 2 fixes the per-bin work — expand, then sort, compress
+// and convert each bin — not barriers between the phases.  Run as three
+// team-wide loops, every thread would wait for the slowest thread of
+// every phase, and the whole Cˆ buffer would go cold between the expand
+// that wrote a bin and the sort that reads it.  But the dependence
+// structure is per bin, not per phase: bin b is sortable the moment the
+// *last* expand flush into b lands, regardless of how much expanding
+// remains elsewhere.  This file exploits that, at every thread count:
 //
-//   - expand runs exactly as before (expand_team / expand_narrow_team),
-//     with a flush sink that advances a per-bin done-counter; the flush
-//     that completes a bin's fill publishes the bin to the flushing
-//     thread's work-stealing deque (common/parallel.hpp),
+//   - expand runs the team bodies of expand.hpp with a flush sink that
+//     advances a per-bin done-counter; the flush that completes a bin's
+//     fill publishes the bin to the flushing thread's work-stealing deque
+//     (common/parallel.hpp),
 //   - every thread, after finishing its share of expand, becomes a
 //     worker: pop own deque LIFO (the bin most recently flushed — still
 //     warmest in cache), else steal FIFO from a victim, running each
@@ -48,17 +48,18 @@
 #include "common/parallel.hpp"
 #include "common/prefix_sum.hpp"
 #include "common/timer.hpp"
-#include "pb/expand_impl.hpp"
+#include "pb/expand.hpp"
 #include "pb/output.hpp"
+#include "pb/output_accum.hpp"
 #include "pb/plan.hpp"
-#include "pb/sort_compress_impl.hpp"
+#include "pb/sort_compress.hpp"
 
 namespace pbs::pb {
 
 namespace detail {
 
-// Policy dispatch for the team-callable expand bodies (mirrors
-// pb_expand / pb_expand_narrow).
+// Policy dispatch for the team-callable expand bodies: the bin policy is a
+// template parameter so the inner loop's binid is a shift/mask.
 template <typename S, typename Sink>
 nnz_t expand_team_any(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
                       const SymbolicResult& sym, const PbConfig& cfg,
@@ -118,28 +119,7 @@ nnz_t expand_keyonly_team_any(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   return 0;
 }
 
-template <typename S, typename Sink>
-nnz_t expand_narrow_f32_team_any(const mtx::CscMatrix& a,
-                                 const mtx::CsrMatrix& b,
-                                 const SymbolicResult& sym, const PbConfig& cfg,
-                                 narrow_key_t* out_keys, f32_val_t* out_vals,
-                                 std::atomic<nnz_t>* cursor, Sink& sink,
-                                 const MaskSpec& emask) {
-  switch (sym.layout.policy) {
-    case BinPolicy::kRange:
-      return expand_narrow_f32_team<BinPolicy::kRange, S>(
-          a, b, sym, cfg, out_keys, out_vals, cursor, sink, emask);
-    case BinPolicy::kModulo:
-      return expand_narrow_f32_team<BinPolicy::kModulo, S>(
-          a, b, sym, cfg, out_keys, out_vals, cursor, sink, emask);
-    case BinPolicy::kAdaptive:
-      return expand_narrow_f32_team<BinPolicy::kAdaptive, S>(
-          a, b, sym, cfg, out_keys, out_vals, cursor, sink, emask);
-  }
-  return 0;
-}
-
-// Flush sink of the pipelined schedule: counts flushed tuples per bin and
+// Flush sink of pb_execute: counts flushed tuples per bin and
 // publishes a bin to this thread's deque the moment its fill completes.
 struct PipelineSink {
   std::atomic<nnz_t>* done = nullptr;  ///< per-bin flushed-tuple counters
@@ -158,7 +138,7 @@ struct PipelineSink {
     credit(bin, static_cast<nnz_t>(count));
   }
 
-  /// Skip credit from a masked expand (expand_impl.hpp): `count` tuples of
+  /// Skip credit from a masked expand (expand.hpp): `count` tuples of
   /// this bin were never generated, so the done counter still converges to
   /// the symbolic fill mark — flushed + skipped == flop — and bin
   /// completion is detected exactly as in the unmasked run.  No data was
@@ -193,8 +173,9 @@ struct PipelineThreadStats {
 
 }  // namespace detail
 
-/// Pipelined pb_execute backend.  Same contract and result as the barrier
-/// path (fingerprint and mask shape already checked by the caller).
+/// The body of pb_execute (fingerprint, mask shape and epilogue already
+/// checked by the caller).  One thread runs the same task list: it
+/// expands everything, publishing bins to its own deque, then drains it.
 ///
 /// Robustness: an internal abort token (linked to the caller's `cancel`)
 /// is the region's single unwind signal.  Expand polls it per column, the
@@ -223,7 +204,7 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   tm.schedule = PbSchedule::kPipeline;
   const double bpt = tm.tuple_bytes();
 
-  // Fused expand-time mask (same per-run decision as the barrier path).
+  // Fused expand-time mask (a per-run decision: the mask is run state).
   // When it engages, the done counters still reach the symbolic fill marks
   // — skipped tuples are credited through PipelineSink::skipped — but the
   // write cursors fall short, so task lengths come from the cursors and
@@ -245,14 +226,10 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   const auto buf_len = static_cast<std::size_t>(sym.bin_offsets.back());
   Tuple* expanded = nullptr;
   NarrowStream ns;
-  NarrowF32Stream nf;
   wide_key_t* keys_only = nullptr;
   switch (fmt) {
     case TupleFormat::kNarrow:
       ns = workspace.acquire_narrow(buf_len);
-      break;
-    case TupleFormat::kNarrowF32:
-      nf = workspace.acquire_narrow_f32(buf_len);
       break;
     case TupleFormat::kKeyOnly:
       keys_only = workspace.acquire_keys(buf_len);
@@ -310,8 +287,6 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   const NarrowBinOps<S> narrow_ops{ns.keys, ns.vals, &cmask, &epi.post_op,
                                    &sym.layout, sym.col_bits};
   const KeyOnlyBinOps keyonly_ops{keys_only, &cmask};
-  const NarrowF32BinOps<S> f32_ops{nf.keys, nf.vals, &cmask, &epi.post_op,
-                                   &sym.layout, sym.col_bits};
 
   Timer region_timer;
 
@@ -328,16 +303,11 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
     bool ok = true;
     Tuple* wide_scratch = nullptr;
     NarrowStream narrow_scratch;
-    NarrowF32Stream f32_scratch;
     wide_key_t* key_scratch = nullptr;
     try {
       switch (fmt) {
         case TupleFormat::kNarrow:
           narrow_scratch = workspace.acquire_scratch_narrow(
-              utid, static_cast<std::size_t>(max_bin));
-          break;
-        case TupleFormat::kNarrowF32:
-          f32_scratch = workspace.acquire_scratch_narrow_f32(
               utid, static_cast<std::size_t>(max_bin));
           break;
         case TupleFormat::kKeyOnly:
@@ -388,13 +358,6 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
             kept_mask = narrow_ops.filter(bin, off, pre_mask);
             kept = narrow_ops.post_apply(off, kept_mask);
             break;
-          case TupleFormat::kNarrowF32:
-            f32_ops.sort(off, len, f32_scratch);
-            t1 = omp_get_wtime();
-            pre_mask = f32_ops.compress(off, len);
-            kept_mask = f32_ops.filter(bin, off, pre_mask);
-            kept = f32_ops.post_apply(off, kept_mask);
-            break;
           case TupleFormat::kKeyOnly:
             keyonly_ops.sort(off, len, key_scratch);
             t1 = omp_get_wtime();
@@ -424,12 +387,6 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
         switch (fmt) {
           case TupleFormat::kNarrow:
             pb_count_bin_narrow(ns.keys + off, kept, bin, sym.layout,
-                                sym.col_bits, c.rowptr.data());
-            break;
-          // The f32 count pass reuses the narrow counter: keys are
-          // identical.
-          case TupleFormat::kNarrowF32:
-            pb_count_bin_narrow(nf.keys + off, kept, bin, sym.layout,
                                 sym.col_bits, c.rowptr.data());
             break;
           case TupleFormat::kKeyOnly:
@@ -478,11 +435,6 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
         detail::expand_narrow_team_any<S>(a, b, sym, run_cfg, ns.keys,
                                           ns.vals, cursor.data(), sink,
                                           emask);
-        break;
-      case TupleFormat::kNarrowF32:
-        detail::expand_narrow_f32_team_any<S>(a, b, sym, run_cfg, nf.keys,
-                                              nf.vals, cursor.data(), sink,
-                                              emask);
         break;
       case TupleFormat::kKeyOnly:
         detail::expand_keyonly_team_any(a, b, sym, run_cfg, keys_only,
@@ -535,13 +487,11 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
       const nnz_t end = cursor[bin].load(std::memory_order_relaxed);
       const nnz_t mark = sym.bin_offsets[bin] + sym.bin_fill[bin];
       if (expand_masked ? end > mark : end != mark) {
-        throw std::logic_error("pb_execute(pipeline): bin " +
-                               std::to_string(bin) +
+        throw std::logic_error("pb_execute: bin " + std::to_string(bin) +
                                " cursor does not meet its fill mark");
       }
       if (done[bin].load(std::memory_order_relaxed) != sym.bin_fill[bin]) {
-        throw std::logic_error("pb_execute(pipeline): bin " +
-                               std::to_string(bin) +
+        throw std::logic_error("pb_execute: bin " + std::to_string(bin) +
                                " done counter does not meet its fill mark");
       }
     }
@@ -560,11 +510,6 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
       case TupleFormat::kNarrow:
         result.c = pb_build_csr_accum_narrow<S>(
             ns.keys, ns.vals, sym.bin_offsets, merged, c_old, sym.layout,
-            sym.col_bits, a.nrows, b.ncols, cancel);
-        break;
-      case TupleFormat::kNarrowF32:
-        result.c = pb_build_csr_accum_narrow_f32<S>(
-            nf.keys, nf.vals, sym.bin_offsets, merged, c_old, sym.layout,
             sym.col_bits, a.nrows, b.ncols, cancel);
         break;
       case TupleFormat::kKeyOnly:
@@ -598,12 +543,6 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
                                 c.rowptr.data(), c.colids.data(),
                                 c.vals.data());
           break;
-        case TupleFormat::kNarrowF32:
-          pb_scatter_bin_narrow_f32(nf.keys + off, nf.vals + off,
-                                    merged[ubin], bin, sym.layout,
-                                    sym.col_bits, c.rowptr.data(),
-                                    c.colids.data(), c.vals.data());
-          break;
         case TupleFormat::kKeyOnly:
           pb_scatter_bin_keyonly(keys_only + off, merged[ubin],
                                  c.rowptr.data(), c.colids.data(),
@@ -624,7 +563,7 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   // Per-phase seconds are max per-thread *busy* times: they overlap one
   // another inside the region, so their sum can exceed wall_seconds — that
   // surplus is exactly what overlap_seconds() reports.  The Table III byte
-  // models are schedule-independent and match the barrier path.
+  // models count traffic, not scheduling.
   tm.wall_seconds = region_wall + tail_wall;
   nnz_t nnz_c = 0;
   for (const nnz_t m : merged) nnz_c += m;

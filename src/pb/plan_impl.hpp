@@ -1,29 +1,21 @@
-// Template definition of the plan-execute stage (see plan.hpp).  Included
-// by plan.cpp, which explicitly instantiates pb_execute<S> for the
-// built-in semirings — include this header (plus expand_impl.hpp and
-// sort_compress_impl.hpp) directly only to instantiate a custom semiring.
+// Template definition of the plan-execute stage (see plan.hpp): argument
+// checks, then the per-bin task dataflow of pipeline_impl.hpp, which runs
+// every plan at every thread count.  Included by plan.cpp, which
+// explicitly instantiates pb_execute<S> for the built-in semirings —
+// include this header directly only to instantiate a custom semiring.
 #pragma once
 
 #include <stdexcept>
-#include <vector>
 
 #include "common/cancel.hpp"
-#include "common/fault.hpp"
-#include "common/parallel.hpp"
-#include "common/timer.hpp"
-#include "pb/expand.hpp"
-#include "pb/output.hpp"
-#include "pb/output_accum.hpp"
 #include "pb/pipeline_impl.hpp"
 #include "pb/plan.hpp"
-#include "pb/sort_compress.hpp"
 
 namespace pbs::pb {
 
 namespace detail {
 
-/// Epilogue preconditions shared by both schedule drivers (see
-/// PbEpilogue's contract in pb_config.hpp).
+/// Epilogue preconditions (see PbEpilogue's contract in pb_config.hpp).
 inline void validate_epilogue(const PbEpilogue& epi, TupleFormat fmt,
                               index_t nrows, index_t ncols) {
   if (epi.accumulate != nullptr && epi.post_op.active()) {
@@ -64,230 +56,7 @@ PbResult pb_execute(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   detail::validate_epilogue(epi, plan.sym.format, a.nrows, b.ncols);
   throw_if_stopped(cancel);
 
-  // Schedule resolution happens here, at execute time, so one plan serves
-  // both schedules (and kAuto can track the thread count of each run).
-  if (resolve_schedule(plan.cfg.schedule, max_threads()) ==
-      PbSchedule::kPipeline) {
-    return pb_execute_pipeline<S>(a, b, plan, workspace, mask, cancel, epi);
-  }
-
-  // Run-local config: the plan's captured config plus this run's token,
-  // threaded into expand (whose entry points read cfg.cancel).
-  PbConfig run_cfg = plan.cfg;
-  run_cfg.cancel = cancel;
-
-  const SymbolicResult& sym = plan.sym;
-  const TupleFormat fmt = sym.format;
-  const int nbins = sym.layout.nbins;
-  PbResult result;
-  PbTelemetry& tm = result.stats;
-  Timer timer;
-
-  // Analysis was paid at plan-build time: tm.symbolic stays zero here
-  // (plan.symbolic records the build cost; pb_spgemm folds it back in for
-  // the fused build+execute path).
-  tm.flop = sym.flop;
-  tm.nbins = nbins;
-  // rows_per_bin contract: the range policy reports its power-of-two bin
-  // width; modulo and adaptive layouts have no single contiguous width and
-  // report 0 (see BinLayout::rows_per_bin).
-  tm.rows_per_bin = sym.layout.rows_per_bin();
-  tm.format = sym.format;
-  tm.schedule = PbSchedule::kBarrier;
-  // The `b` each tuple of this run's stream costs — the per-format Table
-  // III accounting below runs on it.
-  const double bpt = tm.tuple_bytes();
-
-  // Fused expand-time mask (per run — the mask pattern is run state).
-  // When it engages, the scatter loops skip masked-out tuples outright,
-  // bins hold fewer tuples than the symbolic fill marks, and the
-  // compress-stage filter has nothing left to drop.
-  const bool expand_masked =
-      engage_expand_mask(mask, run_cfg, a.nrows, b.ncols);
-  const MaskSpec emask = expand_masked ? mask : MaskSpec{};
-  std::vector<nnz_t> actual_fill_vec;
-  nnz_t* actual_fill = nullptr;
-  if (expand_masked) {
-    actual_fill_vec.assign(static_cast<std::size_t>(nbins), 0);
-    actual_fill = actual_fill_vec.data();
-  }
-
-  // ---- expand (S::mul; key-only skips the multiply entirely) ----
-  FaultInjector::at(FaultPoint::kExpand);
-  timer.reset();
-  const auto buf_len = static_cast<std::size_t>(sym.bin_offsets.back());
-  Tuple* expanded = nullptr;
-  NarrowStream ns;
-  NarrowF32Stream nf;
-  wide_key_t* keys_only = nullptr;
-  switch (fmt) {
-    case TupleFormat::kNarrow:
-      ns = workspace.acquire_narrow(buf_len);
-      workspace.place_bins(sym.bin_offsets, sym.bin_home, fmt);
-      pb_expand_narrow<S>(a, b, sym, run_cfg, ns.keys, ns.vals, emask,
-                          actual_fill);
-      break;
-    case TupleFormat::kNarrowF32:
-      nf = workspace.acquire_narrow_f32(buf_len);
-      workspace.place_bins(sym.bin_offsets, sym.bin_home, fmt);
-      pb_expand_narrow_f32<S>(a, b, sym, run_cfg, nf.keys, nf.vals, emask,
-                              actual_fill);
-      break;
-    case TupleFormat::kKeyOnly:
-      keys_only = workspace.acquire_keys(buf_len);
-      workspace.place_bins(sym.bin_offsets, sym.bin_home, fmt);
-      pb_expand_keyonly(a, b, sym, run_cfg, keys_only, emask, actual_fill);
-      break;
-    case TupleFormat::kWide:
-      expanded = workspace.acquire(buf_len);
-      workspace.place_bins(sym.bin_offsets, sym.bin_home, fmt);
-      pb_expand<S>(a, b, sym, run_cfg, expanded, emask, actual_fill);
-      break;
-  }
-  throw_if_stopped(cancel);
-  tm.expand.seconds = timer.elapsed_s();
-  // Tuples this run actually generated: flop, minus whatever the fused
-  // expand mask skipped in the scatter loops.
-  nnz_t generated = sym.flop;
-  if (expand_masked) {
-    generated = 0;
-    for (const nnz_t f : actual_fill_vec) generated += f;
-    tm.mask_skipped_expand = sym.flop - generated;
-    tm.expand_masked = true;
-  }
-  // Table III: read both inputs once (at the paper's wide COO cost), write
-  // the generated tuples at the stream format's cost (skipped tuples are
-  // never multiplied or written — the point of expand masking).
-  tm.expand.bytes =
-      static_cast<double>(kBytesPerTuple) *
-          (static_cast<double>(a.nnz()) + static_cast<double>(b.nnz())) +
-      bpt * static_cast<double>(generated);
-
-  // ---- sort + compress (fused per bin, timed separately; S::add) ----
-  // The fused mask rides here too — unless expand already applied it, in
-  // which case every surviving tuple is in-mask by construction and the
-  // filter is skipped.  The elementwise post-op (epi.post_op) runs in the
-  // same per-bin filter stage while the bin is cache-hot.
-  FaultInjector::at(FaultPoint::kSortCompress);
-  timer.reset();
-  const std::span<const nnz_t> fills =
-      expand_masked ? std::span<const nnz_t>(actual_fill_vec)
-                    : std::span<const nnz_t>(sym.bin_fill);
-  const MaskSpec cmask = expand_masked ? MaskSpec{} : mask;
-  SortCompressResult sc;
-  switch (fmt) {
-    case TupleFormat::kNarrow:
-      sc = pb_sort_compress_narrow<S>(ns.keys, ns.vals, sym.bin_offsets,
-                                      fills, nbins, &workspace, cmask,
-                                      &sym.layout, sym.col_bits, cancel,
-                                      epi.post_op);
-      break;
-    case TupleFormat::kNarrowF32:
-      sc = pb_sort_compress_narrow_f32<S>(nf.keys, nf.vals, sym.bin_offsets,
-                                          fills, nbins, &workspace, cmask,
-                                          &sym.layout, sym.col_bits, cancel,
-                                          epi.post_op);
-      break;
-    case TupleFormat::kKeyOnly:
-      sc = pb_sort_compress_keyonly(keys_only, sym.bin_offsets, fills, nbins,
-                                    &workspace, cmask, cancel);
-      break;
-    case TupleFormat::kWide:
-      sc = pb_sort_compress<S>(expanded, sym.bin_offsets, fills, nbins,
-                               &workspace, cmask, cancel, epi.post_op);
-      break;
-  }
-  throw_if_stopped(cancel);
-  const double sc_wall = timer.elapsed_s();
-  // Attribute the fused loop's wall time proportionally to the measured
-  // per-thread busy times (their ratio is exact; the split of idle time is
-  // the approximation).
-  const double busy = sc.sort_seconds + sc.compress_seconds;
-  const double sort_share = busy > 0 ? sc.sort_seconds / busy : 0.5;
-  tm.sort.seconds = sc_wall * sort_share;
-  tm.compress.seconds = sc_wall * (1.0 - sort_share);
-  // Table III: the sort streams the bin in (shuffles are in-cache); the
-  // compress writes every merged tuple — including the ones the mask and
-  // post-op then discard in-cache (reads are in-cache).
-  tm.sort.bytes = bpt * static_cast<double>(generated);
-  nnz_t nnz_c = 0;
-  for (const nnz_t m : sc.merged) nnz_c += m;
-  tm.nnz_c = nnz_c;
-  tm.mask_dropped = sc.mask_dropped;
-  tm.post_dropped = sc.post_dropped;
-  tm.compress.bytes =
-      bpt * static_cast<double>(nnz_c + sc.mask_dropped + sc.post_dropped);
-
-  // ---- convert to CSR (semiring-independent; key-only synthesizes the
-  // present-value, f32 widens back to the library's f64 CSR).  With an
-  // accumulate epilogue the conversion union-merges C's rows per bin
-  // instead (output_accum.hpp) — the post-pass never runs. ----
-  FaultInjector::at(FaultPoint::kConvert);
-  timer.reset();
-  if (epi.accumulate != nullptr) {
-    const mtx::CsrMatrix& c_old = *epi.accumulate;
-    switch (fmt) {
-      case TupleFormat::kNarrow:
-        result.c = pb_build_csr_accum_narrow<S>(
-            ns.keys, ns.vals, sym.bin_offsets, sc.merged, c_old, sym.layout,
-            sym.col_bits, a.nrows, b.ncols, cancel);
-        break;
-      case TupleFormat::kNarrowF32:
-        result.c = pb_build_csr_accum_narrow_f32<S>(
-            nf.keys, nf.vals, sym.bin_offsets, sc.merged, c_old, sym.layout,
-            sym.col_bits, a.nrows, b.ncols, cancel);
-        break;
-      case TupleFormat::kKeyOnly:
-        result.c = pb_build_csr_accum_keyonly<S>(
-            keys_only, sym.bin_offsets, sc.merged, c_old, sym.layout, a.nrows,
-            b.ncols, 1.0, cancel);
-        break;
-      case TupleFormat::kWide:
-        result.c =
-            pb_build_csr_accum<S>(expanded, sym.bin_offsets, sc.merged, c_old,
-                                  sym.layout, a.nrows, b.ncols, cancel);
-        break;
-    }
-  } else {
-    switch (fmt) {
-      case TupleFormat::kNarrow:
-        result.c = pb_build_csr_narrow(ns.keys, ns.vals, sym.bin_offsets,
-                                       sc.merged, sym.layout, sym.col_bits,
-                                       a.nrows, b.ncols, cancel);
-        break;
-      case TupleFormat::kNarrowF32:
-        result.c = pb_build_csr_narrow_f32(nf.keys, nf.vals, sym.bin_offsets,
-                                           sc.merged, sym.layout,
-                                           sym.col_bits, a.nrows, b.ncols,
-                                           cancel);
-        break;
-      case TupleFormat::kKeyOnly:
-        result.c = pb_build_csr_keyonly(keys_only, sym.bin_offsets, sc.merged,
-                                        a.nrows, b.ncols, 1.0, cancel);
-        break;
-      case TupleFormat::kWide:
-        result.c = pb_build_csr(expanded, sym.bin_offsets, sc.merged, a.nrows,
-                                b.ncols, cancel);
-        break;
-    }
-  }
-  throw_if_stopped(cancel);
-  tm.convert.seconds = timer.elapsed_s();
-  // Reads the merged tuples, writes colids+vals and two rowptr passes;
-  // an accumulate additionally streams C_old in and writes the union.
-  tm.convert.bytes =
-      (bpt + static_cast<double>(sizeof(index_t) + sizeof(value_t))) *
-          static_cast<double>(nnz_c) +
-      2.0 * static_cast<double>(sizeof(nnz_t)) * static_cast<double>(a.nrows);
-  if (epi.accumulate != nullptr) {
-    const auto entry =
-        static_cast<double>(sizeof(index_t) + sizeof(value_t));
-    tm.convert.bytes +=
-        entry * static_cast<double>(epi.accumulate->nnz()) +       // C_old in
-        entry * static_cast<double>(result.c.nnz() - nnz_c);       // extra out
-  }
-
-  return result;
+  return pb_execute_pipeline<S>(a, b, plan, workspace, mask, cancel, epi);
 }
 
 }  // namespace pbs::pb

@@ -192,7 +192,7 @@ namespace {
 // fits any geometry but is only legal when the caller asserted the
 // semiring is value-free (cfg.value_free).  Requests are preferences:
 // an illegal or unfitting request falls back (keyonly -> the kAuto
-// choice, narrow/f32 -> wide); the CLI enforces strictness for explicit
+// choice, narrow -> wide); the CLI enforces strictness for explicit
 // user requests before planning.
 TupleFormat pick_format(const BinLayout& layout, index_t nrows,
                         int col_bits, const PbConfig& cfg) {
@@ -202,8 +202,6 @@ TupleFormat pick_format(const BinLayout& layout, index_t nrows,
       return TupleFormat::kWide;
     case FormatPolicy::kNarrow:
       return fits ? TupleFormat::kNarrow : TupleFormat::kWide;
-    case FormatPolicy::kF32:
-      return fits ? TupleFormat::kNarrowF32 : TupleFormat::kWide;
     case FormatPolicy::kKeyOnly:
     case FormatPolicy::kAuto:
       if (cfg.value_free) return TupleFormat::kKeyOnly;
@@ -283,11 +281,10 @@ SymbolicResult pb_symbolic(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   // Region layout: pad every bin to a cache-line-multiple boundary so full
   // local-bin flushes are line aligned (see SymbolicResult): 4 wide tuples
   // are one 64 B line; 16 narrow tuples are one 64 B key line (and two
-  // value lines — or one f32 value line); 8 key-only tuples are one 64 B
+  // value lines); 8 key-only tuples are one 64 B
   // line.  Key-only has no value lanes at all, so the byte pool sized
   // from these offsets charges 8 B/tuple — zero-width values.
-  const nnz_t pad = (out.format == TupleFormat::kNarrow ||
-                     out.format == TupleFormat::kNarrowF32)
+  const nnz_t pad = out.format == TupleFormat::kNarrow
                         ? 16
                         : (out.format == TupleFormat::kKeyOnly ? 8 : 4);
   out.bin_offsets.assign(static_cast<std::size_t>(out.layout.nbins) + 1, 0);

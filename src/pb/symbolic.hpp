@@ -47,9 +47,7 @@ struct SymbolicResult {
 
   /// Stream format the plan selected (pb/tuple.hpp) and, for kNarrow, the
   /// column bit width of the packed key.  pb_execute dispatches the
-  /// format-matched kernels from these; the per-phase entry points
-  /// (pb_expand / pb_expand_narrow, ...) are format-specific by name and
-  /// ignore them.
+  /// format-matched kernels from these.
   TupleFormat format = TupleFormat::kWide;
   int col_bits = 0;
 

@@ -1,7 +1,7 @@
-// The expanded-matrix tuple of PB-SpGEMM, in its two physical formats.
+// The expanded-matrix tuple of PB-SpGEMM, in its three physical formats.
 //
 // Cˆ entries are (rowid, colid, value) conceptually.  The pipeline carries
-// them in one of two layouts, chosen per plan by the symbolic phase
+// them in one of three layouts, chosen per plan by the symbolic phase
 // (pb/symbolic.hpp):
 //
 //  * kWide — array-of-structs `Tuple{u64 key, f64 val}`: the two 4-byte
@@ -31,10 +31,6 @@
 //    (1.0).  Because the key is the full global (row << 32) | col, the
 //    format is legal for ANY bin geometry — no 32-bit fit constraint.
 //
-//  * kNarrowF32 — the narrow SoA stream with a 4-byte f32 value lane:
-//    8 bytes per tuple for plans whose values are f32-representable or
-//    whose op requests f32 precision.  Same fit constraint as kNarrow.
-//
 // The per-format byte cost feeds the roofline model through
 // bytes_per_tuple(); telemetry reports which format a run used.
 #pragma once
@@ -50,7 +46,6 @@ enum class TupleFormat {
   kWide,       ///< AoS {u64 key, f64 val}, 16 B/tuple
   kNarrow,     ///< SoA u32 bin-relative key + f64 val, 12 B/tuple
   kKeyOnly,    ///< u64 global key, no value array, 8 B/tuple (value-free)
-  kNarrowF32,  ///< SoA u32 bin-relative key + f32 val, 8 B/tuple
 };
 
 const char* to_string(TupleFormat f);
@@ -73,12 +68,6 @@ inline constexpr std::size_t kBytesPerTupleNarrow =
     sizeof(narrow_key_t) + sizeof(value_t);
 static_assert(kBytesPerTupleNarrow == 12);
 
-/// Narrow-f32 value type and per-tuple cost (4 B key + 4 B value).
-using f32_val_t = float;
-inline constexpr std::size_t kBytesPerTupleNarrowF32 =
-    sizeof(narrow_key_t) + sizeof(f32_val_t);
-static_assert(kBytesPerTupleNarrowF32 == 8);
-
 /// The `b` of the arithmetic-intensity equations for the given stream
 /// format — what each expanded tuple actually costs to move through DRAM.
 constexpr std::size_t bytes_per_tuple(TupleFormat f) {
@@ -86,7 +75,6 @@ constexpr std::size_t bytes_per_tuple(TupleFormat f) {
     case TupleFormat::kWide: return kBytesPerTuple;
     case TupleFormat::kNarrow: return kBytesPerTupleNarrow;
     case TupleFormat::kKeyOnly: return kBytesPerTupleKeyOnly;
-    case TupleFormat::kNarrowF32: return kBytesPerTupleNarrowF32;
   }
   return kBytesPerTuple;
 }

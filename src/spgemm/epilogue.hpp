@@ -2,7 +2,7 @@
 //
 // The PB pipeline applies SpGemmOp::post_op inside its per-bin filter
 // stage and merges an accumulation target during CSR conversion
-// (pb/sort_compress_impl.hpp, pb/output_accum.hpp), so the shaped output
+// (pb/sort_compress.hpp, pb/output_accum.hpp), so the shaped output
 // is the only one that ever exists.  The row-wise kernels (heap, hash,
 // spa) and the executor's degraded/fallback runs produce the plain
 // product; this header gives them the same semantics as one post-pass:

@@ -26,7 +26,8 @@ namespace {
 // Everything of an op that changes what planning produces: the algorithm
 // and semiring, the mask binding (by address — the pattern behind it may
 // change freely, the fused kernels re-read it per call), and the pb/model
-// tunables that steer symbolic layout and "auto" selection.  accumulate
+// tunables that steer symbolic layout, "auto" selection and the recorded
+// predicted_mflops.  accumulate
 // is execution-time behavior and deliberately excluded: an accumulating
 // op shares its cached plan with the plain product.  post_op IS keyed —
 // the cached entry's op copy carries it into every execution, so two ops
@@ -37,16 +38,16 @@ std::string op_cache_key(const SpGemmOp& op) {
       << static_cast<const void*>(op.mask) << '|' << op.complement << '|'
       << static_cast<int>(op.pb.policy) << '|'
       << static_cast<int>(op.pb.format) << '|' << op.pb.value_free << '|'
-      << static_cast<int>(op.pb.schedule) << '|' << op.pb.nbins << '|'
+      << op.pb.nbins << '|'
       << op.pb.local_bin_bytes << '|' << op.pb.l2_bytes << '|'
       << op.pb.streaming_stores << '|'
       << static_cast<int>(op.pb.expand_mask) << '|'
       << op.pb.expand_mask_max_density << '|' << op.post_op.scale << '|'
       << op.post_op.prune_threshold << '|' << op.post_op.top_k << '|'
-      << op.model.pb_efficiency << '|'
+      << op.model.pb_efficiency << '|' << op.model.pb_pipeline_boost << '|'
       << op.model.column_latency_penalty << '|'
       << op.model.small_flop_threshold << '|' << op.model.pb_tuple_bytes
-      << '|' << op.model.bytes_per_nnz;
+      << '|' << op.model.bytes_per_nnz << '|' << op.model.beta_gbs;
   return key.str();
 }
 
@@ -392,11 +393,9 @@ struct SpGemmExecutor::Impl {
       m.pb_tuple_bytes = static_cast<double>(pb::bytes_per_tuple(
           pb::predict_tuple_format(p.a_csc.nrows, p.b_csr.ncols, fp.flop,
                                    pbcfg)));
-      // Schedule term: pb's derating reflects the schedule this op will
-      // actually execute under (kAuto resolved for the current team size).
-      m.pipelined_schedule =
-          pb::resolve_schedule(op.pb.schedule, max_threads()) ==
-          pb::PbSchedule::kPipeline;
+      // Schedule term: pb's derating credits the pipeline's overlap only
+      // when the team has more than one thread to overlap across.
+      m.pipelined_schedule = max_threads() > 1;
       // Record the *effective* derating (schedule term applied): a later
       // calibrate() inverts predictions through this constant.
       entry->sel_pb_efficiency = m.effective_pb_efficiency();

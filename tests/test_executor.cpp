@@ -256,6 +256,32 @@ TEST(Executor, OpIdentityKeysTheCacheAlongsideStructure) {
   EXPECT_EQ(s.cache_hits, 4u);
 }
 
+TEST(Executor, SelectionModelTunablesKeyTheCache) {
+  // pb_pipeline_boost steers "auto" and beta_gbs sets the recorded
+  // prediction: an op that differs from a cached one only there plans
+  // afresh, and agrees with a fresh executor.
+  const SpGemmProblem p =
+      SpGemmProblem::square(testutil::exact_er(2000, 2000, 8.0, 55));
+  const SpGemmOp base;  // "auto"
+  SpGemmOp boosted = base;
+  boosted.model.pb_pipeline_boost = 0.5;
+  SpGemmOp faster = base;
+  faster.model.beta_gbs = 2.0 * base.model.beta_gbs;
+
+  SpGemmExecutor exec;
+  exec.prepare(p, base);
+  for (const SpGemmOp* op : {&boosted, &faster}) {
+    RunInfo shared, alone;
+    exec.prepare(p, *op, &shared);
+    SpGemmExecutor fresh;
+    fresh.prepare(p, *op, &alone);
+    EXPECT_FALSE(shared.cache_hit);
+    EXPECT_EQ(shared.algo, alone.algo);
+    EXPECT_DOUBLE_EQ(shared.predicted_mflops, alone.predicted_mflops);
+  }
+  EXPECT_EQ(exec.stats().cache_misses, 3u);
+}
+
 TEST(Executor, FixedBaselineOpsArePassthrough) {
   const SpGemmProblem p =
       SpGemmProblem::square(testutil::exact_er(100, 100, 4.0, 55));
@@ -373,7 +399,7 @@ TEST(Executor, SameAggregateStructuresGetDistinctCacheEntries) {
 TEST(ExecutorConcurrency, BatchFanOutMatchesSerialAtEveryConcurrency) {
   // The batched run's phase-2 fan-out (worker threads over the workspace
   // pool) must be a pure scheduling change: op-order results identical to
-  // the serial batch, for a mix of semirings, masks and schedules.
+  // the serial batch, for a mix of semirings, masks and tuple formats.
   const mtx::CsrMatrix a = testutil::exact_er(220, 220, 5.0, 91);
   const mtx::CsrMatrix mask = testutil::exact_er(220, 220, 2.0, 92);
   const SpGemmProblem p = SpGemmProblem::square(a);
@@ -389,7 +415,7 @@ TEST(ExecutorConcurrency, BatchFanOutMatchesSerialAtEveryConcurrency) {
   ops[3].complement = true;
   ops[4].algo = "auto";
   ops[5].algo = "pb";
-  ops[5].pb.schedule = pb::PbSchedule::kPipeline;
+  ops[5].pb.format = pb::FormatPolicy::kWide;
 
   ExecutorOptions serial_opts;
   serial_opts.batch_concurrency = 1;

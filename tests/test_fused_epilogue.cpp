@@ -4,7 +4,7 @@
 // vs compress-stage filtering, and the fused elementwise post-op
 // (scale/prune/top-k) vs the separate mtx:: passes — over
 // {plus_times, min_plus, max_min, bool_or_and} x
-// {wide, narrow, key-only, narrow-f32} x {barrier, pipeline} x
+// {wide, narrow, key-only} x {one OpenMP lane, full width} x
 // {mask, complemented mask}; plus the PostOp spec parser and the
 // descriptor-layer validation rules (post-op x accumulate, post-op on a
 // value-free semiring).
@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "matrix/ops.hpp"
 #include "spgemm/epilogue.hpp"
 #include "spgemm/executor.hpp"
@@ -27,7 +28,7 @@ namespace {
 
 /// One (semiring, tuple format) point of the variant matrix.  Key-only
 /// needs a value-free semiring, so bool_or_and covers it; the valued
-/// semirings each run wide, narrow and narrow-f32.
+/// semirings each run wide and narrow.
 struct Variant {
   const char* semiring;
   pb::FormatPolicy format;
@@ -39,7 +40,6 @@ std::vector<Variant> variant_matrix() {
   for (const char* s : {"plus_times", "min_plus", "max_min"}) {
     v.push_back({s, pb::FormatPolicy::kWide, "wide"});
     v.push_back({s, pb::FormatPolicy::kNarrow, "narrow"});
-    v.push_back({s, pb::FormatPolicy::kF32, "f32"});
   }
   v.push_back({"bool_or_and", pb::FormatPolicy::kWide, "wide"});
   v.push_back({"bool_or_and", pb::FormatPolicy::kKeyOnly, "keyonly"});
@@ -66,17 +66,16 @@ mtx::CsrMatrix sorted_rows(mtx::CsrMatrix m) {
   return m;
 }
 
-std::string trace(const Variant& v, pb::PbSchedule sched) {
-  return std::string(v.semiring) + "/" + v.format_name +
-         (sched == pb::PbSchedule::kBarrier ? "/barrier" : "/pipeline");
+std::string trace(const Variant& v, int threads) {
+  return std::string(v.semiring) + "/" + v.format_name + "/" +
+         std::to_string(threads) + " thread(s)";
 }
 
-SpGemmOp pb_op(const Variant& v, pb::PbSchedule sched) {
+SpGemmOp pb_op(const Variant& v) {
   SpGemmOp op;
   op.algo = "pb";
   op.semiring = v.semiring;
   op.pb.format = v.format;
-  op.pb.schedule = sched;
   return op;
 }
 
@@ -85,7 +84,7 @@ SpGemmOp pb_op(const Variant& v, pb::PbSchedule sched) {
 // The tentpole claim: run(p, op, c_old) merges C during CSR conversion,
 // and the result is bit-identical to the explicit two-pass
 // semiring_ewise_add(c_old, product) it replaced — for every semiring,
-// tuple format and schedule.
+// tuple format and team size.
 TEST(FusedEpilogue, AccumulateMatchesThePostPassAcrossTheVariantMatrix) {
   const mtx::CsrMatrix a = testutil::exact_er(220, 200, 5.0, 501);
   const mtx::CsrMatrix b = testutil::exact_er(200, 180, 5.0, 502);
@@ -94,10 +93,10 @@ TEST(FusedEpilogue, AccumulateMatchesThePostPassAcrossTheVariantMatrix) {
   SpGemmExecutor exec;
 
   for (const Variant& v : variant_matrix()) {
-    for (const pb::PbSchedule sched :
-         {pb::PbSchedule::kBarrier, pb::PbSchedule::kPipeline}) {
-      SCOPED_TRACE(trace(v, sched));
-      const SpGemmOp op = pb_op(v, sched);
+    for (const int threads : {1, max_threads()}) {
+      const ThreadCountGuard lanes(threads);
+      SCOPED_TRACE(trace(v, threads));
+      const SpGemmOp op = pb_op(v);
       const mtx::CsrMatrix product = exec.run(p, op);
       const mtx::CsrMatrix expected =
           semiring_ewise_add(op.semiring, c_old, product);
@@ -151,7 +150,7 @@ TEST(FusedEpilogue, AccumulateAlgebraicIdentities) {
 
 // Masking in the expand scatter loop (kOn) must produce the same C as
 // filtering at compress (kOff), for both mask polarities, every format
-// and both schedules — and when the expand mask runs, the compress
+// and both team sizes — and when the expand mask runs, the compress
 // filter has nothing left to drop.
 TEST(FusedEpilogue, ExpandMaskingMatchesCompressFilteringAcrossTheMatrix) {
   const mtx::CsrMatrix a = testutil::exact_er(200, 200, 5.0, 507);
@@ -160,12 +159,12 @@ TEST(FusedEpilogue, ExpandMaskingMatchesCompressFilteringAcrossTheMatrix) {
   SpGemmExecutor exec;
 
   for (const Variant& v : variant_matrix()) {
-    for (const pb::PbSchedule sched :
-         {pb::PbSchedule::kBarrier, pb::PbSchedule::kPipeline}) {
+    for (const int threads : {1, max_threads()}) {
+      const ThreadCountGuard lanes(threads);
       for (const bool complement : {false, true}) {
-        SCOPED_TRACE(trace(v, sched) +
+        SCOPED_TRACE(trace(v, threads) +
                      (complement ? "/complement" : "/mask"));
-        SpGemmOp op = pb_op(v, sched);
+        SpGemmOp op = pb_op(v);
         op.mask = &mask;
         op.complement = complement;
 
@@ -223,10 +222,10 @@ TEST(FusedEpilogue, PostOpMatchesTheSeparatePassesAcrossTheMatrix) {
 
   for (const Variant& v : variant_matrix()) {
     if (std::string(v.semiring) == "bool_or_and") continue;  // value-free
-    for (const pb::PbSchedule sched :
-         {pb::PbSchedule::kBarrier, pb::PbSchedule::kPipeline}) {
-      SCOPED_TRACE(trace(v, sched));
-      SpGemmOp plain = pb_op(v, sched);
+    for (const int threads : {1, max_threads()}) {
+      const ThreadCountGuard lanes(threads);
+      SCOPED_TRACE(trace(v, threads));
+      SpGemmOp plain = pb_op(v);
       const mtx::CsrMatrix product = exec.run(p, plain);
 
       mtx::CsrMatrix gold = product;

@@ -40,18 +40,6 @@ TEST(Config, DefaultsMatchPaper) {
   EXPECT_EQ(cfg.local_bin_bytes, 512);  // Algorithm 2 line 3
   EXPECT_EQ(cfg.nbins, 0);              // auto = Algorithm 3 line 6
   EXPECT_EQ(cfg.policy, BinPolicy::kRange);
-  EXPECT_EQ(cfg.schedule, PbSchedule::kAuto);
-}
-
-TEST(Config, ScheduleResolution) {
-  // Pipelining exists to overlap phases across workers; a single thread
-  // has nothing to overlap and keeps the barrier code path.
-  EXPECT_EQ(resolve_schedule(PbSchedule::kAuto, 1), PbSchedule::kBarrier);
-  EXPECT_EQ(resolve_schedule(PbSchedule::kAuto, 2), PbSchedule::kPipeline);
-  EXPECT_EQ(resolve_schedule(PbSchedule::kAuto, 16), PbSchedule::kPipeline);
-  // Explicit requests are honored at any thread count.
-  EXPECT_EQ(resolve_schedule(PbSchedule::kPipeline, 1), PbSchedule::kPipeline);
-  EXPECT_EQ(resolve_schedule(PbSchedule::kBarrier, 16), PbSchedule::kBarrier);
 }
 
 TEST(Telemetry, OverlapIsBusyTimeMinusWall) {
@@ -60,20 +48,13 @@ TEST(Telemetry, OverlapIsBusyTimeMinusWall) {
   t.sort.seconds = 0.3;
   t.compress.seconds = 0.2;
   t.convert.seconds = 0.1;
-  // Barrier runs leave wall_seconds 0: phases are serial, no overlap.
+  // Without a wall there is nothing to compare the busy time against.
   EXPECT_DOUBLE_EQ(t.overlap_seconds(), 0.0);
   EXPECT_DOUBLE_EQ(t.total_seconds(), 1.0);
-  // Pipelined run: the numeric phases' busy time exceeded the wall.
-  t.schedule = PbSchedule::kPipeline;
+  // The numeric phases' busy time exceeded the wall.
   t.wall_seconds = 0.7;
   EXPECT_DOUBLE_EQ(t.overlap_seconds(), 0.3);
   EXPECT_DOUBLE_EQ(t.total_seconds(), t.symbolic.seconds + 0.7);
-}
-
-TEST(Schedule, NamesRoundTrip) {
-  EXPECT_STREQ(to_string(PbSchedule::kAuto), "auto");
-  EXPECT_STREQ(to_string(PbSchedule::kBarrier), "barrier");
-  EXPECT_STREQ(to_string(PbSchedule::kPipeline), "pipeline");
 }
 
 }  // namespace

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <map>
+#include <vector>
 
 #include "common/aligned_buffer.hpp"
 #include "matrix/convert.hpp"
 #include "matrix/generate.hpp"
+#include "pb/pipeline_impl.hpp"
+#include "spgemm/semiring_ops.hpp"
 
 namespace pbs::pb {
 namespace {
@@ -41,6 +45,36 @@ std::multimap<std::uint64_t, value_t> brute_tuples(const Operands& ops) {
   return out;
 }
 
+struct NullSink {
+  void flushed(std::size_t /*bin*/, int /*count*/) {}
+  void skipped(std::size_t /*bin*/, nnz_t /*count*/) {}
+};
+
+// Runs the team-callable wide expand the way pb_execute does — every
+// thread of one parallel region, write cursors seeded with the bin region
+// origins — and returns the total local-bin flush count.  Every bin's
+// cursor must land exactly on its fill mark.
+nnz_t expand_wide(const Operands& ops, const SymbolicResult& sym,
+                  const PbConfig& cfg, Tuple* out) {
+  const auto nbins = static_cast<std::size_t>(sym.layout.nbins);
+  std::vector<std::atomic<nnz_t>> cursor(nbins);
+  for (std::size_t bin = 0; bin < nbins; ++bin) {
+    cursor[bin].store(sym.bin_offsets[bin]);
+  }
+  nnz_t flushes = 0;
+#pragma omp parallel reduction(+ : flushes)
+  {
+    NullSink sink;
+    flushes += detail::expand_team_any<PlusTimes>(ops.a, ops.b, sym, cfg, out,
+                                                  cursor.data(), sink, {});
+  }
+  for (std::size_t bin = 0; bin < nbins; ++bin) {
+    EXPECT_EQ(cursor[bin].load(), sym.bin_offsets[bin] + sym.bin_fill[bin])
+        << "bin " << bin;
+  }
+  return flushes;
+}
+
 class ExpandPolicy : public ::testing::TestWithParam<BinPolicy> {};
 
 TEST_P(ExpandPolicy, ProducesExactTupleMultiset) {
@@ -52,7 +86,7 @@ TEST_P(ExpandPolicy, ProducesExactTupleMultiset) {
   const SymbolicResult sym = pb_symbolic(ops.a, ops.b, cfg);
 
   AlignedBuffer<Tuple> out(static_cast<std::size_t>(sym.bin_offsets.back()));
-  pb_expand(ops.a, ops.b, sym, cfg, out.data());
+  expand_wide(ops, sym, cfg, out.data());
 
   // Same multiset of (key, value) pairs as brute force.  Only the filled
   // prefix of each (padded) bin region holds tuples.
@@ -82,7 +116,7 @@ TEST_P(ExpandPolicy, TuplesLandInTheirBins) {
   const SymbolicResult sym = pb_symbolic(ops.a, ops.b, cfg);
 
   AlignedBuffer<Tuple> out(static_cast<std::size_t>(sym.bin_offsets.back()));
-  pb_expand(ops.a, ops.b, sym, cfg, out.data());
+  expand_wide(ops, sym, cfg, out.data());
 
   for (int bin = 0; bin < sym.layout.nbins; ++bin) {
     for (nnz_t i = sym.bin_offsets[static_cast<std::size_t>(bin)];
@@ -110,7 +144,7 @@ TEST(Expand, TinyLocalBinsStillCorrect) {
   cfg.validate = true;
   const SymbolicResult sym = pb_symbolic(ops.a, ops.b, cfg);
   AlignedBuffer<Tuple> out(static_cast<std::size_t>(sym.bin_offsets.back()));
-  const nnz_t flushes = pb_expand(ops.a, ops.b, sym, cfg, out.data());
+  const nnz_t flushes = expand_wide(ops, sym, cfg, out.data());
   EXPECT_EQ(flushes, sym.flop);  // every tuple flushed individually
 }
 
@@ -121,7 +155,7 @@ TEST(Expand, WideLocalBinsFlushRarely) {
   cfg.local_bin_bytes = 4096;
   const SymbolicResult sym = pb_symbolic(ops.a, ops.b, cfg);
   AlignedBuffer<Tuple> out(static_cast<std::size_t>(sym.bin_offsets.back()));
-  const nnz_t flushes = pb_expand(ops.a, ops.b, sym, cfg, out.data());
+  const nnz_t flushes = expand_wide(ops, sym, cfg, out.data());
   EXPECT_LT(flushes, sym.flop / 16);
 }
 
@@ -141,7 +175,7 @@ TEST(Expand, ValueProductsAreExact) {
   const SymbolicResult sym = pb_symbolic(ops.a, ops.b, cfg);
   ASSERT_EQ(sym.flop, 4);
   AlignedBuffer<Tuple> out(static_cast<std::size_t>(sym.bin_offsets.back()));
-  pb_expand(ops.a, ops.b, sym, cfg, out.data());
+  expand_wide(ops, sym, cfg, out.data());
   std::vector<std::pair<std::uint64_t, value_t>> got;
   for (int bin = 0; bin < sym.layout.nbins; ++bin) {
     for (nnz_t i = 0; i < sym.bin_fill[static_cast<std::size_t>(bin)]; ++i) {

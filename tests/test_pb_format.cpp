@@ -6,13 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "common/aligned_buffer.hpp"
+#include "common/parallel.hpp"
 #include "pb/binning.hpp"
-#include "pb/expand.hpp"
-#include "pb/output.hpp"
 #include "pb/pb_spgemm.hpp"
 #include "pb/plan.hpp"
 #include "pb/sort_compress.hpp"
@@ -274,25 +275,38 @@ TEST(PbFormat, WideKvSortBitIdenticalToReferenceAcrossPolicies) {
 }
 
 TEST(PbFormat, WideKvSortWithoutWorkspaceScratch) {
-  // The no-workspace fallback allocates per-thread scratch locally; the
-  // SoA carve must fit it the same way.
-  const mtx::CsrMatrix m = testutil::exact_er(300, 300, 5.0, 62);
-  const mtx::CscMatrix a = mtx::csr_to_csc(m);
-  const SymbolicResult sym = [&] {
-    PbConfig cfg;
-    cfg.format = FormatPolicy::kWide;
-    return pb_symbolic(a, m, cfg);
-  }();
-  std::vector<Tuple> buf(static_cast<std::size_t>(sym.bin_offsets.back()));
-  PbConfig cfg;
-  cfg.format = FormatPolicy::kWide;
-  pb_expand<PlusTimes>(a, m, sym, cfg, buf.data());
-  const SortCompressResult sc = pb_sort_compress<PlusTimes>(
-      buf.data(), sym.bin_offsets, sym.bin_fill, sym.layout.nbins, nullptr);
-  const mtx::CsrMatrix c =
-      pb_build_csr(buf.data(), sym.bin_offsets, sc.merged, a.nrows, m.ncols);
-  EXPECT_TRUE(
-      mtx::equal_exact(c, reference_spgemm(SpGemmProblem::square(m))));
+  // The wide sort carves its u64 key + f64 value SoA pair out of whatever
+  // scratch the caller hands it — here a plain buffer of exactly max_bin
+  // tuples, no workspace — and ping-pongs against the bin's own storage.
+  // Bins shorter than max_bin must fit the same carve, and the sort is
+  // stable, so each bin must equal std::stable_sort by key.
+  std::mt19937_64 rng(62);
+  const std::vector<std::size_t> lens{1, 2, 63, 500, 1000, 999};
+  const std::size_t max_bin = *std::max_element(lens.begin(), lens.end());
+  std::vector<Tuple> t;
+  std::vector<nnz_t> offsets{0};
+  for (const std::size_t len : lens) {
+    for (std::size_t i = 0; i < len; ++i) {
+      t.push_back({make_key(static_cast<index_t>(rng() % 40),
+                            static_cast<index_t>(rng() % 70)),
+                   static_cast<value_t>(1 + rng() % 8)});
+    }
+    offsets.push_back(offsets.back() + static_cast<nnz_t>(len));
+  }
+  std::vector<Tuple> expected = t;
+  AlignedBuffer<Tuple> scratch(max_bin);
+  const WideBinOps<PlusTimes> ops{t.data(), nullptr, nullptr};
+  for (std::size_t bin = 0; bin < lens.size(); ++bin) {
+    ops.sort(offsets[bin], lens[bin], scratch.data(), max_bin);
+    std::stable_sort(expected.begin() + static_cast<std::ptrdiff_t>(offsets[bin]),
+                     expected.begin() +
+                         static_cast<std::ptrdiff_t>(offsets[bin + 1]),
+                     [](const Tuple& x, const Tuple& y) { return x.key < y.key; });
+  }
+  for (std::size_t i = 0; i < t.size(); ++i) {
+    ASSERT_EQ(t[i].key, expected[i].key) << i;
+    ASSERT_EQ(t[i].val, expected[i].val) << i;
+  }
 }
 
 TEST(PbFormat, PredictionMatchesSymbolicForRangePolicy) {
@@ -313,10 +327,10 @@ TEST(PbFormat, PredictionMatchesSymbolicForRangePolicy) {
   }
 }
 
-// ---- key-only (8 B) and narrow-f32 (8 B) formats -------------------------
+// ---- key-only (8 B) format ------------------------------------------------
 
-// Runs bool_or_and under forced-wide and under `policy`, across both
-// schedules, and requires bitwise-equal CSR everywhere.  Bit-identity is
+// Runs bool_or_and under forced-wide and under `policy`, at one OpenMP lane
+// and at full width, and requires bitwise-equal CSR everywhere.  Bit-identity is
 // exact, not approximate: every surviving wide value is S::add/S::mul of
 // nonzeros = exactly 1.0, which is exactly what the key-only convert
 // synthesizes.
@@ -324,21 +338,20 @@ void expect_keyonly_matches_wide(const mtx::CscMatrix& a,
                                  const mtx::CsrMatrix& b, PbConfig cfg,
                                  FormatPolicy policy) {
   cfg.validate = true;
-  cfg.schedule = PbSchedule::kBarrier;
   cfg.format = FormatPolicy::kWide;
   PbWorkspace wide_ws;
   const PbResult wide = pb_spgemm<BoolOrAnd>(a, b, cfg, wide_ws);
   EXPECT_EQ(wide.stats.format, TupleFormat::kWide);
-  for (const PbSchedule sched : {PbSchedule::kBarrier, PbSchedule::kPipeline}) {
+  for (const int threads : {1, max_threads()}) {
+    const ThreadCountGuard lanes(threads);
     PbConfig kcfg = cfg;
     kcfg.format = policy;
-    kcfg.schedule = sched;
     PbWorkspace ws;
     const PbResult keyonly = pb_spgemm<BoolOrAnd>(a, b, kcfg, ws);
     EXPECT_EQ(keyonly.stats.format, TupleFormat::kKeyOnly)
-        << to_string(policy) << " schedule " << to_string(sched);
+        << to_string(policy) << ", " << threads << " thread(s)";
     EXPECT_TRUE(mtx::equal_exact(wide.c, keyonly.c))
-        << to_string(policy) << " schedule " << to_string(sched);
+        << to_string(policy) << ", " << threads << " thread(s)";
   }
 }
 
@@ -435,84 +448,6 @@ TEST(PbFormatKeyOnly, ExactCancellationStaysStructurallyCorrect) {
   const PbResult r = pb_spgemm<BoolOrAnd>(a, b, cfg, ws);
   ASSERT_EQ(r.c.nnz(), 1);
   EXPECT_EQ(r.c.vals[0], 0.0);  // 0 ∧ 1 = 0, stored structurally
-}
-
-TEST(PbFormatF32, BitIdenticalToWideOnExactValuesAcrossSemirings) {
-  // exact_er values are integers 1..8: every product and sum in this
-  // problem is exactly representable in f32, so the narrowed value lane
-  // must round-trip bit-identically through the f64 CSR.
-  const mtx::CsrMatrix m = testutil::exact_er(400, 400, 6.0, 47);
-  const mtx::CscMatrix a = mtx::csr_to_csc(m);
-  for (const std::string& s : semiring_names()) {
-    PbConfig cfg;
-    cfg.validate = true;
-    cfg.format = FormatPolicy::kWide;
-    PbWorkspace wide_ws;
-    const PbResult wide = pb_spgemm_named(s, a, m, cfg, wide_ws);
-    for (const PbSchedule sched :
-         {PbSchedule::kBarrier, PbSchedule::kPipeline}) {
-      PbConfig fcfg = cfg;
-      fcfg.format = FormatPolicy::kF32;
-      fcfg.schedule = sched;
-      PbWorkspace ws;
-      const PbResult f32 = pb_spgemm_named(s, a, m, fcfg, ws);
-      EXPECT_EQ(f32.stats.format, TupleFormat::kNarrowF32) << s;
-      EXPECT_EQ(f32.stats.tuple_bytes(), 8.0) << s;
-      EXPECT_TRUE(mtx::equal_exact(wide.c, f32.c))
-          << s << " schedule " << to_string(sched);
-    }
-  }
-}
-
-TEST(PbFormatF32, FallsBackToWideWhenBitsDontFit) {
-  // The f32 format keeps the narrow 32-bit key, so it inherits the narrow
-  // fit constraint: 33 varying bits force the wide fallback.
-  const index_t wide_cols = index_t{1} << 30;
-  const mtx::CsrMatrix a_csr = testutil::from_triplets(
-      8, 4, {{0, 0, 2.0}, {5, 1, 3.0}, {7, 3, 7.0}});
-  const mtx::CsrMatrix b = testutil::from_triplets(
-      4, wide_cols, {{0, 7, 1.0}, {1, wide_cols - 1, 4.0}, {3, 99, 6.0}});
-  const mtx::CscMatrix a = mtx::csr_to_csc(a_csr);
-
-  PbConfig cfg;
-  cfg.nbins = 1;
-  cfg.format = FormatPolicy::kF32;
-  const PbPlan plan = pb_plan_build(a, b, cfg);
-  EXPECT_EQ(plan.sym.format, TupleFormat::kWide);
-}
-
-TEST(PbFormatF32, NativeF32CsrBuilder) {
-  // The no-widening output path: drive the f32 pipeline by hand and build
-  // a native CsrF32, then check it against the wide result narrowed.
-  const mtx::CsrMatrix m = testutil::exact_er(200, 200, 5.0, 48);
-  const mtx::CscMatrix a = mtx::csr_to_csc(m);
-  PbConfig cfg;
-  cfg.format = FormatPolicy::kF32;
-  const SymbolicResult sym = pb_symbolic(a, m, cfg);
-  ASSERT_EQ(sym.format, TupleFormat::kNarrowF32);
-
-  std::vector<narrow_key_t> keys(
-      static_cast<std::size_t>(sym.bin_offsets.back()));
-  std::vector<f32_val_t> vals(keys.size());
-  pb_expand_narrow_f32<PlusTimes>(a, m, sym, cfg, keys.data(), vals.data());
-  const SortCompressResult sc = pb_sort_compress_narrow_f32<PlusTimes>(
-      keys.data(), vals.data(), sym.bin_offsets, sym.bin_fill,
-      sym.layout.nbins, nullptr, {}, &sym.layout, sym.col_bits);
-  const CsrF32 c32 = pb_build_csr_narrow_f32_native(
-      keys.data(), vals.data(), sym.bin_offsets, sc.merged, sym.layout,
-      sym.col_bits, a.nrows, m.ncols);
-
-  const mtx::CsrMatrix expected = reference_spgemm(SpGemmProblem::square(m));
-  ASSERT_EQ(c32.nnz(), expected.nnz());
-  ASSERT_EQ(c32.rowptr.size(), expected.rowptr.size());
-  for (std::size_t i = 0; i < expected.rowptr.size(); ++i) {
-    ASSERT_EQ(c32.rowptr[i], expected.rowptr[i]) << "rowptr " << i;
-  }
-  for (std::size_t i = 0; i < c32.colids.size(); ++i) {
-    ASSERT_EQ(c32.colids[i], expected.colids[i]) << "colid " << i;
-    ASSERT_EQ(c32.vals[i], static_cast<f32_val_t>(expected.vals[i]))
-        << "val " << i;
-  }
 }
 
 }  // namespace

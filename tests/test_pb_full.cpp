@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "common/parallel.hpp"
 #include "matrix/convert.hpp"
 #include "matrix/mstats.hpp"
 #include "spgemm/spgemm.hpp"
@@ -78,21 +81,18 @@ TEST(PbTelemetry, FlopAndNnzMatchIndependentCounts) {
               1e-12);
 }
 
-// Each schedule keeps its own timing identity.  Barrier phases run back to
-// back, so they sum to the total.  Pipelined phases overlap in one region:
-// the total is symbolic + the numeric wall, which also holds time bins wait
-// unclaimed, so the busy time the overlap did not hide fits in the wall.
+// Phases overlap in one region: the total is symbolic + the numeric wall,
+// which also holds time bins wait unclaimed, so the busy time the overlap
+// did not hide fits in the wall — at one lane as at full width.
 TEST(PbTelemetry, PhaseTimesPositiveAndSumToTotal) {
   const mtx::CsrMatrix a = testutil::exact_er(1000, 1000, 8.0, 24);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  for (const PbSchedule schedule :
-       {PbSchedule::kBarrier, PbSchedule::kPipeline}) {
-    SCOPED_TRACE(to_string(schedule));
-    PbConfig cfg;
-    cfg.schedule = schedule;
-    const PbResult r = pb_spgemm(p.a_csc, p.b_csr, cfg);
+  for (const int threads : {1, max_threads()}) {
+    const ThreadCountGuard lanes(threads);
+    SCOPED_TRACE(std::to_string(threads) + " thread(s)");
+    const PbResult r = pb_spgemm(p.a_csc, p.b_csr);
     const PbTelemetry& t = r.stats;
-    EXPECT_EQ(t.schedule, schedule);
+    EXPECT_EQ(t.schedule, PbSchedule::kPipeline);
     EXPECT_GT(t.symbolic.seconds, 0.0);
     EXPECT_GT(t.expand.seconds, 0.0);
     EXPECT_GE(t.sort.seconds, 0.0);
@@ -100,14 +100,10 @@ TEST(PbTelemetry, PhaseTimesPositiveAndSumToTotal) {
     EXPECT_GT(t.convert.seconds, 0.0);
     const double busy = t.expand.seconds + t.sort.seconds +
                         t.compress.seconds + t.convert.seconds;
-    if (schedule == PbSchedule::kBarrier) {
-      EXPECT_NEAR(t.total_seconds(), t.symbolic.seconds + busy, 1e-12);
-    } else {
-      EXPECT_GT(t.wall_seconds, 0.0);
-      EXPECT_NEAR(t.total_seconds(), t.symbolic.seconds + t.wall_seconds,
-                  1e-12);
-      EXPECT_LE(busy - t.overlap_seconds(), t.wall_seconds + 1e-12);
-    }
+    EXPECT_GT(t.wall_seconds, 0.0);
+    EXPECT_NEAR(t.total_seconds(), t.symbolic.seconds + t.wall_seconds,
+                1e-12);
+    EXPECT_LE(busy - t.overlap_seconds(), t.wall_seconds + 1e-12);
     EXPECT_GT(t.mflops(), 0.0);
   }
 }
@@ -136,33 +132,35 @@ TEST(PbTelemetry, ByteModelFollowsTableIIIPerFormat) {
 TEST(PbTelemetry, ScheduleReportedAndPipelineFillsOverlapFields) {
   const mtx::CsrMatrix a = testutil::exact_er(600, 600, 6.0, 29);
   const SpGemmProblem p = SpGemmProblem::square(a);
-
   PbConfig cfg;
-  cfg.schedule = PbSchedule::kBarrier;
-  const PbResult barrier = pb_spgemm(p.a_csc, p.b_csr, cfg);
-  EXPECT_EQ(barrier.stats.schedule, PbSchedule::kBarrier);
-  EXPECT_DOUBLE_EQ(barrier.stats.wall_seconds, 0.0);
-  EXPECT_DOUBLE_EQ(barrier.stats.overlap_seconds(), 0.0);
-  EXPECT_EQ(barrier.stats.bins_stolen, 0);
-
-  cfg.schedule = PbSchedule::kPipeline;
   cfg.validate = true;
-  const PbResult pipe = pb_spgemm(p.a_csc, p.b_csr, cfg);
-  EXPECT_TRUE(mtx::equal_exact(barrier.c, pipe.c));
-  EXPECT_EQ(pipe.stats.schedule, PbSchedule::kPipeline);
-  EXPECT_GT(pipe.stats.wall_seconds, 0.0);
-  EXPECT_GE(pipe.stats.bin_run_seconds, 0.0);
-  EXPECT_GE(pipe.stats.bin_wait_seconds, 0.0);
-  EXPECT_GE(pipe.stats.bins_stolen, 0);
-  // The pipelined total uses the overlapped wall, never the sum of the
-  // (mutually overlapping) per-phase busy times.
-  EXPECT_NEAR(pipe.stats.total_seconds(),
-              pipe.stats.symbolic.seconds + pipe.stats.wall_seconds, 1e-12);
-  // Byte models are schedule-independent (Table III counts traffic, not
+
+  const auto run = [&](int threads) {
+    const ThreadCountGuard lanes(threads);
+    return pb_spgemm(p.a_csc, p.b_csr, cfg);
+  };
+  const PbResult one = run(1);
+  const PbResult full = run(max_threads());
+  EXPECT_TRUE(mtx::equal_exact(one.c, full.c));
+  // One lane has no one to steal from.
+  EXPECT_EQ(one.stats.bins_stolen, 0);
+  for (const PbResult* r : {&one, &full}) {
+    const PbTelemetry& t = r->stats;
+    EXPECT_EQ(t.schedule, PbSchedule::kPipeline);
+    EXPECT_GT(t.wall_seconds, 0.0);
+    EXPECT_GE(t.bin_run_seconds, 0.0);
+    EXPECT_GE(t.bin_wait_seconds, 0.0);
+    EXPECT_GE(t.bins_stolen, 0);
+    // The total uses the overlapped wall, never the sum of the (mutually
+    // overlapping) per-phase busy times.
+    EXPECT_NEAR(t.total_seconds(), t.symbolic.seconds + t.wall_seconds,
+                1e-12);
+  }
+  // Byte models are team-size-independent (Table III counts traffic, not
   // scheduling).
-  EXPECT_DOUBLE_EQ(barrier.stats.expand.bytes, pipe.stats.expand.bytes);
-  EXPECT_DOUBLE_EQ(barrier.stats.sort.bytes, pipe.stats.sort.bytes);
-  EXPECT_DOUBLE_EQ(barrier.stats.compress.bytes, pipe.stats.compress.bytes);
+  EXPECT_DOUBLE_EQ(one.stats.expand.bytes, full.stats.expand.bytes);
+  EXPECT_DOUBLE_EQ(one.stats.sort.bytes, full.stats.sort.bytes);
+  EXPECT_DOUBLE_EQ(one.stats.compress.bytes, full.stats.compress.bytes);
 }
 
 TEST(PbTelemetry, NbinsReported) {

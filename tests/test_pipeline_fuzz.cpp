@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "matrix/convert.hpp"
 #include "matrix/generate.hpp"
 #include "matrix/ops.hpp"
@@ -90,10 +91,7 @@ pb::PbConfig random_pb_config(mtx::SplitMix64& rng) {
                                     pb::BinPolicy::kAdaptive};
   cfg.policy = policies[rng.next_below(3)];
   // kKeyOnly is legal here for every semiring: requests are preferences,
-  // so valued semirings fall back to the auto choice.  kF32 stays out of
-  // the random chain — hadamard/add steps can grow values past the f32
-  // exact-integer range (2^24) between multiplies; the fresh-input fuzzes
-  // (ScheduleFuzz, PbFormatF32) cover it on bounded values instead.
+  // so valued semirings fall back to the auto choice.
   const pb::FormatPolicy formats[] = {
       pb::FormatPolicy::kAuto, pb::FormatPolicy::kWide,
       pb::FormatPolicy::kNarrow, pb::FormatPolicy::kKeyOnly};
@@ -258,21 +256,22 @@ TEST_P(PipelineFuzz, RandomOpChainMatchesDenseMirror) {
 INSTANTIATE_TEST_SUITE_P(Seeds, PipelineFuzz,
                          ::testing::Range<std::uint64_t>(1, 13));
 
-// --- Schedule equivalence -------------------------------------------------
+// --- Pipeline against a row-wise kernel ----------------------------------
 //
-// The pipelined per-bin dataflow (PbSchedule::kPipeline) reorders WHEN each
-// bin is sorted/compressed relative to the expand phase and WHO runs it
-// (work stealing), but every bin still goes through the identical
-// sort → compress → count → scatter sequence on the identical tuple data.
-// The output must therefore be bit-identical to the barrier schedule —
-// not approximately equal: same rowptr, same colids, same vals, for every
-// semiring, both tuple formats, and every descriptor variant (plain,
-// masked, complemented mask, accumulate).  Values are small exact
-// integers (exact_er), so even floating semiring adds are exact and any
-// divergence is a scheduling bug, not roundoff.
+// pb_execute runs every bin as a task (sort → compress → filter → count,
+// then scatter) and reorders WHEN each bin runs relative to expand and WHO
+// runs it (work stealing), so its output must not depend on the team
+// size.  It must also be bit-identical — not approximately equal: same
+// rowptr, same colids, same vals — to a row-wise kernel (hash, or heap
+// where hash lacks the semiring) for every semiring, every tuple format
+// and every descriptor variant (plain, masked, complemented mask,
+// accumulate).  Values are small exact integers (exact_er), so even
+// floating semiring adds are exact and any divergence is a kernel or
+// scheduling bug, not roundoff.  Each seed runs at one OpenMP lane (the
+// serving configuration) and at full width.
 class ScheduleFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
-TEST_P(ScheduleFuzz, PipelineBitIdenticalToBarrierAcrossDescriptors) {
+TEST_P(ScheduleFuzz, PipelineBitIdenticalToRowwiseAcrossDescriptors) {
   mtx::SplitMix64 rng(GetParam());
   const auto n = static_cast<index_t>(48 + rng.next_below(64));
   const double density = 3.0 + static_cast<double>(rng.next_below(4));
@@ -281,38 +280,45 @@ TEST_P(ScheduleFuzz, PipelineBitIdenticalToBarrierAcrossDescriptors) {
   const mtx::CsrMatrix acc = testutil::exact_er(n, n, 2.0, GetParam() + 700);
   const SpGemmProblem problem = SpGemmProblem::square(a);
 
-  // All four stream formats: keyonly engages for bool_or_and (valued
-  // semirings fall back to the auto choice — still a schedule-identity
-  // check), f32 is exact on these small-integer values.
-  const pb::FormatPolicy formats[] = {
-      pb::FormatPolicy::kWide, pb::FormatPolicy::kNarrow,
-      pb::FormatPolicy::kKeyOnly, pb::FormatPolicy::kF32};
+  // All three stream formats: keyonly engages for bool_or_and (valued
+  // semirings fall back to the auto choice — still a pipeline check).
+  const pb::FormatPolicy formats[] = {pb::FormatPolicy::kWide,
+                                      pb::FormatPolicy::kNarrow,
+                                      pb::FormatPolicy::kKeyOnly};
   enum Variant { kPlain, kMasked, kComplement, kAccumulate, kVariants };
-  for (const std::string& semiring : semiring_names()) {
-    for (const pb::FormatPolicy fmt : formats) {
+  const auto run = [&](const SpGemmOp& base, int variant) {
+    SpGemmOp op = base;
+    if (variant == kMasked || variant == kComplement) {
+      op.mask = &mask;
+      op.complement = variant == kComplement;
+    }
+    op.accumulate = variant == kAccumulate;
+    SpGemmPlan plan = make_plan(problem, op);
+    return variant == kAccumulate ? plan.execute(problem, acc)
+                                  : plan.execute(problem);
+  };
+  for (const int threads : {1, max_threads()}) {
+    const ThreadCountGuard lanes(threads);
+    for (const std::string& semiring : semiring_names()) {
+      SpGemmOp rowwise;
+      rowwise.algo =
+          algorithm("hash").supports_semiring(semiring) ? "hash" : "heap";
+      rowwise.semiring = semiring;
       for (int variant = 0; variant < kVariants; ++variant) {
-        const auto run = [&](pb::PbSchedule sched) {
+        const mtx::CsrMatrix want = run(rowwise, variant);
+        for (const pb::FormatPolicy fmt : formats) {
           SpGemmOp op;
           op.algo = "pb";
           op.semiring = semiring;
           op.pb.format = fmt;
-          op.pb.schedule = sched;
-          op.pb.validate = true;  // arm both schedules' invariant checks
-          if (variant == kMasked || variant == kComplement) {
-            op.mask = &mask;
-            op.complement = variant == kComplement;
-          }
-          op.accumulate = variant == kAccumulate;
-          SpGemmPlan plan = make_plan(problem, op);
-          return variant == kAccumulate ? plan.execute(problem, acc)
-                                        : plan.execute(problem);
-        };
-        const mtx::CsrMatrix barrier = run(pb::PbSchedule::kBarrier);
-        const mtx::CsrMatrix pipeline = run(pb::PbSchedule::kPipeline);
-        ASSERT_TRUE(pipeline.valid());
-        ASSERT_TRUE(mtx::equal_exact(barrier, pipeline))
-            << "schedules diverged: semiring " << semiring << ", format "
-            << static_cast<int>(fmt) << ", variant " << variant;
+          op.pb.validate = true;  // arm the pipeline's invariant checks
+          const mtx::CsrMatrix got = run(op, variant);
+          ASSERT_TRUE(got.valid());
+          ASSERT_TRUE(mtx::equal_exact(want, got))
+              << "pb diverged from " << rowwise.algo << ": semiring "
+              << semiring << ", format " << pb::to_string(fmt)
+              << ", variant " << variant << ", " << threads << " thread(s)";
+        }
       }
     }
   }

@@ -1,6 +1,6 @@
 // Hardened-serving robustness: deterministic fault injection (allocation
-// failures and phase-boundary throws at every pipeline stage, both
-// schedules, all tuple formats), memory-budget degradation at plan time
+// failures and phase-boundary throws at every pipeline stage, at one
+// OpenMP lane and at full width, all tuple formats), memory-budget degradation at plan time
 // and run time, deadlines and cooperative cancellation, strong exception
 // safety (leases returned, plan cache consistent, the next non-faulted
 // run bit-identical to a fresh executor), strict input validation, and
@@ -17,6 +17,7 @@
 #include "common/cancel.hpp"
 #include "common/errors.hpp"
 #include "common/fault.hpp"
+#include "common/parallel.hpp"
 #include "matrix/matrix_market.hpp"
 #include "spgemm/executor.hpp"
 #include "spgemm/registry.hpp"
@@ -42,13 +43,11 @@ mtx::CsrMatrix fresh_run(const SpGemmProblem& p, const SpGemmOp& op) {
   return exec.run(p, op);
 }
 
-SpGemmOp pb_op(pb::PbSchedule schedule,
-               pb::FormatPolicy format = pb::FormatPolicy::kAuto,
+SpGemmOp pb_op(pb::FormatPolicy format = pb::FormatPolicy::kAuto,
                const std::string& semiring = "plus_times") {
   SpGemmOp op;
   op.algo = "pb";
   op.semiring = semiring;
-  op.pb.schedule = schedule;
   op.pb.format = format;
   return op;
 }
@@ -59,14 +58,14 @@ SpGemmOp pb_op(pb::PbSchedule schedule,
 // the run re-execute through the row-wise fallback (degrade_reason
 // "oom"); the executor keeps the cached PB plan, so the immediately
 // following non-faulted run serves the PB path bit-identically to a
-// fresh executor.  Swept over both schedules and several fault indices
+// fresh executor.  Swept over both team sizes and several fault indices
 // so the failure lands in different phases.
 TEST(ExecutorFault, AllocFailureDegradesThenNextRunIsIdentical) {
   const mtx::CsrMatrix a = testutil::exact_er(400, 400, 6.0, 41);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  for (const pb::PbSchedule sched :
-       {pb::PbSchedule::kBarrier, pb::PbSchedule::kPipeline}) {
-    const SpGemmOp op = pb_op(sched);
+  for (const int threads : {1, max_threads()}) {
+    const ThreadCountGuard lanes(threads);
+    const SpGemmOp op = pb_op();
     const mtx::CsrMatrix ref = fresh_run(p, op);
     for (const std::int64_t n : {0, 1, 2, 4, 8}) {
       FaultGuard guard;
@@ -76,7 +75,7 @@ TEST(ExecutorFault, AllocFailureDegradesThenNextRunIsIdentical) {
       const mtx::CsrMatrix c = exec.run(p, op, &info);
       FaultInjector::reset();  // n past the run's allocation count: disarm
       EXPECT_TRUE(mtx::equal_exact(c, ref))
-          << "schedule " << static_cast<int>(sched) << ", fault n = " << n;
+          << threads << " thread(s), fault n = " << n;
       if (n == 0) {  // the first allocation always exists -> always fires
         EXPECT_TRUE(info.degraded);
         EXPECT_EQ(info.degrade_reason, "oom");
@@ -97,8 +96,7 @@ TEST(ExecutorFault, AllocFailureDegradesThenNextRunIsIdentical) {
 }
 
 // Every tuple format's stream allocation is covered by the degradation
-// path — including the 8 B key-only stream (boolean semiring) and the
-// f32 value mode.
+// path — including the 8 B key-only stream (boolean semiring).
 TEST(ExecutorFault, AllocFailureDegradesForEveryTupleFormat) {
   const mtx::CsrMatrix a = testutil::exact_er(300, 300, 5.0, 42);
   const SpGemmProblem p = SpGemmProblem::square(a);
@@ -109,10 +107,8 @@ TEST(ExecutorFault, AllocFailureDegradesForEveryTupleFormat) {
   for (const Case& cs :
        {Case{pb::FormatPolicy::kWide, "plus_times"},
         Case{pb::FormatPolicy::kNarrow, "plus_times"},
-        Case{pb::FormatPolicy::kF32, "plus_times"},
         Case{pb::FormatPolicy::kKeyOnly, "bool_or_and"}}) {
-    const SpGemmOp op =
-        pb_op(pb::PbSchedule::kBarrier, cs.format, cs.semiring);
+    const SpGemmOp op = pb_op(cs.format, cs.semiring);
     const mtx::CsrMatrix ref = fresh_run(p, op);
     FaultGuard guard;
     SpGemmExecutor exec;
@@ -132,15 +128,15 @@ TEST(ExecutorFault, AllocFailureDegradesForEveryTupleFormat) {
 // A FaultInjectedError raised at a phase boundary is NOT absorbed by the
 // degradation path (it is not a bad_alloc): the run propagates it, every
 // lease is returned, the plan cache stays consistent, and the next run
-// on the same executor serves the exact fresh-executor product.  Both
-// schedules fire every phase hook on the calling thread.
+// on the same executor serves the exact fresh-executor product.  Every
+// phase hook fires on the calling thread, at any team size.
 TEST(ExecutorFault, PhaseThrowPropagatesAndExecutorRecovers) {
   const mtx::CsrMatrix a = testutil::exact_er(400, 400, 6.0, 43);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  for (const pb::PbSchedule schedule :
-       {pb::PbSchedule::kBarrier, pb::PbSchedule::kPipeline}) {
-    SCOPED_TRACE(pb::to_string(schedule));
-    const SpGemmOp op = pb_op(schedule);
+  for (const int threads : {1, max_threads()}) {
+    const ThreadCountGuard lanes(threads);
+    SCOPED_TRACE(std::to_string(threads) + " thread(s)");
+    const SpGemmOp op = pb_op();
     const mtx::CsrMatrix ref = fresh_run(p, op);
     for (const FaultPoint point :
          {FaultPoint::kPlanBuild, FaultPoint::kExpand,
@@ -157,12 +153,12 @@ TEST(ExecutorFault, PhaseThrowPropagatesAndExecutorRecovers) {
   }
 }
 
-// The pipeline schedule funnels a worker-thread throw through its
-// exception_ptr capture and rethrows it intact after the region joins.
+// The pipeline funnels a worker-thread throw through its exception_ptr
+// capture and rethrows it intact after the region joins.
 TEST(ExecutorFault, PipelinePlanBuildThrowThenServes) {
   const mtx::CsrMatrix a = testutil::exact_er(400, 400, 6.0, 44);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const SpGemmOp op = pb_op(pb::PbSchedule::kPipeline);
+  const SpGemmOp op = pb_op();
   const mtx::CsrMatrix ref = fresh_run(p, op);
   FaultGuard guard;
   SpGemmExecutor exec;
@@ -203,14 +199,15 @@ TEST(ExecutorFault, BatchWorkerThrowPropagatesRootCauseThenServes) {
 
 // ---- deadlines and cancellation -------------------------------------------
 
-// A per-run timeout with forced-slow bins unwinds with DeadlineError (in
-// both schedules), returns every lease, and leaves the executor serving.
+// A per-run timeout with forced-slow bins unwinds with DeadlineError (at
+// one lane and at full width), returns every lease, and leaves the
+// executor serving.
 TEST(ExecutorDeadline, TimeoutUnwindsWithDeadlineErrorThenServes) {
   const mtx::CsrMatrix a = testutil::exact_er(400, 400, 6.0, 46);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  for (const pb::PbSchedule sched :
-       {pb::PbSchedule::kBarrier, pb::PbSchedule::kPipeline}) {
-    const SpGemmOp op = pb_op(sched);
+  for (const int threads : {1, max_threads()}) {
+    const ThreadCountGuard lanes(threads);
+    const SpGemmOp op = pb_op();
     const mtx::CsrMatrix ref = fresh_run(p, op);
     FaultGuard guard;
     SpGemmExecutor exec;
@@ -219,7 +216,7 @@ TEST(ExecutorDeadline, TimeoutUnwindsWithDeadlineErrorThenServes) {
     RunOptions ropts;
     ropts.timeout = 1ms;
     EXPECT_THROW(exec.run(p, op, ropts), DeadlineError)
-        << "schedule " << static_cast<int>(sched);
+        << threads << " thread(s)";
     FaultInjector::reset();
     EXPECT_EQ(exec.pool_stats().in_flight, 0u);
     EXPECT_GE(exec.stats().cancelled, 1u);
@@ -236,9 +233,9 @@ TEST(ExecutorDeadline, ExpiredDeadlineStopsBeforeWork) {
   SpGemmExecutor exec;
   RunOptions ropts;
   ropts.deadline = std::chrono::steady_clock::now() - 1s;
-  EXPECT_THROW(exec.run(p, pb_op(pb::PbSchedule::kAuto), ropts),
+  EXPECT_THROW(exec.run(p, pb_op(), ropts),
                DeadlineError);
-  EXPECT_THROW(exec.run(p, pb_op(pb::PbSchedule::kAuto), ropts),
+  EXPECT_THROW(exec.run(p, pb_op(), ropts),
                CancelledError);
   EXPECT_EQ(exec.stats().cancelled, 2u);
   EXPECT_EQ(exec.pool_stats().in_flight, 0u);
@@ -250,7 +247,7 @@ TEST(ExecutorDeadline, ExpiredDeadlineStopsBeforeWork) {
 TEST(ExecutorDeadline, ExternalTokenAndEpochCancellation) {
   const mtx::CsrMatrix a = testutil::exact_er(100, 100, 4.0, 48);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const SpGemmOp op = pb_op(pb::PbSchedule::kAuto);
+  const SpGemmOp op = pb_op();
   SpGemmExecutor exec;
   const mtx::CsrMatrix ref = exec.run(p, op);
 
@@ -271,7 +268,7 @@ TEST(ExecutorDeadline, ExternalTokenAndEpochCancellation) {
 TEST(ExecutorCancelStress, RacingCancelEitherCompletesOrUnwindsCleanly) {
   const mtx::CsrMatrix a = testutil::exact_er(500, 500, 8.0, 49);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const SpGemmOp op = pb_op(pb::PbSchedule::kAuto);
+  const SpGemmOp op = pb_op();
   SpGemmExecutor exec;
   const mtx::CsrMatrix ref = exec.run(p, op);  // warm plan + pool
   for (int i = 0; i < 8; ++i) {
@@ -302,7 +299,7 @@ TEST(ExecutorCancelStress, RacingCancelEitherCompletesOrUnwindsCleanly) {
 TEST(ExecutorBudget, TinyBudgetDegradesAtPlanTime) {
   const mtx::CsrMatrix a = testutil::exact_er(400, 400, 6.0, 50);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const SpGemmOp op = pb_op(pb::PbSchedule::kAuto);
+  const SpGemmOp op = pb_op();
   const mtx::CsrMatrix ref = fresh_run(p, op);
   ExecutorOptions eo;
   eo.mem_budget_bytes = 64 * 1024;  // far below the expand stream
@@ -323,7 +320,7 @@ TEST(ExecutorBudget, TinyBudgetDegradesAtPlanTime) {
 TEST(ExecutorBudget, AmpleBudgetRunsThePbPlanUnchanged) {
   const mtx::CsrMatrix a = testutil::exact_er(400, 400, 6.0, 51);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const SpGemmOp op = pb_op(pb::PbSchedule::kAuto);
+  const SpGemmOp op = pb_op();
   const mtx::CsrMatrix ref = fresh_run(p, op);
   ExecutorOptions eo;
   eo.mem_budget_bytes = std::size_t{1} << 30;
@@ -343,7 +340,7 @@ TEST(ExecutorValidate, StrictModeRejectsMalformedOperands) {
   ExecutorOptions eo;
   eo.validate_inputs = true;
   SpGemmExecutor exec(eo);
-  const SpGemmOp op = pb_op(pb::PbSchedule::kAuto);
+  const SpGemmOp op = pb_op();
   EXPECT_NO_THROW(exec.run(SpGemmProblem::square(a), op));
 
   // Un-sort a row's column ids (safe to convert, invalid to multiply).
@@ -491,7 +488,7 @@ TEST(FaultEnvCtest, AllocFaultFromEnvironmentDegradesThenServes) {
   }
   const mtx::CsrMatrix a = testutil::exact_er(300, 300, 5.0, 54);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const SpGemmOp op = pb_op(pb::PbSchedule::kAuto);
+  const SpGemmOp op = pb_op();
   SpGemmExecutor exec;
   RunInfo info;
   const mtx::CsrMatrix c = exec.run(p, op, &info);
@@ -512,7 +509,7 @@ TEST(FaultEnvCtest, PhaseThrowFromEnvironmentPropagatesThenServes) {
   }
   const mtx::CsrMatrix a = testutil::exact_er(300, 300, 5.0, 55);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const SpGemmOp op = pb_op(pb::PbSchedule::kBarrier);
+  const SpGemmOp op = pb_op();
   SpGemmExecutor exec;
   EXPECT_THROW(exec.run(p, op), FaultInjectedError);
   EXPECT_EQ(exec.pool_stats().in_flight, 0u);

@@ -73,30 +73,9 @@ TEST(Workspace, KeyOnlyStreamSharesThePoolWithoutValueBytes) {
   EXPECT_EQ(s.allocations, 2u);
 }
 
-TEST(Workspace, NarrowF32StreamSharesThePoolWithNarrow) {
-  // f32 tuples are 8 B (4 B key + 4 B value): a narrow lease (12 B) for
-  // the same count always covers an f32 lease, and the value lane starts
-  // line-aligned after the key span.
-  PbWorkspace ws;
-  (void)ws.acquire_narrow(1024);
-  const std::size_t cap = ws.capacity();
-  const NarrowF32Stream nf = ws.acquire_narrow_f32(1024);
-  ASSERT_NE(nf.keys, nullptr);
-  ASSERT_NE(nf.vals, nullptr);
-  EXPECT_EQ(ws.capacity(), cap);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(nf.vals) % kCacheLineBytes, 0u);
-  EXPECT_GE(reinterpret_cast<std::byte*>(nf.vals) -
-                reinterpret_cast<std::byte*>(nf.keys),
-            static_cast<std::ptrdiff_t>(1024 * sizeof(narrow_key_t)));
-  const PbWorkspace::Stats s = ws.stats();
-  EXPECT_EQ(s.acquires, 2u);
-  EXPECT_EQ(s.allocations, 1u);
-  EXPECT_EQ(s.reuses, 1u);
-}
-
 TEST(Workspace, MixedFormatMultipliesReuseOnePool) {
-  // One workspace serving wide, key-only and f32 plans back to back: after
-  // the largest stream is paid for, every later acquire is a reuse.
+  // One workspace serving wide, key-only and narrow plans back to back:
+  // after the largest stream is paid for, every later acquire is a reuse.
   PbWorkspace ws;
   const mtx::CsrMatrix m = testutil::exact_er(300, 300, 5.0, 94);
   const SpGemmProblem p = SpGemmProblem::square(m);
@@ -110,17 +89,18 @@ TEST(Workspace, MixedFormatMultipliesReuseOnePool) {
   const PbResult keyonly =
       pb_spgemm<BoolOrAnd>(p.a_csc, p.b_csr, PbConfig{}, ws);
   EXPECT_EQ(keyonly.stats.format, TupleFormat::kKeyOnly);
-  PbConfig f32_cfg;
-  f32_cfg.format = FormatPolicy::kF32;
-  const PbResult f32 = pb_spgemm<BoolOrAnd>(p.a_csc, p.b_csr, f32_cfg, ws);
-  EXPECT_EQ(f32.stats.format, TupleFormat::kNarrowF32);
+  PbConfig narrow_cfg;
+  narrow_cfg.format = FormatPolicy::kNarrow;
+  const PbResult narrow =
+      pb_spgemm<BoolOrAnd>(p.a_csc, p.b_csr, narrow_cfg, ws);
+  EXPECT_EQ(narrow.stats.format, TupleFormat::kNarrow);
 
-  EXPECT_EQ(ws.capacity(), cap);  // 8 B streams never outgrow the 16 B one
+  EXPECT_EQ(ws.capacity(), cap);  // 8 and 12 B streams fit the 16 B one
   const PbWorkspace::Stats s = ws.stats();
   EXPECT_EQ(s.allocations, 0u);
   EXPECT_GE(s.reuses, 2u);
   EXPECT_TRUE(equal_exact(wide.c, keyonly.c));
-  EXPECT_TRUE(equal_exact(wide.c, f32.c));
+  EXPECT_TRUE(equal_exact(wide.c, narrow.c));
 }
 
 TEST(Workspace, KeyOnlyScratchSlotsPoolPerThread) {
@@ -129,7 +109,7 @@ TEST(Workspace, KeyOnlyScratchSlotsPoolPerThread) {
   wide_key_t* s0 = ws.acquire_scratch_keys(0, 64);
   ASSERT_NE(s0, nullptr);
   EXPECT_EQ(ws.acquire_scratch_keys(0, 32), s0);  // shrink reuses
-  const NarrowF32Stream s1 = ws.acquire_scratch_narrow_f32(1, 64);
+  const NarrowStream s1 = ws.acquire_scratch_narrow(1, 64);
   ASSERT_NE(s1.keys, nullptr);
   ASSERT_NE(s1.vals, nullptr);
   const PbWorkspace::Stats s = ws.stats();

@@ -4,12 +4,13 @@
 //                    [--halfwidth W] [--seed S] --out FILE.mtx
 //   pbs_cli stats    --a FILE.mtx
 //   pbs_cli multiply --a FILE.mtx [--b FILE.mtx] [--algo pb|auto|...]
-//                    [--schedule auto|barrier|pipeline]
+//                    [--format auto|wide|narrow|keyonly]
 //                    [--reps R] [--repeat N] [--out FILE.mtx]
 //                    [--semiring plus_times]
 //                    [--mask FILE.mtx] [--complement]
 //                    [--post-op prune:T,topk:K,scale:X]
 //                    [--mem-budget-mb N] [--deadline-ms T]
+//                    [--cache-capacity N] [--cache-capacity-mb M]
 //   pbs_cli semiring --a FILE.mtx [--algo auto] [--repeat N]
 //   pbs_cli calibrate [--scale N] [--reps R]
 //   pbs_cli info
@@ -36,7 +37,9 @@
 // tropical (max, +) semiring "plus_max" through SemiringRegistry and runs
 // the multiplication over it via the descriptor plan path.  `info` prints
 // the (algorithm × semiring) support matrix and the detected cache
-// hierarchy.
+// hierarchy.  An option a command does not read, or an option missing its
+// value, is an error: a mistyped or retired option never silently runs
+// the default.
 #include <pbs/pbs.hpp>
 
 #include <algorithm>
@@ -45,6 +48,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <vector>
 
 namespace {
 
@@ -52,17 +56,29 @@ using namespace pbs;
 
 class Cli {
  public:
-  Cli(int argc, char** argv) {
+  /// Parses argv[2..] against `known`, the options the command reads.
+  /// Throws std::invalid_argument on an unknown option, a stray argument,
+  /// or an option whose value is missing (end of line, or the next token
+  /// is itself an option).
+  Cli(int argc, char** argv, const std::vector<std::string>& known) {
     for (int i = 2; i < argc; ++i) {
-      std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) continue;
-      // The one value-less flag; every other option consumes the next
-      // token as its value (as before — a trailing value-less option is
-      // dropped, see the verify notes).
-      if (arg == "--complement") {
-        kv_["complement"] = "1";
-      } else if (i + 1 < argc) {
-        kv_[arg.substr(2)] = argv[++i];
+      const std::string arg = argv[i];
+      if (arg.rfind("--", 0) != 0) {
+        throw std::invalid_argument("unexpected argument '" + arg + "'");
+      }
+      const std::string name = arg.substr(2);
+      if (std::find(known.begin(), known.end(), name) == known.end()) {
+        throw std::invalid_argument("unknown option " + arg + " for '" +
+                                    argv[1] + "' (pbs_cli help)");
+      }
+      // The one value-less flag; every other option takes the next token.
+      if (name == "complement") {
+        kv_[name] = "1";
+      } else if (i + 1 < argc &&
+                 std::string(argv[i + 1]).rfind("--", 0) != 0) {
+        kv_[name] = argv[++i];
+      } else {
+        throw std::invalid_argument("option " + arg + " needs a value");
       }
     }
   }
@@ -127,21 +143,18 @@ int cmd_stats(const Cli& cli) {
 
 void print_pb_phases(const pb::PbTelemetry& tm) {
   std::cout << "  format " << to_string(tm.format) << " ("
-            << tm.tuple_bytes() << " B/tuple), schedule "
-            << to_string(tm.schedule) << ", symbolic "
+            << tm.tuple_bytes() << " B/tuple), symbolic "
             << tm.symbolic.seconds * 1e3 << " ms, expand "
             << tm.expand.seconds * 1e3 << " ms (" << tm.expand.gbs()
             << " GB/s), sort " << tm.sort.seconds * 1e3 << " ms ("
             << tm.sort.gbs() << " GB/s), compress "
             << tm.compress.seconds * 1e3 << " ms, convert "
-            << tm.convert.seconds * 1e3 << " ms\n";
-  if (tm.schedule == pb::PbSchedule::kPipeline) {
-    std::cout << "  pipeline: numeric wall " << tm.wall_seconds * 1e3
-              << " ms, overlap hidden " << tm.overlap_seconds() * 1e3
-              << " ms, bin wait " << tm.bin_wait_seconds * 1e3
-              << " ms, bin run " << tm.bin_run_seconds * 1e3 << " ms, "
-              << tm.bins_stolen << " bin(s) stolen\n";
-  }
+            << tm.convert.seconds * 1e3 << " ms\n"
+            << "  pipeline: numeric wall " << tm.wall_seconds * 1e3
+            << " ms, overlap hidden " << tm.overlap_seconds() * 1e3
+            << " ms, bin wait " << tm.bin_wait_seconds * 1e3
+            << " ms, bin run " << tm.bin_run_seconds * 1e3 << " ms, "
+            << tm.bins_stolen << " bin(s) stolen\n";
 }
 
 // Executor path: analyze + select once into the executor's plan cache,
@@ -155,14 +168,11 @@ int multiply_planned(const Cli& cli, const SpGemmProblem& problem,
                      pb::FormatPolicy format, int execs,
                      bool amortization_report,
                      const mtx::CsrMatrix* mask = nullptr,
-                     bool complement = false,
-                     pb::PbSchedule schedule = pb::PbSchedule::kAuto,
-                     const PostOp& post_op = {}) {
+                     bool complement = false, const PostOp& post_op = {}) {
   SpGemmOp opts;
   opts.algo = algo;
   opts.semiring = semiring;
   opts.pb.format = format;
-  opts.pb.schedule = schedule;
   opts.mask = mask;
   opts.complement = complement;
   opts.post_op = post_op;
@@ -316,9 +326,8 @@ pb::FormatPolicy parse_format(const std::string& name) {
   if (name == "wide") return pb::FormatPolicy::kWide;
   if (name == "narrow") return pb::FormatPolicy::kNarrow;
   if (name == "keyonly") return pb::FormatPolicy::kKeyOnly;
-  if (name == "f32") return pb::FormatPolicy::kF32;
   throw std::invalid_argument("unknown --format '" + name +
-                              "' (auto, wide, narrow, keyonly, f32)");
+                              "' (auto, wide, narrow, keyonly)");
 }
 
 // Inside the library a format request is a preference (an illegal choice
@@ -331,16 +340,8 @@ void check_format_legal(pb::FormatPolicy format, const std::string& semiring) {
     throw std::invalid_argument(
         "--format keyonly requires a value-free semiring (bool_or_and, or a "
         "runtime semiring registered with value_free = true); '" +
-        semiring + "' carries values — use wide, narrow or f32");
+        semiring + "' carries values — use wide or narrow");
   }
-}
-
-pb::PbSchedule parse_schedule(const std::string& name) {
-  if (name == "auto") return pb::PbSchedule::kAuto;
-  if (name == "barrier") return pb::PbSchedule::kBarrier;
-  if (name == "pipeline") return pb::PbSchedule::kPipeline;
-  throw std::invalid_argument("unknown --schedule '" + name +
-                              "' (auto, barrier, pipeline)");
 }
 
 int cmd_multiply(const Cli& cli) {
@@ -355,8 +356,6 @@ int cmd_multiply(const Cli& cli) {
   const pb::FormatPolicy format =
       parse_format(cli.get("format").value_or("auto"));
   if (cli.get("format")) check_format_legal(format, semiring);
-  const pb::PbSchedule schedule =
-      parse_schedule(cli.get("schedule").value_or("auto"));
   const SpGemmProblem problem = SpGemmProblem::multiply(a, b);
 
   if (repeat > 0 && reps > 1) {
@@ -396,8 +395,7 @@ int cmd_multiply(const Cli& cli) {
     return multiply_planned(cli, problem, algo, semiring, format,
                             std::max(execs, 1),
                             /*amortization_report=*/repeat > 0,
-                            mask ? &*mask : nullptr, complement, schedule,
-                            post_op);
+                            mask ? &*mask : nullptr, complement, post_op);
   }
 
   // Resolve through the (algorithm × semiring) registry first: unknown
@@ -411,7 +409,6 @@ int cmd_multiply(const Cli& cli) {
     // telemetry rather than going through the type-erased registry fn.
     pb::PbConfig cfg;
     cfg.format = format;
-    cfg.schedule = schedule;
     pb::PbWorkspace ws;
     pb::PbResult best;
     for (int i = 0; i < reps; ++i) {
@@ -575,14 +572,15 @@ void usage() {
       "  gen      --kind er|rmat|banded --out FILE.mtx [--scale N --ef F --seed S]\n"
       "  stats    --a FILE.mtx\n"
       "  multiply --a FILE.mtx [--b FILE.mtx] [--algo NAME|auto] [--semiring NAME]\n"
-      "           [--format auto|wide|narrow|keyonly|f32]\n"
-      "           [--schedule auto|barrier|pipeline]\n"
+      "           [--format auto|wide|narrow|keyonly]\n"
       "           [--reps R] [--repeat N] [--out FILE.mtx]\n"
       "           [--mask FILE.mtx] [--complement]\n"
       "           [--post-op prune:T,topk:K,scale:X]\n"
       "           [--mem-budget-mb N] [--deadline-ms T]\n"
       "           [--cache-capacity N] [--cache-capacity-mb M]\n"
       "  semiring --a FILE.mtx [--name plus_max] [--algo auto] [--repeat N]\n"
+      "           [--out FILE.mtx] [--mem-budget-mb N] [--deadline-ms T]\n"
+      "           [--cache-capacity N] [--cache-capacity-mb M]\n"
       "  calibrate [--scale N] [--reps R]\n"
       "  info\n"
       "  stream   [--mb N]\n"
@@ -595,10 +593,9 @@ void usage() {
       "`pbs_cli info` for the support matrix).  --algo auto selects\n"
       "pb/hash/heap from the roofline model and reports why; --repeat N\n"
       "plans once and executes N times, reporting the amortized cost.\n"
-      "--schedule picks PB's phase scheduling: barrier (three fork-join\n"
-      "phases) or pipeline (per-bin task dataflow with work stealing);\n"
-      "auto pipelines at >1 thread.  Pipelined runs report the numeric\n"
-      "wall, the busy time the overlap hid, and bins stolen.\n"
+      "PB runs each bin's sort/compress as a task the moment its last\n"
+      "expand flush lands; pb runs report the numeric wall, the busy time\n"
+      "that overlap hid, and bins stolen.\n"
       "--mask M restricts the output to M's pattern with the mask fused\n"
       "into the kernel (a sparse mask skips tuple generation at expand, a\n"
       "dense one drops at compress; both counts are reported);\n"
@@ -617,7 +614,40 @@ void usage() {
       "registers the tropical (max, +) semiring at runtime and multiplies\n"
       "over it — the user-defined-semiring round trip.  `calibrate` runs\n"
       "an auto-selected sweep and refits the roofline model's derating\n"
-      "constants from the recorded predicted-vs-achieved MFLOPS pairs.\n";
+      "constants from the recorded predicted-vs-achieved MFLOPS pairs.\n"
+      "An option a command does not read, or one missing its value, is\n"
+      "an error.\n";
+}
+
+struct Command {
+  int (*run)(const Cli&);
+  std::vector<std::string> options;  ///< the options run() reads
+};
+
+// The options multiply_planned reads, on top of its caller's own.
+std::vector<std::string> with_executor_options(std::vector<std::string> v) {
+  v.insert(v.end(), {"out", "mem-budget-mb", "deadline-ms", "cache-capacity",
+                     "cache-capacity-mb"});
+  return v;
+}
+
+const std::map<std::string, Command>& commands() {
+  static const std::map<std::string, Command> table = {
+      {"gen", {cmd_gen, {"kind", "scale", "ef", "n", "halfwidth", "seed",
+                         "out"}}},
+      {"stats", {cmd_stats, {"a"}}},
+      {"multiply",
+       {cmd_multiply,
+        with_executor_options({"a", "b", "algo", "semiring", "format", "reps",
+                               "repeat", "mask", "complement", "post-op"})}},
+      {"semiring",
+       {cmd_semiring, with_executor_options({"a", "name", "algo", "repeat"})}},
+      {"calibrate", {cmd_calibrate, {"scale", "reps"}}},
+      {"info", {cmd_info, {}}},
+      {"stream", {cmd_stream, {"mb"}}},
+      {"roofline", {cmd_roofline, {"beta", "cf"}}},
+  };
+  return table;
 }
 
 }  // namespace
@@ -628,22 +658,18 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
-  const Cli cli(argc, argv);
-  try {
-    if (cmd == "help" || cmd == "--help" || cmd == "-h") {
-      usage();
-      return 0;
-    }
-    if (cmd == "gen") return cmd_gen(cli);
-    if (cmd == "stats") return cmd_stats(cli);
-    if (cmd == "multiply") return cmd_multiply(cli);
-    if (cmd == "semiring") return cmd_semiring(cli);
-    if (cmd == "calibrate") return cmd_calibrate(cli);
-    if (cmd == "info") return cmd_info(cli);
-    if (cmd == "stream") return cmd_stream(cli);
-    if (cmd == "roofline") return cmd_roofline(cli);
+  if (cmd == "help" || cmd == "--help" || cmd == "-h") {
+    usage();
+    return 0;
+  }
+  const auto it = commands().find(cmd);
+  if (it == commands().end()) {
     usage();
     return 2;
+  }
+  try {
+    const Cli cli(argc, argv, it->second.options);
+    return it->second.run(cli);
   } catch (const std::exception& e) {
     std::cerr << "pbs_cli: " << e.what() << "\n";
     return 1;
