@@ -1,6 +1,7 @@
-// Microbenchmark (google-benchmark) — the in-place byte-skipping radix sort
-// at the heart of PB-SpGEMM's sort phase, against std::sort, across the key
-// distributions the bins actually see.
+// Microbenchmark (google-benchmark) — the byte-skipping radix sorts against
+// std::sort, across the key distributions PB-SpGEMM's bins actually see:
+// the in-place MSD sort over 16 B {key, value} records, and the SoA LSD
+// sort the narrow tuple stream runs per bin.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -9,11 +10,14 @@
 #include <vector>
 
 #include "common/radix_sort.hpp"
-#include "pb/tuple.hpp"
 
 namespace {
 
-using pbs::pb::Tuple;
+/// A 16 B array-of-structs record: a (row << 32) | col key and a value.
+struct Tuple {
+  std::uint64_t key;
+  double val;
+};
 
 std::vector<Tuple> make_tuples(std::size_t n, int row_bits, int col_bits,
                                unsigned seed) {
@@ -22,8 +26,7 @@ std::vector<Tuple> make_tuples(std::size_t n, int row_bits, int col_bits,
   const std::uint64_t row_mask = (1ull << row_bits) - 1;
   const std::uint64_t col_mask = (1ull << col_bits) - 1;
   for (auto& t : v) {
-    t.key = pbs::pb::make_key(static_cast<pbs::index_t>(rng() & row_mask),
-                              static_cast<pbs::index_t>(rng() & col_mask));
+    t.key = ((rng() & row_mask) << 32) | (rng() & col_mask);
     t.val = 1.0;
   }
   return v;
@@ -48,26 +51,6 @@ void BM_RadixSortBin(benchmark::State& state) {
                           static_cast<std::int64_t>(n * sizeof(Tuple)));
 }
 BENCHMARK(BM_RadixSortBin)
-    ->ArgsProduct({{1 << 12, 1 << 14, 1 << 16}, {10, 20}});
-
-// The LSD double-buffer variant PB-SpGEMM's sort phase actually uses.
-void BM_RadixSortLsdBin(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const int row_bits = static_cast<int>(state.range(1));
-  const std::vector<Tuple> original = make_tuples(n, row_bits, 20, 7);
-  std::vector<Tuple> work(n), scratch(n);
-  for (auto _ : state) {
-    state.PauseTiming();
-    work = original;
-    state.ResumeTiming();
-    pbs::radix_sort_lsd(work.data(), work.size(), scratch.data(),
-                        [](const Tuple& t) { return t.key; });
-    benchmark::DoNotOptimize(work.data());
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n * sizeof(Tuple)));
-}
-BENCHMARK(BM_RadixSortLsdBin)
     ->ArgsProduct({{1 << 12, 1 << 14, 1 << 16}, {10, 20}});
 
 void BM_StdSortBin(benchmark::State& state) {
@@ -108,7 +91,7 @@ std::vector<std::uint32_t> make_narrow_keys(std::size_t n, int row_bits,
   return keys;
 }
 
-// Paired key/value SoA sort — what NarrowBinOps::sort runs per bin.
+// Paired key/value SoA sort — what BinOps::sort runs per narrow bin.
 void BM_RadixSortLsdNarrowKv(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const int row_bits = static_cast<int>(state.range(1));
@@ -130,34 +113,6 @@ void BM_RadixSortLsdNarrowKv(benchmark::State& state) {
       static_cast<std::int64_t>(n * (sizeof(std::uint32_t) + sizeof(double))));
 }
 BENCHMARK(BM_RadixSortLsdNarrowKv)
-    ->ArgsProduct({{1 << 12, 1 << 14, 1 << 16}, {10, 12}});
-
-// Key + payload-index sort: scatter passes move 8 B/record; the caller
-// gathers the payload once afterwards (modeled here so the comparison is
-// end-to-end fair).
-void BM_RadixSortLsdNarrowIndex(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const int row_bits = static_cast<int>(state.range(1));
-  const std::vector<std::uint32_t> original =
-      make_narrow_keys(n, row_bits, 20, 7);
-  std::vector<std::uint32_t> keys(n), idx(n), kscratch(n), iscratch(n);
-  std::vector<double> vals(n, 1.0), gathered(n);
-  for (auto _ : state) {
-    state.PauseTiming();
-    keys = original;
-    for (std::size_t i = 0; i < n; ++i) idx[i] = static_cast<std::uint32_t>(i);
-    state.ResumeTiming();
-    pbs::radix_sort_lsd_index(keys.data(), idx.data(), n, kscratch.data(),
-                              iscratch.data());
-    for (std::size_t i = 0; i < n; ++i) gathered[i] = vals[idx[i]];
-    benchmark::DoNotOptimize(keys.data());
-    benchmark::DoNotOptimize(gathered.data());
-  }
-  state.SetBytesProcessed(
-      static_cast<std::int64_t>(state.iterations()) *
-      static_cast<std::int64_t>(n * (sizeof(std::uint32_t) + sizeof(double))));
-}
-BENCHMARK(BM_RadixSortLsdNarrowIndex)
     ->ArgsProduct({{1 << 12, 1 << 14, 1 << 16}, {10, 12}});
 
 // Duplicate-heavy bins (high compression factor): radix recursion bottoms

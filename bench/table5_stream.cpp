@@ -19,79 +19,62 @@ namespace {
 
 using namespace pbs;
 
-/// Best-of-reps bandwidth of a parallel copy over `n` elements of T —
-/// 2·n·sizeof(T) bytes per pass (write the stream, read it back), the
-/// Cˆ term of Eq. 4.
-template <typename T>
-double lane_copy_gbs(std::size_t n, int reps) {
-  AlignedBuffer<T> src(n), dst(n);
+/// Best-of-reps bandwidth of a parallel copy of `n` format-F tuples — the
+/// key lane and, for valued formats, the value lane, timed as one pass, as
+/// the pipeline moves them.  2·n·bytes_per_tuple(F) bytes per pass (write
+/// the stream, read it back): the Cˆ term of Eq. 4.
+template <pb::TupleFormat F>
+double stream_copy_gbs(std::size_t n, int reps) {
+  using Key = typename pb::StreamSpan<F>::Key;
+  constexpr bool kValues = pb::has_values(F);
+  AlignedBuffer<Key> ks(n), kd(n);
+  AlignedBuffer<value_t> vs(kValues ? n : 0), vd(kValues ? n : 0);
 #pragma omp parallel for schedule(static)
   for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(n); ++i) {
-    src[static_cast<std::size_t>(i)] = T{};
+    ks[static_cast<std::size_t>(i)] = 0;
+    if constexpr (kValues) vs[static_cast<std::size_t>(i)] = 0;
   }
   double best = 0;
   for (int r = 0; r < reps + 1; ++r) {  // first pass is warmup
     Timer t;
 #pragma omp parallel for schedule(static)
     for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(n); ++i) {
-      dst[static_cast<std::size_t>(i)] = src[static_cast<std::size_t>(i)];
+      const auto u = static_cast<std::size_t>(i);
+      kd[u] = ks[u];
+      if constexpr (kValues) vd[u] = vs[u];
     }
     const double s = t.elapsed_s();
     const double gbs =
-        s > 0 ? 2.0 * static_cast<double>(n * sizeof(T)) / s / 1e9 : 0.0;
+        s > 0 ? 2.0 * static_cast<double>(n * pb::bytes_per_tuple(F)) / s / 1e9
+              : 0.0;
     if (r > 0 && gbs > best) best = gbs;
   }
   return best;
 }
 
-struct TupleStreamPoint {
+struct StreamSpanPoint {
   pb::TupleFormat format;
   double gbs = 0;
   double mtuples_s = 0;
 };
 
-/// One point per format, moving the same tuple COUNT through each layout
-/// (SoA formats copy their lanes separately, as the pipeline does).
-std::vector<TupleStreamPoint> run_tuple_streams(std::size_t tuples, int reps) {
-  std::vector<TupleStreamPoint> out;
+/// One point per format, moving the same tuple COUNT through each layout.
+std::vector<StreamSpanPoint> run_tuple_streams(std::size_t tuples, int reps) {
+  std::vector<StreamSpanPoint> out;
   auto add = [&](pb::TupleFormat f, double gbs) {
-    TupleStreamPoint p;
+    StreamSpanPoint p;
     p.format = f;
     p.gbs = gbs;
     const double bpt = static_cast<double>(pb::bytes_per_tuple(f));
     p.mtuples_s = gbs * 1e9 / (2.0 * bpt) / 1e6;
     out.push_back(p);
   };
-  add(pb::TupleFormat::kWide, lane_copy_gbs<pb::Tuple>(tuples, reps));
-  {
-    // narrow: 4 B key lane + 8 B value lane, timed as one pass
-    AlignedBuffer<pb::narrow_key_t> ks(tuples), kd(tuples);
-    AlignedBuffer<value_t> vs(tuples), vd(tuples);
-#pragma omp parallel for schedule(static)
-    for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(tuples); ++i) {
-      ks[static_cast<std::size_t>(i)] = 0;
-      vs[static_cast<std::size_t>(i)] = 0;
-    }
-    double best = 0;
-    for (int r = 0; r < reps + 1; ++r) {
-      Timer t;
-#pragma omp parallel for schedule(static)
-      for (std::ptrdiff_t i = 0; i < static_cast<std::ptrdiff_t>(tuples);
-           ++i) {
-        kd[static_cast<std::size_t>(i)] = ks[static_cast<std::size_t>(i)];
-        vd[static_cast<std::size_t>(i)] = vs[static_cast<std::size_t>(i)];
-      }
-      const double s = t.elapsed_s();
-      const double gbs =
-          s > 0 ? 2.0 *
-                      static_cast<double>(tuples * pb::kBytesPerTupleNarrow) /
-                      s / 1e9
-                : 0.0;
-      if (r > 0 && gbs > best) best = gbs;
-    }
-    add(pb::TupleFormat::kNarrow, best);
-  }
-  add(pb::TupleFormat::kKeyOnly, lane_copy_gbs<pb::wide_key_t>(tuples, reps));
+  add(pb::TupleFormat::kWide,
+      stream_copy_gbs<pb::TupleFormat::kWide>(tuples, reps));
+  add(pb::TupleFormat::kNarrow,
+      stream_copy_gbs<pb::TupleFormat::kNarrow>(tuples, reps));
+  add(pb::TupleFormat::kKeyOnly,
+      stream_copy_gbs<pb::TupleFormat::kKeyOnly>(tuples, reps));
   return out;
 }
 
@@ -132,9 +115,10 @@ int main(int argc, char** argv) {
 
   // Tuple-stream rates: what the Cˆ write+read term sustains per format.
   const auto tuples = static_cast<std::size_t>(
-      args.get_int("tuples_mb", 64)) * 1024 * 1024 / sizeof(pb::Tuple);
+      args.get_int("tuples_mb", 64)) * 1024 * 1024 /
+      pb::bytes_per_tuple(pb::TupleFormat::kWide);
   bench::Table ts({"format", "B/t", "copy(GB/s)", "Mtuples/s"});
-  for (const TupleStreamPoint& p : run_tuple_streams(tuples, ntimes)) {
+  for (const StreamSpanPoint& p : run_tuple_streams(tuples, ntimes)) {
     const auto bpt = static_cast<double>(pb::bytes_per_tuple(p.format));
     ts.row(pb::to_string(p.format), bpt, p.gbs, p.mtuples_s);
     if (json.enabled()) {

@@ -1,20 +1,22 @@
-// In-place MSD radix sort ("American flag sort", McIlroy/Bostic/McIlroy) for
-// arrays of {integer key, payload} records.
+// Byte-skipping radix sorts for integer keys.
 //
-// This is the sort at the heart of PB-SpGEMM's per-bin sorting phase
-// (paper Sec. III-D).  Two properties matter there:
+// Two families:
 //
-//  1. *In place* — a bin is sized to fit L2; a copying LSD sort would double
-//     the footprint and evict half the bin.
-//  2. *Byte skipping* — tuple keys are (rowid << 32) | colid, but inside a
-//     bin only ~log2(rows_per_bin) row bits and log2(ncols) column bits
-//     actually vary.  By detecting constant bytes from a key-OR/AND sweep we
-//     sort only the varying bytes, which reproduces the paper's "squeeze
-//     keys into 4-byte integers, four passes" optimization with a single
-//     code path for any bin geometry.
+//  * radix_sort — in-place MSD ("American flag sort", McIlroy/Bostic/
+//    McIlroy) over arrays of records with a key callable.  No scratch, not
+//    stable; matrix/coo.cpp and spgemm/esc_column.cpp sort with it.
 //
-// The sort is not stable for equal keys; PB-SpGEMM only needs equal keys
-// adjacent (they are summed immediately afterwards).
+//  * radix_sort_lsd_kv / radix_sort_lsd_keys — LSD sorts over a
+//    structure-of-arrays key array (plus a value array for _kv) into and
+//    out of a scratch of the same length.  Stable.  These are the per-bin
+//    sorts of PB-SpGEMM's tuple streams (paper Sec. III-D; pb/tuple.hpp):
+//    _kv for the valued formats, _keys for the key-only format.
+//
+// Both skip constant bytes: inside a PB bin only ~log2(rows_per_bin) row
+// bits and log2(ncols) column bits of a key vary, so detecting the bytes
+// that differ from a key-OR/AND sweep and sorting only those reproduces
+// the paper's "squeeze keys into 4-byte integers, four passes"
+// optimization with a single code path for any bin geometry.
 #pragma once
 
 #include <array>
@@ -112,91 +114,16 @@ void radix_sort(Record* a, std::size_t n, KeyFn key) {
   detail::flag_sort_pass(a, n, 56, varying, key);
 }
 
-/// Convenience overload for records with a public `key` member.
-template <typename Record>
-void radix_sort(Record* a, std::size_t n) {
-  radix_sort(a, n, [](const Record& r) { return r.key; });
-}
-
-/// LSD (least-significant-digit-first) radix sort into/out of a scratch
-/// buffer of the same length.
-///
-/// The in-place American-flag permute above chases displacement cycles —
-/// each swap's destination depends on the record it just evicted, a serial
-/// L2-latency chain per element.  The LSD scatter has fully independent
-/// iterations the core can overlap, at the cost of n extra records of
-/// scratch.  PB-SpGEMM's bins are sized to half of L2 precisely so that
-/// bin + scratch stay cache-resident (pb/sort_compress.cpp), making this
-/// the faster choice for the per-bin sort; the in-place variant remains for
-/// callers without scratch to spare.
-///
-/// All byte histograms are gathered in one read pass, and constant bytes
-/// are skipped — with range binning only ~log2(rows_per_bin) row bits and
-/// log2(ncols) column bits vary, reproducing the paper's "4-byte keys,
-/// four passes" optimization.  When the pass count is odd the histogram
-/// pass (which reads every record anyway) also copies the input to scratch
-/// so the ping-pong starts there and the final scatter lands in `a` — no
-/// trailing copy-back pass regardless of parity.  Stable (LSD scatters
-/// preserve order), which the pipeline doesn't require but tests may rely
-/// on.
-template <typename Record, typename KeyFn>
-void radix_sort_lsd(Record* a, std::size_t n, Record* scratch, KeyFn key) {
-  if (n < 2) return;
-
-  // Pass 1 (cheap, vectorizable): find which key bytes actually vary.
-  std::uint64_t or_bits = 0, and_bits = ~std::uint64_t{0};
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t k = key(a[i]);
-    or_bits |= k;
-    and_bits &= k;
-  }
-  const std::uint64_t varying = or_bits ^ and_bits;
-  if (varying == 0) return;
-
-  int passes[8];
-  int npasses = 0;
-  for (int byte = 0; byte < 8; ++byte) {
-    if (((varying >> (8 * byte)) & 0xFFu) != 0) passes[npasses++] = byte;
-  }
-  const bool odd = (npasses % 2) != 0;
-
-  // Pass 2: histograms for the varying bytes only (typically 3-4 of 8).
-  // With an odd pass count the records are copied to scratch here, fused
-  // into a pass that already streams them.
-  std::array<std::array<std::uint32_t, 256>, 8> hist{};
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t k = key(a[i]);
-    for (int p = 0; p < npasses; ++p)
-      ++hist[passes[p]][(k >> (8 * passes[p])) & 0xFFu];
-    if (odd) scratch[i] = a[i];
-  }
-
-  Record* src = odd ? scratch : a;
-  Record* dst = odd ? a : scratch;
-  for (int p = 0; p < npasses; ++p) {
-    const int byte = passes[p];
-    std::array<std::uint32_t, 256> offset;
-    std::uint32_t sum = 0;
-    for (int b = 0; b < 256; ++b) {
-      offset[b] = sum;
-      sum += hist[byte][b];
-    }
-    const int shift = 8 * byte;
-    for (std::size_t i = 0; i < n; ++i)
-      dst[offset[(key(src[i]) >> shift) & 0xFFu]++] = src[i];
-    std::swap(src, dst);
-  }
-}
-
 namespace detail {
 
 /// Shared skeleton of the SoA LSD sorts: byte-skipping histogram setup over
-/// an unsigned key array, then `Scatter(byte_index, src_is_a)` once per
-/// varying byte.  `CopyToScratch(i)` copies element i and is invoked from
-/// inside the histogram loop (which already streams every record) when the
-/// pass count is odd, so the ping-pong starts in scratch and the result
-/// lands in the caller's arrays with no extra traversal (same parity trick
-/// as radix_sort_lsd above).
+/// an unsigned key array — all byte histograms gathered in one read pass —
+/// then `Scatter(byte_index, src_is_a)` once per varying byte.
+/// `CopyToScratch(i)` copies element i and is invoked from inside the
+/// histogram loop (which already streams every record) when the pass count
+/// is odd, so the ping-pong starts in scratch and the final scatter lands
+/// in the caller's arrays — no trailing copy-back pass regardless of
+/// parity.
 template <typename Key, typename CopyToScratch, typename Scatter>
 void lsd_soa_driver(const Key* keys, std::size_t n, CopyToScratch copy,
                     Scatter scatter) {
@@ -243,12 +170,13 @@ void lsd_soa_driver(const Key* keys, std::size_t n, CopyToScratch copy,
 
 /// Structure-of-arrays LSD radix sort: sorts `keys[0..n)` ascending while
 /// keeping `vals[i]` paired with its key.  This is the sort of PB-SpGEMM's
-/// narrow tuple format (pb/tuple.hpp): each scatter pass moves a 4-byte
-/// key + 8-byte value instead of a 16-byte AoS record, and the bit-scan +
-/// histogram passes touch only the key array — 4 of the 12 bytes.  Same
-/// byte skipping, odd-pass parity handling and stability as
-/// radix_sort_lsd.  `key_scratch` and `val_scratch` must each hold n
-/// elements.
+/// valued tuple formats (pb/tuple.hpp): the bit-scan + histogram passes
+/// touch only the key array — 4 of a narrow tuple's 12 bytes, 8 of a wide
+/// one's 16 — and each scatter pass moves a key and its value.  The LSD
+/// scatter's iterations are independent, so the core overlaps them,
+/// unlike the in-place flag sort's displacement chains; PB-SpGEMM's bins
+/// are sized to half of L2 so that bin + scratch stay cache-resident.
+/// Stable.  `key_scratch` and `val_scratch` must each hold n elements.
 template <typename Key, typename Value>
 void radix_sort_lsd_kv(Key* keys, Value* vals, std::size_t n,
                        Key* key_scratch, Value* val_scratch) {
@@ -278,10 +206,10 @@ void radix_sort_lsd_kv(Key* keys, Value* vals, std::size_t n,
 /// Keys-only LSD radix sort: sorts `keys[0..n)` ascending with no payload
 /// lane at all.  This is the sort of PB-SpGEMM's key-only tuple format
 /// (pb/tuple.hpp): for a value-free semiring the stream carries nothing
-/// but 8-byte keys, so each scatter pass moves 8 bytes instead of the 16
-/// the AoS sort moves — the value scatter is not merely cheap, it is
-/// gone.  Same byte skipping, odd-pass parity handling and stability as
-/// radix_sort_lsd.  `scratch` must hold n elements.
+/// but 8-byte keys, so each scatter pass moves 8 bytes instead of a wide
+/// tuple's 16 — the value scatter is not merely cheap, it is gone.  Same
+/// byte skipping, odd-pass parity handling and stability as
+/// radix_sort_lsd_kv.  `scratch` must hold n elements.
 template <typename Key>
 void radix_sort_lsd_keys(Key* keys, std::size_t n, Key* scratch) {
   static_assert(std::is_unsigned_v<Key>, "radix keys must be unsigned");
@@ -295,40 +223,6 @@ void radix_sort_lsd_keys(Key* keys, std::size_t n, Key* scratch) {
         const int shift = 8 * byte;
         for (std::size_t i = 0; i < n; ++i)
           kd[offset[(ks[i] >> shift) & 0xFFu]++] = ks[i];
-      });
-}
-
-/// Key + payload-index LSD radix sort: sorts `keys[0..n)` ascending,
-/// co-permuting the caller's `index` array (typically iota into a payload
-/// array the caller gathers once afterwards).  Scatter passes move
-/// sizeof(Key) + 4 bytes per record — for 4-byte narrow keys that is 8 of
-/// the 16 bytes the AoS sort moves.  Worth it over radix_sort_lsd_kv when
-/// the payload is wide or the pass count high; the caller pays one final
-/// gather.  Same byte skipping, parity handling and stability as
-/// radix_sort_lsd.
-template <typename Key>
-void radix_sort_lsd_index(Key* keys, std::uint32_t* index, std::size_t n,
-                          Key* key_scratch, std::uint32_t* index_scratch) {
-  static_assert(std::is_unsigned_v<Key>, "radix keys must be unsigned");
-  if (n < 2) return;
-
-  detail::lsd_soa_driver(
-      keys, n,
-      [&](std::size_t i) {
-        key_scratch[i] = keys[i];
-        index_scratch[i] = index[i];
-      },
-      [&](int byte, bool src_is_a, std::array<std::uint32_t, 256>& offset) {
-        const Key* ks = src_is_a ? keys : key_scratch;
-        const std::uint32_t* is = src_is_a ? index : index_scratch;
-        Key* kd = src_is_a ? key_scratch : keys;
-        std::uint32_t* id = src_is_a ? index_scratch : index;
-        const int shift = 8 * byte;
-        for (std::size_t i = 0; i < n; ++i) {
-          const std::uint32_t pos = offset[(ks[i] >> shift) & 0xFFu]++;
-          kd[pos] = ks[i];
-          id[pos] = is[i];
-        }
       });
 }
 

@@ -87,8 +87,8 @@ struct SelectionModel {
   double bytes_per_nnz = kDefaultBytesPerNnz;
 
   /// Bytes each tuple of PB's expanded stream moves — the Cˆ term of
-  /// Eq. 4.  16 for the wide AoS format; 12 when the plan's narrow SoA
-  /// format engages; 8 for the key-only stream of value-free semirings
+  /// Eq. 4.  16 for the wide format; 12 when the plan's narrow format
+  /// engages; 8 for the key-only stream of value-free semirings
   /// (pb/tuple.hpp; pb::predict_tuple_format tells a caller which to
   /// expect before any symbolic work).  Lowering it
   /// raises PB's bound, moving the pb/hash crossover toward higher cf.

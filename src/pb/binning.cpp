@@ -84,7 +84,7 @@ int BinLayout::local_row_bits(index_t nrows) const {
 int auto_nbins(nnz_t flop, std::size_t l2_bytes) {
   if (flop <= 0) return 1;
   const auto bin_budget = static_cast<nnz_t>(l2_bytes / 2);
-  const nnz_t bytes = flop * static_cast<nnz_t>(sizeof(Tuple));
+  const nnz_t bytes = flop * static_cast<nnz_t>(kBytesPerTuple);
   const nnz_t want = (bytes + bin_budget - 1) / std::max<nnz_t>(bin_budget, 1);
   const auto pow2 = static_cast<nnz_t>(next_pow2(static_cast<std::uint64_t>(
       std::clamp<nnz_t>(want, 1, nnz_t{1} << 16))));

@@ -15,6 +15,7 @@
 
 #include "common/types.hpp"
 #include "pb/pb_config.hpp"
+#include "pb/tuple.hpp"
 
 namespace pbs::pb {
 
@@ -41,7 +42,7 @@ struct BinLayout {
 
   /// Bin-relative row id: a bijection [0, bin_width) <-> the rows of
   /// `bin`, monotone in the rowid so sorting by it preserves row order
-  /// within the bin.  This is the row part of the narrow tuple key
+  /// within the bin.  This is the row part of every tuple key
   /// (pb/tuple.hpp): range bins strip the constant high bits, modulo bins
   /// strip the constant low (residue) bits, adaptive bins rebase on their
   /// first row.
@@ -60,17 +61,33 @@ struct BinLayout {
     return 0;
   }
 
-  /// Inverse of local_row for the same bin.
-  [[nodiscard]] index_t global_row(int bin, index_t local) const {
+  /// Inverse of local_row, in affine form per bin: first + (local << shift).
+  /// Range and adaptive bins are contiguous (shift 0); a modulo bin's rows
+  /// stride by nbins = 2^shift.  The per-tuple decoders hold a bin's
+  /// RowMap, so the policy switch and the modulo shift are paid once per
+  /// bin.
+  struct RowMap {
+    index_t first = 0;
+    int shift = 0;
+    [[nodiscard]] index_t operator()(index_t local) const {
+      return first + (local << shift);
+    }
+  };
+
+  [[nodiscard]] RowMap row_map(int bin) const {
     switch (policy) {
       case BinPolicy::kRange:
-        return (static_cast<index_t>(bin) << shift) | local;
+        return {static_cast<index_t>(bin) << shift, 0};
       case BinPolicy::kModulo:
-        return (local << modulo_shift()) | static_cast<index_t>(bin);
+        return {static_cast<index_t>(bin), modulo_shift()};
       case BinPolicy::kAdaptive:
-        return bounds[static_cast<std::size_t>(bin)] + local;
+        return {bounds[static_cast<std::size_t>(bin)], 0};
     }
-    return 0;
+    return {};
+  }
+
+  [[nodiscard]] index_t global_row(int bin, index_t local) const {
+    return row_map(bin)(local);
   }
 
   /// Bits needed to hold any bin's local_row values, given the matrix row
@@ -109,6 +126,47 @@ struct BinLayout {
         return;
       }
     }
+  }
+};
+
+/// One bin of a tuple stream, decoded: the view every per-bin stage after
+/// expand works on — the mask filter and post-op (sort_compress.hpp), the
+/// row count and scatter (output.hpp) and the accumulate merge
+/// (output_accum.hpp).  Indices are bin-relative; key-only bins read
+/// kPresentValue as every value.
+template <TupleFormat F>
+struct BinTuples {
+  using Key = typename StreamTraits<F>::Key;
+  static constexpr bool kHasValues = StreamTraits<F>::kHasValues;
+
+  Key* keys = nullptr;
+  value_t* vals = nullptr;
+  KeyCodec<Key> codec;
+  BinLayout::RowMap rows;
+
+  BinTuples(const StreamSpan<F>& s, nnz_t off, const BinLayout& layout,
+            int bin, int col_bits)
+      : keys(s.keys + off),
+        vals(kHasValues ? s.vals + off : nullptr),
+        codec{col_bits},
+        rows(layout.row_map(bin)) {}
+
+  [[nodiscard]] index_t local_row(nnz_t i) const {
+    return codec.local_row(keys[i]);
+  }
+  [[nodiscard]] index_t row(nnz_t i) const { return rows(local_row(i)); }
+  [[nodiscard]] index_t col(nnz_t i) const { return codec.col(keys[i]); }
+  [[nodiscard]] value_t val(nnz_t i) const {
+    if constexpr (kHasValues) {
+      return vals[i];
+    } else {
+      (void)i;
+      return kPresentValue;
+    }
+  }
+  void move(nnz_t src, nnz_t dst) const {
+    keys[dst] = keys[src];
+    if constexpr (kHasValues) vals[dst] = vals[src];
   }
 };
 

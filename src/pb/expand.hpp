@@ -8,12 +8,13 @@
 // lines.  Global bins are contiguous regions of one flop-sized allocation;
 // a flush claims its destination with a relaxed atomic fetch-add.
 //
-// The bodies are templated on the semiring: the only algebraic operation
-// they perform is the scalar multiply A(r,i) ⊗ B(i,c), which becomes
-// S::mul.  Routing, blocking and the store policy are semiring-
-// independent, so every instantiation streams memory identically.  One
-// team-callable body per tuple format runs inside pb_execute's parallel
-// region (pipeline_impl.hpp), which instantiates them per semiring.
+// One team-callable body serves every tuple format (pb/tuple.hpp) and
+// runs inside pb_execute's parallel region (pipeline_impl.hpp).  It is
+// templated on the format — key width, and whether a value lane exists —
+// on the bin policy, and on the semiring: the only algebraic operation it
+// performs is the scalar multiply A(r,i) ⊗ B(i,c), which becomes S::mul.
+// Routing, blocking and the store policy are semiring-independent, so
+// every semiring's instantiation streams memory identically.
 #pragma once
 
 #if defined(__SSE2__)
@@ -59,10 +60,9 @@ namespace detail {
 // whole lines, use non-temporal stores — full-line writes with no
 // read-for-ownership traffic, which is what lets the expand phase approach
 // STREAM bandwidth (paper Sec. III-C).  Symbolic pads bin regions so full
-// flushes stay aligned; partial drain flushes fall back to memcpy.  One
-// template serves every format: wide flushes move Tuple lines, narrow
-// flushes move a key block and a value block separately (non-temporal on
-// both), key-only flushes move key lines.
+// flushes stay aligned; partial drain flushes fall back to memcpy.  A
+// flush moves the key block and, for valued formats, the value block
+// separately (non-temporal on both).
 template <typename T>
 inline void flush_copy(T* dst, const T* src, int count,
                        [[maybe_unused]] bool streaming) {
@@ -100,7 +100,7 @@ int fast_binid(const BinLayout& layout, index_t row) {
   }
 }
 
-// Bin-relative row for the narrow key, same specialization idea as
+// Bin-relative row for the tuple key, same specialization idea as
 // fast_binid.  `mod_shift` is layout.modulo_shift(), hoisted by the caller
 // so the modulo case is a plain shift here.
 template <BinPolicy P>
@@ -117,14 +117,14 @@ index_t fast_local_row(const BinLayout& layout, int bin, index_t row,
   }
 }
 
-// Flush sink: the team-callable expand bodies below notify it after every
+// Flush sink: the team-callable expand body below notifies it after every
 // completed flush_copy — `sink.flushed(bin, count)` with the data already
 // written to the bin's global region.  pb_execute's sink advances the
 // bin's done-counter and, on completion, publishes the bin to a
 // work-stealing deque (pipeline_impl.hpp).
 //
 // With an active expand-phase mask (emask), tuples the mask rejects are
-// never buffered — the bodies instead batch per-bin *skip credits* and
+// never buffered — the body instead batches per-bin *skip credits* and
 // report them through `sink.skipped(bin, count)`.  A bin's done-counter
 // thus still converges to its symbolic fill mark (flushed + skipped ==
 // flop), so bin-completion detection is untouched; only the write cursor
@@ -132,7 +132,7 @@ index_t fast_local_row(const BinLayout& layout, int bin, index_t row,
 // bins' actual generated fills.  Credits ride the flush cycle (plus a
 // final drain) rather than hitting the sink per tuple.
 
-// The per-(output row, B row) mask merge used by all three team bodies: the
+// The per-(output row, B row) mask merge of the masked expand: the
 // B row's columns and the mask row's columns are both ascending, so one
 // forward scan of the mask row per pair decides every candidate tuple.
 // Keep when membership != complement.  Returns via `emit(bi)` for kept
@@ -156,25 +156,40 @@ inline nnz_t masked_scan(std::span<const index_t> bcols,
   return skipped;
 }
 
-// Team-callable wide expand: runs INSIDE an existing parallel region (every
+// Team-callable expand: runs INSIDE an existing parallel region (every
 // thread of the team must call it — it contains an `omp for`).  Writes the
-// 16 B AoS tuples into `out`.  `cursor` is the shared per-bin write-cursor
-// array, pre-seeded with the bin region origins.  Returns this thread's
-// flush count (telemetry for the Fig. 6a bin-width study).
-template <BinPolicy P, typename S, typename Sink>
+// format's keys — (local_row << col_bits) | col, pb/tuple.hpp — and, for
+// valued formats, the products S::mul(A(r,i), B(i,c)) into `out`.  Local
+// bins are SoA like the stream: a key lane and a value lane per bin, whose
+// capacity is rounded to whole lanes (StreamTraits::kLane tuples = one key
+// line) so a full flush is whole cache lines on every array.  Key-only
+// streams have no value lane, so S::mul and the value reads disappear.
+// `cursor` is the shared per-bin write-cursor array, pre-seeded with the
+// bin region origins.  Returns this thread's flush count (telemetry for
+// the Fig. 6a bin-width study).
+template <TupleFormat F, BinPolicy P, typename S, typename Sink>
 nnz_t expand_team(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
-                  const SymbolicResult& sym, const PbConfig& cfg, Tuple* out,
-                  std::atomic<nnz_t>* cursor, Sink& sink,
-                  const MaskSpec& emask = {}) {
+                  const SymbolicResult& sym, const PbConfig& cfg,
+                  StreamSpan<F> out, std::atomic<nnz_t>* cursor,
+                  Sink& sink, const MaskSpec& emask = {}) {
+  using Key = typename StreamTraits<F>::Key;
+  constexpr bool kValues = StreamTraits<F>::kHasValues;
+  constexpr int kLane = StreamTraits<F>::kLane;
+  constexpr auto kBytes = static_cast<int>(StreamTraits<F>::kBytes);
   const BinLayout& layout = sym.layout;
   const auto nbins = static_cast<std::size_t>(layout.nbins);
   const int cap =
-      std::max<int>(1, cfg.local_bin_bytes / static_cast<int>(sizeof(Tuple)));
+      std::max<int>(kLane, cfg.local_bin_bytes / kBytes / kLane * kLane);
+  const auto ucap = static_cast<std::size_t>(cap);
+  const int col_bits = sym.col_bits;
+  const int mod_shift =
+      layout.policy == BinPolicy::kModulo ? layout.modulo_shift() : 0;
   const bool masked = emask.active();
 
-  // Thread-private local bins: nbins buffers of `cap` tuples in one
-  // contiguous allocation (paper: 1K bins x 512B fits comfortably in L2).
-  AlignedBuffer<Tuple> lbin(nbins * static_cast<std::size_t>(cap));
+  // Thread-private local bins (paper: 1K bins x 512B fits comfortably in
+  // L2): all key lanes, then all value lanes, each lane line-aligned.
+  AlignedBuffer<Key> lkeys(nbins * ucap);
+  AlignedBuffer<value_t> lvals(kValues ? nbins * ucap : 0);
   std::vector<int> lcnt(nbins, 0);
   std::vector<nnz_t> lskip(masked ? nbins : 0, 0);
   nnz_t flushes = 0;
@@ -182,8 +197,12 @@ nnz_t expand_team(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   auto flush = [&](std::size_t bin) {
     const int count = lcnt[bin];
     const nnz_t pos = cursor[bin].fetch_add(count, std::memory_order_relaxed);
-    flush_copy(out + pos, lbin.data() + bin * static_cast<std::size_t>(cap),
-               count, cfg.streaming_stores);
+    flush_copy(out.keys + pos, lkeys.data() + bin * ucap, count,
+               cfg.streaming_stores);
+    if constexpr (kValues) {
+      flush_copy(out.vals + pos, lvals.data() + bin * ucap, count,
+                 cfg.streaming_stores);
+    }
     lcnt[bin] = 0;
     ++flushes;
     sink.flushed(bin, count);
@@ -207,9 +226,22 @@ nnz_t expand_team(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
 
     for (std::size_t ai = 0; ai < arows.size(); ++ai) {
       const index_t r = arows[ai];
-      const value_t av = avals[ai];
-      const auto bin = static_cast<std::size_t>(fast_binid<P>(layout, r));
-      Tuple* lane = lbin.data() + bin * static_cast<std::size_t>(cap);
+      const int bin_i = fast_binid<P>(layout, r);
+      const auto bin = static_cast<std::size_t>(bin_i);
+      // The row bits are constant across B(i,:): build them once.
+      const Key rowkey =
+          static_cast<Key>(fast_local_row<P>(layout, bin_i, r, mod_shift))
+          << col_bits;
+      Key* klane = lkeys.data() + bin * ucap;
+      value_t* vlane = kValues ? lvals.data() + bin * ucap : nullptr;
+      value_t av{};
+      if constexpr (kValues) av = avals[ai];
+      auto emit = [&](std::size_t bi) {
+        if (lcnt[bin] == cap) flush(bin);
+        const int at = lcnt[bin]++;
+        klane[at] = rowkey | static_cast<Key>(bcols[bi]);
+        if constexpr (kValues) vlane[at] = S::mul(av, bvals[bi]);
+      };
       if (masked) {
         const auto mrow = emask.csr->row_cols(r);
         if (mrow.empty() && !emask.complement) {
@@ -218,20 +250,10 @@ nnz_t expand_team(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
           lskip[bin] += static_cast<nnz_t>(bcols.size());
           continue;
         }
-        lskip[bin] += masked_scan(bcols, mrow, emask.complement,
-                                  [&](std::size_t bi) {
-                                    if (lcnt[bin] == cap) flush(bin);
-                                    lane[lcnt[bin]++] =
-                                        Tuple{make_key(r, bcols[bi]),
-                                              S::mul(av, bvals[bi])};
-                                  });
+        lskip[bin] += masked_scan(bcols, mrow, emask.complement, emit);
         continue;
       }
-      for (std::size_t bi = 0; bi < bcols.size(); ++bi) {
-        if (lcnt[bin] == cap) flush(bin);
-        lane[lcnt[bin]++] =
-            Tuple{make_key(r, bcols[bi]), S::mul(av, bvals[bi])};
-      }
+      for (std::size_t bi = 0; bi < bcols.size(); ++bi) emit(bi);
     }
   }
 
@@ -248,203 +270,25 @@ nnz_t expand_team(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   return flushes;
 }
 
-// Narrow-format expand: identical routing and blocking, but local bins are
-// SoA — a key lane and a value lane per bin — and a flush scatters the two
-// streams separately, so the phase writes 12 bytes per tuple instead of
-// 16.  The local-bin capacity is rounded to 16 tuples so a full flush is
-// whole cache lines on both streams (one 64 B key line per 16 tuples, two
-// value lines), keeping the non-temporal store path of flush_copy.
-// Team-callable; same contract as expand_team.
-template <BinPolicy P, typename S, typename Sink>
-nnz_t expand_narrow_team(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
-                         const SymbolicResult& sym, const PbConfig& cfg,
-                         narrow_key_t* out_keys, value_t* out_vals,
-                         std::atomic<nnz_t>* cursor, Sink& sink,
-                         const MaskSpec& emask = {}) {
-  const BinLayout& layout = sym.layout;
-  const auto nbins = static_cast<std::size_t>(layout.nbins);
-  const int cap = std::max<int>(
-      16, cfg.local_bin_bytes /
-              static_cast<int>(kBytesPerTupleNarrow) / 16 * 16);
-  const int col_bits = sym.col_bits;
-  const int mod_shift =
-      layout.policy == BinPolicy::kModulo ? layout.modulo_shift() : 0;
-  const bool masked = emask.active();
-
-  // All key lanes, then all value lanes (both line-aligned: cap is a
-  // multiple of 16, so each lane starts on a 64 B boundary).
-  AlignedBuffer<narrow_key_t> lkeys(nbins * static_cast<std::size_t>(cap));
-  AlignedBuffer<value_t> lvals(nbins * static_cast<std::size_t>(cap));
-  std::vector<int> lcnt(nbins, 0);
-  std::vector<nnz_t> lskip(masked ? nbins : 0, 0);
-  nnz_t flushes = 0;
-
-  auto flush = [&](std::size_t bin) {
-    const int count = lcnt[bin];
-    const nnz_t pos = cursor[bin].fetch_add(count, std::memory_order_relaxed);
-    flush_copy(out_keys + pos,
-               lkeys.data() + bin * static_cast<std::size_t>(cap), count,
-               cfg.streaming_stores);
-    flush_copy(out_vals + pos,
-               lvals.data() + bin * static_cast<std::size_t>(cap), count,
-               cfg.streaming_stores);
-    lcnt[bin] = 0;
-    ++flushes;
-    sink.flushed(bin, count);
-    if (masked && lskip[bin] != 0) {
-      sink.skipped(bin, lskip[bin]);
-      lskip[bin] = 0;
-    }
-  };
-
-#pragma omp for schedule(guided) nowait
-  for (index_t i = 0; i < a.ncols; ++i) {
-    // Cooperative cancellation at column granularity (`break` is illegal
-    // in an omp for; skipped columns just leave their bins short, and the
-    // caller raises the typed error after the join).
-    if (stop_requested(cfg.cancel)) continue;
-    const auto arows = a.col_rows(i);
-    const auto avals = a.col_vals(i);
-    const auto bcols = b.row_cols(i);
-    const auto bvals = b.row_vals(i);
-    if (bcols.empty()) continue;
-
-    for (std::size_t ai = 0; ai < arows.size(); ++ai) {
-      const index_t r = arows[ai];
-      const value_t av = avals[ai];
-      const int bin_i = fast_binid<P>(layout, r);
-      const auto bin = static_cast<std::size_t>(bin_i);
-      // The row bits are constant across B(i,:): build them once.
-      const narrow_key_t rowkey =
-          static_cast<narrow_key_t>(
-              fast_local_row<P>(layout, bin_i, r, mod_shift))
-          << col_bits;
-      narrow_key_t* klane = lkeys.data() + bin * static_cast<std::size_t>(cap);
-      value_t* vlane = lvals.data() + bin * static_cast<std::size_t>(cap);
-      if (masked) {
-        const auto mrow = emask.csr->row_cols(r);
-        if (mrow.empty() && !emask.complement) {
-          lskip[bin] += static_cast<nnz_t>(bcols.size());
-          continue;
-        }
-        lskip[bin] += masked_scan(bcols, mrow, emask.complement,
-                                  [&](std::size_t bi) {
-                                    if (lcnt[bin] == cap) flush(bin);
-                                    const int at = lcnt[bin]++;
-                                    klane[at] =
-                                        rowkey |
-                                        static_cast<narrow_key_t>(bcols[bi]);
-                                    vlane[at] = S::mul(av, bvals[bi]);
-                                  });
-        continue;
-      }
-      for (std::size_t bi = 0; bi < bcols.size(); ++bi) {
-        if (lcnt[bin] == cap) flush(bin);
-        const int at = lcnt[bin]++;
-        klane[at] = rowkey | static_cast<narrow_key_t>(bcols[bi]);
-        vlane[at] = S::mul(av, bvals[bi]);
-      }
-    }
+// Policy dispatch: the bin policy is a template parameter so the inner
+// loop's binid and local row are a shift/mask.
+template <TupleFormat F, typename S, typename Sink>
+nnz_t expand_team_any(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
+                      const SymbolicResult& sym, const PbConfig& cfg,
+                      StreamSpan<F> out, std::atomic<nnz_t>* cursor,
+                      Sink& sink, const MaskSpec& emask = {}) {
+  switch (sym.layout.policy) {
+    case BinPolicy::kRange:
+      return expand_team<F, BinPolicy::kRange, S>(a, b, sym, cfg, out, cursor,
+                                                  sink, emask);
+    case BinPolicy::kModulo:
+      return expand_team<F, BinPolicy::kModulo, S>(a, b, sym, cfg, out,
+                                                   cursor, sink, emask);
+    case BinPolicy::kAdaptive:
+      return expand_team<F, BinPolicy::kAdaptive, S>(a, b, sym, cfg, out,
+                                                     cursor, sink, emask);
   }
-
-  for (std::size_t bin = 0; bin < nbins; ++bin) {
-    if (lcnt[bin] != 0) flush(bin);
-    if (masked && lskip[bin] != 0) {
-      sink.skipped(bin, lskip[bin]);
-      lskip[bin] = 0;
-    }
-  }
-  flush_fence();
-  return flushes;
-}
-
-// Key-only expand: the stream carries nothing but the 8-byte global key —
-// there is no value lane anywhere, so the multiply S::mul disappears and
-// the kernel needs no semiring parameter at all.  Legal only when the
-// caller established the semiring is value-free (pb/tuple.hpp).  Local
-// bin capacity is rounded to 8 keys so a full flush is whole 64 B lines,
-// keeping the non-temporal path of flush_copy.  Team-callable; same
-// contract as expand_team.
-template <BinPolicy P, typename Sink>
-nnz_t expand_keyonly_team(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
-                          const SymbolicResult& sym, const PbConfig& cfg,
-                          wide_key_t* out_keys, std::atomic<nnz_t>* cursor,
-                          Sink& sink, const MaskSpec& emask = {}) {
-  const BinLayout& layout = sym.layout;
-  const auto nbins = static_cast<std::size_t>(layout.nbins);
-  const int cap = std::max<int>(
-      8, cfg.local_bin_bytes / static_cast<int>(kBytesPerTupleKeyOnly) / 8 * 8);
-  const bool masked = emask.active();
-
-  AlignedBuffer<wide_key_t> lkeys(nbins * static_cast<std::size_t>(cap));
-  std::vector<int> lcnt(nbins, 0);
-  std::vector<nnz_t> lskip(masked ? nbins : 0, 0);
-  nnz_t flushes = 0;
-
-  auto flush = [&](std::size_t bin) {
-    const int count = lcnt[bin];
-    const nnz_t pos = cursor[bin].fetch_add(count, std::memory_order_relaxed);
-    flush_copy(out_keys + pos,
-               lkeys.data() + bin * static_cast<std::size_t>(cap), count,
-               cfg.streaming_stores);
-    lcnt[bin] = 0;
-    ++flushes;
-    sink.flushed(bin, count);
-    if (masked && lskip[bin] != 0) {
-      sink.skipped(bin, lskip[bin]);
-      lskip[bin] = 0;
-    }
-  };
-
-#pragma omp for schedule(guided) nowait
-  for (index_t i = 0; i < a.ncols; ++i) {
-    // Cooperative cancellation at column granularity (`break` is illegal
-    // in an omp for; skipped columns just leave their bins short, and the
-    // caller raises the typed error after the join).
-    if (stop_requested(cfg.cancel)) continue;
-    const auto arows = a.col_rows(i);
-    const auto bcols = b.row_cols(i);
-    if (bcols.empty()) continue;
-
-    for (std::size_t ai = 0; ai < arows.size(); ++ai) {
-      const index_t r = arows[ai];
-      const auto bin = static_cast<std::size_t>(fast_binid<P>(layout, r));
-      // The row half of the key is constant across B(i,:): build it once.
-      const wide_key_t rowkey =
-          static_cast<wide_key_t>(static_cast<std::uint32_t>(r)) << 32;
-      wide_key_t* lane = lkeys.data() + bin * static_cast<std::size_t>(cap);
-      if (masked) {
-        const auto mrow = emask.csr->row_cols(r);
-        if (mrow.empty() && !emask.complement) {
-          lskip[bin] += static_cast<nnz_t>(bcols.size());
-          continue;
-        }
-        lskip[bin] += masked_scan(bcols, mrow, emask.complement,
-                                  [&](std::size_t bi) {
-                                    if (lcnt[bin] == cap) flush(bin);
-                                    lane[lcnt[bin]++] =
-                                        rowkey |
-                                        static_cast<std::uint32_t>(bcols[bi]);
-                                  });
-        continue;
-      }
-      for (std::size_t bi = 0; bi < bcols.size(); ++bi) {
-        if (lcnt[bin] == cap) flush(bin);
-        lane[lcnt[bin]++] =
-            rowkey | static_cast<std::uint32_t>(bcols[bi]);
-      }
-    }
-  }
-
-  for (std::size_t bin = 0; bin < nbins; ++bin) {
-    if (lcnt[bin] != 0) flush(bin);
-    if (masked && lskip[bin] != 0) {
-      sink.skipped(bin, lskip[bin]);
-      lskip[bin] = 0;
-    }
-  }
-  flush_fence();
-  return flushes;
+  return 0;
 }
 
 }  // namespace detail

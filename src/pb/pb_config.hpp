@@ -48,7 +48,7 @@ enum class PbSchedule {
 /// CLI layers a strict legality check on top for explicit user requests.
 enum class FormatPolicy {
   kAuto,     ///< key-only for value-free semirings, else narrow when it fits
-  kWide,     ///< force the 16 B AoS format (ablation / bitwise comparison)
+  kWide,     ///< force the 16 B wide format (ablation / bitwise comparison)
   kNarrow,   ///< request narrow; falls back to wide when it cannot fit
   kKeyOnly,  ///< request 8 B key-only; needs a value-free semiring
 };
@@ -72,7 +72,10 @@ struct PbConfig {
   int nbins = 0;
 
   /// Local (thread-private) bin width in bytes; the paper's default is 512
-  /// (Algorithm 2, line 3).  Must hold at least one 16-byte tuple.
+  /// (Algorithm 2, line 3).  Expand rounds the capacity down to whole lanes
+  /// of the stream format (lane_tuples, pb/tuple.hpp: one cache line of
+  /// keys), and up to one lane at least, so every full flush is whole
+  /// lines — at 512, 32 tuples wide or narrow and 64 key-only.
   int local_bin_bytes = 512;
 
   BinPolicy policy = BinPolicy::kRange;

@@ -33,27 +33,16 @@ void PbWorkspace::place_bins(std::span<const nnz_t> bin_offsets,
   std::byte* base = buf_.data();
   const int nthreads = max_threads();
 
-  // Byte range of bin b in the pool: one region wide (16 B tuples) and
-  // key-only (8 B keys, no value block at all), two for narrow (the key
-  // block, then the value block at key_span(total)).
+  // Byte ranges of bin b in the pool: its keys, and for valued formats
+  // its values in the value array at key_span(total).
+  const std::size_t kb = key_bytes(format);
+  std::byte* vals = base + key_span(format, total);
   auto touch_bin = [&](std::size_t b) {
     const auto lo = static_cast<std::size_t>(bin_offsets[b]);
     const auto hi = static_cast<std::size_t>(bin_offsets[b + 1]);
-    switch (format) {
-      case TupleFormat::kWide:
-        touch_pages(base + lo * sizeof(Tuple), base + hi * sizeof(Tuple));
-        break;
-      case TupleFormat::kKeyOnly:
-        touch_pages(base + lo * sizeof(wide_key_t),
-                    base + hi * sizeof(wide_key_t));
-        break;
-      case TupleFormat::kNarrow: {
-        touch_pages(base + lo * sizeof(narrow_key_t),
-                    base + hi * sizeof(narrow_key_t));
-        std::byte* vals = base + key_span(total);
-        touch_pages(vals + lo * sizeof(value_t), vals + hi * sizeof(value_t));
-        break;
-      }
+    touch_pages(base + lo * kb, base + hi * kb);
+    if (has_values(format)) {
+      touch_pages(vals + lo * sizeof(value_t), vals + hi * sizeof(value_t));
     }
   };
 

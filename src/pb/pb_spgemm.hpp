@@ -6,7 +6,7 @@
 //   symbolic  — flop count + bin layout + per-bin regions       (Alg. 3)
 //   expand    — k outer products (S::mul), tuples routed through
 //               local bins into L2-sized global bins             (Fig. 5)
-//   sort      — per-bin in-place byte-skipping radix sort        (Sec. III-D)
+//   sort      — per-bin byte-skipping LSD radix sort             (Sec. III-D)
 //   compress  — per-bin two-pointer duplicate merge (S::add)     (Sec. III-E)
 //   convert   — bins → canonical CSR                             (line 22)
 //
@@ -82,13 +82,6 @@ struct MemoryBudget {
   }
 };
 
-/// The narrow tuple stream: parallel key/value arrays carved from one
-/// workspace allocation (SoA counterpart of `Tuple*`; see pb/tuple.hpp).
-struct NarrowStream {
-  narrow_key_t* keys = nullptr;
-  value_t* vals = nullptr;
-};
-
 /// Pooling allocator for the pipeline's scratch memory: the expanded
 /// matrix Cˆ (flop tuples — the largest allocation of the algorithm, often
 /// several times the inputs) plus the per-thread radix-sort scratch of the
@@ -100,20 +93,22 @@ struct NarrowStream {
 /// iteration, and on kernels with slow page-fault paths (containers, some
 /// hypervisors) first-touch faults can run an order of magnitude below
 /// stream bandwidth and completely mask the algorithm.  The pools hold
-/// raw bytes and carve them per request, so one workspace serves every
-/// semiring instantiation and all tuple formats — a 12 B/tuple narrow
-/// stream fits inside the capacity a 16 B/tuple wide run of the same flop
-/// left behind, and the 8 B/tuple key-only stream fits inside either, so
-/// plans alternating formats reallocate nothing.
-/// Crucially each lease reserves only what its format needs: a key-only
-/// acquire following a wide one asks for n·8 bytes, not n·16 — the pool
-/// must never charge value bytes to a format that has no value array.
+/// raw bytes and carve them per request into a format's StreamSpan
+/// (pb/tuple.hpp): the key array, padded to a cache line, then the value
+/// array, so the values start on a line.  One workspace therefore serves
+/// every semiring instantiation and all tuple formats — a 12 B/tuple
+/// narrow stream fits inside the capacity a 16 B/tuple wide run of the
+/// same flop left behind, and the 8 B/tuple key-only stream fits inside
+/// either, so plans alternating formats reallocate nothing.  Crucially
+/// each lease reserves only what its format needs: a key-only acquire
+/// following a wide one asks for n·8 bytes, not n·16 — the pool never
+/// charges value bytes to a format that has no value array.
 ///
 /// Reuse statistics distinguish calls served from pooled capacity from
 /// calls that had to (re)allocate — the plan/execute layer exposes them so
 /// tests and benches can assert that steady-state executions allocate
-/// nothing.  One acquire (wide or narrow) is one pipeline execution's
-/// tuple-buffer request.  Not thread-safe across concurrent pipelines; the
+/// nothing.  One acquire is one pipeline execution's tuple-buffer
+/// request.  Not thread-safe across concurrent pipelines; the
 /// per-thread scratch slots are safe to fill from inside one pipeline's
 /// parallel region (each slot belongs to one OpenMP thread).
 class PbWorkspace {
@@ -168,43 +163,21 @@ class PbWorkspace {
   /// this workspace.
   void set_budget(MemoryBudget* budget) { budget_ = budget; }
 
-  /// Wide-format buffer for at least n tuples; contents undefined.  Grows
-  /// geometrically, never shrinks.
-  Tuple* acquire(std::size_t n) {
+  /// Format-F stream of at least n tuples (stream_bytes(F, n) bytes);
+  /// contents undefined.  Grows geometrically, never shrinks.
+  template <TupleFormat F>
+  StreamSpan<F> acquire(std::size_t n) {
     note_request(n);
     const std::uint64_t before = stats_.allocations;
-    Tuple* t = reinterpret_cast<Tuple*>(
-        ensure(buf_, stats_.allocations, stats_.reuses, n * sizeof(Tuple)));
+    std::byte* base =
+        ensure(buf_, stats_.allocations, stats_.reuses, stream_bytes(F, n));
     fresh_ = stats_.allocations != before;
-    return t;
+    return carve<F>(base, n);
   }
 
-  /// Narrow-format key + value arrays for at least n tuples, carved from
-  /// the same pool as acquire(); contents undefined.  The value array
-  /// starts on a cache-line boundary.
-  NarrowStream acquire_narrow(std::size_t n) {
-    note_request(n);
-    const std::uint64_t before = stats_.allocations;
-    std::byte* base = ensure(buf_, stats_.allocations, stats_.reuses,
-                             narrow_bytes(n));
-    fresh_ = stats_.allocations != before;
-    return carve_narrow(base, n);
-  }
-
-  /// Key-only buffer for at least n tuples (n·8 bytes — the format has no
-  /// value array, so nothing else is reserved); contents undefined.
-  wide_key_t* acquire_keys(std::size_t n) {
-    note_request(n);
-    const std::uint64_t before = stats_.allocations;
-    auto* k = reinterpret_cast<wide_key_t*>(ensure(
-        buf_, stats_.allocations, stats_.reuses, n * sizeof(wide_key_t)));
-    fresh_ = stats_.allocations != before;
-    return k;
-  }
-
-  /// True when the most recent acquire()/acquire_narrow() had to
-  /// (re)allocate the tuple pool — its pages are unmapped and their NUMA
-  /// placement is still up for grabs (first-touch pending).
+  /// True when the most recent acquire() had to (re)allocate the tuple
+  /// pool — its pages are unmapped and their NUMA placement is still up for
+  /// grabs (first-touch pending).
   [[nodiscard]] bool last_acquire_allocated() const { return fresh_; }
 
   /// NUMA-aware first touch of the most recent acquire's per-bin regions:
@@ -217,7 +190,8 @@ class PbWorkspace {
   /// single-node hosts every bin is home to node 0 and this degenerates
   /// to a parallel pre-fault of the pool, which still beats serializing
   /// the faults into the first expand flush.  `bin_offsets` / `format`
-  /// must be the geometry the acquire was sized for.
+  /// must be the geometry the acquire was sized for: a bin's pages are its
+  /// key range and, for valued formats, its value range.
   void place_bins(std::span<const nnz_t> bin_offsets,
                   std::span<const int> bin_home, TupleFormat format);
 
@@ -229,27 +203,15 @@ class PbWorkspace {
     }
   }
 
-  /// Per-thread sort scratch of at least n tuples; contents undefined.
-  /// Each slot is owned by one thread, so slots carry their own counters
-  /// (aggregated in stats()) without synchronization.
-  Tuple* acquire_scratch(std::size_t slot, std::size_t n) {
+  /// Per-thread sort scratch: a format-F stream of at least n tuples,
+  /// laid out like acquire()'s; contents undefined.  Each slot is owned by
+  /// one thread, so slots carry their own counters (aggregated in stats())
+  /// without synchronization.
+  template <TupleFormat F>
+  StreamSpan<F> acquire_scratch(std::size_t slot, std::size_t n) {
     ScratchSlot& s = scratch_[slot];
-    return reinterpret_cast<Tuple*>(
-        ensure(s.buf, s.allocations, s.reuses, n * sizeof(Tuple)));
-  }
-
-  /// Narrow-format per-thread sort scratch (key + value arrays of n).
-  NarrowStream acquire_scratch_narrow(std::size_t slot, std::size_t n) {
-    ScratchSlot& s = scratch_[slot];
-    std::byte* base = ensure(s.buf, s.allocations, s.reuses, narrow_bytes(n));
-    return carve_narrow(base, n);
-  }
-
-  /// Key-only per-thread sort scratch of at least n keys (n·8 bytes).
-  wide_key_t* acquire_scratch_keys(std::size_t slot, std::size_t n) {
-    ScratchSlot& s = scratch_[slot];
-    return reinterpret_cast<wide_key_t*>(
-        ensure(s.buf, s.allocations, s.reuses, n * sizeof(wide_key_t)));
+    return carve<F>(ensure(s.buf, s.allocations, s.reuses, stream_bytes(F, n)),
+                    n);
   }
 
   /// Retained pool capacity in bytes.
@@ -282,19 +244,26 @@ class PbWorkspace {
     stats_.peak_request = std::max(stats_.peak_request, n);
   }
 
-  /// Keys, padded to a cache line, then values.
-  static std::size_t narrow_bytes(std::size_t n) {
-    return key_span(n) + n * sizeof(value_t);
+  /// Bytes of a format-F stream of n tuples: the key array, then — padded
+  /// to a cache line — the value array; key-only streams are the bare keys.
+  static std::size_t stream_bytes(TupleFormat f, std::size_t n) {
+    return has_values(f) ? key_span(f, n) + n * sizeof(value_t)
+                         : n * key_bytes(f);
   }
 
-  static std::size_t key_span(std::size_t n) {
-    return (n * sizeof(narrow_key_t) + kCacheLineBytes - 1) /
-           kCacheLineBytes * kCacheLineBytes;
+  static std::size_t key_span(TupleFormat f, std::size_t n) {
+    return (n * key_bytes(f) + kCacheLineBytes - 1) / kCacheLineBytes *
+           kCacheLineBytes;
   }
 
-  static NarrowStream carve_narrow(std::byte* base, std::size_t n) {
-    return {reinterpret_cast<narrow_key_t*>(base),
-            reinterpret_cast<value_t*>(base + key_span(n))};
+  template <TupleFormat F>
+  static StreamSpan<F> carve(std::byte* base, std::size_t n) {
+    StreamSpan<F> s;
+    s.keys = reinterpret_cast<typename StreamSpan<F>::Key*>(base);
+    if constexpr (StreamTraits<F>::kHasValues) {
+      s.vals = reinterpret_cast<value_t*>(base + key_span(F, n));
+    }
+    return s;
   }
 
   std::byte* ensure(AlignedBuffer<std::byte>& buf, std::uint64_t& allocations,

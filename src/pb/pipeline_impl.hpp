@@ -10,7 +10,7 @@
 // *last* expand flush into b lands, regardless of how much expanding
 // remains elsewhere.  This file exploits that, at every thread count:
 //
-//   - expand runs the team bodies of expand.hpp with a flush sink that
+//   - expand runs expand.hpp's team body with a flush sink that
 //     advances a per-bin done-counter; the flush that completes a bin's
 //     fill publishes the bin to the flushing thread's work-stealing deque
 //     (common/parallel.hpp),
@@ -22,6 +22,12 @@
 //     reading the survivors while they are cache-hot; only the prefix
 //     sum and the scatter (pass 2) remain as a short tail after the
 //     region.
+//
+// Every stage is written once against the tuple stream (pb/tuple.hpp):
+// pb_execute_pipeline switches on the plan's format once, at its entry,
+// and run_pipeline<F, S> instantiates expand.hpp's body, sort_compress.hpp's
+// BinOps, output.hpp's count and scatter and output_accum.hpp's builder for
+// that format.
 //
 // Memory-ordering contract (the reason this is TSan-clean by design):
 // a flushing thread's tuple stores are ordered before its done-counter
@@ -57,67 +63,6 @@
 namespace pbs::pb {
 
 namespace detail {
-
-// Policy dispatch for the team-callable expand bodies: the bin policy is a
-// template parameter so the inner loop's binid is a shift/mask.
-template <typename S, typename Sink>
-nnz_t expand_team_any(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
-                      const SymbolicResult& sym, const PbConfig& cfg,
-                      Tuple* out, std::atomic<nnz_t>* cursor, Sink& sink,
-                      const MaskSpec& emask) {
-  switch (sym.layout.policy) {
-    case BinPolicy::kRange:
-      return expand_team<BinPolicy::kRange, S>(a, b, sym, cfg, out, cursor,
-                                               sink, emask);
-    case BinPolicy::kModulo:
-      return expand_team<BinPolicy::kModulo, S>(a, b, sym, cfg, out, cursor,
-                                                sink, emask);
-    case BinPolicy::kAdaptive:
-      return expand_team<BinPolicy::kAdaptive, S>(a, b, sym, cfg, out, cursor,
-                                                  sink, emask);
-  }
-  return 0;
-}
-
-template <typename S, typename Sink>
-nnz_t expand_narrow_team_any(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
-                             const SymbolicResult& sym, const PbConfig& cfg,
-                             narrow_key_t* out_keys, value_t* out_vals,
-                             std::atomic<nnz_t>* cursor, Sink& sink,
-                             const MaskSpec& emask) {
-  switch (sym.layout.policy) {
-    case BinPolicy::kRange:
-      return expand_narrow_team<BinPolicy::kRange, S>(
-          a, b, sym, cfg, out_keys, out_vals, cursor, sink, emask);
-    case BinPolicy::kModulo:
-      return expand_narrow_team<BinPolicy::kModulo, S>(
-          a, b, sym, cfg, out_keys, out_vals, cursor, sink, emask);
-    case BinPolicy::kAdaptive:
-      return expand_narrow_team<BinPolicy::kAdaptive, S>(
-          a, b, sym, cfg, out_keys, out_vals, cursor, sink, emask);
-  }
-  return 0;
-}
-
-// Key-only expand needs no semiring: there is no value to multiply.
-template <typename Sink>
-nnz_t expand_keyonly_team_any(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
-                              const SymbolicResult& sym, const PbConfig& cfg,
-                              wide_key_t* out_keys, std::atomic<nnz_t>* cursor,
-                              Sink& sink, const MaskSpec& emask) {
-  switch (sym.layout.policy) {
-    case BinPolicy::kRange:
-      return expand_keyonly_team<BinPolicy::kRange>(a, b, sym, cfg, out_keys,
-                                                    cursor, sink, emask);
-    case BinPolicy::kModulo:
-      return expand_keyonly_team<BinPolicy::kModulo>(a, b, sym, cfg, out_keys,
-                                                     cursor, sink, emask);
-    case BinPolicy::kAdaptive:
-      return expand_keyonly_team<BinPolicy::kAdaptive>(
-          a, b, sym, cfg, out_keys, cursor, sink, emask);
-  }
-  return 0;
-}
 
 // Flush sink of pb_execute: counts flushed tuples per bin and
 // publishes a bin to this thread's deque the moment its fill completes.
@@ -171,11 +116,10 @@ struct PipelineThreadStats {
   int stolen = 0;
 };
 
-}  // namespace detail
-
-/// The body of pb_execute (fingerprint, mask shape and epilogue already
-/// checked by the caller).  One thread runs the same task list: it
-/// expands everything, publishing bins to its own deque, then drains it.
+/// The body of pb_execute for one tuple format (fingerprint, mask shape
+/// and epilogue already checked by the caller).  One thread runs the same
+/// task list: it expands everything, publishing bins to its own deque,
+/// then drains it.
 ///
 /// Robustness: an internal abort token (linked to the caller's `cancel`)
 /// is the region's single unwind signal.  Expand polls it per column, the
@@ -184,14 +128,12 @@ struct PipelineThreadStats {
 /// an OpenMP region boundary is undefined, and a cancelled expand leaves
 /// bins forever unpublished, so the steal loop must not wait on
 /// bins_remaining alone.
-template <typename S>
-PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
-                             const PbPlan& plan, PbWorkspace& workspace,
-                             const MaskSpec& mask,
-                             const CancelToken* cancel = nullptr,
-                             const PbEpilogue& epi = {}) {
+template <TupleFormat F, typename S>
+PbResult run_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
+                      const PbPlan& plan, PbWorkspace& workspace,
+                      const MaskSpec& mask, const CancelToken* cancel,
+                      const PbEpilogue& epi) {
   const SymbolicResult& sym = plan.sym;
-  const TupleFormat fmt = sym.format;
   const auto nbins = static_cast<std::size_t>(sym.layout.nbins);
   const int nthreads = max_threads();
 
@@ -224,21 +166,8 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
 
   // ---- shared state ----
   const auto buf_len = static_cast<std::size_t>(sym.bin_offsets.back());
-  Tuple* expanded = nullptr;
-  NarrowStream ns;
-  wide_key_t* keys_only = nullptr;
-  switch (fmt) {
-    case TupleFormat::kNarrow:
-      ns = workspace.acquire_narrow(buf_len);
-      break;
-    case TupleFormat::kKeyOnly:
-      keys_only = workspace.acquire_keys(buf_len);
-      break;
-    case TupleFormat::kWide:
-      expanded = workspace.acquire(buf_len);
-      break;
-  }
-  workspace.place_bins(sym.bin_offsets, sym.bin_home, sym.format);
+  const StreamSpan<F> stream = workspace.acquire<F>(buf_len);
+  workspace.place_bins(sym.bin_offsets, sym.bin_home, F);
   workspace.prepare_scratch(nthreads);
 
   std::vector<std::atomic<nnz_t>> cursor(nbins);
@@ -267,8 +196,7 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
     d = std::make_unique<WorkStealingDeque<int>>(std::max<std::size_t>(nbins, 1));
   }
 
-  std::vector<detail::PipelineThreadStats> tstats(
-      static_cast<std::size_t>(nthreads));
+  std::vector<PipelineThreadStats> tstats(static_cast<std::size_t>(nthreads));
 
   // Single unwind signal for the whole region (see the function comment);
   // expand reads it through the run-local config below.
@@ -283,10 +211,8 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   // two bins), and only the prefix sum + scatter run after the join.
   mtx::CsrMatrix c(a.nrows, b.ncols);
 
-  const WideBinOps<S> wide_ops{expanded, &cmask, &epi.post_op};
-  const NarrowBinOps<S> narrow_ops{ns.keys, ns.vals, &cmask, &epi.post_op,
-                                   &sym.layout, sym.col_bits};
-  const KeyOnlyBinOps keyonly_ops{keys_only, &cmask};
+  const BinOps<F, S> ops{stream, &cmask, &epi.post_op, &sym.layout,
+                         sym.col_bits};
 
   Timer region_timer;
 
@@ -294,31 +220,17 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   {
     const int tid = omp_get_thread_num();
     const auto utid = static_cast<std::size_t>(tid);
-    detail::PipelineThreadStats& ts = tstats[utid];
+    PipelineThreadStats& ts = tstats[utid];
 
     // Per-thread sort scratch, acquired once (slot reuse across tasks).
     // Acquisition can throw (budget rejection, injected OOM); the thread
     // must still reach expand's worksharing construct, so failure is
     // captured here and the thread runs the region as a no-op.
     bool ok = true;
-    Tuple* wide_scratch = nullptr;
-    NarrowStream narrow_scratch;
-    wide_key_t* key_scratch = nullptr;
+    StreamSpan<F> scratch;
     try {
-      switch (fmt) {
-        case TupleFormat::kNarrow:
-          narrow_scratch = workspace.acquire_scratch_narrow(
-              utid, static_cast<std::size_t>(max_bin));
-          break;
-        case TupleFormat::kKeyOnly:
-          key_scratch = workspace.acquire_scratch_keys(
-              utid, static_cast<std::size_t>(max_bin));
-          break;
-        case TupleFormat::kWide:
-          wide_scratch = workspace.acquire_scratch(
-              utid, static_cast<std::size_t>(max_bin));
-          break;
-      }
+      scratch = workspace.acquire_scratch<F>(
+          utid, static_cast<std::size_t>(max_bin));
     } catch (...) {
       ok = false;
 #pragma omp critical(pbs_pipeline_error)
@@ -350,30 +262,11 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
       // A fully masked bin can complete on skip credits alone: nothing to
       // sort (the kernels assume non-empty bins), nothing to count.
       if (len != 0) {
-        switch (fmt) {
-          case TupleFormat::kNarrow:
-            narrow_ops.sort(off, len, narrow_scratch);
-            t1 = omp_get_wtime();
-            pre_mask = narrow_ops.compress(off, len);
-            kept_mask = narrow_ops.filter(bin, off, pre_mask);
-            kept = narrow_ops.post_apply(off, kept_mask);
-            break;
-          case TupleFormat::kKeyOnly:
-            keyonly_ops.sort(off, len, key_scratch);
-            t1 = omp_get_wtime();
-            pre_mask = keyonly_ops.compress(off, len);
-            kept_mask = keyonly_ops.filter(bin, off, pre_mask);
-            kept = kept_mask;  // value-free: no post-op lane
-            break;
-          case TupleFormat::kWide:
-            wide_ops.sort(off, len, wide_scratch,
-                          static_cast<std::size_t>(max_bin));
-            t1 = omp_get_wtime();
-            pre_mask = wide_ops.compress(off, len);
-            kept_mask = wide_ops.filter(bin, off, pre_mask);
-            kept = wide_ops.post_apply(off, kept_mask);
-            break;
-        }
+        ops.sort(off, len, scratch);
+        t1 = omp_get_wtime();
+        pre_mask = ops.compress(off, len);
+        kept_mask = ops.filter(bin, off, pre_mask);
+        kept = ops.post_apply(bin, off, kept_mask);
       }
       merged[ubin] = kept;
       ts.dropped += pre_mask - kept_mask;
@@ -384,18 +277,7 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
       // needs C_old's rows too, and the accumulate tail walks both streams
       // anyway (output_accum.hpp).
       if (!accumulating && kept != 0) {
-        switch (fmt) {
-          case TupleFormat::kNarrow:
-            pb_count_bin_narrow(ns.keys + off, kept, bin, sym.layout,
-                                sym.col_bits, c.rowptr.data());
-            break;
-          case TupleFormat::kKeyOnly:
-            pb_count_bin_keyonly(keys_only + off, kept, c.rowptr.data());
-            break;
-          case TupleFormat::kWide:
-            pb_count_bin(expanded + off, kept, c.rowptr.data());
-            break;
-        }
+        pb_count_bin(ops.tuples(bin, off), kept, c.rowptr.data());
       }
       const double t3 = omp_get_wtime();
 
@@ -422,29 +304,15 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
       }
     };
 
-    detail::PipelineSink sink{done.data(), sym.bin_fill.data(),
-                              ready_ts.data(), completer.data(),
-                              deques[utid].get(), tid};
+    PipelineSink sink{done.data(), sym.bin_fill.data(), ready_ts.data(),
+                      completer.data(), deques[utid].get(), tid};
 
     // Expand this thread's share, interleaved (by the sink) with
     // publishing completed bins.  `omp for nowait` inside: threads fall
     // straight through to the worker loop.
     const double e0 = omp_get_wtime();
-    switch (fmt) {
-      case TupleFormat::kNarrow:
-        detail::expand_narrow_team_any<S>(a, b, sym, run_cfg, ns.keys,
-                                          ns.vals, cursor.data(), sink,
-                                          emask);
-        break;
-      case TupleFormat::kKeyOnly:
-        detail::expand_keyonly_team_any(a, b, sym, run_cfg, keys_only,
-                                        cursor.data(), sink, emask);
-        break;
-      case TupleFormat::kWide:
-        detail::expand_team_any<S>(a, b, sym, run_cfg, expanded,
-                                   cursor.data(), sink, emask);
-        break;
-    }
+    expand_team_any<F, S>(a, b, sym, run_cfg, stream, cursor.data(), sink,
+                          emask);
     ts.expand_busy = omp_get_wtime() - e0;
 
     // Worker loop: own deque first (LIFO — most recently flushed bin,
@@ -505,25 +373,9 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   FaultInjector::at(FaultPoint::kConvert);
   Timer tail_timer;
   if (accumulating) {
-    const mtx::CsrMatrix& c_old = *epi.accumulate;
-    switch (fmt) {
-      case TupleFormat::kNarrow:
-        result.c = pb_build_csr_accum_narrow<S>(
-            ns.keys, ns.vals, sym.bin_offsets, merged, c_old, sym.layout,
-            sym.col_bits, a.nrows, b.ncols, cancel);
-        break;
-      case TupleFormat::kKeyOnly:
-        result.c = pb_build_csr_accum_keyonly<S>(keys_only, sym.bin_offsets,
-                                                 merged, c_old, sym.layout,
-                                                 a.nrows, b.ncols, 1.0,
-                                                 cancel);
-        break;
-      case TupleFormat::kWide:
-        result.c =
-            pb_build_csr_accum<S>(expanded, sym.bin_offsets, merged, c_old,
-                                  sym.layout, a.nrows, b.ncols, cancel);
-        break;
-    }
+    result.c = build_csr_accum<S>(stream, sym.col_bits, sym.bin_offsets,
+                                  merged, *epi.accumulate, sym.layout,
+                                  a.nrows, b.ncols, cancel);
   } else {
     const nnz_t total =
         counts_to_rowptr(c.rowptr.data(), static_cast<std::size_t>(a.nrows));
@@ -535,24 +387,8 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
       // partial CSR is discarded) and raise after the join.
       if (stop_requested(cancel)) continue;
       const auto ubin = static_cast<std::size_t>(bin);
-      const nnz_t off = sym.bin_offsets[ubin];
-      switch (fmt) {
-        case TupleFormat::kNarrow:
-          pb_scatter_bin_narrow(ns.keys + off, ns.vals + off, merged[ubin],
-                                bin, sym.layout, sym.col_bits,
-                                c.rowptr.data(), c.colids.data(),
-                                c.vals.data());
-          break;
-        case TupleFormat::kKeyOnly:
-          pb_scatter_bin_keyonly(keys_only + off, merged[ubin],
-                                 c.rowptr.data(), c.colids.data(),
-                                 c.vals.data(), 1.0);
-          break;
-        case TupleFormat::kWide:
-          pb_scatter_bin(expanded + off, merged[ubin], c.rowptr.data(),
-                         c.colids.data(), c.vals.data());
-          break;
-      }
+      pb_scatter_bin(ops.tuples(bin, sym.bin_offsets[ubin]), merged[ubin],
+                     c.rowptr.data(), c.colids.data(), c.vals.data());
     }
     result.c = std::move(c);
   }
@@ -611,6 +447,30 @@ PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   }
 
   return result;
+}
+
+}  // namespace detail
+
+/// The body of pb_execute (plan_impl.hpp): the one switch on the tuple
+/// format, into the pipeline instantiated for it.
+template <typename S>
+PbResult pb_execute_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
+                             const PbPlan& plan, PbWorkspace& workspace,
+                             const MaskSpec& mask,
+                             const CancelToken* cancel = nullptr,
+                             const PbEpilogue& epi = {}) {
+  switch (plan.sym.format) {
+    case TupleFormat::kWide:
+      return detail::run_pipeline<TupleFormat::kWide, S>(
+          a, b, plan, workspace, mask, cancel, epi);
+    case TupleFormat::kNarrow:
+      return detail::run_pipeline<TupleFormat::kNarrow, S>(
+          a, b, plan, workspace, mask, cancel, epi);
+    case TupleFormat::kKeyOnly:
+      return detail::run_pipeline<TupleFormat::kKeyOnly, S>(
+          a, b, plan, workspace, mask, cancel, epi);
+  }
+  throw std::logic_error("pb_execute: unknown tuple format");
 }
 
 }  // namespace pbs::pb

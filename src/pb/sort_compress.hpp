@@ -9,7 +9,8 @@
 // bin's sort → compress → mask filter → post-op as one task the moment the
 // bin's last expand flush lands.
 //
-// The duplicate merge combines equal-key tuples with S::add.  Tuples whose
+// One BinOps template runs these stages for every tuple format.  The
+// duplicate merge combines equal-key tuples with S::add.  Tuples whose
 // values combine to S::zero() are kept — structural presence under exact
 // cancellation matches spgemm_semiring and the numeric convention, so the
 // output pattern is semiring-independent.
@@ -33,7 +34,6 @@
 #include "common/radix_sort.hpp"
 #include "pb/binning.hpp"
 #include "pb/pb_config.hpp"
-#include "pb/pb_spgemm.hpp"
 #include "pb/tuple.hpp"
 
 namespace pbs::pb {
@@ -133,192 +133,95 @@ nnz_t post_op_bin(nnz_t kept, const PostOp& op, RowOf row_of, GetVal get_val,
 
 }  // namespace detail
 
-/// Per-bin wide-format operations — the unit of work of a bin task
+/// Per-bin operations on one tuple stream — the unit of work of a bin task
 /// (pipeline_impl.hpp).  Holds only pointers: cheap to copy into each
-/// thread.
-template <typename S>
-struct WideBinOps {
-  Tuple* tuples = nullptr;
-  const MaskSpec* mask = nullptr;
-  const PostOp* post = nullptr;
+/// thread.  One template serves every format (pb/tuple.hpp); the key-only
+/// stream has no value array, so its sort scatters keys alone, its
+/// compress is a pure duplicate drop with no S::add, and it has no post-op
+/// (plan_impl.hpp rejects post-ops on value-free streams).  The structural
+/// exact-cancellation convention holds trivially there: compress keeps
+/// every distinct key regardless of what the values would have combined
+/// to, exactly as the valued formats keep tuples whose values combine to
+/// S::zero().
+template <TupleFormat F, typename S>
+struct BinOps {
+  using Key = typename StreamTraits<F>::Key;
+  static constexpr bool kHasValues = StreamTraits<F>::kHasValues;
 
-  // The wide sort runs as SoA under the hood: the AoS bin is deinterleaved
-  // into a u64 key + f64 value pair carved from the scratch, sorted with
-  // radix_sort_lsd_kv (histogram and bit-scan passes read the 8 B keys
-  // instead of streaming 16 B records) ping-ponging against the bin's own
-  // storage, then reinterleaved back.  A scratch sized for max_bin tuples
-  // (16 B each) is exactly one key array + one value array of max_bin, so
-  // bin + scratch keep the same L2 footprint as the AoS sort they replace.
-  void sort(nnz_t off, std::size_t len, Tuple* scratch,
-            std::size_t max_bin) const {
-    if (len < 2) return;
-    auto* sbase = reinterpret_cast<std::byte*>(scratch);
-    auto* ks = reinterpret_cast<std::uint64_t*>(sbase);
-    auto* vs =
-        reinterpret_cast<value_t*>(sbase + max_bin * sizeof(std::uint64_t));
-    Tuple* t = tuples + off;
-    for (std::size_t i = 0; i < len; ++i) {
-      ks[i] = t[i].key;
-      vs[i] = t[i].val;
-    }
-    // Ping-pong scratch carved from the bin's own storage (16 B/tuple
-    // = one u64 + one f64); the sort's result always lands back in
-    // (ks, vs), from where the bin is reinterleaved.
-    auto* bbase = reinterpret_cast<std::byte*>(t);
-    auto* kb = reinterpret_cast<std::uint64_t*>(bbase);
-    auto* vb = reinterpret_cast<value_t*>(bbase + len * sizeof(std::uint64_t));
-    radix_sort_lsd_kv(ks, vs, len, kb, vb);
-    for (std::size_t i = 0; i < len; ++i) {
-      t[i].key = ks[i];
-      t[i].val = vs[i];
-    }
-  }
-
-  // Two-pointer in-place merge (paper Sec. III-E): p1 scans, p2 marks
-  // the last surviving tuple.  Duplicates combine with the semiring
-  // add; survivors stay even when the combined value is S::zero().
-  nnz_t compress(nnz_t off, std::size_t len) const {
-    Tuple* t = tuples + off;
-    std::size_t p2 = 0;
-    for (std::size_t p1 = 1; p1 < len; ++p1) {
-      if (t[p1].key == t[p2].key) {
-        t[p2].val = S::add(t[p2].val, t[p1].val);
-      } else {
-        t[++p2] = t[p1];
-      }
-    }
-    return static_cast<nnz_t>(p2 + 1);
-  }
-
-  // Fused mask: wide keys carry global (row, col) directly.
-  nnz_t filter(int /*bin*/, nnz_t off, nnz_t merged) const {
-    if (!mask->active()) return merged;
-    Tuple* t = tuples + off;
-    return detail::mask_filter_bin(
-        merged, *mask->csr, mask->complement,
-        [&](nnz_t i) { return key_row(t[i].key); },
-        [&](nnz_t i) { return key_col(t[i].key); },
-        [&](nnz_t src, nnz_t dst) { t[dst] = t[src]; });
-  }
-
-  // Fused elementwise post-op, applied after the mask filter.
-  nnz_t post_apply(nnz_t off, nnz_t kept) const {
-    if (post == nullptr || !post->active()) return kept;
-    Tuple* t = tuples + off;
-    return detail::post_op_bin(
-        kept, *post, [&](nnz_t i) { return key_row(t[i].key); },
-        [&](nnz_t i) { return t[i].val; },
-        [&](nnz_t i, value_t v) { t[i].val = v; },
-        [&](nnz_t src, nnz_t dst) { t[dst] = t[src]; });
-  }
-};
-
-/// Key-only counterpart of WideBinOps; same contract.  There is no value
-/// array and therefore no semiring anywhere in this struct: the sort is a
-/// bare keys-only LSD radix sort (no payload lane in the scatter passes),
-/// and compress degenerates to a pure duplicate drop — `S::add` is gone
-/// because a value-free semiring's combine cannot change presence.  The
-/// structural exact-cancellation convention holds trivially: compress
-/// keeps every distinct key regardless of what the values would have
-/// combined to, which is exactly what the valued formats do (they keep
-/// tuples whose values combine to S::zero()), so the output pattern is
-/// bit-identical to a wide run of the same value-free semiring.
-struct KeyOnlyBinOps {
-  wide_key_t* keys = nullptr;
-  const MaskSpec* mask = nullptr;
-
-  void sort(nnz_t off, std::size_t len, wide_key_t* scratch) const {
-    radix_sort_lsd_keys(keys + off, len, scratch);
-  }
-
-  nnz_t compress(nnz_t off, std::size_t len) const {
-    wide_key_t* k = keys + off;
-    std::size_t p2 = 0;
-    for (std::size_t p1 = 1; p1 < len; ++p1) {
-      if (k[p1] != k[p2]) k[++p2] = k[p1];
-    }
-    return static_cast<nnz_t>(p2 + 1);
-  }
-
-  // Fused mask: key-only keys are the wide global (row, col) codec.
-  nnz_t filter(int /*bin*/, nnz_t off, nnz_t merged) const {
-    if (!mask->active()) return merged;
-    wide_key_t* k = keys + off;
-    return detail::mask_filter_bin(
-        merged, *mask->csr, mask->complement,
-        [&](nnz_t i) { return key_row(k[i]); },
-        [&](nnz_t i) { return key_col(k[i]); },
-        [&](nnz_t src, nnz_t dst) { k[dst] = k[src]; });
-  }
-};
-
-/// Narrow-format counterpart of WideBinOps; same contract.
-template <typename S>
-struct NarrowBinOps {
-  narrow_key_t* keys = nullptr;
-  value_t* vals = nullptr;
+  StreamSpan<F> stream;
   const MaskSpec* mask = nullptr;
   const PostOp* post = nullptr;
   const BinLayout* layout = nullptr;
   int col_bits = 0;
 
-  void sort(nnz_t off, std::size_t len, const NarrowStream& scratch) const {
-    radix_sort_lsd_kv(keys + off, vals + off, len, scratch.keys,
-                      scratch.vals);
+  /// Bin `bin`, whose region starts at `off`, with its keys decoded.
+  [[nodiscard]] BinTuples<F> tuples(int bin, nnz_t off) const {
+    return {stream, off, *layout, bin, col_bits};
   }
 
-  // Same merge as the wide path in SoA form: the scan runs over the key
-  // array alone and each surviving tuple's value is compacted exactly once.
+  /// Stable LSD radix sort by key (common/radix_sort.hpp): the histogram
+  /// and bit-scan passes read only the key array, and the value array
+  /// rides along as SoA payload.  `scratch` holds at least `len` tuples.
+  void sort(nnz_t off, std::size_t len, const StreamSpan<F>& scratch) const {
+    if constexpr (kHasValues) {
+      radix_sort_lsd_kv(stream.keys + off, stream.vals + off, len,
+                        scratch.keys, scratch.vals);
+    } else {
+      radix_sort_lsd_keys(stream.keys + off, len, scratch.keys);
+    }
+  }
+
+  // Two-pointer in-place merge (paper Sec. III-E): p1 scans the key array,
+  // p2 marks the last surviving tuple, and each survivor's value is
+  // compacted exactly once.  Duplicates combine with the semiring add;
+  // survivors stay even when the combined value is S::zero().
   nnz_t compress(nnz_t off, std::size_t len) const {
-    narrow_key_t* k = keys + off;
-    value_t* v = vals + off;
+    Key* k = stream.keys + off;
     std::size_t p2 = 0;
-    for (std::size_t p1 = 1; p1 < len; ++p1) {
-      if (k[p1] == k[p2]) {
-        v[p2] = S::add(v[p2], v[p1]);
-      } else {
-        ++p2;
-        k[p2] = k[p1];
-        v[p2] = v[p1];
+    if constexpr (kHasValues) {
+      value_t* v = stream.vals + off;
+      for (std::size_t p1 = 1; p1 < len; ++p1) {
+        if (k[p1] == k[p2]) {
+          v[p2] = S::add(v[p2], v[p1]);
+        } else {
+          ++p2;
+          k[p2] = k[p1];
+          v[p2] = v[p1];
+        }
+      }
+    } else {
+      for (std::size_t p1 = 1; p1 < len; ++p1) {
+        if (k[p1] != k[p2]) k[++p2] = k[p1];
       }
     }
     return static_cast<nnz_t>(p2 + 1);
   }
 
-  // Fused mask: narrow keys decode to global coordinates through the
-  // stream's bin geometry.
+  // Fused mask: keys decode to global coordinates through the bin's row
+  // map.
   nnz_t filter(int bin, nnz_t off, nnz_t merged) const {
     if (!mask->active()) return merged;
-    narrow_key_t* k = keys + off;
-    value_t* v = vals + off;
+    const BinTuples<F> t = tuples(bin, off);
     return detail::mask_filter_bin(
         merged, *mask->csr, mask->complement,
-        [&](nnz_t i) {
-          return layout->global_row(bin,
-                                    narrow_key_local_row(k[i], col_bits));
-        },
-        [&](nnz_t i) { return narrow_key_col(k[i], col_bits); },
-        [&](nnz_t src, nnz_t dst) {
-          k[dst] = k[src];
-          v[dst] = v[src];
-        });
+        [&](nnz_t i) { return t.row(i); }, [&](nnz_t i) { return t.col(i); },
+        [&](nnz_t src, nnz_t dst) { t.move(src, dst); });
   }
 
-  // Fused elementwise post-op: row segmentation needs only the key's
-  // bin-local row bits, no layout decode.
-  nnz_t post_apply(nnz_t off, nnz_t kept) const {
-    if (post == nullptr || !post->active()) return kept;
-    narrow_key_t* k = keys + off;
-    value_t* v = vals + off;
-    return detail::post_op_bin(
-        kept, *post,
-        [&](nnz_t i) { return narrow_key_local_row(k[i], col_bits); },
-        [&](nnz_t i) { return v[i]; },
-        [&](nnz_t i, value_t nv) { v[i] = nv; },
-        [&](nnz_t src, nnz_t dst) {
-          k[dst] = k[src];
-          v[dst] = v[src];
-        });
+  // Fused elementwise post-op, applied after the mask filter: row
+  // segmentation needs only the key's bin-local row bits.
+  nnz_t post_apply(int bin, nnz_t off, nnz_t kept) const {
+    if constexpr (!kHasValues) {
+      return kept;
+    } else {
+      if (post == nullptr || !post->active()) return kept;
+      const BinTuples<F> t = tuples(bin, off);
+      return detail::post_op_bin(
+          kept, *post, [&](nnz_t i) { return t.local_row(i); },
+          [&](nnz_t i) { return t.vals[i]; },
+          [&](nnz_t i, value_t nv) { t.vals[i] = nv; },
+          [&](nnz_t src, nnz_t dst) { t.move(src, dst); });
+    }
   }
 };
 

@@ -187,10 +187,11 @@ std::vector<nnz_t> bin_histogram(const mtx::CscMatrix& a,
 
 namespace {
 
-// Format selection.  The narrow formats fit when every bin's varying key
-// bits pack into 32; key-only carries the full 64-bit global key, so it
-// fits any geometry but is only legal when the caller asserted the
-// semiring is value-free (cfg.value_free).  Requests are preferences:
+// Format selection.  The narrow format fits when every bin's varying key
+// bits pack into 32; wide and key-only keys are 64 bits, which hold any
+// local row beside any column, so they fit any geometry — key-only is
+// only legal when the caller asserted the semiring is value-free
+// (cfg.value_free).  Requests are preferences:
 // an illegal or unfitting request falls back (keyonly -> the kAuto
 // choice, narrow -> wide); the CLI enforces strictness for explicit
 // user requests before planning.
@@ -278,15 +279,10 @@ SymbolicResult pb_symbolic(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   counts.pop_back();  // drop the scan-scratch slot
   out.bin_fill = counts;
 
-  // Region layout: pad every bin to a cache-line-multiple boundary so full
-  // local-bin flushes are line aligned (see SymbolicResult): 4 wide tuples
-  // are one 64 B line; 16 narrow tuples are one 64 B key line (and two
-  // value lines); 8 key-only tuples are one 64 B
-  // line.  Key-only has no value lanes at all, so the byte pool sized
-  // from these offsets charges 8 B/tuple — zero-width values.
-  const nnz_t pad = out.format == TupleFormat::kNarrow
-                        ? 16
-                        : (out.format == TupleFormat::kKeyOnly ? 8 : 4);
+  // Region layout: pad every bin to whole lanes — one 64 B key line, and
+  // with it whole value lines (lane_tuples: 16 narrow, 8 wide/key-only) —
+  // so full local-bin flushes are line aligned (see SymbolicResult).
+  const nnz_t pad = lane_tuples(out.format);
   out.bin_offsets.assign(static_cast<std::size_t>(out.layout.nbins) + 1, 0);
   nnz_t cursor = 0;
   nnz_t total_fill = 0;

@@ -21,12 +21,13 @@ struct SymbolicResult {
   BinLayout layout;
 
   /// Region start of each bin in Cˆ; size layout.nbins + 1.  Regions are
-  /// padded to cache-line-friendly tuple multiples (4 tuples = 64 B wide,
-  /// 16 tuples = one key line + two value lines narrow) so that every full
-  /// local-bin flush lands cache-line aligned and the expand phase can use
-  /// non-temporal streaming stores (write full lines with no
-  /// read-for-ownership — the paper's "always write tuples in multiples of
-  /// cache lines").  bin_offsets.back() >= flop is the Cˆ buffer length.
+  /// padded to whole lanes of the format (lane_tuples, pb/tuple.hpp: one
+  /// 64 B key line, and with it whole value lines — 16 tuples narrow, 8
+  /// wide and key-only) so that every full local-bin flush lands
+  /// cache-line aligned and the expand phase can use non-temporal
+  /// streaming stores (write full lines with no read-for-ownership — the
+  /// paper's "always write tuples in multiples of cache lines").
+  /// bin_offsets.back() >= flop is the Cˆ buffer length.
   std::vector<nnz_t> bin_offsets;
 
   /// Actual tuple count of each bin; size layout.nbins.  Bin b's tuples
@@ -37,17 +38,17 @@ struct SymbolicResult {
   /// Home NUMA node of each bin (size layout.nbins): a contiguous,
   /// flop-balanced partition of the bins over the machine's nodes
   /// (common/numa.hpp).  The placement layer first-touches each bin's
-  /// tuple region from a thread on its home node, and the pipelined
-  /// schedule prefers stealing from same-node victims.  All zeros on
-  /// single-node hosts.
+  /// tuple region from a thread on its home node.  Work stealing does not
+  /// read it: pb_execute_pipeline tries victims in (tid + k) % nthreads
+  /// order, whatever their node.  All zeros on single-node hosts.
   std::vector<int> bin_home;
 
   /// Number of distinct nodes bin_home spans (>= 1).
   int numa_nodes = 1;
 
-  /// Stream format the plan selected (pb/tuple.hpp) and, for kNarrow, the
-  /// column bit width of the packed key.  pb_execute dispatches the
-  /// format-matched kernels from these.
+  /// Stream format the plan selected (pb/tuple.hpp) and the column bit
+  /// width of its keys, (local_row << col_bits) | col in every format.
+  /// pb_execute dispatches the format-matched pipeline from these.
   TupleFormat format = TupleFormat::kWide;
   int col_bits = 0;
 

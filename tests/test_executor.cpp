@@ -39,7 +39,7 @@ TEST(WorkspacePool, LeasesAreExclusiveAndReturnedWorkspacesAreReused) {
     const pb::WorkspacePool::Lease l1 = pool.acquire();
     const pb::WorkspacePool::Lease l2 = pool.acquire();
     EXPECT_NE(&l1.workspace(), &l2.workspace());  // concurrent = distinct
-    (void)l1.workspace().acquire(64);             // warm one member
+    (void)l1.workspace().acquire<pb::TupleFormat::kWide>(64);  // warm one
   }
   const pb::WorkspacePool::Lease l3 = pool.acquire();  // idle again: reuse
   const pb::WorkspacePool::Stats s = pool.stats();

@@ -1,8 +1,8 @@
-// The narrow-key SoA tuple format (pb/tuple.hpp): plan-level format
-// selection, bit-identity of the narrow and wide paths across semirings
-// and bin policies, and the format boundaries — col_bits at the 32-bit
-// fit edge, single-row bins, empty bins, the wide fallback, and exact
-// cancellation.
+// The tuple stream formats (pb/tuple.hpp): plan-level format selection,
+// bit-identity of the narrow, wide and key-only paths across semirings and
+// bin policies, the key codec, and the format boundaries — col_bits at the
+// 32-bit fit edge, single-row bins, empty bins, the wide fallback, and
+// exact cancellation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,7 +11,6 @@
 #include <tuple>
 #include <vector>
 
-#include "common/aligned_buffer.hpp"
 #include "common/parallel.hpp"
 #include "pb/binning.hpp"
 #include "pb/pb_spgemm.hpp"
@@ -227,6 +226,7 @@ TEST(PbFormat, LocalGlobalRowRoundTripsAcrossPolicies) {
 
 TEST(PbFormat, NarrowKeyCodecRoundTripsAndOrdersRowMajor) {
   for (const int col_bits : {0, 1, 9, 20, 30}) {
+    const KeyCodec<std::uint32_t> codec{col_bits};
     const index_t max_col = col_bits > 0 ? (index_t{1} << col_bits) - 1 : 0;
     // Whatever row space remains of the 32-bit key (index_t caps it at 31).
     const int row_bits = std::min(31, 32 - col_bits);
@@ -234,25 +234,24 @@ TEST(PbFormat, NarrowKeyCodecRoundTripsAndOrdersRowMajor) {
         (std::uint32_t{1} << row_bits) - 1u);
     for (const index_t local : {index_t{0}, max_local / 2, max_local}) {
       for (const index_t col : {index_t{0}, max_col / 2, max_col}) {
-        const narrow_key_t key = make_narrow_key(local, col, col_bits);
-        ASSERT_EQ(narrow_key_local_row(key, col_bits), local);
-        ASSERT_EQ(narrow_key_col(key, col_bits), col);
+        const std::uint32_t key = codec.pack(local, col);
+        ASSERT_EQ(codec.local_row(key), local);
+        ASSERT_EQ(codec.col(key), col);
       }
     }
     // Row-major: a larger local row beats any column.
     if (col_bits > 0 && max_local > 0) {
-      EXPECT_LT(make_narrow_key(0, max_col, col_bits),
-                make_narrow_key(1, 0, col_bits));
+      EXPECT_LT(codec.pack(0, max_col), codec.pack(1, 0));
     }
   }
 }
 
 TEST(PbFormat, WideKvSortBitIdenticalToReferenceAcrossPolicies) {
-  // The wide path's per-bin sort now runs radix_sort_lsd_kv over a
-  // deinterleaved u64/f64 SoA pair (8 B histogram reads instead of 16 B
-  // record streams).  Both sorts are stable, so on exact-integer inputs
-  // the forced-wide pipeline must stay bit-identical to the gold standard
-  // for every bin policy and semiring.
+  // The wide stream is SoA: its per-bin sort runs radix_sort_lsd_kv over
+  // the u64 key and f64 value arrays in place (8 B histogram reads).  The
+  // sort is stable, so on exact-integer inputs the forced-wide pipeline
+  // must stay bit-identical to the gold standard for every bin policy and
+  // semiring.
   const mtx::CsrMatrix m = testutil::exact_er(350, 350, 6.0, 61);
   const mtx::CscMatrix a = mtx::csr_to_csc(m);
   const SpGemmProblem p = SpGemmProblem::square(m);
@@ -275,38 +274,57 @@ TEST(PbFormat, WideKvSortBitIdenticalToReferenceAcrossPolicies) {
 }
 
 TEST(PbFormat, WideKvSortWithoutWorkspaceScratch) {
-  // The wide sort carves its u64 key + f64 value SoA pair out of whatever
-  // scratch the caller hands it — here a plain buffer of exactly max_bin
-  // tuples, no workspace — and ping-pongs against the bin's own storage.
-  // Bins shorter than max_bin must fit the same carve, and the sort is
-  // stable, so each bin must equal std::stable_sort by key.
-  std::mt19937_64 rng(62);
+  // A bin's sort ping-pongs against whatever scratch stream the caller
+  // hands it — here plain buffers of exactly max_bin tuples, no workspace.
+  // Bins shorter than max_bin use the same scratch, and the sort is
+  // stable, so each bin must equal std::stable_sort by key — in every
+  // format.
   const std::vector<std::size_t> lens{1, 2, 63, 500, 1000, 999};
   const std::size_t max_bin = *std::max_element(lens.begin(), lens.end());
-  std::vector<Tuple> t;
-  std::vector<nnz_t> offsets{0};
-  for (const std::size_t len : lens) {
-    for (std::size_t i = 0; i < len; ++i) {
-      t.push_back({make_key(static_cast<index_t>(rng() % 40),
-                            static_cast<index_t>(rng() % 70)),
-                   static_cast<value_t>(1 + rng() % 8)});
+  const auto check = [&]<TupleFormat F>() {
+    using Key = typename StreamSpan<F>::Key;
+    const KeyCodec<Key> codec{7};
+    std::mt19937_64 rng(62);
+    std::vector<Key> keys;
+    std::vector<value_t> vals;
+    std::vector<nnz_t> offsets{0};
+    for (const std::size_t len : lens) {
+      for (std::size_t i = 0; i < len; ++i) {
+        keys.push_back(codec.pack(static_cast<index_t>(rng() % 40),
+                                  static_cast<index_t>(rng() % 70)));
+        vals.push_back(static_cast<value_t>(1 + rng() % 8));
+      }
+      offsets.push_back(offsets.back() + static_cast<nnz_t>(len));
     }
-    offsets.push_back(offsets.back() + static_cast<nnz_t>(len));
-  }
-  std::vector<Tuple> expected = t;
-  AlignedBuffer<Tuple> scratch(max_bin);
-  const WideBinOps<PlusTimes> ops{t.data(), nullptr, nullptr};
-  for (std::size_t bin = 0; bin < lens.size(); ++bin) {
-    ops.sort(offsets[bin], lens[bin], scratch.data(), max_bin);
-    std::stable_sort(expected.begin() + static_cast<std::ptrdiff_t>(offsets[bin]),
-                     expected.begin() +
-                         static_cast<std::ptrdiff_t>(offsets[bin + 1]),
-                     [](const Tuple& x, const Tuple& y) { return x.key < y.key; });
-  }
-  for (std::size_t i = 0; i < t.size(); ++i) {
-    ASSERT_EQ(t[i].key, expected[i].key) << i;
-    ASSERT_EQ(t[i].val, expected[i].val) << i;
-  }
+    std::vector<std::pair<Key, value_t>> expected;
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      expected.emplace_back(keys[i], has_values(F) ? vals[i] : 0.0);
+    }
+    std::vector<Key> kscratch(max_bin);
+    std::vector<value_t> vscratch(max_bin);
+    const bool valued = has_values(F);
+    const BinOps<F, PlusTimes> ops{
+        StreamSpan<F>{keys.data(), valued ? vals.data() : nullptr}, nullptr,
+        nullptr, nullptr, codec.col_bits};
+    const StreamSpan<F> scratch{kscratch.data(),
+                                 valued ? vscratch.data() : nullptr};
+    for (std::size_t bin = 0; bin < lens.size(); ++bin) {
+      ops.sort(offsets[bin], lens[bin], scratch);
+      std::stable_sort(
+          expected.begin() + static_cast<std::ptrdiff_t>(offsets[bin]),
+          expected.begin() + static_cast<std::ptrdiff_t>(offsets[bin + 1]),
+          [](const auto& x, const auto& y) { return x.first < y.first; });
+    }
+    for (std::size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_EQ(keys[i], expected[i].first) << to_string(F) << " " << i;
+      if (valued) {
+        ASSERT_EQ(vals[i], expected[i].second) << to_string(F) << " " << i;
+      }
+    }
+  };
+  check.operator()<TupleFormat::kWide>();
+  check.operator()<TupleFormat::kNarrow>();
+  check.operator()<TupleFormat::kKeyOnly>();
 }
 
 TEST(PbFormat, PredictionMatchesSymbolicForRangePolicy) {
@@ -391,8 +409,9 @@ TEST(PbFormatKeyOnly, AutoSelectsKeyOnlyAndChargesEightBytes) {
 
 TEST(PbFormatKeyOnly, EngagesWhereNarrowCannotFit) {
   // 2^30 columns and 8 rows in one bin: 3 + 30 = 33 bits, past the narrow
-  // fit — but the key-only stream carries the full 64-bit global key, so
-  // value-free workloads still get the 8 B format at any geometry.
+  // fit — but a key-only key is 64 bits, which holds any local row beside
+  // any column, so value-free workloads still get the 8 B format at any
+  // geometry.
   const index_t wide_cols = index_t{1} << 30;
   const mtx::CsrMatrix a_csr = testutil::from_triplets(
       8, 4, {{0, 0, 2.0}, {5, 1, 3.0}, {7, 3, 7.0}});

@@ -6,10 +6,12 @@
 #include <map>
 #include <random>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
-#include "common/aligned_buffer.hpp"
 #include "common/parallel.hpp"
+#include "pb/pb_spgemm.hpp"
 #include "spgemm/semiring_ops.hpp"
 #include "spgemm/spgemm.hpp"
 #include "test_util.hpp"
@@ -17,41 +19,86 @@
 namespace pbs::pb {
 namespace {
 
-// Each bin's sort + compress as a pb_execute bin task runs them: one
-// scratch sized for the largest bin serves every bin.  Returns the
-// surviving tuple count per bin.
-std::vector<nnz_t> sort_compress(std::vector<Tuple>& t,
-                                 const std::vector<nnz_t>& offsets,
-                                 const std::vector<nnz_t>& fill) {
-  const auto max_bin =
-      static_cast<std::size_t>(*std::max_element(fill.begin(), fill.end()));
-  AlignedBuffer<Tuple> scratch(max_bin);
-  const MaskSpec unmasked;
-  const WideBinOps<PlusTimes> ops{t.data(), &unmasked, nullptr};
-  std::vector<nnz_t> merged(fill.size(), 0);
-  for (std::size_t bin = 0; bin < fill.size(); ++bin) {
-    const auto len = static_cast<std::size_t>(fill[bin]);
-    ops.sort(offsets[bin], len, scratch.data(), max_bin);
-    merged[bin] = ops.compress(offsets[bin], len);
+using Entry = std::tuple<index_t, index_t, value_t>;  // (local row, col, value)
+using Bins = std::vector<std::vector<Entry>>;
+
+constexpr int kColBits = 7;  // every test column is below 128
+
+// Lays `bins` out as one format-F stream, keys packed by the one codec,
+// then runs each bin's sort + compress as a pb_execute bin task runs them:
+// one scratch sized for the largest bin serves every bin.  Returns each
+// bin's survivors, decoded (key-only survivors read kPresentValue).
+template <TupleFormat F>
+Bins sort_compress(const Bins& bins) {
+  using Key = typename StreamSpan<F>::Key;
+  const KeyCodec<Key> codec{kColBits};
+  std::size_t total = 0;
+  std::size_t max_bin = 0;
+  for (const auto& bin : bins) {
+    total += bin.size();
+    max_bin = std::max(max_bin, bin.size());
   }
-  return merged;
+  std::vector<Key> keys;
+  std::vector<value_t> vals;
+  for (const auto& bin : bins) {
+    for (const auto& [r, c, v] : bin) {
+      keys.push_back(codec.pack(r, c));
+      vals.push_back(v);
+    }
+  }
+  std::vector<Key> kscratch(max_bin);
+  std::vector<value_t> vscratch(max_bin);
+  const bool valued = has_values(F);
+  const StreamSpan<F> stream{keys.data(), valued ? vals.data() : nullptr};
+  const StreamSpan<F> scratch{kscratch.data(),
+                               valued ? vscratch.data() : nullptr};
+  const MaskSpec unmasked;
+  const BinOps<F, PlusTimes> ops{stream, &unmasked, nullptr, nullptr,
+                                 kColBits};
+  Bins out;
+  nnz_t off = 0;
+  for (const auto& bin : bins) {
+    ops.sort(off, bin.size(), scratch);
+    const nnz_t merged = ops.compress(off, bin.size());
+    auto& survivors = out.emplace_back();
+    for (nnz_t i = off; i < off + merged; ++i) {
+      const Key k = keys[static_cast<std::size_t>(i)];
+      survivors.emplace_back(codec.local_row(k), codec.col(k),
+                             valued ? vals[static_cast<std::size_t>(i)]
+                                    : kPresentValue);
+    }
+    off += static_cast<nnz_t>(bin.size());
+  }
+  return out;
+}
+
+// What a format-F stream keeps of `expected` (a valued stream's sums): a
+// key-only stream keeps the same keys, each reading kPresentValue.
+template <TupleFormat F>
+Bins as_stored(Bins expected) {
+  if (!has_values(F)) {
+    for (auto& bin : expected) {
+      for (auto& e : bin) std::get<2>(e) = kPresentValue;
+    }
+  }
+  return expected;
+}
+
+// Runs `fn.template operator()<F>()` once per tuple format.
+template <typename Fn>
+void for_each_format(Fn&& fn) {
+  fn.template operator()<TupleFormat::kWide>();
+  fn.template operator()<TupleFormat::kNarrow>();
+  fn.template operator()<TupleFormat::kKeyOnly>();
 }
 
 TEST(SortCompress, SingleBinKnownCase) {
-  std::vector<Tuple> t{{make_key(1, 2), 1.0},
-                       {make_key(0, 5), 2.0},
-                       {make_key(1, 2), 3.0},
-                       {make_key(0, 1), 4.0}};
-  const std::vector<nnz_t> offsets{0, 4};
-  const std::vector<nnz_t> fill{4};
-  const std::vector<nnz_t> merged = sort_compress(t, offsets, fill);
-  ASSERT_EQ(merged[0], 3);
-  EXPECT_EQ(t[0].key, make_key(0, 1));
-  EXPECT_EQ(t[0].val, 4.0);
-  EXPECT_EQ(t[1].key, make_key(0, 5));
-  EXPECT_EQ(t[1].val, 2.0);
-  EXPECT_EQ(t[2].key, make_key(1, 2));
-  EXPECT_EQ(t[2].val, 4.0);  // 1 + 3 merged
+  const Bins in{{{1, 2, 1.0}, {0, 5, 2.0}, {1, 2, 3.0}, {0, 1, 4.0}}};
+  for_each_format([&]<TupleFormat F>() {
+    EXPECT_EQ(sort_compress<F>(in),
+              as_stored<F>({{{0, 1, 4.0}, {0, 5, 2.0}, {1, 2, 4.0}}}))
+        << to_string(F);  // (1, 2): 1 + 3 merged
+  });
 }
 
 TEST(SortCompress, EmptyBinsHandled) {
@@ -77,55 +124,46 @@ TEST(SortCompress, EmptyBinsHandled) {
 }
 
 TEST(SortCompress, AllDuplicatesCollapseToOne) {
-  std::vector<Tuple> t(1000, Tuple{make_key(3, 7), 1.0});
-  const std::vector<nnz_t> offsets{0, 1000};
-  const std::vector<nnz_t> fill{1000};
-  const std::vector<nnz_t> merged = sort_compress(t, offsets, fill);
-  ASSERT_EQ(merged[0], 1);
-  EXPECT_EQ(t[0].val, 1000.0);
+  const Bins in{std::vector<Entry>(1000, Entry{3, 7, 1.0})};
+  for_each_format([&]<TupleFormat F>() {
+    EXPECT_EQ(sort_compress<F>(in), as_stored<F>({{{3, 7, 1000.0}}}))
+        << to_string(F);
+  });
 }
 
 TEST(SortCompress, NoDuplicatesKeepsAll) {
-  std::vector<Tuple> t;
-  for (index_t i = 99; i >= 0; --i) t.push_back({make_key(0, i), 1.0});
-  const std::vector<nnz_t> offsets{0, 100};
-  const std::vector<nnz_t> fill{100};
-  const std::vector<nnz_t> merged = sort_compress(t, offsets, fill);
-  EXPECT_EQ(merged[0], 100);
-  for (index_t i = 0; i < 100; ++i) EXPECT_EQ(key_col(t[i].key), i);
+  Bins in(1);
+  Bins expected(1);
+  for (index_t i = 99; i >= 0; --i) in[0].emplace_back(0, i, 1.0);
+  for (index_t i = 0; i < 100; ++i) expected[0].emplace_back(0, i, 1.0);
+  for_each_format([&]<TupleFormat F>() {
+    EXPECT_EQ(sort_compress<F>(in), as_stored<F>(expected)) << to_string(F);
+  });
 }
 
 TEST(SortCompress, RandomizedMatchesMapSemantics) {
   std::mt19937_64 rng(12);
   const int nbins = 4;
   const int per_bin = 5000;
-  std::vector<Tuple> t;
-  std::vector<nnz_t> offsets{0};
-  std::map<std::uint64_t, value_t> expected[nbins];
+  Bins in(nbins);
+  Bins expected(nbins);
   for (int bin = 0; bin < nbins; ++bin) {
+    std::map<std::pair<index_t, index_t>, value_t> sums;
     for (int i = 0; i < per_bin; ++i) {
-      // Rows partitioned by bin to respect the bin invariant.
-      const auto row = static_cast<index_t>(bin * 100 + rng() % 100);
+      const auto row = static_cast<index_t>(rng() % 100);
       const auto col = static_cast<index_t>(rng() % 50);
       const auto val = static_cast<value_t>(1 + rng() % 5);
-      t.push_back({make_key(row, col), val});
-      expected[bin][make_key(row, col)] += val;
+      in[static_cast<std::size_t>(bin)].emplace_back(row, col, val);
+      sums[{row, col}] += val;  // exact: small-integer values
     }
-    offsets.push_back(offsets.back() + per_bin);
-  }
-  const std::vector<nnz_t> fill(nbins, per_bin);
-
-  const std::vector<nnz_t> merged = sort_compress(t, offsets, fill);
-  for (int bin = 0; bin < nbins; ++bin) {
-    ASSERT_EQ(merged[static_cast<std::size_t>(bin)],
-              static_cast<nnz_t>(expected[bin].size()));
-    auto it = expected[bin].begin();
-    for (nnz_t i = 0; i < merged[static_cast<std::size_t>(bin)]; ++i, ++it) {
-      const Tuple& tp = t[static_cast<std::size_t>(offsets[bin] + i)];
-      ASSERT_EQ(tp.key, it->first);
-      ASSERT_EQ(tp.val, it->second);  // exact: small-integer values
+    for (const auto& [rc, v] : sums) {
+      expected[static_cast<std::size_t>(bin)].emplace_back(rc.first,
+                                                           rc.second, v);
     }
   }
+  for_each_format([&]<TupleFormat F>() {
+    EXPECT_EQ(sort_compress<F>(in), as_stored<F>(expected)) << to_string(F);
+  });
 }
 
 TEST(SortCompress, TimersAreNonNegative) {
@@ -140,18 +178,25 @@ TEST(SortCompress, TimersAreNonNegative) {
 }
 
 TEST(KeyCodec, RoundTrips) {
-  for (const index_t r : {0, 1, 1000, (1 << 20) - 1}) {
-    for (const index_t c : {0, 7, 65535, (1 << 20) - 1}) {
-      const std::uint64_t k = make_key(r, c);
-      EXPECT_EQ(key_row(k), r);
-      EXPECT_EQ(key_col(k), c);
+  // Wide and key-only keys: any local row (< 2^31) beside any column.
+  for (const int col_bits : {0, 1, 20, 31}) {
+    const KeyCodec<std::uint64_t> codec{col_bits};
+    const auto max_col =
+        static_cast<index_t>((std::uint64_t{1} << col_bits) - 1);
+    for (const index_t r : {0, 1, 1000, (1 << 20) - 1, 0x7FFFFFFF}) {
+      for (const index_t c : {index_t{0}, max_col / 2, max_col}) {
+        const std::uint64_t k = codec.pack(r, c);
+        EXPECT_EQ(codec.local_row(k), r);
+        EXPECT_EQ(codec.col(k), c);
+      }
     }
   }
 }
 
 TEST(KeyCodec, OrderIsRowMajor) {
-  EXPECT_LT(make_key(0, 1000000), make_key(1, 0));
-  EXPECT_LT(make_key(5, 2), make_key(5, 3));
+  const KeyCodec<std::uint64_t> codec{20};
+  EXPECT_LT(codec.pack(0, (1 << 20) - 1), codec.pack(1, 0));
+  EXPECT_LT(codec.pack(5, 2), codec.pack(5, 3));
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 
 #include "matrix/convert.hpp"
 #include "matrix/generate.hpp"
@@ -52,30 +53,40 @@ TEST(PbSymbolic, BinHomeIsAContiguousPartitionOverDetectedNodes) {
 TEST(PbSymbolic, BinFillsPartitionFlopAndRegionsAlign) {
   for (const BinPolicy policy :
        {BinPolicy::kRange, BinPolicy::kModulo, BinPolicy::kAdaptive}) {
-    const Operands ops = er_operands(700, 4.0, 2);
-    PbConfig cfg;
-    cfg.policy = policy;
-    cfg.nbins = 16;
-    const SymbolicResult sym = pb_symbolic(ops.a, ops.b, cfg);
-    ASSERT_EQ(sym.bin_offsets.size(),
-              static_cast<std::size_t>(sym.layout.nbins) + 1);
-    ASSERT_EQ(sym.bin_fill.size(), static_cast<std::size_t>(sym.layout.nbins));
-    EXPECT_EQ(sym.bin_offsets.front(), 0);
+    for (const FormatPolicy format :
+         {FormatPolicy::kWide, FormatPolicy::kNarrow,
+          FormatPolicy::kKeyOnly}) {
+      const Operands ops = er_operands(700, 4.0, 2);
+      PbConfig cfg;
+      cfg.policy = policy;
+      cfg.nbins = 16;
+      cfg.format = format;
+      cfg.value_free = format == FormatPolicy::kKeyOnly;
+      const SymbolicResult sym = pb_symbolic(ops.a, ops.b, cfg);
+      EXPECT_EQ(to_string(sym.format), std::string(to_string(format)));
+      ASSERT_EQ(sym.bin_offsets.size(),
+                static_cast<std::size_t>(sym.layout.nbins) + 1);
+      ASSERT_EQ(sym.bin_fill.size(),
+                static_cast<std::size_t>(sym.layout.nbins));
+      EXPECT_EQ(sym.bin_offsets.front(), 0);
 
-    // Region starts are 64-byte aligned on both streams: 4-tuple
-    // granularity wide (4 x 16 B), 16-tuple narrow (16 x 4 B keys).
-    const nnz_t pad = sym.format == TupleFormat::kNarrow ? 16 : 4;
-    nnz_t total_fill = 0;
-    for (int bin = 0; bin < sym.layout.nbins; ++bin) {
-      const nnz_t region = sym.bin_offsets[static_cast<std::size_t>(bin) + 1] -
-                           sym.bin_offsets[static_cast<std::size_t>(bin)];
-      EXPECT_EQ(sym.bin_offsets[static_cast<std::size_t>(bin)] % pad, 0);
-      EXPECT_GE(region, sym.bin_fill[static_cast<std::size_t>(bin)]);
-      EXPECT_LT(region - sym.bin_fill[static_cast<std::size_t>(bin)], pad);
-      total_fill += sym.bin_fill[static_cast<std::size_t>(bin)];
+      // Region starts are 64-byte aligned on every array: whole lanes of
+      // one key line each — 16 tuples narrow (16 x 4 B keys), 8 wide and
+      // key-only (8 x 8 B keys) — and so whole value lines too.
+      const nnz_t pad = lane_tuples(sym.format);
+      EXPECT_EQ(pad * static_cast<nnz_t>(key_bytes(sym.format)), 64);
+      nnz_t total_fill = 0;
+      for (int bin = 0; bin < sym.layout.nbins; ++bin) {
+        const auto ubin = static_cast<std::size_t>(bin);
+        const nnz_t region = sym.bin_offsets[ubin + 1] - sym.bin_offsets[ubin];
+        EXPECT_EQ(sym.bin_offsets[ubin] % pad, 0);
+        EXPECT_GE(region, sym.bin_fill[ubin]);
+        EXPECT_LT(region - sym.bin_fill[ubin], pad);
+        total_fill += sym.bin_fill[ubin];
+      }
+      EXPECT_EQ(total_fill, sym.flop);
+      EXPECT_GE(sym.bin_offsets.back(), sym.flop);
     }
-    EXPECT_EQ(total_fill, sym.flop);
-    EXPECT_GE(sym.bin_offsets.back(), sym.flop);
   }
 }
 

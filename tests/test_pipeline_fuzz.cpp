@@ -258,17 +258,22 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PipelineFuzz,
 
 // --- Pipeline against a row-wise kernel ----------------------------------
 //
-// pb_execute runs every bin as a task (sort → compress → filter → count,
-// then scatter) and reorders WHEN each bin runs relative to expand and WHO
-// runs it (work stealing), so its output must not depend on the team
-// size.  It must also be bit-identical — not approximately equal: same
-// rowptr, same colids, same vals — to a row-wise kernel (hash, or heap
-// where hash lacks the semiring) for every semiring, every tuple format
-// and every descriptor variant (plain, masked, complemented mask,
-// accumulate).  Values are small exact integers (exact_er), so even
-// floating semiring adds are exact and any divergence is a kernel or
-// scheduling bug, not roundoff.  Each seed runs at one OpenMP lane (the
-// serving configuration) and at full width.
+// pb_execute runs every bin as a task (sort → compress → filter → post-op
+// → count, then scatter) and reorders WHEN each bin runs relative to
+// expand and WHO runs it (work stealing), so its output must not depend on
+// the team size.  It must also be bit-identical — not approximately equal:
+// same rowptr, same colids, same vals — to a row-wise kernel (hash, or
+// heap where hash lacks the semiring) for every semiring, every tuple
+// format, every bin layout and every descriptor variant (plain, masked,
+// complemented mask, accumulate, and for valued semirings a fused
+// scale/prune/top-k post-op).  The layouts are the three bin policies at
+// 8 and 17 target bins — 17 leaves range's last bin partial and rounds
+// modulo up to 32 — and every run must really plan more than one bin, so
+// the per-bin row decode of every format is exercised across bins.
+// Values are small exact integers (exact_er), so even floating semiring
+// adds are exact and any divergence is a kernel or scheduling bug, not
+// roundoff.  Each seed runs at one OpenMP lane (the serving configuration)
+// and at full width.
 class ScheduleFuzz : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ScheduleFuzz, PipelineBitIdenticalToRowwiseAcrossDescriptors) {
@@ -285,17 +290,30 @@ TEST_P(ScheduleFuzz, PipelineBitIdenticalToRowwiseAcrossDescriptors) {
   const pb::FormatPolicy formats[] = {pb::FormatPolicy::kWide,
                                       pb::FormatPolicy::kNarrow,
                                       pb::FormatPolicy::kKeyOnly};
-  enum Variant { kPlain, kMasked, kComplement, kAccumulate, kVariants };
-  const auto run = [&](const SpGemmOp& base, int variant) {
+  const pb::BinPolicy policies[] = {pb::BinPolicy::kRange,
+                                    pb::BinPolicy::kModulo,
+                                    pb::BinPolicy::kAdaptive};
+  enum Variant {
+    kPlain, kMasked, kComplement, kAccumulate, kPostOp, kVariants
+  };
+  PostOp post;
+  post.scale = 0.5;
+  post.prune_threshold = 2.0;
+  post.top_k = 3;
+  // Runs one descriptor variant; reports the PB bin count it ran with.
+  const auto run = [&](const SpGemmOp& base, int variant, int* nbins) {
     SpGemmOp op = base;
     if (variant == kMasked || variant == kComplement) {
       op.mask = &mask;
       op.complement = variant == kComplement;
     }
     op.accumulate = variant == kAccumulate;
+    if (variant == kPostOp) op.post_op = post;
     SpGemmPlan plan = make_plan(problem, op);
-    return variant == kAccumulate ? plan.execute(problem, acc)
-                                  : plan.execute(problem);
+    mtx::CsrMatrix c = variant == kAccumulate ? plan.execute(problem, acc)
+                                              : plan.execute(problem);
+    if (nbins != nullptr) *nbins = plan.last_pb_stats().nbins;
+    return c;
   };
   for (const int threads : {1, max_threads()}) {
     const ThreadCountGuard lanes(threads);
@@ -305,19 +323,33 @@ TEST_P(ScheduleFuzz, PipelineBitIdenticalToRowwiseAcrossDescriptors) {
           algorithm("hash").supports_semiring(semiring) ? "hash" : "heap";
       rowwise.semiring = semiring;
       for (int variant = 0; variant < kVariants; ++variant) {
-        const mtx::CsrMatrix want = run(rowwise, variant);
+        // Post-ops need values: value-free semirings reject them.
+        if (variant == kPostOp && semiring_value_free(semiring)) continue;
+        const mtx::CsrMatrix want = run(rowwise, variant, nullptr);
         for (const pb::FormatPolicy fmt : formats) {
-          SpGemmOp op;
-          op.algo = "pb";
-          op.semiring = semiring;
-          op.pb.format = fmt;
-          op.pb.validate = true;  // arm the pipeline's invariant checks
-          const mtx::CsrMatrix got = run(op, variant);
-          ASSERT_TRUE(got.valid());
-          ASSERT_TRUE(mtx::equal_exact(want, got))
-              << "pb diverged from " << rowwise.algo << ": semiring "
-              << semiring << ", format " << pb::to_string(fmt)
-              << ", variant " << variant << ", " << threads << " thread(s)";
+          for (const pb::BinPolicy policy : policies) {
+            for (const int nbins : {8, 17}) {
+              SpGemmOp op;
+              op.algo = "pb";
+              op.semiring = semiring;
+              op.pb.format = fmt;
+              op.pb.policy = policy;
+              op.pb.nbins = nbins;
+              op.pb.validate = true;  // arm the pipeline's invariant checks
+              int planned = 0;
+              const mtx::CsrMatrix got = run(op, variant, &planned);
+              ASSERT_TRUE(got.valid());
+              const std::string where =
+                  "semiring " + semiring + ", format " + pb::to_string(fmt) +
+                  ", policy " + pb::to_string(policy) + ", nbins " +
+                  std::to_string(nbins) + ", variant " +
+                  std::to_string(variant) + ", " + std::to_string(threads) +
+                  " thread(s)";
+              ASSERT_GT(planned, 1) << where;
+              ASSERT_TRUE(mtx::equal_exact(want, got))
+                  << "pb diverged from " << rowwise.algo << ": " << where;
+            }
+          }
         }
       }
     }

@@ -132,71 +132,89 @@ INSTANTIATE_TEST_SUITE_P(
                       SortParams{50000, 0xFFFF00000000ull}, // mid bytes only
                       SortParams{65536, 0xFFull}));         // 256 buckets
 
-void expect_lsd_matches_std(std::vector<Rec> input) {
-  std::vector<Rec> scratch(input.size());
-  std::vector<std::uint64_t> expected(input.size());
-  for (std::size_t i = 0; i < input.size(); ++i) expected[i] = input[i].key;
+// ---- LSD sorts -------------------------------------------------------------
+// The keys-only LSD sort (the key-only stream's per-bin sort) against
+// std::sort, over the cases RadixSortKv runs through the key + value sort.
+
+template <typename Key>
+void expect_keys_match_std(std::vector<Key> keys) {
+  std::vector<Key> expected = keys;
   std::sort(expected.begin(), expected.end());
-  radix_sort_lsd(input.data(), input.size(), scratch.data(),
-                 [](const Rec& r) { return r.key; });
-  for (std::size_t i = 0; i < input.size(); ++i)
-    ASSERT_EQ(input[i].key, expected[i]) << "at " << i;
+  std::vector<Key> scratch(keys.size());
+  radix_sort_lsd_keys(keys.data(), keys.size(), scratch.data());
+  ASSERT_EQ(keys, expected);
+}
+
+std::vector<std::uint64_t> random_keys64(std::size_t n, std::uint64_t mask,
+                                         unsigned seed) {
+  std::mt19937_64 rng(seed);
+  std::vector<std::uint64_t> v(n);
+  for (auto& k : v) k = rng() & mask;
+  return v;
 }
 
 TEST(RadixSortLsd, EmptySingleAndPair) {
-  expect_lsd_matches_std({});
-  expect_lsd_matches_std({{5, 0}});
-  expect_lsd_matches_std({{5, 0}, {2, 1}});
+  expect_keys_match_std<std::uint64_t>({});
+  expect_keys_match_std<std::uint64_t>({5});
+  expect_keys_match_std<std::uint64_t>({5, 2});
+  expect_keys_match_std<std::uint32_t>({2, 5});
 }
 
 TEST(RadixSortLsd, AllEqualKeys) {
-  expect_lsd_matches_std(std::vector<Rec>(257, Rec{9, 0}));
+  expect_keys_match_std(std::vector<std::uint64_t>(257, 9));
+  expect_keys_match_std(std::vector<std::uint32_t>(513, 9u));
 }
 
 TEST(RadixSortLsd, OddAndEvenPassCounts) {
-  // 1 varying byte (odd passes -> copy-back path) and 2 (even, in place).
-  expect_lsd_matches_std(random_records(5000, 0xFFull, 21));
-  expect_lsd_matches_std(random_records(5000, 0xFFFFull, 22));
-  expect_lsd_matches_std(random_records(5000, 0xFFFFFFull, 23));
+  // 1-3 varying bytes: both parities of the ping-pong (odd passes start
+  // in scratch, so the result still lands in the caller's array).
+  expect_keys_match_std(random_keys64(5000, 0xFFull, 21));
+  expect_keys_match_std(random_keys64(5000, 0xFFFFull, 22));
+  expect_keys_match_std(random_keys64(5000, 0xFFFFFFull, 23));
 }
 
 TEST(RadixSortLsd, NonContiguousVaryingBytes) {
   // Bytes 0 and 4 vary, bytes in between constant: skip logic must hold.
-  expect_lsd_matches_std(random_records(5000, 0x000000FF000000FFull, 24));
+  expect_keys_match_std(random_keys64(5000, 0x000000FF000000FFull, 24));
 }
 
 TEST(RadixSortLsd, FullWidthKeys) {
-  expect_lsd_matches_std(random_records(100000, ~0ull, 25));
+  expect_keys_match_std(random_keys64(100000, ~0ull, 25));
 }
 
 TEST(RadixSortLsd, IsStable) {
-  // Equal keys keep insertion order (LSD property).
-  std::vector<Rec> v;
-  for (int i = 0; i < 1000; ++i)
-    v.push_back({static_cast<std::uint64_t>(i % 7), static_cast<double>(i)});
-  std::vector<Rec> scratch(v.size());
-  radix_sort_lsd(v.data(), v.size(), scratch.data(),
-                 [](const Rec& r) { return r.key; });
-  for (std::size_t i = 1; i < v.size(); ++i) {
-    if (v[i - 1].key == v[i].key) {
-      ASSERT_LT(v[i - 1].payload, v[i].payload) << "stability broken at " << i;
+  // Equal u64 keys keep their payload order (LSD property; the wide
+  // stream's sort relies on it to keep duplicate sums in expand's order).
+  std::vector<std::uint64_t> keys;
+  std::vector<double> vals;
+  for (int i = 0; i < 1000; ++i) {
+    keys.push_back(static_cast<std::uint64_t>(i % 7) << 40);
+    vals.push_back(static_cast<double>(i));
+  }
+  std::vector<std::uint64_t> kscratch(keys.size());
+  std::vector<double> vscratch(keys.size());
+  radix_sort_lsd_kv(keys.data(), vals.data(), keys.size(), kscratch.data(),
+                    vscratch.data());
+  for (std::size_t i = 1; i < keys.size(); ++i) {
+    ASSERT_LE(keys[i - 1], keys[i]) << "at " << i;
+    if (keys[i - 1] == keys[i]) {
+      ASSERT_LT(vals[i - 1], vals[i]) << "stability broken at " << i;
     }
   }
 }
 
 TEST(RadixSortLsd, AgreesWithInPlaceVariant) {
   for (const std::uint64_t mask : {0xFFFFFull, ~0ull}) {
-    std::vector<Rec> a = random_records(20000, mask, 26);
-    std::vector<Rec> b = a;
-    std::vector<Rec> scratch(a.size());
-    radix_sort(a.data(), a.size(), [](const Rec& r) { return r.key; });
-    radix_sort_lsd(b.data(), b.size(), scratch.data(),
-                   [](const Rec& r) { return r.key; });
-    for (std::size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i].key, b[i].key);
+    std::vector<std::uint64_t> a = random_keys64(20000, mask, 26);
+    std::vector<std::uint64_t> b = a;
+    std::vector<std::uint64_t> scratch(a.size());
+    radix_sort(a.data(), a.size(), [](std::uint64_t k) { return k; });
+    radix_sort_lsd_keys(b.data(), b.size(), scratch.data());
+    ASSERT_EQ(a, b);
   }
 }
 
-// ---- SoA variants (narrow tuple stream) -----------------------------------
+// ---- Key + value LSD sort (the valued streams' per-bin sort) --------------
 
 std::vector<std::uint32_t> random_keys32(std::size_t n, std::uint32_t mask,
                                          unsigned seed) {
@@ -262,29 +280,8 @@ TEST(RadixSortKv, NarrowTupleKeysSortRowMajor) {
   expect_kv_matches_std(std::move(keys));
 }
 
-TEST(RadixSortIndex, SortsKeysAndCopermutesIndex) {
-  for (const std::uint32_t mask : {0xFFu, 0xFFFFFFu, 0xFFFFFFFFu}) {
-    std::vector<std::uint32_t> keys = random_keys32(10000, mask, 37);
-    const std::vector<std::uint32_t> original = keys;
-    const std::size_t n = keys.size();
-    std::vector<std::uint32_t> idx(n);
-    for (std::size_t i = 0; i < n; ++i) idx[i] = static_cast<std::uint32_t>(i);
-
-    std::vector<std::uint32_t> kscratch(n), iscratch(n);
-    radix_sort_lsd_index(keys.data(), idx.data(), n, kscratch.data(),
-                         iscratch.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      if (i > 0) ASSERT_LE(keys[i - 1], keys[i]) << "at " << i;
-      // idx must point at where this key came from.
-      ASSERT_EQ(original[idx[i]], keys[i]) << "at " << i;
-      // Stability: equal keys keep ascending source positions.
-      if (i > 0 && keys[i - 1] == keys[i]) ASSERT_LT(idx[i - 1], idx[i]);
-    }
-  }
-}
-
 TEST(RadixSortKv, U64KeysSupported) {
-  // The kv variant is key-width generic; the wide pipeline could adopt it.
+  // The kv variant is key-width generic: the wide stream sorts u64 keys.
   std::mt19937_64 rng(38);
   const std::size_t n = 5000;
   std::vector<std::uint64_t> keys(n);

@@ -8,19 +8,23 @@
 namespace pbs::pb {
 namespace {
 
+constexpr auto kWide = TupleFormat::kWide;
+constexpr auto kNarrow = TupleFormat::kNarrow;
+constexpr auto kKeyOnly = TupleFormat::kKeyOnly;
+
 TEST(Workspace, GrowsGeometricallyAndReuses) {
   PbWorkspace ws;
   EXPECT_EQ(ws.capacity(), 0u);  // capacity() reports pooled bytes
-  Tuple* p1 = ws.acquire(100);
-  ASSERT_NE(p1, nullptr);
-  EXPECT_GE(ws.capacity(), 100u * sizeof(Tuple));
+  const StreamSpan<kWide> s1 = ws.acquire<kWide>(100);
+  ASSERT_NE(s1.keys, nullptr);
+  EXPECT_GE(ws.capacity(), 100u * bytes_per_tuple(kWide));
   const std::size_t cap1 = ws.capacity();
   // Smaller request: same buffer, no growth.
-  Tuple* p2 = ws.acquire(50);
-  EXPECT_EQ(p1, p2);
+  const StreamSpan<kWide> s2 = ws.acquire<kWide>(50);
+  EXPECT_EQ(s1.keys, s2.keys);
   EXPECT_EQ(ws.capacity(), cap1);
   // Larger request: grows at least geometrically.
-  ws.acquire(cap1 / sizeof(Tuple) + 1);
+  ws.acquire<kWide>(cap1 / bytes_per_tuple(kWide) + 1);
   EXPECT_GE(ws.capacity(), cap1 + cap1 / 2);
 }
 
@@ -28,34 +32,44 @@ TEST(Workspace, NarrowStreamSharesThePoolWithWide) {
   PbWorkspace ws;
   // A wide run sizes the pool; a narrow request for the same tuple count
   // needs 12 B + key padding per tuple, so it is served without growth.
-  (void)ws.acquire(1024);
+  (void)ws.acquire<kWide>(1024);
   const std::size_t cap = ws.capacity();
-  const NarrowStream ns = ws.acquire_narrow(1024);
+  const StreamSpan<kNarrow> ns = ws.acquire<kNarrow>(1024);
   ASSERT_NE(ns.keys, nullptr);
   ASSERT_NE(ns.vals, nullptr);
   EXPECT_EQ(ws.capacity(), cap);
-  // Value array starts on its own cache line after the key span.
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(ns.vals) % kCacheLineBytes, 0u);
-  EXPECT_GE(reinterpret_cast<std::byte*>(ns.vals) -
-                reinterpret_cast<std::byte*>(ns.keys),
-            static_cast<std::ptrdiff_t>(1024 * sizeof(narrow_key_t)));
   const PbWorkspace::Stats s = ws.stats();
   EXPECT_EQ(s.acquires, 2u);
   EXPECT_EQ(s.allocations, 1u);
   EXPECT_EQ(s.reuses, 1u);
+  // In every valued stream the value array starts on its own cache line
+  // after the key span — also for tuple counts that leave the keys short
+  // of a whole line.
+  const auto check_values_start_a_line = [&]<TupleFormat F>(std::size_t n) {
+    const StreamSpan<F> st = ws.acquire<F>(n);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(st.vals) % kCacheLineBytes, 0u)
+        << to_string(F) << " n=" << n;
+    EXPECT_GE(reinterpret_cast<std::byte*>(st.vals) -
+                  reinterpret_cast<std::byte*>(st.keys),
+              static_cast<std::ptrdiff_t>(n * key_bytes(F)))
+        << to_string(F) << " n=" << n;
+  };
+  for (const std::size_t n : {1024u, 1000u, 7u}) {
+    check_values_start_a_line.operator()<kWide>(n);
+    check_values_start_a_line.operator()<kNarrow>(n);
+  }
 }
 
 TEST(Workspace, KeyOnlyStreamSharesThePoolWithoutValueBytes) {
-  // The satellite fix for mixed-format reuse: a key-only acquire following
-  // a wide lease must ask for n*8 bytes only — no value bytes charged to a
-  // format that has no value array — so it reuses the wide pool and never
-  // grows it.
+  // Mixed-format reuse: a key-only acquire following a wide lease must ask
+  // for n*8 bytes only — no value bytes charged to a format that has no
+  // value array — so it reuses the wide pool and never grows it.
   PbWorkspace ws;
-  (void)ws.acquire(1024);  // 1024 * 16 B
-  const std::size_t cap = ws.capacity();
-  wide_key_t* keys = ws.acquire_keys(2048);  // 2048 * 8 B = the same bytes
-  ASSERT_NE(keys, nullptr);
-  EXPECT_EQ(ws.capacity(), cap);
+  (void)ws.acquire<kWide>(1024);  // 1024 * 16 B
+  const StreamSpan<kKeyOnly> keys = ws.acquire<kKeyOnly>(2048);  // same bytes
+  ASSERT_NE(keys.keys, nullptr);
+  EXPECT_EQ(keys.vals, nullptr);
+  EXPECT_EQ(ws.capacity(), 1024u * bytes_per_tuple(kWide));
   PbWorkspace::Stats s = ws.stats();
   EXPECT_EQ(s.acquires, 2u);
   EXPECT_EQ(s.allocations, 1u);
@@ -64,11 +78,11 @@ TEST(Workspace, KeyOnlyStreamSharesThePoolWithoutValueBytes) {
   // And the other direction: growing key-only first, then wide for the
   // same tuple count doubles the byte need and must allocate.
   PbWorkspace ws2;
-  (void)ws2.acquire_keys(1024);
+  (void)ws2.acquire<kKeyOnly>(1024);
   const std::size_t key_cap = ws2.capacity();
-  EXPECT_GE(key_cap, 1024u * sizeof(wide_key_t));
-  EXPECT_LT(key_cap, 1024u * sizeof(Tuple));  // no hidden value reserve
-  (void)ws2.acquire(1024);
+  EXPECT_GE(key_cap, 1024u * bytes_per_tuple(kKeyOnly));
+  EXPECT_LT(key_cap, 1024u * bytes_per_tuple(kWide));  // no value reserve
+  (void)ws2.acquire<kWide>(1024);
   s = ws2.stats();
   EXPECT_EQ(s.allocations, 2u);
 }
@@ -106,10 +120,11 @@ TEST(Workspace, MixedFormatMultipliesReuseOnePool) {
 TEST(Workspace, KeyOnlyScratchSlotsPoolPerThread) {
   PbWorkspace ws;
   ws.prepare_scratch(2);
-  wide_key_t* s0 = ws.acquire_scratch_keys(0, 64);
-  ASSERT_NE(s0, nullptr);
-  EXPECT_EQ(ws.acquire_scratch_keys(0, 32), s0);  // shrink reuses
-  const NarrowStream s1 = ws.acquire_scratch_narrow(1, 64);
+  const StreamSpan<kKeyOnly> s0 = ws.acquire_scratch<kKeyOnly>(0, 64);
+  ASSERT_NE(s0.keys, nullptr);
+  EXPECT_EQ(s0.vals, nullptr);  // no value scratch for a value-free stream
+  EXPECT_EQ(ws.acquire_scratch<kKeyOnly>(0, 32).keys, s0.keys);  // reuse
+  const StreamSpan<kNarrow> s1 = ws.acquire_scratch<kNarrow>(1, 64);
   ASSERT_NE(s1.keys, nullptr);
   ASSERT_NE(s1.vals, nullptr);
   const PbWorkspace::Stats s = ws.stats();
@@ -119,16 +134,16 @@ TEST(Workspace, KeyOnlyScratchSlotsPoolPerThread) {
 
 TEST(Workspace, StatsCountGrowShrinkGrowSequences) {
   PbWorkspace ws;
-  ws.acquire(1000);  // grow
-  ws.acquire(10);    // shrink: served from pool
-  ws.acquire(1000);  // back to peak: still served from pool
+  ws.acquire<kWide>(1000);  // grow
+  ws.acquire<kWide>(10);    // shrink: served from pool
+  ws.acquire<kWide>(1000);  // back to peak: still served from pool
   PbWorkspace::Stats s = ws.stats();
   EXPECT_EQ(s.acquires, 3u);
   EXPECT_EQ(s.allocations, 1u);
   EXPECT_EQ(s.reuses, 2u);
   EXPECT_EQ(s.peak_request, 1000u);
 
-  ws.acquire(5000);  // beyond capacity: second allocation
+  ws.acquire<kWide>(5000);  // beyond capacity: second allocation
   s = ws.stats();
   EXPECT_EQ(s.allocations, 2u);
   EXPECT_EQ(s.peak_request, 5000u);
@@ -137,17 +152,17 @@ TEST(Workspace, StatsCountGrowShrinkGrowSequences) {
   s = ws.stats();
   EXPECT_EQ(s.acquires, 0u);
   EXPECT_EQ(s.allocations, 0u);
-  EXPECT_EQ(ws.capacity(), 5000u * sizeof(Tuple));  // the pool is retained
+  EXPECT_EQ(ws.capacity(), 5000u * bytes_per_tuple(kWide));  // retained
 }
 
 TEST(Workspace, ScratchSlotsPoolPerThread) {
   PbWorkspace ws;
   ws.prepare_scratch(2);
-  Tuple* s0 = ws.acquire_scratch(0, 64);
-  ASSERT_NE(s0, nullptr);
-  EXPECT_EQ(ws.acquire_scratch(0, 32), s0);  // shrink reuses
-  Tuple* s1 = ws.acquire_scratch(1, 16);
-  EXPECT_NE(s0, s1);  // slots are independent
+  const StreamSpan<kWide> s0 = ws.acquire_scratch<kWide>(0, 64);
+  ASSERT_NE(s0.keys, nullptr);
+  EXPECT_EQ(ws.acquire_scratch<kWide>(0, 32).keys, s0.keys);  // shrink reuses
+  const StreamSpan<kWide> s1 = ws.acquire_scratch<kWide>(1, 16);
+  EXPECT_NE(s0.keys, s1.keys);  // slots are independent
   const PbWorkspace::Stats s = ws.stats();
   EXPECT_EQ(s.scratch_allocations, 2u);
   EXPECT_EQ(s.scratch_reuses, 1u);
