@@ -39,7 +39,8 @@ int main(int argc, char** argv) {
       pb::PbConfig cfg;
       cfg.policy = policy;
       const pb::PbTelemetry t =
-          bench::pb_best_telemetry(problem, cfg, reps, warmup);
+          bench::pb_best_telemetry(PlusTimes::name, problem, cfg, reps,
+                                   warmup);
       tp.row(pb::to_string(policy), t.nbins, t.expand.gbs(), t.sort.gbs(),
              t.mflops());
     }
@@ -52,7 +53,8 @@ int main(int argc, char** argv) {
       pb::PbConfig cfg;
       cfg.streaming_stores = streaming;
       const pb::PbTelemetry t =
-          bench::pb_best_telemetry(problem, cfg, reps, warmup);
+          bench::pb_best_telemetry(PlusTimes::name, problem, cfg, reps,
+                                   warmup);
       ts.row(streaming ? "on" : "off", t.expand.gbs(), t.mflops());
     }
     ts.print(std::cout);

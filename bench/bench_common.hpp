@@ -17,6 +17,7 @@
 #include <iomanip>
 #include <iostream>
 #include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -26,7 +27,7 @@
 #include "common/run_stats.hpp"
 #include "common/timer.hpp"
 #include "matrix/mstats.hpp"
-#include "pb/pb_spgemm.hpp"
+#include "spgemm/executor.hpp"
 #include "spgemm/registry.hpp"
 
 namespace pbs::bench {
@@ -111,11 +112,26 @@ RunStats measure_seconds(Fn&& fn, int reps, int warmup) {
   return RunStats::of(std::move(samples));
 }
 
+/// The kernel a bench times for `algo` over `semiring`.  pb runs through
+/// one executor the kernel holds, so warmup and measured calls reuse its
+/// plan and workspace, as repeated products do in practice (the registry's
+/// pb kernel starts every call on a cold pool); every other algorithm is
+/// its registry kernel.
+inline SpGemmFn timed_kernel(const std::string& algo,
+                             const std::string& semiring = PlusTimes::name) {
+  if (algo != "pb") return semiring_algorithm(algo, semiring);
+  auto exec = std::make_shared<SpGemmExecutor>();
+  SpGemmOp op;
+  op.algo = algo;
+  op.semiring = semiring;
+  return [exec, op](const SpGemmProblem& p) { return exec->run(p, op); };
+}
+
 /// MFLOPS of one algorithm on one problem (best-of-reps).
 inline double algo_mflops(const AlgoInfo& algo, const SpGemmProblem& problem,
                           nnz_t flop, int reps, int warmup) {
-  const RunStats s = measure_seconds(
-      [&] { (void)algo.fn(problem); }, reps, warmup);
+  const SpGemmFn fn = timed_kernel(algo.name);
+  const RunStats s = measure_seconds([&] { (void)fn(problem); }, reps, warmup);
   return s.min > 0 ? static_cast<double>(flop) / s.min / 1e6 : 0.0;
 }
 
@@ -146,53 +162,39 @@ RunStats measure_seconds_adaptive(Fn&& fn, int reps, int warmup,
 inline double algo_mflops_adaptive(const AlgoInfo& algo,
                                    const SpGemmProblem& problem, nnz_t flop,
                                    int reps, int warmup) {
-  const RunStats s = measure_seconds_adaptive(
-      [&] { (void)algo.fn(problem); }, reps, warmup);
+  const SpGemmFn fn = timed_kernel(algo.name);
+  const RunStats s =
+      measure_seconds_adaptive([&] { (void)fn(problem); }, reps, warmup);
   return s.min > 0 ? static_cast<double>(flop) / s.min / 1e6 : 0.0;
 }
 
-/// PB with telemetry, keeping the run with the best total time.  A shared
-/// workspace keeps the Cˆ scratch warm across warmup + measured runs.
-inline pb::PbTelemetry pb_best_telemetry(const SpGemmProblem& problem,
+/// PB over `semiring` with telemetry, keeping the run with the fastest
+/// numeric wall.  Warmup and measured runs share one executor, so the
+/// plan and the Cˆ scratch stay warm; the symbolic slot reports the
+/// analysis the first run paid (RunInfo::plan_seconds), so total_seconds()
+/// and mflops() price a product with its analysis, as a fresh multiply
+/// pays it.
+inline pb::PbTelemetry pb_best_telemetry(const std::string& semiring,
+                                         const SpGemmProblem& problem,
                                          const pb::PbConfig& cfg, int reps,
                                          int warmup) {
-  thread_local pb::PbWorkspace workspace;
-  for (int i = 0; i < warmup; ++i)
-    (void)pb::pb_spgemm(problem.a_csc, problem.b_csr, cfg, workspace);
+  SpGemmExecutor exec;
+  SpGemmOp op;
+  op.algo = "pb";
+  op.semiring = semiring;
+  op.pb = cfg;
+  RunInfo info;
+  double plan_seconds = 0;
   pb::PbTelemetry best;
-  double best_total = 0;
-  for (int i = 0; i < reps; ++i) {
-    const pb::PbResult r =
-        pb::pb_spgemm(problem.a_csc, problem.b_csr, cfg, workspace);
-    if (i == 0 || r.stats.total_seconds() < best_total) {
-      best = r.stats;
-      best_total = r.stats.total_seconds();
+  for (int i = 0; i < warmup + reps; ++i) {
+    (void)exec.run(problem, op, &info);
+    if (i == 0) plan_seconds = info.plan_seconds;
+    if (i >= warmup && (i == warmup || info.pb_stats.total_seconds() <
+                                           best.total_seconds())) {
+      best = info.pb_stats;
     }
   }
-  return best;
-}
-
-/// pb_best_telemetry through the runtime semiring dispatch — the boolean
-/// stream benches need bool_or_and so the key-only format can engage.
-inline pb::PbTelemetry pb_best_telemetry_named(const std::string& semiring,
-                                               const SpGemmProblem& problem,
-                                               const pb::PbConfig& cfg,
-                                               int reps, int warmup) {
-  thread_local pb::PbWorkspace workspace;
-  for (int i = 0; i < warmup; ++i)
-    (void)pb::pb_spgemm_named(semiring, problem.a_csc, problem.b_csr, cfg,
-                              workspace);
-  pb::PbTelemetry best;
-  double best_total = 0;
-  for (int i = 0; i < reps; ++i) {
-    const pb::PbResult r =
-        pb::pb_spgemm_named(semiring, problem.a_csc, problem.b_csr, cfg,
-                            workspace);
-    if (i == 0 || r.stats.total_seconds() < best_total) {
-      best = r.stats;
-      best_total = r.stats.total_seconds();
-    }
-  }
+  best.symbolic.seconds = plan_seconds;
   return best;
 }
 

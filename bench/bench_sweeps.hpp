@@ -108,13 +108,15 @@ inline void run_random_sweep(const std::string& artifact, MatrixKind kind,
       pb::PbConfig wide_cfg;
       wide_cfg.format = pb::FormatPolicy::kWide;
       const pb::PbTelemetry t =
-          pb_best_telemetry(problem, auto_cfg, reps, warmup);
+          pb_best_telemetry(PlusTimes::name, problem, auto_cfg, reps,
+                            warmup);
       // The wide-forced ablation only measures something new when auto
       // actually packed narrow.
       const pb::PbTelemetry tw =
           t.format == pb::TupleFormat::kWide
               ? t
-              : pb_best_telemetry(problem, wide_cfg, reps, warmup);
+              : pb_best_telemetry(PlusTimes::name, problem, wide_cfg, reps,
+                                  warmup);
       for (const pb::PbTelemetry* tm : {&t, &tw}) {
         bw.row(scale, ef, to_string(tm->format), tm->tuple_bytes(),
                tm->expand.gbs(), tm->sort.gbs(), tm->compress.gbs(),
@@ -136,11 +138,10 @@ inline void run_random_sweep(const std::string& artifact, MatrixKind kind,
       // value-free); the narrow-forced run is the 12 B baseline the
       // acceptance floor compares against.
       const pb::PbTelemetry tko =
-          pb_best_telemetry_named("bool_or_and", problem, auto_cfg, reps,
-                                  warmup);
+          pb_best_telemetry("bool_or_and", problem, auto_cfg, reps, warmup);
       const pb::PbTelemetry tbn =
-          pb_best_telemetry_named("bool_or_and", problem, narrow_cfg, reps,
-                                  warmup);
+          pb_best_telemetry("bool_or_and", problem, narrow_cfg, reps,
+                            warmup);
       const double sc_narrow = tbn.sort.seconds + tbn.compress.seconds;
       auto stream_row = [&](const std::string& semiring,
                             const pb::PbTelemetry& tm) {

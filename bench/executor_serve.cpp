@@ -5,9 +5,9 @@
 //
 //  alternate — an MCL-style workload flipping between two structures
 //    every multiply.  "replan" runs it through an executor whose plan
-//    cache holds ONE entry (the pre-executor SpGemmPlan behavior: every
-//    flip re-analyzes), "cached" through the default LRU — the speedup is
-//    what the fingerprint-keyed cache is worth when structures alternate.
+//    cache holds ONE entry (every flip re-analyzes), "cached" through the
+//    default LRU — the speedup is what the fingerprint-keyed cache is
+//    worth when structures alternate.
 //
 //  concurrent — N threads multiplying through one cached plan
 //    simultaneously, each leasing its own pooled workspace and running a

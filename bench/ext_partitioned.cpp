@@ -3,13 +3,16 @@
 //
 // On the paper's dual-socket machine this keeps bins socket-local at the
 // cost of reading B once per partition.  On any machine it also shrinks
-// the expanded-buffer working set per part.  This bench sweeps the number
-// of partitions on ER and R-MAT inputs; the paper's observation — "it does
-// not perform uniformly well for all matrices due to the additional cost
-// of reading B more than once" — shows up as the nparts > 1 rows winning
-// or losing depending on the input.
+// the expanded-buffer working set per part.  The variant is an R×1 grid of
+// serve::ShardRouter: R row blocks of A, each multiplied with the whole B
+// by its own executor, the shards running concurrently (one thread each,
+// every shard's OpenMP team at the process's thread count).  This bench
+// sweeps R on ER and R-MAT inputs; the paper's observation — "it does not
+// perform uniformly well for all matrices due to the additional cost of
+// reading B more than once" — shows up as the nparts > 1 rows winning or
+// losing depending on the input.
 #include "bench_sweeps.hpp"
-#include "pb/partitioned.hpp"
+#include "serve/shard.hpp"
 
 int main(int argc, char** argv) {
   using namespace pbs;
@@ -23,6 +26,8 @@ int main(int argc, char** argv) {
       "Extension — partitioned PB-SpGEMM (paper Sec. V-D), scale " +
       std::to_string(scale) + ", ef " + std::to_string(static_cast<int>(ef)));
 
+  SpGemmOp op;
+  op.algo = "pb";
   for (const auto kind :
        {bench::MatrixKind::kEr, bench::MatrixKind::kRmat}) {
     const bool er = kind == bench::MatrixKind::kEr;
@@ -32,24 +37,14 @@ int main(int argc, char** argv) {
     const SpGemmProblem problem = SpGemmProblem::multiply(a, b);
     const nnz_t flop = mtx::count_flops(a, b);
 
-    bench::Table t({"nparts", "MF/s", "slowest-part share"});
+    bench::Table t({"nparts", "MF/s"});
     for (const int nparts : {1, 2, 4, 8}) {
+      serve::ShardOptions so;
+      so.rows = nparts;
+      serve::ShardRouter router(so);
       const RunStats s = bench::measure_seconds(
-          [&] {
-            (void)pb::pb_spgemm_partitioned(problem.a_csc, problem.b_csr,
-                                            nparts);
-          },
-          reps, warmup);
-      // Load imbalance indicator: the heaviest part's share of summed time.
-      const pb::PartitionedResult r =
-          pb::pb_spgemm_partitioned(problem.a_csc, problem.b_csr, nparts);
-      double heaviest = 0, sum = 0;
-      for (const pb::PbTelemetry& part : r.parts) {
-        heaviest = std::max(heaviest, part.total_seconds());
-        sum += part.total_seconds();
-      }
-      t.row(nparts, static_cast<double>(flop) / s.min / 1e6,
-            sum > 0 ? heaviest / sum : 0.0);
+          [&] { (void)router.run(problem, op); }, reps, warmup);
+      t.row(nparts, static_cast<double>(flop) / s.min / 1e6);
     }
     t.print(std::cout);
     std::cout << "\n";

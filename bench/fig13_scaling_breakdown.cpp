@@ -32,7 +32,8 @@ int main(int argc, char** argv) {
     for (int threads = 1; threads <= max_threads(); ++threads) {
       ThreadCountGuard guard(threads);
       const pb::PbTelemetry tm =
-          bench::pb_best_telemetry(problem, pb::PbConfig{}, reps, warmup);
+          bench::pb_best_telemetry(PlusTimes::name, problem, pb::PbConfig{},
+                                   reps, warmup);
       if (threads == 1) base_total = tm.total_seconds();
       t.row(threads, tm.symbolic.seconds * 1e3, tm.expand.seconds * 1e3,
             tm.sort.seconds * 1e3, tm.compress.seconds * 1e3,

@@ -35,7 +35,8 @@ int main(int argc, char** argv) {
     pb::PbConfig cfg;
     cfg.local_bin_bytes = width;
     const pb::PbTelemetry t =
-        bench::pb_best_telemetry(problem, cfg, reps, warmup);
+        bench::pb_best_telemetry(PlusTimes::name, problem, cfg, reps,
+                                 warmup);
     ta.row(width, t.expand.gbs(), t.mflops());
   }
   ta.print(std::cout);
@@ -47,7 +48,8 @@ int main(int argc, char** argv) {
     pb::PbConfig cfg;
     cfg.nbins = nbins;
     const pb::PbTelemetry t =
-        bench::pb_best_telemetry(problem, cfg, reps, warmup);
+        bench::pb_best_telemetry(PlusTimes::name, problem, cfg, reps,
+                                 warmup);
     tb.row(t.nbins, t.expand.gbs(), t.sort.gbs(), t.compress.gbs(),
            t.mflops());
   }

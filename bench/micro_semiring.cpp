@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   for (const std::string& semiring : semiring_names()) {
     std::vector<std::string> cells = {semiring};
     for (const std::string& algo : algos) {
-      const SpGemmFn fn = semiring_algorithm(algo, semiring);
+      const SpGemmFn fn = bench::timed_kernel(algo, semiring);
       const RunStats s = bench::measure_seconds(
           [&] { (void)fn(problem); }, reps, warmup);
       std::ostringstream cell;

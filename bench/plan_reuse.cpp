@@ -1,18 +1,18 @@
 // Plan-once/execute-N vs N fresh multiplies — the amortization the
-// plan/execute architecture exists to deliver (no paper artifact; this
+// executor's plan cache exists to deliver (no paper artifact; this
 // measures the repeated-traffic serving mode of the library).
 //
 // For each input × semiring the bench multiplies the same problem N times
-// two ways: fresh pb_spgemm calls, each paying symbolic analysis and a
-// cold workspace, and one PbPlan executed N times through a pooled
-// workspace.  Reported: amortized ms/multiply for both modes, the
-// speedup, and the fraction of the fresh cost recovered — which bounds at
-// the symbolic+allocation share of a fresh multiply as N grows.
+// with algo = "pb", two ways: a new SpGemmExecutor per multiply, each
+// paying the analysis and a cold workspace, and one executor running all
+// N, whose first run plans and whose pooled workspace stays warm.
+// Reported: amortized ms/multiply for both modes, the speedup, and the
+// fraction of the fresh cost recovered — which bounds at the
+// analysis+allocation share of a fresh multiply as N grows.
 //
 //   ./bench_plan_reuse [--scales 11,13] [--efs 8] [--execs 10]
 //                      [--semirings plus_times,min_plus]
 #include "bench_common.hpp"
-#include "pb/plan.hpp"
 
 #include "matrix/convert.hpp"
 #include "matrix/generate.hpp"
@@ -62,33 +62,33 @@ int main(int argc, char** argv) {
                                   std::to_string(ef);
 
         for (const std::string& s : semirings) {
+          SpGemmOp op;
+          op.algo = "pb";
+          op.semiring = s;
           // Warm both code paths (instantiation, page cache) once.
-          {
-            pb::PbWorkspace warm;
-            (void)pb::pb_spgemm_named(s, p.a_csc, p.b_csr, {}, warm);
-          }
+          (void)SpGemmExecutor().run(p, op);
 
           // N fresh multiplies: every call re-analyzes and re-allocates.
           Timer t;
           for (int i = 0; i < execs; ++i) {
-            pb::PbWorkspace ws;  // cold workspace per call, by design
-            (void)pb::pb_spgemm_named(s, p.a_csc, p.b_csr, {}, ws);
+            (void)SpGemmExecutor().run(p, op);  // cold executor, by design
           }
           const double fresh_s = t.elapsed_s();
 
-          // Plan once, execute N times through one pooled workspace.
-          t.reset();
-          const pb::PbPlan plan = pb::pb_plan_build(p.a_csc, p.b_csr, {});
-          const double plan_s = t.elapsed_s();
-          pb::PbWorkspace ws;
+          // One executor: the first run plans, every run reuses its pool.
+          SpGemmExecutor exec;
+          RunInfo info;
+          double plan_s = 0;
           t.reset();
           for (int i = 0; i < execs; ++i) {
-            (void)pb::pb_execute_named(s, p.a_csc, p.b_csr, plan, ws);
+            (void)exec.run(p, op, &info);
+            if (i == 0) plan_s = info.plan_seconds;
           }
-          const double exec_s = t.elapsed_s();
+          const double planned_s = t.elapsed_s();
+          const pb::TupleFormat format = info.pb_stats.format;
 
           const double fresh_per = fresh_s / execs * 1e3;
-          const double planned_per = (plan_s + exec_s) / execs * 1e3;
+          const double planned_per = planned_s / execs * 1e3;
           table.row(input, s, fresh_per, planned_per,
                     fresh_per / planned_per,
                     std::to_string(
@@ -100,11 +100,10 @@ int main(int argc, char** argv) {
                          .field("bench", std::string("plan_reuse"))
                          .field("input", input)
                          .field("semiring", s)
-                         .field("format",
-                                std::string(pb::to_string(plan.sym.format)))
+                         .field("format", std::string(pb::to_string(format)))
                          .field("bytes_per_tuple",
                                 static_cast<double>(
-                                    pb::bytes_per_tuple(plan.sym.format)))
+                                    pb::bytes_per_tuple(format)))
                          .field("fresh_ms_per_mult", fresh_per)
                          .field("planned_ms_per_mult", planned_per)
                          .field("speedup", fresh_per / planned_per)

@@ -10,9 +10,9 @@
 //
 // The second half reports what the placement layer does with the detected
 // topology: pb_symbolic's bin→home-node partition (contiguous,
-// flop-balanced) and a pipelined PB squaring through
-// PbWorkspace::place_bins, whose tuple pool is first-touched bin-by-bin on
-// each bin's home node.  On one node the partition is all zeros and
+// flop-balanced) and a pipelined PB squaring on a fresh executor, whose
+// newly allocated tuple pool PbWorkspace::place_bins first-touches
+// bin-by-bin on each bin's home node.  On one node the partition is all zeros and
 // place_bins degenerates to a parallel pre-fault — the multiply still
 // validates the path end to end.
 //
@@ -28,7 +28,6 @@
 #include "common/stream.hpp"
 #include "matrix/convert.hpp"
 #include "matrix/generate.hpp"
-#include "pb/pb_spgemm.hpp"
 #include "pb/symbolic.hpp"
 
 namespace {
@@ -113,13 +112,18 @@ int main(int argc, char** argv) {
   }
   std::cout << "\n";
 
-  // Exercise place_bins through pb_execute (its acquire path first-touches
-  // the pool bin-by-bin on each bin's home node).
-  const pb::PbResult placed = pb::pb_spgemm(a_csc, a);
+  // Exercise place_bins: a fresh executor's first pb run allocates its
+  // tuple pool, which pb_execute first-touches bin-by-bin on each bin's
+  // home node.
+  SpGemmOp op;
+  op.algo = "pb";
+  RunInfo info;
+  (void)SpGemmExecutor().run(SpGemmProblem::square(a), op, &info);
+  const pb::PbTelemetry& placed = info.pb_stats;
   std::cout << "# pipelined squaring through place_bins: "
-            << placed.stats.mflops() << " MFLOPS, numeric wall "
-            << placed.stats.wall_seconds * 1e3 << " ms, overlap hidden "
-            << placed.stats.overlap_seconds() * 1e3 << " ms\n";
+            << placed.mflops() << " MFLOPS, numeric wall "
+            << placed.wall_seconds * 1e3 << " ms, overlap hidden "
+            << placed.overlap_seconds() * 1e3 << " ms\n";
 
   bench::JsonSink json(args);
   if (json.enabled()) {
@@ -138,10 +142,9 @@ int main(int argc, char** argv) {
                  .field("nbins", static_cast<std::int64_t>(sym.layout.nbins))
                  .field("bin_home_nodes",
                         static_cast<std::int64_t>(sym.numa_nodes))
-                 .field("pipelined_mflops", placed.stats.mflops())
-                 .field("numeric_wall_ms", placed.stats.wall_seconds * 1e3)
-                 .field("overlap_hidden_ms",
-                        placed.stats.overlap_seconds() * 1e3));
+                 .field("pipelined_mflops", placed.mflops())
+                 .field("numeric_wall_ms", placed.wall_seconds * 1e3)
+                 .field("overlap_hidden_ms", placed.overlap_seconds() * 1e3));
   }
   return 0;
 }

@@ -4,9 +4,8 @@
 // maximum path length captured by the distance matrix, so ceil(log2(n))
 // squarings compute the full APSP closure — every squaring is a SpGEMM.
 // Each squaring runs the bandwidth-optimized PB pipeline over (min, +)
-// through the unified (algorithm × semiring) registry; pass a different
-// algorithm name to compare (e.g. spa runs the dense-accumulator
-// fallback).
+// through one executor; pass a different algorithm name to compare (e.g.
+// spa runs the dense-accumulator fallback).
 //
 //   ./apsp_minplus [n] [avg_degree] [algo]
 #include <pbs/pbs.hpp>
@@ -19,7 +18,10 @@ int main(int argc, char** argv) {
   const pbs::index_t n = argc > 1 ? std::atoi(argv[1]) : 1024;
   const double degree = argc > 2 ? std::atof(argv[2]) : 4.0;
   const std::string algo = argc > 3 ? argv[3] : "pb";
-  const pbs::SpGemmFn square = pbs::semiring_algorithm(algo, "min_plus");
+  pbs::SpGemmOp op;
+  op.algo = algo;
+  op.semiring = "min_plus";
+  pbs::SpGemmExecutor exec;
 
   std::cout << "APSP via min-plus squaring (" << algo << "): n = " << n
             << ", degree = " << degree << "\n";
@@ -39,7 +41,7 @@ int main(int argc, char** argv) {
   double total_ms = 0;
   for (int round = 0; round < rounds; ++round) {
     pbs::Timer t;
-    pbs::mtx::CsrMatrix next = square(pbs::SpGemmProblem::square(dist));
+    pbs::mtx::CsrMatrix next = exec.run(pbs::SpGemmProblem::square(dist), op);
     const double ms = t.elapsed_ms();
     total_ms += ms;
     const pbs::value_t delta = pbs::mtx::max_abs_diff(next, dist);

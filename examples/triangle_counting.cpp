@@ -13,7 +13,7 @@
 // formulations are compared:
 //   * multiply-then-Hadamard: full L·L with each registry algorithm, then
 //     a separate masking pass;
-//   * the fused masked descriptor (SpGemmOp{mask = L} through make_plan):
+//   * the fused masked descriptor (SpGemmOp{mask = L} through an executor):
 //     the mask rides inside the kernel — PB drops masked-out tuples at its
 //     compress stage (the telemetry reports how many), the Gustavson row
 //     loops skip them outright — and "auto" selection accounts for the
@@ -29,7 +29,9 @@ double count_triangles(const pbs::mtx::CsrMatrix& lower, const char* algo,
                        double* seconds) {
   pbs::Timer timer;
   const pbs::SpGemmProblem p = pbs::SpGemmProblem::square(lower);
-  const pbs::mtx::CsrMatrix ll = pbs::algorithm(algo).fn(p);
+  pbs::SpGemmOp op;
+  op.algo = algo;
+  const pbs::mtx::CsrMatrix ll = pbs::SpGemmExecutor().run(p, op);
   const double count = pbs::mtx::value_sum(pbs::mtx::hadamard(ll, lower));
   *seconds = timer.elapsed_s();
   return count;
@@ -46,11 +48,11 @@ double count_triangles_masked(const pbs::mtx::CsrMatrix& lower,
   pbs::SpGemmOp op;
   op.algo = algo;
   op.mask = &lower;
-  pbs::SpGemmPlan plan = pbs::make_plan(p, op);
-  const double count = pbs::mtx::value_sum(plan.execute(p));
+  pbs::RunInfo info;
+  const double count =
+      pbs::mtx::value_sum(pbs::SpGemmExecutor().run(p, op, &info));
   *seconds = timer.elapsed_s();
-  *pb_dropped =
-      plan.algo() == "pb" ? plan.last_pb_stats().mask_dropped : 0;
+  *pb_dropped = info.used_pb ? info.pb_stats.mask_dropped : 0;
   return count;
 }
 

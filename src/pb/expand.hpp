@@ -165,13 +165,15 @@ inline nnz_t masked_scan(std::span<const index_t> bcols,
 // line) so a full flush is whole cache lines on every array.  Key-only
 // streams have no value lane, so S::mul and the value reads disappear.
 // `cursor` is the shared per-bin write-cursor array, pre-seeded with the
-// bin region origins.  Returns this thread's flush count (telemetry for
-// the Fig. 6a bin-width study).
+// bin region origins.  A non-null `cancel` is polled once per column of A.
+// Returns this thread's flush count (telemetry for the Fig. 6a bin-width
+// study).
 template <TupleFormat F, BinPolicy P, typename S, typename Sink>
 nnz_t expand_team(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
                   const SymbolicResult& sym, const PbConfig& cfg,
                   StreamSpan<F> out, std::atomic<nnz_t>* cursor,
-                  Sink& sink, const MaskSpec& emask = {}) {
+                  Sink& sink, const MaskSpec& emask = {},
+                  const CancelToken* cancel = nullptr) {
   using Key = typename StreamTraits<F>::Key;
   constexpr bool kValues = StreamTraits<F>::kHasValues;
   constexpr int kLane = StreamTraits<F>::kLane;
@@ -217,7 +219,7 @@ nnz_t expand_team(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
     // Cooperative cancellation at column granularity (`break` is illegal
     // in an omp for; skipped columns just leave their bins short, and the
     // caller raises the typed error after the join).
-    if (stop_requested(cfg.cancel)) continue;
+    if (stop_requested(cancel)) continue;
     const auto arows = a.col_rows(i);
     const auto avals = a.col_vals(i);
     const auto bcols = b.row_cols(i);
@@ -276,17 +278,19 @@ template <TupleFormat F, typename S, typename Sink>
 nnz_t expand_team_any(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
                       const SymbolicResult& sym, const PbConfig& cfg,
                       StreamSpan<F> out, std::atomic<nnz_t>* cursor,
-                      Sink& sink, const MaskSpec& emask = {}) {
+                      Sink& sink, const MaskSpec& emask = {},
+                      const CancelToken* cancel = nullptr) {
   switch (sym.layout.policy) {
     case BinPolicy::kRange:
       return expand_team<F, BinPolicy::kRange, S>(a, b, sym, cfg, out, cursor,
-                                                  sink, emask);
+                                                  sink, emask, cancel);
     case BinPolicy::kModulo:
       return expand_team<F, BinPolicy::kModulo, S>(a, b, sym, cfg, out,
-                                                   cursor, sink, emask);
+                                                   cursor, sink, emask, cancel);
     case BinPolicy::kAdaptive:
       return expand_team<F, BinPolicy::kAdaptive, S>(a, b, sym, cfg, out,
-                                                     cursor, sink, emask);
+                                                     cursor, sink, emask,
+                                                     cancel);
   }
   return 0;
 }

@@ -18,10 +18,6 @@
 #include "matrix/csr.hpp"
 #include "pb/tuple.hpp"
 
-namespace pbs {
-class CancelToken;
-}
-
 namespace pbs::pb {
 
 enum class BinPolicy {
@@ -87,9 +83,9 @@ struct PbConfig {
   /// Caller's assertion that the semiring is value-free (idempotent-
   /// structural): the output pattern alone determines every value, so the
   /// 8 B key-only stream is legal.  The symbolic phase has no semiring
-  /// knowledge, so this is set by the layers that do — pb_spgemm<S> from
-  /// the semiring type, the executor from the op's semiring name — and
-  /// only read by format selection.  bool_or_and qualifies; a runtime-
+  /// knowledge, so the executor sets this from the op's semiring name
+  /// (direct pb_plan_build callers set it by hand); only format
+  /// selection reads it.  bool_or_and qualifies; a runtime-
   /// registered semiring qualifies when flagged value_free at
   /// registration.
   bool value_free = false;
@@ -116,14 +112,6 @@ struct PbConfig {
 
   /// Extra O(flop) invariant checks after each phase (tests only).
   bool validate = false;
-
-  /// Cooperative cancellation/deadline token for THIS run, polled at
-  /// column granularity in expand and bin granularity in sort/compress
-  /// and convert.  Per-run state: plans never store a live token
-  /// (pb_plan_build clears it), and the plan/execute entry points take
-  /// the token as an explicit parameter and thread it through a run-local
-  /// config copy.  nullptr = never cancelled.
-  const CancelToken* cancel = nullptr;
 };
 
 /// Output-mask request threaded through the pipeline (an SpGemmOp mask

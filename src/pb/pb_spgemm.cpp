@@ -1,10 +1,9 @@
-#include "pb/pb_spgemm_impl.hpp"
+#include "pb/pb_spgemm.hpp"
 
 #include <omp.h>
 
 #include "common/numa.hpp"
 #include "common/parallel.hpp"
-#include "spgemm/op.hpp"
 
 namespace pbs::pb {
 
@@ -89,55 +88,6 @@ void PbWorkspace::place_bins(std::span<const nnz_t> bin_offsets,
       }
     }
   }
-}
-
-// The runtime-semiring bridge (spgemm/op.hpp): pb_spgemm_named reaches
-// these for any semiring registered at runtime.
-template PbResult pb_spgemm<DynSemiring>(const mtx::CscMatrix&,
-                                         const mtx::CsrMatrix&,
-                                         const PbConfig&);
-template PbResult pb_spgemm<DynSemiring>(const mtx::CscMatrix&,
-                                         const mtx::CsrMatrix&,
-                                         const PbConfig&, PbWorkspace&);
-
-template PbResult pb_spgemm<PlusTimes>(const mtx::CscMatrix&,
-                                       const mtx::CsrMatrix&, const PbConfig&);
-template PbResult pb_spgemm<MinPlus>(const mtx::CscMatrix&,
-                                     const mtx::CsrMatrix&, const PbConfig&);
-template PbResult pb_spgemm<MaxMin>(const mtx::CscMatrix&,
-                                    const mtx::CsrMatrix&, const PbConfig&);
-template PbResult pb_spgemm<BoolOrAnd>(const mtx::CscMatrix&,
-                                       const mtx::CsrMatrix&, const PbConfig&);
-template PbResult pb_spgemm<PlusTimes>(const mtx::CscMatrix&,
-                                       const mtx::CsrMatrix&, const PbConfig&,
-                                       PbWorkspace&);
-template PbResult pb_spgemm<MinPlus>(const mtx::CscMatrix&,
-                                     const mtx::CsrMatrix&, const PbConfig&,
-                                     PbWorkspace&);
-template PbResult pb_spgemm<MaxMin>(const mtx::CscMatrix&,
-                                    const mtx::CsrMatrix&, const PbConfig&,
-                                    PbWorkspace&);
-template PbResult pb_spgemm<BoolOrAnd>(const mtx::CscMatrix&,
-                                       const mtx::CsrMatrix&, const PbConfig&,
-                                       PbWorkspace&);
-
-PbResult pb_spgemm(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
-                   const PbConfig& cfg) {
-  PbWorkspace workspace;
-  return pb_spgemm<PlusTimes>(a, b, cfg, workspace);
-}
-
-PbResult pb_spgemm(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
-                   const PbConfig& cfg, PbWorkspace& workspace) {
-  return pb_spgemm<PlusTimes>(a, b, cfg, workspace);
-}
-
-PbResult pb_spgemm_named(const std::string& semiring, const mtx::CscMatrix& a,
-                         const mtx::CsrMatrix& b, const PbConfig& cfg,
-                         PbWorkspace& workspace) {
-  return dispatch_semiring_any(semiring, [&]<typename S>() {
-    return pb_spgemm<S>(a, b, cfg, workspace);
-  });
 }
 
 }  // namespace pbs::pb

@@ -1,5 +1,5 @@
 // PB-SpGEMM — the paper's contribution (Algorithm 2), generalized over an
-// arbitrary semiring.
+// arbitrary semiring — and the memory it runs in.
 //
 // C = A ⊗ B via outer-product expansion with propagation blocking:
 //
@@ -11,44 +11,31 @@
 //   convert   — bins → canonical CSR                             (line 22)
 //
 // The pipeline is semiring-agnostic: only the scalar multiply in expand
-// and the duplicate-combine in compress touch values, so pb_spgemm<S>
-// runs the identical bandwidth-optimized machinery for (+, ×) numeric
-// SpGEMM, (min, +) shortest-path relaxation, (max, min) bottleneck paths
-// and (∨, ∧) boolean reachability.  Entries that combine to S::zero()
-// stay structurally present (exact-cancellation convention, matching
-// spgemm_semiring).  The four built-in semirings are explicitly
-// instantiated in the .cpp files, so instantiation cost is paid once and
-// the pre-semiring non-template entry points keep their ABI; pb_spgemm<S>
-// with a custom S additionally needs the *_impl.hpp headers.
+// and the duplicate-combine in compress touch values, so one pipeline
+// runs (+, ×) numeric SpGEMM, (min, +) shortest-path relaxation, (max,
+// min) bottleneck paths and (∨, ∧) boolean reachability.  Entries that
+// combine to S::zero() stay structurally present (exact-cancellation
+// convention, matching spgemm_semiring).
 //
-// Every phase streams memory; the returned telemetry pairs each phase's
-// wall time with the Table III byte model so callers can report sustained
-// bandwidth the way the paper's Figs. 6/7b/9b do.  Runtime
-// (algorithm × semiring) dispatch across the whole library lives in
-// spgemm/registry.hpp.
-//
-// pb_spgemm is the fused form of the plan/execute split in pb/plan.hpp
-// (pb_plan_build + pb_execute<S>); repeated multiplications with the same
-// structure should build a plan once and execute it, or use the
-// self-selecting SpGemmPlan in spgemm/plan.hpp.
+// The pipeline runs as two calls (pb/plan.hpp): pb_plan_build (symbolic)
+// and pb_execute<S> (the numeric phases, against a PbWorkspace).  Every
+// product in the library reaches them through SpGemmExecutor
+// (spgemm/executor.hpp), which caches the plans and pools the workspaces
+// defined here.
 #pragma once
 
 #include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <span>
 #include <string>
 #include <vector>
 
-#include <atomic>
-
 #include "common/aligned_buffer.hpp"
 #include "common/errors.hpp"
 #include "common/fault.hpp"
-#include "matrix/csc.hpp"
-#include "matrix/csr.hpp"
 #include "pb/pb_config.hpp"
 #include "pb/tuple.hpp"
-#include "spgemm/semiring_ops.hpp"
 
 namespace pbs::pb {
 
@@ -127,34 +114,13 @@ class PbWorkspace {
   PbWorkspace(const PbWorkspace&) = delete;
   PbWorkspace& operator=(const PbWorkspace&) = delete;
 
-  // Movable (PartitionedPlan holds workspaces by value): the source hands
-  // over its buffers AND its budget charge — its members are left empty,
-  // so its destructor releases nothing.
-  PbWorkspace(PbWorkspace&& other) noexcept
-      : buf_(std::move(other.buf_)),
-        scratch_(std::move(other.scratch_)),
-        stats_(other.stats_),
-        fresh_(other.fresh_),
-        budget_(other.budget_) {
-    other.scratch_.clear();
-    other.budget_ = nullptr;
+  /// Returns this workspace's entire charge to the budget.
+  ~PbWorkspace() {
+    if (budget_ == nullptr) return;
+    std::size_t held = buf_.size();
+    for (const ScratchSlot& s : scratch_) held += s.buf.size();
+    if (held > 0) budget_->release(held);
   }
-
-  PbWorkspace& operator=(PbWorkspace&& other) noexcept {
-    if (this != &other) {
-      release_budget_charge();
-      buf_ = std::move(other.buf_);
-      scratch_ = std::move(other.scratch_);
-      stats_ = other.stats_;
-      fresh_ = other.fresh_;
-      budget_ = other.budget_;
-      other.scratch_.clear();
-      other.budget_ = nullptr;
-    }
-    return *this;
-  }
-
-  ~PbWorkspace() { release_budget_charge(); }
 
   /// Attaches a shared byte budget; every subsequent growth is charged
   /// against it and a growth that would exceed `budget->cap` throws
@@ -301,74 +267,11 @@ class PbWorkspace {
     }
   }
 
-  /// Returns this workspace's entire charge to the budget (destructor /
-  /// move-assign target teardown).
-  void release_budget_charge() noexcept {
-    if (budget_ == nullptr) return;
-    std::size_t held = buf_.size();
-    for (const ScratchSlot& s : scratch_) held += s.buf.size();
-    if (held > 0) budget_->release(held);
-    budget_ = nullptr;
-  }
-
   AlignedBuffer<std::byte> buf_;
   std::vector<ScratchSlot> scratch_;
   Stats stats_;
   bool fresh_ = false;
   MemoryBudget* budget_ = nullptr;
 };
-
-/// Multiplies A (CSC) by B (CSR) over semiring S.  Requires
-/// a.ncols == b.nrows; throws std::invalid_argument otherwise.  This
-/// convenience overload allocates a fresh workspace per call.
-template <typename S>
-PbResult pb_spgemm(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
-                   const PbConfig& cfg = {});
-
-/// Workspace-reusing variant for repeated multiplications.
-template <typename S>
-PbResult pb_spgemm(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
-                   const PbConfig& cfg, PbWorkspace& workspace);
-
-extern template PbResult pb_spgemm<PlusTimes>(const mtx::CscMatrix&,
-                                              const mtx::CsrMatrix&,
-                                              const PbConfig&);
-extern template PbResult pb_spgemm<MinPlus>(const mtx::CscMatrix&,
-                                            const mtx::CsrMatrix&,
-                                            const PbConfig&);
-extern template PbResult pb_spgemm<MaxMin>(const mtx::CscMatrix&,
-                                           const mtx::CsrMatrix&,
-                                           const PbConfig&);
-extern template PbResult pb_spgemm<BoolOrAnd>(const mtx::CscMatrix&,
-                                              const mtx::CsrMatrix&,
-                                              const PbConfig&);
-extern template PbResult pb_spgemm<PlusTimes>(const mtx::CscMatrix&,
-                                              const mtx::CsrMatrix&,
-                                              const PbConfig&, PbWorkspace&);
-extern template PbResult pb_spgemm<MinPlus>(const mtx::CscMatrix&,
-                                            const mtx::CsrMatrix&,
-                                            const PbConfig&, PbWorkspace&);
-extern template PbResult pb_spgemm<MaxMin>(const mtx::CscMatrix&,
-                                           const mtx::CsrMatrix&,
-                                           const PbConfig&, PbWorkspace&);
-extern template PbResult pb_spgemm<BoolOrAnd>(const mtx::CscMatrix&,
-                                              const mtx::CsrMatrix&,
-                                              const PbConfig&, PbWorkspace&);
-
-/// Numeric (+, ×) PB-SpGEMM — equivalent to pb_spgemm<PlusTimes>.  This
-/// convenience overload allocates a fresh workspace per call.
-PbResult pb_spgemm(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
-                   const PbConfig& cfg = {});
-
-/// Workspace-reusing numeric variant for repeated multiplications.
-PbResult pb_spgemm(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
-                   const PbConfig& cfg, PbWorkspace& workspace);
-
-/// Runtime dispatch by semiring name ("plus_times", "min_plus", "max_min",
-/// "bool_or_and"); throws std::invalid_argument listing the valid names on
-/// a miss.  Keeps the full per-phase telemetry of the template form.
-PbResult pb_spgemm_named(const std::string& semiring, const mtx::CscMatrix& a,
-                         const mtx::CsrMatrix& b, const PbConfig& cfg,
-                         PbWorkspace& workspace);
 
 }  // namespace pbs::pb

@@ -199,11 +199,9 @@ PbResult run_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   std::vector<PipelineThreadStats> tstats(static_cast<std::size_t>(nthreads));
 
   // Single unwind signal for the whole region (see the function comment);
-  // expand reads it through the run-local config below.
+  // expand polls it per column.
   CancelToken abort;
   abort.link(cancel);
-  PbConfig run_cfg = plan.cfg;
-  run_cfg.cancel = &abort;
   std::exception_ptr error;
 
   // The result CSR is built incrementally: tasks count rows into
@@ -311,8 +309,8 @@ PbResult run_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
     // publishing completed bins.  `omp for nowait` inside: threads fall
     // straight through to the worker loop.
     const double e0 = omp_get_wtime();
-    expand_team_any<F, S>(a, b, sym, run_cfg, stream, cursor.data(), sink,
-                          emask);
+    expand_team_any<F, S>(a, b, sym, plan.cfg, stream, cursor.data(), sink,
+                          emask, &abort);
     ts.expand_busy = omp_get_wtime() - e0;
 
     // Worker loop: own deque first (LIFO — most recently flushed bin,

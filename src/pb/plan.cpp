@@ -75,9 +75,6 @@ PbPlan pb_plan_build(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   Timer timer;
   plan.sym = pb_symbolic(a, b, cfg, hints);  // throws on dimension mismatch
   plan.cfg = cfg;
-  // A cancel token is per-run state; the plan outlives any run, so never
-  // capture a live token (PbConfig::cancel contract).
-  plan.cfg.cancel = nullptr;
   plan.l2_bytes = cfg.l2_bytes != 0 ? cfg.l2_bytes : cache_info().l2_bytes;
   plan.fingerprint = StructureFingerprint::of(a, b, plan.sym.flop);
   plan.symbolic.seconds = timer.elapsed_s();

@@ -1,11 +1,11 @@
 // PB-SpGEMM plan/execute split — analyze once, execute many.
 //
 // The pipeline's symbolic phase (flop count, bin layout, per-bin regions)
-// is semiring-independent and depends only on the *structure* of A and B,
-// yet pb_spgemm re-runs it on every call.  The workloads that motivate
-// PB-SpGEMM — Markov clustering, multi-source BFS, betweenness, AMG
-// Galerkin products — multiply with the same structure dozens of times, so
-// this header splits the pipeline FFTW-style:
+// is semiring-independent and depends only on the *structure* of A and B.
+// The workloads that motivate PB-SpGEMM — Markov clustering, multi-source
+// BFS, betweenness, AMG Galerkin products — multiply with the same
+// structure dozens of times, so this header splits the pipeline
+// FFTW-style:
 //
 //   PbPlan plan = pb_plan_build(a, b, cfg);   // symbolic + layout, once
 //   for (...) r = pb_execute<S>(a, b, plan, workspace);
@@ -14,9 +14,10 @@
 // captured bin layout and a pooled workspace, so steady-state executions
 // perform no analysis and no allocation (assertable via PbWorkspace
 // stats).  A StructureFingerprint makes invalidation cheap: executions
-// must pass operands whose fingerprint matches the plan's, and the
-// higher-level SpGemmPlan (spgemm/plan.hpp) uses the same fingerprint to
-// replan automatically when operands change shape.
+// must pass operands whose fingerprint matches the plan's, and
+// SpGemmExecutor (spgemm/executor.hpp), the library's entry point, keys
+// its plan cache on the same fingerprint, so a changed structure replans
+// automatically.
 //
 // The fingerprint is dims + nnz + flop + a sampled structural hash.  flop
 // (an O(k) pointer-array product) is sensitive to how the operands'
@@ -30,8 +31,12 @@
 // mutating structure in place must rebuild the plan explicitly.
 #pragma once
 
+#include <string>
+
+#include "common/cancel.hpp"
 #include "pb/pb_spgemm.hpp"
 #include "pb/symbolic.hpp"
+#include "spgemm/semiring_ops.hpp"
 
 namespace pbs::pb {
 
@@ -64,7 +69,7 @@ struct StructureFingerprint {
   bool operator==(const StructureFingerprint&) const = default;
 };
 
-/// The reusable analysis product: everything pb_spgemm derives from the
+/// The reusable analysis product: everything the pipeline derives from the
 /// operands' structure before touching values.
 struct PbPlan {
   SymbolicResult sym;

@@ -231,7 +231,7 @@ bool has_stored_zero(const std::vector<value_t>& vals) {
 SymbolicResult pb_symbolic(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
                            const PbConfig& cfg, const SymbolicHints& hints) {
   if (a.ncols != b.nrows) {
-    throw std::invalid_argument("pb_spgemm: inner dimensions differ (" +
+    throw std::invalid_argument("pb_symbolic: inner dimensions differ (" +
                                 std::to_string(a.ncols) + " vs " +
                                 std::to_string(b.nrows) + ")");
   }

@@ -1,5 +1,5 @@
-// Thread-safe pool of PbWorkspace — the concurrency counterpart of the
-// single-pipeline pooling allocator in pb_spgemm.hpp.
+// Thread-safe pool of PbWorkspace (pb_spgemm.hpp) — the memory every
+// SpGemmExecutor runs its PB products in.
 //
 // PbWorkspace deliberately serves ONE pipeline execution at a time (its
 // tuple pool is a single buffer every acquire returns).  A serving layer
@@ -11,7 +11,8 @@
 // new one when every workspace is leased, and the RAII Lease returns it on
 // destruction.  Steady-state serving at concurrency N settles on exactly N
 // workspaces, each behaving like the single-pipeline pool (no allocation
-// once sized).
+// once sized).  Members are held by unique_ptr, so a workspace never moves
+// while it is leased.
 //
 // The pool's own bookkeeping is mutex-guarded and cheap (two vector ops
 // per lease); the leased workspace itself is touched only by its holder.

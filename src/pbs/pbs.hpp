@@ -2,24 +2,24 @@
 //
 //   #include <pbs/pbs.hpp>
 //
-//   auto a   = pbs::mtx::coo_to_csr(pbs::mtx::generate_er(1 << 16, 1 << 16, 8, /*seed=*/1));
-//   auto p   = pbs::SpGemmProblem::square(a);
-//   auto c   = pbs::pb::pb_spgemm(p.a_csc, p.b_csr);     // with telemetry
-//   auto c2  = pbs::algorithm("hash").fn(p);             // any baseline
+//   auto a = pbs::mtx::coo_to_csr(pbs::mtx::generate_er(1 << 16, 1 << 16, 8, /*seed=*/1));
+//   auto p = pbs::SpGemmProblem::square(a);
 //
-//   // Repeated traffic: analyze + select once, execute many
-//   auto plan = pbs::make_plan(p);          // algo = "auto" (roofline-guided)
-//   for (...) auto c3 = plan.execute(p);    // no re-analysis, no re-allocation
-//
-//   // Serving: one executor, many structures/ops/threads
-//   pbs::SpGemmExecutor exec;               // fingerprint-keyed plan cache
-//   auto c4 = exec.run(p);                  // thread-safe, workspace-pooled
+//   // Every product runs through an executor: one analysis per
+//   // structure, pooled workspaces, thread-safe.
+//   pbs::SpGemmExecutor exec;
+//   pbs::SpGemmOp op;                       // algo = "auto" (roofline-guided)
+//   pbs::RunInfo info;                      // algorithm, per-phase telemetry
+//   auto c = exec.run(p, op, &info);
+//   op.algo = "hash";                       // or any registry algorithm
+//   op.semiring = "min_plus";               // and any registered semiring
+//   auto c2 = exec.run(p, op);
 //
 //   // Serving daemon: pbs_serve over a Unix socket (serve/server.hpp),
 //   // or embed the pieces — wire protocol, shard router, registry:
 //   pbs::serve::Client cli("/tmp/pbs_serve.sock");
 //   auto h  = cli.upload(a);                // ship A once
-//   auto c5 = cli.square(h);                // iterate by handle
+//   auto c3 = cli.square(h);                // iterate by handle
 //
 // See README.md for the architecture overview and examples/ for complete
 // programs.
@@ -35,7 +35,6 @@
 #include "matrix/coo.hpp"
 #include "matrix/csc.hpp"
 #include "matrix/csr.hpp"
-#include "matrix/dcsc.hpp"
 #include "matrix/generate.hpp"
 #include "matrix/matrix_market.hpp"
 #include "matrix/mstats.hpp"
@@ -43,7 +42,6 @@
 #include "matrix/surrogates.hpp"
 #include "model/roofline.hpp"
 #include "model/selection.hpp"
-#include "pb/partitioned.hpp"
 #include "pb/pb_spgemm.hpp"
 #include "pb/plan.hpp"
 #include "pb/workspace_pool.hpp"
@@ -56,7 +54,6 @@
 #include "spgemm/executor.hpp"
 #include "spgemm/masked.hpp"
 #include "spgemm/op.hpp"
-#include "spgemm/plan.hpp"
 #include "spgemm/registry.hpp"
 #include "spgemm/semiring.hpp"
 #include "spgemm/spgemm.hpp"

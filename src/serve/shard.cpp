@@ -7,7 +7,6 @@
 
 #include "common/errors.hpp"
 #include "common/numa.hpp"
-#include "pb/partitioned.hpp"
 
 #ifdef __linux__
 #include <sched.h>
@@ -37,6 +36,101 @@ void pin_to_node(int node) {
 #else
   (void)node;
 #endif
+}
+
+/// Bounds of `k` contiguous, balanced ranges covering [0, n): k+1
+/// ascending cut points with front() == 0 and back() == n.  Requires
+/// k >= 1; ranges are empty only when k > n.
+std::vector<index_t> split_ranges(index_t n, int k) {
+  std::vector<index_t> bounds(static_cast<std::size_t>(k) + 1);
+  const index_t per = (n + k - 1) / k;
+  for (int i = 0; i <= k; ++i) {
+    bounds[static_cast<std::size_t>(i)] =
+        std::min<index_t>(n, static_cast<index_t>(i) * per);
+  }
+  return bounds;
+}
+
+/// Rows [row_lo, row_hi) of A — a contiguous copy, no filtering pass.
+mtx::CsrMatrix slice_rows(const mtx::CsrMatrix& a, index_t row_lo,
+                          index_t row_hi) {
+  mtx::CsrMatrix out(row_hi - row_lo, a.ncols);
+  const nnz_t base = a.rowptr[row_lo];
+  for (index_t r = row_lo; r < row_hi; ++r) {
+    out.rowptr[static_cast<std::size_t>(r - row_lo) + 1] =
+        a.rowptr[static_cast<std::size_t>(r) + 1] - base;
+  }
+  const auto lo = static_cast<std::size_t>(base);
+  const auto n = static_cast<std::size_t>(a.rowptr[row_hi] - base);
+  out.colids.assign(a.colids.begin() + lo, a.colids.begin() + lo + n);
+  out.vals.assign(a.vals.begin() + lo, a.vals.begin() + lo + n);
+  return out;
+}
+
+/// Columns [col_lo, col_hi) of A with column ids rebased to 0.  Columns
+/// are sorted within each row, so the kept entries of row r form one
+/// contiguous run found by binary search.
+mtx::CsrMatrix slice_cols(const mtx::CsrMatrix& a, index_t col_lo,
+                          index_t col_hi) {
+  mtx::CsrMatrix out(a.nrows, col_hi - col_lo);
+  std::vector<nnz_t> lo(static_cast<std::size_t>(a.nrows));
+  for (index_t r = 0; r < a.nrows; ++r) {
+    const auto cols = a.row_cols(r);
+    const auto first =
+        std::lower_bound(cols.begin(), cols.end(), col_lo) - cols.begin();
+    const auto last =
+        std::lower_bound(cols.begin(), cols.end(), col_hi) - cols.begin();
+    lo[static_cast<std::size_t>(r)] = a.rowptr[r] + first;
+    out.rowptr[static_cast<std::size_t>(r) + 1] =
+        out.rowptr[r] + (last - first);
+  }
+  out.colids.resize(static_cast<std::size_t>(out.rowptr.back()));
+  out.vals.resize(static_cast<std::size_t>(out.rowptr.back()));
+  for (index_t r = 0; r < a.nrows; ++r) {
+    const auto src = static_cast<std::size_t>(lo[static_cast<std::size_t>(r)]);
+    const auto dst = static_cast<std::size_t>(out.rowptr[r]);
+    const auto n = static_cast<std::size_t>(out.row_nnz(r));
+    for (std::size_t i = 0; i < n; ++i) {
+      out.colids[dst + i] = a.colids[src + i] - col_lo;
+      out.vals[dst + i] = a.vals[src + i];
+    }
+  }
+  return out;
+}
+
+/// Stacks row blocks owning disjoint, ascending row ranges into one
+/// (nrows × ncols) CSR: the blocks are concatenated in order, and rows
+/// past the last block stay empty.
+mtx::CsrMatrix stack_row_blocks(const std::vector<mtx::CsrMatrix>& pieces,
+                                index_t nrows, index_t ncols) {
+  mtx::CsrMatrix c;
+  c.nrows = nrows;
+  c.ncols = ncols;
+  c.rowptr.assign(static_cast<std::size_t>(nrows) + 1, 0);
+  nnz_t total = 0;
+  for (const mtx::CsrMatrix& piece : pieces) total += piece.nnz();
+  c.colids.reserve(static_cast<std::size_t>(total));
+  c.vals.reserve(static_cast<std::size_t>(total));
+
+  index_t row_base = 0;
+  nnz_t nnz_base = 0;
+  for (const mtx::CsrMatrix& piece : pieces) {
+    for (index_t r = 0; r < piece.nrows; ++r) {
+      c.rowptr[static_cast<std::size_t>(row_base + r) + 1] =
+          nnz_base + piece.rowptr[static_cast<std::size_t>(r) + 1];
+    }
+    c.colids.insert(c.colids.end(), piece.colids.begin(), piece.colids.end());
+    c.vals.insert(c.vals.end(), piece.vals.begin(), piece.vals.end());
+    row_base += piece.nrows;
+    nnz_base += piece.nnz();
+  }
+  // Rows past the last block keep the running total so rowptr stays
+  // monotone.
+  for (std::size_t r = static_cast<std::size_t>(row_base) + 1;
+       r < c.rowptr.size(); ++r) {
+    c.rowptr[r] = nnz_base;
+  }
+  return c;
 }
 
 /// Re-bases a tile's column ids into the global column space: the tile
@@ -92,8 +186,8 @@ mtx::CsrMatrix ShardRouter::run_impl(const SpGemmProblem& p,
 
   const index_t nrows = p.a_csr.nrows;
   const index_t ncols = p.b_csr.ncols;
-  const std::vector<index_t> rb = pb::split_ranges(nrows, rows_);
-  const std::vector<index_t> cb = pb::split_ranges(ncols, cols_);
+  const std::vector<index_t> rb = split_ranges(nrows, rows_);
+  const std::vector<index_t> cb = split_ranges(ncols, cols_);
 
   const int n = nshards();
   std::vector<mtx::CsrMatrix> tiles(static_cast<std::size_t>(n));
@@ -112,16 +206,16 @@ mtx::CsrMatrix ShardRouter::run_impl(const SpGemmProblem& p,
         // Slice on the shard's own thread: with pinning, first touch
         // places every tile operand on the shard's node.
         const mtx::CsrMatrix a_tile =
-            pb::slice_rows(p.a_csr, rb[static_cast<std::size_t>(r)],
+            slice_rows(p.a_csr, rb[static_cast<std::size_t>(r)],
                            rb[static_cast<std::size_t>(r) + 1]);
         const mtx::CsrMatrix b_tile =
-            pb::slice_cols(p.b_csr, cb[static_cast<std::size_t>(c)],
+            slice_cols(p.b_csr, cb[static_cast<std::size_t>(c)],
                            cb[static_cast<std::size_t>(c) + 1]);
         mtx::CsrMatrix mask_tile;
         SpGemmOp tile_op = op;
         if (op.mask != nullptr) {
-          mask_tile = pb::slice_cols(
-              pb::slice_rows(*op.mask, rb[static_cast<std::size_t>(r)],
+          mask_tile = slice_cols(
+              slice_rows(*op.mask, rb[static_cast<std::size_t>(r)],
                              rb[static_cast<std::size_t>(r) + 1]),
               cb[static_cast<std::size_t>(c)],
               cb[static_cast<std::size_t>(c) + 1]);
@@ -178,7 +272,7 @@ mtx::CsrMatrix ShardRouter::run_impl(const SpGemmProblem& p,
     }
     row_blocks.push_back(std::move(merged));
   }
-  mtx::CsrMatrix out = pb::stack_row_blocks(row_blocks, nrows, ncols);
+  mtx::CsrMatrix out = stack_row_blocks(row_blocks, nrows, ncols);
 
   if (info != nullptr) {
     *info = infos[0];

@@ -1,5 +1,4 @@
-// 2D tile shard router — PartitionedPlan's row decomposition generalized
-// to a row×column grid of independent executors.
+// 2D tile shard router — a row×column grid of independent executors.
 //
 // CombBLAS-style 2D decomposition (Buluç & Gilbert) splits both operands
 // over a process grid; the in-node analogue here splits A row-wise and B
@@ -16,10 +15,12 @@
 // not a shortcut that would break on overlapping tiles.
 //
 // Each tile is served by its own long-lived SpGemmExecutor (own plan
-// cache, own workspace pool), and the fan-out thread for shard s pins
-// itself to NUMA node s % nnodes before touching the slices — the
-// multi-socket mitigation of paper Sec. V-D applied to serving: a shard's
-// slices, bins and sort scratch stay on the socket that computes them.
+// cache, own workspace pool), the tiles run concurrently, and the fan-out
+// thread for shard s pins itself to NUMA node s % nnodes before touching
+// the slices — a shard's slices, bins and sort scratch stay on the socket
+// that computes them.  An R×1 grid is the multi-socket mitigation of paper
+// Sec. V-D: A split into R row blocks, each multiplied with the whole B,
+// at the cost of reading B once per block.
 #pragma once
 
 #include <memory>

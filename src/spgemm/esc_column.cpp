@@ -43,8 +43,9 @@ mtx::CsrMatrix esc_column_spgemm(const SpGemmProblem& p) {
   const nnz_t flop =
       exclusive_scan_inplace_parallel(slice.data(), static_cast<std::size_t>(a.nrows));
 
-  // The flop-sized expansion scratch is reused across calls (cf. PbWorkspace
-  // in pb/pb_spgemm.hpp) so repeated runs do not re-pay its page faults.
+  // The flop-sized expansion scratch is reused across calls, as the
+  // executor's pooled PbWorkspaces are for pb, so repeated runs do not
+  // re-pay its page faults.
   thread_local AlignedBuffer<EscTuple> scratch;
   if (static_cast<std::size_t>(flop) > scratch.size()) {
     scratch.allocate(static_cast<std::size_t>(flop));

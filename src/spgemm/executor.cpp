@@ -82,12 +82,16 @@ bool is_passthrough(const SpGemmOp& op) {
   return op.algo != "auto" && op.algo != "pb";
 }
 
+/// Predicted-vs-achieved samples kept for calibrate()/samples(): the most
+/// recent window, oldest dropped first.
+constexpr std::size_t kMaxSamples = 512;
+
 /// Serializes executions over runtime-registered semirings.  The
 /// DynSemiring bridge routes scalar ops through ONE process-global
 /// active-semiring pointer (spgemm/op.hpp), so the mutex must be
 /// process-global too — a per-executor mutex would let two executors
-/// (e.g. two SpGemmPlans, each owning a private executor) interleave
-/// their activations and silently compute with the wrong semiring.
+/// interleave their activations and silently compute with the wrong
+/// semiring.
 std::mutex& dyn_semiring_mutex() {
   static std::mutex mu;
   return mu;
@@ -152,7 +156,6 @@ std::size_t entry_bytes(const CachedPlanEntry& e) {
 struct SpGemmExecutor::Impl {
   explicit Impl(ExecutorOptions o) : opts(o) {
     opts.cache_capacity = std::max<std::size_t>(opts.cache_capacity, 1);
-    opts.max_samples = std::max<std::size_t>(opts.max_samples, 1);
     pool.set_budget_bytes(opts.mem_budget_bytes);
   }
 
@@ -441,13 +444,17 @@ struct SpGemmExecutor::Impl {
                                     : entry->choice.column_mflops;
     }
 
-    // Resolve through the registry even for pb: unknown names and
-    // unsupported (algo, semiring) pairs fail here, at plan time.
-    entry->fn = masked_semiring_algorithm(resolved, op.semiring, op.mask,
-                                          op.complement);
+    // Unknown names and unsupported (algo, semiring) pairs fail here, at
+    // plan time.  A pb entry runs pb_execute itself and needs only the
+    // pair check; every other entry resolves its row-wise kernel.
+    entry->use_pb = resolved == "pb";
+    if (!entry->use_pb) {
+      entry->fn = masked_semiring_algorithm(resolved, op.semiring, op.mask,
+                                            op.complement);
+    }
     entry->resolved = std::move(resolved);
-    entry->use_pb = entry->resolved == "pb";
     if (entry->use_pb) {
+      check_algorithm_semiring(entry->resolved, op.semiring);
       const auto cap = static_cast<double>(opts.mem_budget_bytes);
       bool over_budget = false;
       // Cheap bound before paying the symbolic build: no stream format is
@@ -587,7 +594,7 @@ struct SpGemmExecutor::Impl {
                            entry->predicted_mflops, achieved,
                            entry->sel_pb_efficiency,
                            entry->sel_column_latency_penalty});
-        if (samples.size() > opts.max_samples) {
+        if (samples.size() > kMaxSamples) {
           samples.erase(samples.begin());
         }
         want_calibration = opts.calibrate_after > 0 && !calibrated &&
@@ -954,8 +961,8 @@ void SpGemmExecutor::prepare(const SpGemmProblem& p, const SpGemmOp& op,
     check_mask_shape(op, p);
     Timer timer;
     (void)im.passthrough_fn(op, op_cache_key(op));  // throws on bad pairs
-    // Fixed baseline plans still report the problem's flop (the analysis
-    // SpGemmPlan has always exposed), they just never re-verify it.
+    // Fixed baseline plans still report the problem's flop, they just
+    // never re-verify it.
     const pb::StructureFingerprint fp =
         pb::StructureFingerprint::of(p.a_csc, p.b_csr);
     if (info != nullptr) {

@@ -1,13 +1,20 @@
-// SpGemmExecutor — the long-lived serving layer over the plan/execute
-// machinery.
+// SpGemmExecutor — the one way a product runs.
 //
-// SpGemmPlan answers "multiply this one structure many times"; iterative
-// and serving workloads need more: MCL alternates between a few pruned
-// shapes (a single plan replans on every flip), AMG walks two triple-
-// product sites down a level hierarchy, batched masked BFS/BC frontiers
-// run several descriptors against one analysis, and a service multiplies
-// through one hot plan from many threads at once.  The executor owns all
-// four patterns:
+// Every multiplication in the library (fixed algorithm or "auto"; plain,
+// masked, accumulating or with a post-op; built-in or runtime semiring)
+// goes through run() with the descriptor SpGemmOp (spgemm/op.hpp):
+//
+//   SpGemmExecutor exec;                 // holds plans and workspaces
+//   SpGemmOp op;                         // algo = "auto" by default
+//   op.semiring = "min_plus";
+//   for (...) c = exec.run(problem, op); // analysis once per structure
+//
+// Repeating one structure is the simplest traffic; iterative and serving
+// workloads need more: MCL alternates between a few pruned shapes, AMG
+// walks two triple-product sites down a level hierarchy, batched masked
+// BFS/BC frontiers run several descriptors against one analysis, and a
+// service multiplies through one hot plan from many threads at once.  The
+// executor owns all of these patterns:
 //
 //   PlanCache      — an LRU of cached plans keyed by StructureFingerprint
 //                    × op identity.  Workloads alternating between a few
@@ -40,10 +47,6 @@
 // after `calibrate_after` samples the executor refits its selection
 // model's derating constants from them (SelectionModel::calibrate), so
 // long-running services converge onto this machine's measured crossover.
-//
-// SpGemmPlan (spgemm/plan.hpp) survives as a thin single-entry view over
-// one private executor, so existing callers keep their API and gain the
-// structure cache transparently.
 #pragma once
 
 #include <chrono>
@@ -87,10 +90,6 @@ struct ExecutorOptions {
   /// Replans and new structures selected after the refit use the
   /// calibrated constants; already-cached choices are kept.
   std::size_t calibrate_after = 0;
-
-  /// Telemetry ring capacity: the most recent samples kept for
-  /// calibrate()/samples().
-  std::size_t max_samples = 512;
 
   /// Worker threads the batched run(problem, ops) fans executions out
   /// over after its shared (serial) analysis pass.  0 = auto:
@@ -183,10 +182,10 @@ class SpGemmExecutor {
 
   /// Multiplies p under op, through the cached plan for (structure, op)
   /// when one exists (building and caching it otherwise).  Thread-safe.
-  /// Throws like make_plan for unknown algorithms/semirings, unsupported
-  /// pairs, or a mask whose shape does not match the product; throws
-  /// std::logic_error when op.accumulate is set (use the accumulating
-  /// overload).
+  /// Throws std::invalid_argument for unknown algorithms/semirings,
+  /// unsupported pairs, or a mask whose shape does not match the product;
+  /// throws std::logic_error when op.accumulate is set (use the
+  /// accumulating overload).
   mtx::CsrMatrix run(const SpGemmProblem& p, const SpGemmOp& op = {},
                      RunInfo* info = nullptr);
 
@@ -256,7 +255,7 @@ class SpGemmExecutor {
 
   /// Analyzes and caches the plan for (p, op) without executing — warms
   /// the cache, validates the op (same throws as run), and reports the
-  /// selection through `info`.  make_plan primes its plan this way.
+  /// selection through `info`.
   void prepare(const SpGemmProblem& p, const SpGemmOp& op = {},
                RunInfo* info = nullptr);
 
@@ -265,13 +264,13 @@ class SpGemmExecutor {
   /// Lease bookkeeping of the workspace pool (created vs reused).
   [[nodiscard]] pb::WorkspacePool::Stats pool_stats() const;
 
-  /// Aggregated allocator counters of the pooled workspaces — the
-  /// executor analogue of SpGemmPlan::workspace_stats().  Quiescent
-  /// callers only (counters are written lock-free by in-flight runs).
+  /// Aggregated allocator counters of the pooled workspaces (steady state
+  /// shows reuses growing, allocations not).  Quiescent callers only
+  /// (counters are written lock-free by in-flight runs).
   [[nodiscard]] pb::PbWorkspace::Stats workspace_stats() const;
 
-  /// The recorded predicted-vs-achieved samples (most recent
-  /// ExecutorOptions::max_samples), oldest first.
+  /// The recorded predicted-vs-achieved samples (the most recent 512),
+  /// oldest first.
   [[nodiscard]] std::vector<model::PerfSample> samples() const;
 
   /// The selection model future analyses will use: per-op tunables with

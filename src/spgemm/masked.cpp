@@ -9,7 +9,6 @@
 #include "common/parallel.hpp"
 #include "spgemm/assemble.hpp"
 #include "spgemm/op.hpp"
-#include "spgemm/plan.hpp"
 
 namespace pbs {
 
@@ -30,10 +29,10 @@ mtx::CsrMatrix spgemm_masked_semiring(const mtx::CsrMatrix& a,
                                       const mtx::CsrMatrix& mask,
                                       bool complement) {
   if (a.ncols != b.nrows) {
-    throw std::invalid_argument("spgemm_masked: inner dimensions differ");
+    throw std::invalid_argument("spgemm_masked_semiring: inner dimensions differ");
   }
   if (mask.nrows != a.nrows || mask.ncols != b.ncols) {
-    throw std::invalid_argument("spgemm_masked: mask shape mismatch");
+    throw std::invalid_argument("spgemm_masked_semiring: mask shape mismatch");
   }
 
   // Row r: stamp the mask's columns as allowed, then run the usual row-wise
@@ -100,17 +99,5 @@ template mtx::CsrMatrix spgemm_masked_semiring<BoolOrAnd>(
 // The runtime-semiring bridge (spgemm/op.hpp).
 template mtx::CsrMatrix spgemm_masked_semiring<DynSemiring>(
     const mtx::CsrMatrix&, const mtx::CsrMatrix&, const mtx::CsrMatrix&, bool);
-
-mtx::CsrMatrix spgemm_masked(const mtx::CsrMatrix& a, const mtx::CsrMatrix& b,
-                             const mtx::CsrMatrix& mask, bool complement) {
-  // Shim over the descriptor path: same SPA kernel the pre-descriptor
-  // implementation ran, now reached through SpGemmOp.
-  const SpGemmProblem p = SpGemmProblem::multiply(a, b);
-  SpGemmOp op;
-  op.algo = "spa";
-  op.mask = &mask;
-  op.complement = complement;
-  return make_plan(p, op).execute(p);
-}
 
 }  // namespace pbs

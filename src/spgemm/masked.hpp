@@ -15,11 +15,10 @@
 //   hash_masked_semiring<S>   — two-phase hash, masked in both phases
 //                               (declared here, defined in hash.cpp)
 //
-// The preferred way to run a masked multiplication is the operation
-// descriptor (spgemm/op.hpp): set SpGemmOp::mask/complement and go through
-// make_plan — selection then accounts for the mask's density and every
-// algorithm (including PB) fuses it.  The free function spgemm_masked
-// below survives as a thin shim over that path.
+// A masked multiplication runs through the operation descriptor
+// (spgemm/op.hpp): set SpGemmOp::mask/complement and call
+// SpGemmExecutor::run — selection then accounts for the mask's density
+// and every algorithm (including PB) fuses it.
 #pragma once
 
 #include <vector>
@@ -110,12 +109,5 @@ extern template mtx::CsrMatrix hash_masked_semiring<MaxMin>(
     const SpGemmProblem&, const mtx::CsrMatrix&, bool);
 extern template mtx::CsrMatrix hash_masked_semiring<BoolOrAnd>(
     const SpGemmProblem&, const mtx::CsrMatrix&, bool);
-
-/// Numeric (+, ×) masked SpGEMM — a thin shim over the descriptor path:
-/// equivalent to make_plan with SpGemmOp{mask, complement} on the SPA
-/// kernel.  Requires matching outer dimensions.
-mtx::CsrMatrix spgemm_masked(const mtx::CsrMatrix& a, const mtx::CsrMatrix& b,
-                             const mtx::CsrMatrix& mask,
-                             bool complement = false);
 
 }  // namespace pbs

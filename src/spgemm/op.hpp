@@ -15,23 +15,20 @@
 //                   accumulations outside the mask and the PB pipeline
 //                   drops masked-out tuples at its compress stage, before
 //                   CSR conversion
-//   accumulate    — GraphBLAS-style C ⊞= A ⊗ B: execute(problem, c)
+//   accumulate    — GraphBLAS-style C ⊞= A ⊗ B: run(problem, op, c)
 //                   combines the product into an existing matrix with the
 //                   semiring's add over the union pattern
 //   algo          — "auto" (roofline-guided, mask-density-aware) or a
 //                   concrete registry algorithm
 //
 // so every variant — plain, masked, accumulating, custom-semiring — flows
-// through the same plan/execute machinery:
+// through the same executor (spgemm/executor.hpp):
 //
 //   SpGemmOp op;                       // algo = "auto" by default
 //   op.semiring = "min_plus";
 //   op.mask = &m;                      // optional; op.complement flips it
-//   SpGemmPlan plan = make_plan(problem, op);   // spgemm/plan.hpp
-//   auto c = plan.execute(problem);
-//
-// The pre-descriptor entry points (`semiring_algorithm`, `spgemm_masked`,
-// `PlanOptions`) survive as thin shims over this path.
+//   SpGemmExecutor exec;
+//   auto c = exec.run(problem, op);
 #pragma once
 
 #include <functional>
@@ -69,7 +66,7 @@ struct RuntimeSemiring {
 
 /// Process-wide name -> semiring table.  Pre-seeded with the built-in
 /// four; `register_semiring` adds user semirings, after which every
-/// name-keyed entry point in the library (make_plan, semiring_algorithm,
+/// name-keyed entry point in the library (SpGemmOp, semiring_algorithm,
 /// pbs_cli --semiring) accepts the new name.  Registration is guarded by a
 /// mutex; registered semirings are never removed, so the pointers and
 /// references handed out stay valid for the process lifetime.
@@ -173,8 +170,7 @@ decltype(auto) dispatch_semiring_any(const std::string& name, Fn&& fn) {
 }
 
 /// The operation descriptor: everything that defines one SpGEMM variant.
-/// `make_plan(problem, op)` (spgemm/plan.hpp) is the one entry point; the
-/// legacy PlanOptions name is an alias of this struct.
+/// `SpGemmExecutor::run(problem, op)` (spgemm/executor.hpp) runs it.
 struct SpGemmOp {
   /// "auto" (roofline-guided selection, mask-density-aware when a mask is
   /// set) or any registry algorithm name; unknown names and unsupported
@@ -193,10 +189,9 @@ struct SpGemmOp {
   /// (GraphBLAS complemented mask).
   bool complement = false;
 
-  /// Declares the op accumulating: execute(problem, c) combines the
-  /// product into c with the semiring's add; the single-argument
-  /// execute(problem) then throws std::logic_error (the descriptor
-  /// promised an accumulation target).
+  /// Declares the op accumulating: run(problem, op, c) combines the
+  /// product into c with the semiring's add; run(problem, op) then throws
+  /// std::logic_error (the descriptor promised an accumulation target).
   bool accumulate = false;
 
   /// Elementwise post-op (scale / prune / top-k, common/post_op.hpp)

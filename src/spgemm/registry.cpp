@@ -3,8 +3,7 @@
 #include <stdexcept>
 
 #include "matrix/ops.hpp"
-#include "pb/pb_spgemm.hpp"
-#include "pb/plan.hpp"
+#include "spgemm/executor.hpp"
 #include "spgemm/masked.hpp"
 #include "spgemm/op.hpp"
 #include "spgemm/semiring.hpp"
@@ -15,23 +14,21 @@ namespace {
 
 const std::vector<std::string>& all_semirings() { return semiring_names(); }
 
-/// One flop-sized Cˆ scratch per thread, shared by every pb_run<S>
-/// instantiation (the workspace holds raw tuples, so semirings can share
-/// it — and must live outside the template, or each instantiation would
-/// retain its own copy).  Reuse across calls means repeated invocations —
-/// benchmarks, iterative applications — pay its page faults once, not per
-/// call.
-pb::PbWorkspace& pb_shared_workspace() {
-  thread_local pb::PbWorkspace workspace;
-  return workspace;
-}
-
-/// PB over semiring S through the shared per-thread workspace.
-template <typename S>
-mtx::CsrMatrix pb_run(const SpGemmProblem& p) {
-  return pb::pb_spgemm<S>(p.a_csc, p.b_csr, pb::PbConfig{},
-                          pb_shared_workspace())
-      .c;
+/// "pb" as a registry kernel: one product on a fresh SpGemmExecutor, so
+/// the PB pipeline runs nowhere but inside an executor.  The executor
+/// activates a runtime semiring itself and fuses the mask into compress.
+/// Each call starts on a cold workspace pool; repeated products (timing
+/// loops, iterative applications) should hold one executor instead.
+SpGemmFn pb_kernel(const std::string& semiring, const mtx::CsrMatrix* mask,
+                   bool complement) {
+  return [semiring, mask, complement](const SpGemmProblem& p) {
+    SpGemmOp op;
+    op.algo = "pb";
+    op.semiring = semiring;
+    op.mask = mask;
+    op.complement = complement;
+    return SpGemmExecutor().run(p, op);
+  };
 }
 
 template <typename S>
@@ -58,7 +55,6 @@ mtx::CsrMatrix reference_run(const SpGemmProblem& p) {
 /// registry entries flagged `generalized`.
 template <typename S>
 SpGemmFn generalized_kernel(const std::string& algo) {
-  if (algo == "pb") return pb_run<S>;
   if (algo == "heap") return heap_run<S>;
   if (algo == "hash") return hash_run<S>;
   if (algo == "spa") return spa_run<S>;
@@ -68,24 +64,12 @@ SpGemmFn generalized_kernel(const std::string& algo) {
                          "generalized kernel");
 }
 
-/// Ditto for the fused masked kernels.  PB fuses the mask at its compress
-/// stage; heap/hash/spa in their row loops; the remaining baselines fall
-/// back to multiply-then-pattern_filter (exact, unfused).
+/// Ditto for the fused masked kernels: heap/hash/spa fuse the mask into
+/// their row loops; the remaining baselines fall back to
+/// multiply-then-pattern_filter (exact, unfused).
 template <typename S>
 SpGemmFn masked_kernel(const std::string& algo, const mtx::CsrMatrix* mask,
                        bool complement) {
-  if (algo == "pb") {
-    return [mask, complement](const SpGemmProblem& p) {
-      // Fresh build + masked execute through the shared workspace; the
-      // plan was just built from these operands, so skip the fingerprint.
-      const pb::PbPlan plan =
-          pb::pb_plan_build(p.a_csc, p.b_csr, pb::PbConfig{});
-      const pb::MaskSpec ms{mask, complement};
-      return pb::pb_execute<S>(p.a_csc, p.b_csr, plan, pb_shared_workspace(),
-                               /*check_fingerprint=*/false, ms)
-          .c;
-    };
-  }
   if (algo == "heap") {
     return [mask, complement](const SpGemmProblem& p) {
       return heap_masked_semiring<S>(p, *mask, complement);
@@ -116,10 +100,10 @@ SpGemmFn masked_kernel(const std::string& algo, const mtx::CsrMatrix* mask,
   };
 }
 
-/// Validates the (algo, semiring) pair against the registry + runtime
-/// semiring registry; returns the resolved AlgoInfo.
-const AlgoInfo& check_pair(const std::string& algo,
-                           const std::string& semiring) {
+}  // namespace
+
+const AlgoInfo& check_algorithm_semiring(const std::string& algo,
+                                         const std::string& semiring) {
   const AlgoInfo& info = algorithm(algo);  // throws on unknown algorithm
 
   if (!is_registered_semiring(semiring)) {
@@ -141,8 +125,6 @@ const AlgoInfo& check_pair(const std::string& algo,
   return info;
 }
 
-}  // namespace
-
 bool AlgoInfo::supports_semiring(const std::string& semiring) const {
   for (const std::string& s : semirings) {
     if (s == semiring) return true;
@@ -156,7 +138,8 @@ const std::vector<AlgoInfo>& algorithms() {
   static const std::vector<AlgoInfo> algos = {
       {"pb",
        "PB-SpGEMM: outer-product ESC with propagation blocking (this paper)",
-       pb_run<PlusTimes>, true, all_semirings(), true},
+       pb_kernel(PlusTimes::name, nullptr, false), true, all_semirings(),
+       true},
       {"heap", "column/row Gustavson with k-way heap merge [22]",
        heap_spgemm, true, all_semirings(), true},
       {"hash", "column/row Gustavson with hash accumulation [12]",
@@ -208,13 +191,15 @@ std::string algorithm_semiring_matrix() {
 
 SpGemmFn semiring_algorithm(const std::string& algo,
                             const std::string& semiring) {
-  const AlgoInfo& info = check_pair(algo, semiring);
+  const AlgoInfo& info = check_algorithm_semiring(algo, semiring);
 
   if (semiring == PlusTimes::name) return info.fn;
+  if (algo == "pb") return pb_kernel(semiring, nullptr, false);
 
-  // The generalized kernels; check_pair guarantees the pair is supported,
-  // so `semiring` here is a non-plus_times name of a generalized algorithm
-  // (built-in via the compiled instantiations, runtime via DynSemiring).
+  // The generalized kernels; the check above guarantees the pair is
+  // supported, so `semiring` here is a non-plus_times name of a
+  // generalized algorithm (built-in via the compiled instantiations,
+  // runtime via DynSemiring).
   if (is_semiring_name(semiring)) {
     return dispatch_semiring(semiring, [&]<typename S>() -> SpGemmFn {
       return generalized_kernel<S>(algo);
@@ -236,7 +221,8 @@ SpGemmFn masked_semiring_algorithm(const std::string& algo,
                                    const mtx::CsrMatrix* mask,
                                    bool complement) {
   if (mask == nullptr) return semiring_algorithm(algo, semiring);
-  check_pair(algo, semiring);
+  check_algorithm_semiring(algo, semiring);
+  if (algo == "pb") return pb_kernel(semiring, mask, complement);
 
   if (is_semiring_name(semiring)) {
     return dispatch_semiring(semiring, [&]<typename S>() -> SpGemmFn {

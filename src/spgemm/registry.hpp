@@ -49,23 +49,30 @@ const AlgoInfo& algorithm(const std::string& name);
 /// Non-throwing lookup; nullptr on a miss (for probing, e.g. "auto").
 const AlgoInfo* find_algorithm(const std::string& name) noexcept;
 
+/// Throws std::invalid_argument listing every valid (algorithm, semiring)
+/// combination when the algorithm is unknown, the semiring is unknown, or
+/// the pair is unsupported; returns the algorithm's entry otherwise.
+const AlgoInfo& check_algorithm_semiring(const std::string& algo,
+                                         const std::string& semiring);
+
 /// Unified (algorithm × semiring) lookup: returns the kernel computing
 /// A ⊗ B with `algo` over `semiring` (built-in or runtime-registered).
-/// Throws std::invalid_argument listing every valid
-/// (algorithm, semiring) combination when the algorithm is unknown, the
-/// semiring is unknown, or the pair is unsupported — callers never
-/// silently fall back to a different algorithm or semiring.  This is the
-/// kernel-resolution layer the descriptor path (make_plan + SpGemmOp)
-/// runs on; calling it directly is the non-planning shim.
+/// Throws like check_algorithm_semiring — callers never silently fall
+/// back to a different algorithm or semiring.  This is the row-wise
+/// kernel layer SpGemmExecutor (spgemm/executor.hpp) resolves its
+/// non-pb entries through.  The "pb" kernel is one product on a fresh
+/// SpGemmExecutor: correct anywhere, but it starts each call on a cold
+/// workspace pool, so repeated pb products should hold an executor.
 SpGemmFn semiring_algorithm(const std::string& algo,
                             const std::string& semiring);
 
 /// Masked counterpart: the returned kernel computes (A ⊗ B) restricted to
 /// `mask`'s pattern (or its complement) with the mask fused into the
 /// algorithm — the Gustavson row loops for heap/hash/spa, the compress
-/// stage for pb, and a multiply-then-filter fallback for the remaining
-/// baselines (still exact, just unfused).  `mask` is captured by pointer
-/// and must outlive the returned kernel; its shape is validated per call.
+/// stage for pb (through the executor), and a multiply-then-filter
+/// fallback for the remaining baselines (still exact, just unfused).
+/// `mask` is captured by pointer and must outlive the returned kernel;
+/// its shape is validated per call.
 SpGemmFn masked_semiring_algorithm(const std::string& algo,
                                    const std::string& semiring,
                                    const mtx::CsrMatrix* mask,
@@ -78,20 +85,5 @@ std::string algorithm_semiring_matrix();
 
 /// The four algorithms the paper's figures compare.
 std::vector<AlgoInfo> paper_comparison_set();
-
-// ---- plan-returning dispatch ---------------------------------------------
-//
-// semiring_algorithm resolves one call; make_plan resolves a *traffic
-// pattern*: it analyzes the problem once (flop, estimated compression
-// factor, roofline-guided selection when the op's algo is "auto" — mask-
-// density-aware when the op carries a mask — PB symbolic bin layout when
-// the choice lands on pb) and returns a reusable SpGemmPlan whose
-// execute() skips re-analysis and re-allocation while the operand
-// structure is unchanged.  The descriptor SpGemmOp (spgemm/op.hpp)
-// composes semiring × mask × accumulation × algo hint; full API and
-// defaults live in spgemm/plan.hpp.
-class SpGemmPlan;
-struct SpGemmOp;
-SpGemmPlan make_plan(const SpGemmProblem& p, SpGemmOp op);
 
 }  // namespace pbs

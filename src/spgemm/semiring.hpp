@@ -13,10 +13,10 @@
 //   reference_spgemm_semiring<S>— serial ordered-map gold standard, the
 //                                 direct oracle for non-numeric semirings
 //
-// The bandwidth-optimized PB pipeline's semiring form, pb_spgemm<S>, is
-// declared in pb/pb_spgemm.hpp; runtime (algorithm × semiring) dispatch —
-// including semirings registered at runtime (spgemm/op.hpp) — is in
-// spgemm/registry.hpp.
+// The bandwidth-optimized PB pipeline's semiring form is pb_execute<S>
+// (pb/plan.hpp), which SpGemmExecutor runs for every pb product; runtime
+// (algorithm × semiring) dispatch — including semirings registered at
+// runtime (spgemm/op.hpp) — is in spgemm/registry.hpp.
 //
 // All kernels keep entries whose accumulated value equals S::zero()
 // (structural presence mirrors the numeric convention for exact

@@ -92,7 +92,7 @@ TEST(Measure, PbTelemetryBestIsConsistent) {
   const mtx::CsrMatrix a =
       mtx::coo_to_csr(mtx::generate_er(512, 512, 4.0, 52));
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const pb::PbTelemetry t = pb_best_telemetry(p, pb::PbConfig{}, 2, 1);
+  const pb::PbTelemetry t = pb_best_telemetry(PlusTimes::name, p, pb::PbConfig{}, 2, 1);
   EXPECT_EQ(t.flop, mtx::count_flops(a, a));
   EXPECT_GT(t.total_seconds(), 0.0);
   EXPECT_GT(t.mflops(), 0.0);

@@ -1,8 +1,7 @@
 // Executor layer: fingerprint-keyed plan cache (LRU hits/evictions),
 // value-only re-execution, batched descriptors over one analysis pass,
 // workspace-pooled concurrent serving, the calibration telemetry loop,
-// the sampled nnz estimate behind "auto", and PartitionedPlan's
-// value-only slice refresh.
+// and the sampled nnz estimate behind "auto".
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -12,11 +11,10 @@
 #include "common/parallel.hpp"
 #include "matrix/ops.hpp"
 #include "model/selection.hpp"
-#include "pb/partitioned.hpp"
 #include "pb/symbolic.hpp"
 #include "pb/workspace_pool.hpp"
 #include "spgemm/executor.hpp"
-#include "spgemm/plan.hpp"
+#include "spgemm/registry.hpp"
 #include "spgemm/semiring.hpp"
 #include "test_util.hpp"
 
@@ -629,70 +627,101 @@ TEST(Executor, AutoPicksHashOnABandedSquareAndPbOnEr) {
   EXPECT_EQ(choice(testutil::exact_er(4000, 4000, 8.0, 92)), "pb");
 }
 
-// ---- PartitionedPlan value-only refresh -----------------------------------
+// ---- one structure, planned once ----------------------------------------
 
-TEST(PartitionedPlanTest, UpdateAValuesRefreshesFrozenSlices) {
-  const mtx::CsrMatrix a = testutil::exact_er(300, 300, 6.0, 67);
+TEST(Executor, AutoResolvesToConcreteAlgorithmWithRationale) {
+  const mtx::CsrMatrix a = testutil::exact_er(600, 600, 8.0, 17);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  pb::PartitionedPlan plan = pb::make_partitioned_plan(p.a_csc, p.b_csr, 3);
-  EXPECT_TRUE(
-      mtx::equal_exact(plan.execute(p.b_csr).c, reference_spgemm(p)));
-
-  // Same structure, new values: refresh the frozen slices and multiply
-  // against the updated B — no re-slice, no re-analysis.
-  const mtx::CsrMatrix a2 = scale_values(a, 3.0);
-  const SpGemmProblem p2 = SpGemmProblem::square(a2);
-  plan.update_a_values(p2.a_csc);
-  EXPECT_TRUE(
-      mtx::equal_exact(plan.execute(p2.b_csr).c, reference_spgemm(p2)));
-
-  // Structure drift is detected during the copy pass.
-  const mtx::CsrMatrix other = testutil::exact_er(300, 300, 5.0, 68);
-  const SpGemmProblem po = SpGemmProblem::square(other);
-  EXPECT_THROW(plan.update_a_values(po.a_csc), std::invalid_argument);
-  const mtx::CsrMatrix small = testutil::exact_er(100, 100, 4.0, 69);
-  const SpGemmProblem psm = SpGemmProblem::square(small);
-  EXPECT_THROW(plan.update_a_values(psm.a_csc), std::invalid_argument);
+  SpGemmExecutor exec;
+  RunInfo info;
+  const mtx::CsrMatrix c = exec.run(p, SpGemmOp{}, &info);  // auto
+  EXPECT_TRUE(info.algo == "pb" || info.algo == "hash" || info.algo == "heap")
+      << info.algo;
+  EXPECT_EQ(info.algo, info.choice.algo);
+  EXPECT_FALSE(info.choice.rationale.empty());
+  EXPECT_GT(info.choice.cf, 0.0);
+  EXPECT_TRUE(mtx::equal_exact(c, reference_spgemm(p)));
 }
 
-// ---- SpGemmPlan as the single-entry executor view -------------------------
+TEST(Executor, RecordsPredictedAndAchievedMflops) {
+  const mtx::CsrMatrix a = testutil::exact_er(500, 500, 8.0, 30);
+  const SpGemmProblem p = SpGemmProblem::square(a);
+  SpGemmExecutor exec;
+  RunInfo info;
+  // The prediction is fixed at plan time from the roofline choice...
+  exec.prepare(p, SpGemmOp{}, &info);
+  EXPECT_GT(info.predicted_mflops, 0.0);
+  EXPECT_EQ(info.achieved_mflops, 0.0);
+  // ...and every run records what it actually achieved against it.
+  for (int i = 0; i < 2; ++i) {
+    (void)exec.run(p, SpGemmOp{}, &info);
+    EXPECT_GT(info.predicted_mflops, 0.0);
+    EXPECT_GT(info.achieved_mflops, 0.0);
+  }
+}
 
-TEST(SpGemmPlanTest, AlternatingStructuresReuseCachedAnalyses) {
-  const mtx::CsrMatrix big = testutil::exact_er(300, 300, 6.0, 70);
-  const mtx::CsrMatrix small = testutil::exact_er(120, 120, 4.0, 71);
+TEST(Executor, RepeatedRunsSkipAnalysisAndAllocation) {
+  const mtx::CsrMatrix a = testutil::exact_er(350, 350, 7.0, 20);
+  const SpGemmProblem p = SpGemmProblem::square(a);
+  SpGemmExecutor exec;
+  SpGemmOp op;
+  op.algo = "pb";
+  RunInfo info;
+  const mtx::CsrMatrix first = exec.run(p, op, &info);
+  const pb::PbWorkspace::Stats after_first = exec.workspace_stats();
+  for (int i = 0; i < 5; ++i) {
+    EXPECT_TRUE(mtx::equal_exact(first, exec.run(p, op, &info)));
+    EXPECT_TRUE(info.cache_hit);
+  }
+  const ExecutorStats s = exec.stats();
+  EXPECT_EQ(s.executes, 6u);
+  EXPECT_EQ(s.cache_misses, 1u);
+  EXPECT_EQ(s.cache_hits, 5u);
+  // The symbolic phase of a reused execution is skipped entirely...
+  EXPECT_EQ(info.pb_stats.symbolic.seconds, 0.0);
+  // ...and the tuple buffer is never reallocated.
+  const pb::PbWorkspace::Stats steady = exec.workspace_stats();
+  EXPECT_EQ(steady.allocations, after_first.allocations);
+  EXPECT_EQ(steady.reuses, after_first.reuses + 5);
+}
+
+TEST(Executor, GrowShrinkGrowReusesPeakCapacity) {
+  // A grow-then-shrink-then-grow problem sequence through one executor:
+  // the pooled buffer sized by the big problem serves the small one and
+  // the big one again without any new allocation.
+  const mtx::CsrMatrix big = testutil::exact_er(500, 500, 8.0, 23);
+  const mtx::CsrMatrix small = testutil::exact_er(100, 100, 3.0, 24);
   const SpGemmProblem pb_ = SpGemmProblem::square(big);
   const SpGemmProblem ps = SpGemmProblem::square(small);
-  PlanOptions opts;
-  opts.algo = "pb";
-  SpGemmPlan plan = make_plan(pb_, opts);
-  EXPECT_TRUE(mtx::equal_exact(plan.execute(pb_), reference_spgemm(pb_)));
-  EXPECT_TRUE(mtx::equal_exact(plan.execute(ps), reference_spgemm(ps)));
-  // Flipping BACK is an analysis reuse now, not a replan — the executor
-  // cache still holds the first structure's plan.
-  EXPECT_TRUE(mtx::equal_exact(plan.execute(pb_), reference_spgemm(pb_)));
-  EXPECT_TRUE(mtx::equal_exact(plan.execute(ps), reference_spgemm(ps)));
-  const PlanTelemetry& tm = plan.telemetry();
-  EXPECT_EQ(tm.executes, 4u);
-  EXPECT_EQ(tm.replans, 1u);  // only the small structure was ever new
-  EXPECT_EQ(tm.analysis_reuses, 3u);
+
+  SpGemmExecutor exec;
+  SpGemmOp op;
+  op.algo = "pb";
+  (void)exec.run(pb_, op);
+  const pb::PbWorkspace::Stats after_big = exec.workspace_stats();
+
+  EXPECT_TRUE(mtx::equal_exact(exec.run(ps, op), reference_spgemm(ps)));
+  EXPECT_TRUE(mtx::equal_exact(exec.run(pb_, op), reference_spgemm(pb_)));
+  const pb::PbWorkspace::Stats end = exec.workspace_stats();
+  EXPECT_EQ(end.allocations, after_big.allocations);
+  EXPECT_EQ(end.reuses, after_big.reuses + 2);
+  EXPECT_EQ(end.peak_request, after_big.peak_request);
 }
 
-TEST(SpGemmPlanTest, ExecuteValuesUpdatedReplaysNumericStagesOnly) {
-  const mtx::CsrMatrix a = testutil::exact_er(250, 250, 5.0, 72);
-  const SpGemmProblem p = SpGemmProblem::square(a);
-  PlanOptions opts;
-  opts.algo = "pb";
-  SpGemmPlan plan = make_plan(p, opts);
-  (void)plan.execute(p);
-
-  const mtx::CsrMatrix a2 = scale_values(a, 2.0);
-  const SpGemmProblem p2 = SpGemmProblem::square(a2);
-  const mtx::CsrMatrix c = plan.execute_values_updated(p2);
-  EXPECT_TRUE(mtx::equal_exact(c, reference_spgemm(p2)));
-  const PlanTelemetry& tm = plan.telemetry();
-  EXPECT_EQ(tm.executes, 2u);
-  EXPECT_EQ(tm.replans, 0u);
-  EXPECT_EQ(tm.analysis_reuses, 2u);  // the value-only run counts as reuse
+TEST(Executor, RejectsUnsupportedPairsAtPlanTime) {
+  const SpGemmProblem p =
+      SpGemmProblem::square(testutil::exact_er(50, 50, 3.0, 25));
+  SpGemmExecutor exec;
+  SpGemmOp op;
+  op.algo = "hashvec";  // the hash family's remaining plus_times-only member
+  op.semiring = "min_plus";
+  EXPECT_THROW(exec.prepare(p, op), std::invalid_argument);
+  op.algo = "no_such_algo";
+  EXPECT_THROW(exec.prepare(p, op), std::invalid_argument);
+  // A pb entry never resolves a registry kernel, but still checks the pair.
+  op.algo = "pb";
+  op.semiring = "no_such_semiring";
+  EXPECT_THROW(exec.prepare(p, op), std::invalid_argument);
 }
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include "matrix/convert.hpp"
 #include "matrix/generate.hpp"
 #include "matrix/ops.hpp"
-#include "pb/pb_spgemm.hpp"
 #include "spgemm/registry.hpp"
 #include "test_util.hpp"
 
@@ -20,7 +19,7 @@ namespace {
 value_t count_triangles(const mtx::CsrMatrix& adj) {
   const mtx::CsrMatrix lower = mtx::to_pattern(mtx::tril(adj));
   const SpGemmProblem p = SpGemmProblem::square(lower);
-  const mtx::CsrMatrix ll = pb::pb_spgemm(p.a_csc, p.b_csr).c;
+  const mtx::CsrMatrix ll = testutil::pb_product(p);
   return mtx::value_sum(mtx::hadamard(ll, lower));
 }
 
@@ -88,8 +87,8 @@ TEST(MarkovClustering, IterationPreservesColumnStochasticity) {
 
   for (int iter = 0; iter < 3; ++iter) {
     const SpGemmProblem p = SpGemmProblem::square(m);
-    m = pb::pb_spgemm(p.a_csc, p.b_csr).c;            // expansion
-    m = mtx::element_power(m, 2.0);                   // inflation r=2
+    m = testutil::pb_product(p);           // expansion
+    m = mtx::element_power(m, 2.0);        // inflation r=2
     m = mtx::prune(m, 1e-6);
     m = mtx::normalize_columns(m);
     const std::vector<value_t> sums = mtx::col_sums(m);
@@ -112,7 +111,7 @@ TEST(MarkovClustering, DisconnectedCliquesConvergeToAttractors) {
   for (int iter = 0; iter < 8; ++iter) {
     const SpGemmProblem p = SpGemmProblem::square(m);
     m = mtx::normalize_columns(
-        mtx::prune(mtx::element_power(pb::pb_spgemm(p.a_csc, p.b_csr).c, 2.0),
+        mtx::prune(mtx::element_power(testutil::pb_product(p), 2.0),
                    1e-9));
   }
   // No entry may cross the block boundary.
@@ -143,7 +142,7 @@ TEST(MultiSourceBfs, ReachesExactlyTheReachableSet) {
   visited[0] = true;
   for (int level = 0; level < 5 && frontier.nnz() > 0; ++level) {
     const SpGemmProblem p = SpGemmProblem::multiply(at, frontier);
-    frontier = mtx::to_pattern(pb::pb_spgemm(p.a_csc, p.b_csr).c);
+    frontier = mtx::to_pattern(testutil::pb_product(p));
     // Mask out already-visited vertices.
     mtx::CooMatrix next(5, 1);
     for (index_t r = 0; r < 5; ++r) {

@@ -1,8 +1,7 @@
 // The typed operation descriptor (SpGemmOp), the runtime SemiringRegistry,
-// and the descriptor-driven plan path: custom-semiring registration
-// round-trips through make_plan (algo = "auto"), masks fuse into every
-// kernel family, accumulate combines with the semiring add, and the
-// pre-descriptor entry points keep working as shims.
+// and the descriptor-driven executor path: custom-semiring registration
+// round-trips through SpGemmExecutor (algo = "auto"), masks fuse into every
+// kernel family, and accumulate combines with the semiring add.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -12,9 +11,8 @@
 #include <string>
 
 #include "matrix/ops.hpp"
-#include "spgemm/masked.hpp"
+#include "spgemm/executor.hpp"
 #include "spgemm/op.hpp"
-#include "spgemm/plan.hpp"
 #include "spgemm/registry.hpp"
 #include "spgemm/semiring.hpp"
 #include "test_util.hpp"
@@ -154,33 +152,33 @@ TEST(CustomSemiring, NumericCloneMatchesNumericKernelsExactly) {
 
 TEST(CustomSemiring, RoundTripsThroughMakePlanWithAutoSelection) {
   // The acceptance path: a runtime-registered semiring executes end-to-end
-  // through make_plan + SpGemmPlan::execute with algo = "auto".
+  // through SpGemmExecutor::run with algo = "auto", planning once.
   (void)plus_max();
   const mtx::CsrMatrix a = testutil::exact_er(300, 300, 6.0, 93);
   const SpGemmProblem p = SpGemmProblem::square(a);
   SpGemmOp op;
   op.semiring = kPlusMax;  // algo stays "auto"
-  SpGemmPlan plan = make_plan(p, op);
-  EXPECT_EQ(plan.telemetry().requested_algo, "auto");
-  EXPECT_FALSE(plan.telemetry().choice.rationale.empty());
-  const mtx::CsrMatrix c = plan.execute(p);
-  const mtx::CsrMatrix again = plan.execute(p);
+  SpGemmExecutor exec;
+  RunInfo info;
+  const mtx::CsrMatrix c = exec.run(p, op, &info);
+  EXPECT_FALSE(info.choice.rationale.empty());
+  const mtx::CsrMatrix again = exec.run(p, op, &info);
+  EXPECT_TRUE(info.cache_hit);
   EXPECT_TRUE(mtx::equal_exact(c, again));
-  EXPECT_EQ(plan.telemetry().replans, 0u);
-  EXPECT_TRUE(
-      mtx::equal_exact(c, plus_max_oracle(p)));
+  EXPECT_EQ(exec.stats().cache_misses, 1u);
+  EXPECT_TRUE(mtx::equal_exact(c, plus_max_oracle(p)));
 }
 
 TEST(CustomSemiring, WorksThroughPbSpgemmNamedWithTelemetry) {
+  // pb over a runtime semiring, with the pipeline's telemetry.
   (void)plus_max();
   const mtx::CsrMatrix a = testutil::exact_er(200, 200, 5.0, 94);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  pb::PbWorkspace ws;
-  const pb::PbResult r =
-      pb::pb_spgemm_named(kPlusMax, p.a_csc, p.b_csr, pb::PbConfig{}, ws);
-  EXPECT_TRUE(mtx::equal_exact(
-      r.c, plus_max_oracle(p)));
-  EXPECT_GT(r.stats.flop, 0);
+  RunInfo info;
+  const mtx::CsrMatrix c = testutil::pb_product(p, kPlusMax, {}, &info);
+  EXPECT_TRUE(mtx::equal_exact(c, plus_max_oracle(p)));
+  EXPECT_TRUE(info.used_pb);
+  EXPECT_GT(info.pb_stats.flop, 0);
 }
 
 // ---- masked descriptor path -----------------------------------------------
@@ -198,8 +196,7 @@ TEST(SpGemmOpMask, DescriptorMatchesOracleAcrossAlgorithms) {
       op.algo = algo;
       op.mask = &mask;
       op.complement = complement;
-      SpGemmPlan plan = make_plan(p, op);
-      EXPECT_TRUE(mtx::equal_exact(plan.execute(p), expected))
+      EXPECT_TRUE(mtx::equal_exact(SpGemmExecutor().run(p, op), expected))
           << algo << " complement=" << complement;
     }
   }
@@ -211,13 +208,12 @@ TEST(SpGemmOpMask, AutoSelectionIsMaskAwareAndCorrect) {
   const SpGemmProblem p = SpGemmProblem::square(a);
   SpGemmOp op;
   op.mask = &mask;  // algo stays "auto"
-  SpGemmPlan plan = make_plan(p, op);
-  EXPECT_TRUE(plan.telemetry().masked);
+  RunInfo info;
+  const mtx::CsrMatrix c = SpGemmExecutor().run(p, op, &info);
   // The mask-density term must be visible in the recorded decision.
-  EXPECT_GE(plan.telemetry().choice.cf_out, plan.telemetry().choice.cf);
+  EXPECT_GE(info.choice.cf_out, info.choice.cf);
   EXPECT_TRUE(mtx::equal_exact(
-      plan.execute(p),
-      mtx::pattern_filter(reference_spgemm(p), mask, false)));
+      c, mtx::pattern_filter(reference_spgemm(p), mask, false)));
 }
 
 TEST(SpGemmOpMask, PbRecordsDroppedTuplesInTelemetry) {
@@ -230,9 +226,9 @@ TEST(SpGemmOpMask, PbRecordsDroppedTuplesInTelemetry) {
   // Pin the compress-stage drop path: this mask is sparse enough that the
   // auto expand-mask would otherwise engage and leave nothing to drop.
   op.pb.expand_mask = pb::ExpandMaskMode::kOff;
-  SpGemmPlan plan = make_plan(p, op);
-  const mtx::CsrMatrix c = plan.execute(p);
-  const pb::PbTelemetry& tm = plan.last_pb_stats();
+  RunInfo info;
+  const mtx::CsrMatrix c = SpGemmExecutor().run(p, op, &info);
+  const pb::PbTelemetry& tm = info.pb_stats;
   EXPECT_EQ(tm.nnz_c, c.nnz());
   EXPECT_FALSE(tm.expand_masked);
   EXPECT_EQ(tm.mask_skipped_expand, 0);
@@ -252,9 +248,9 @@ TEST(SpGemmOpMask, PbRecordsExpandSkippedTuplesInTelemetry) {
   op.algo = "pb";
   op.mask = &mask;
   op.pb.expand_mask = pb::ExpandMaskMode::kOn;
-  SpGemmPlan plan = make_plan(p, op);
-  const mtx::CsrMatrix c = plan.execute(p);
-  const pb::PbTelemetry& tm = plan.last_pb_stats();
+  RunInfo info;
+  const mtx::CsrMatrix c = SpGemmExecutor().run(p, op, &info);
+  const pb::PbTelemetry& tm = info.pb_stats;
   EXPECT_EQ(tm.nnz_c, c.nnz());
   EXPECT_TRUE(tm.expand_masked);
   EXPECT_GT(tm.mask_skipped_expand, 0);
@@ -281,8 +277,7 @@ TEST(SpGemmOpMask, MaskedAcrossSemiringsAndFormats) {
       op.semiring = s;
       op.mask = &mask;
       op.pb.format = format;
-      SpGemmPlan plan = make_plan(p, op);
-      EXPECT_TRUE(mtx::equal_exact(plan.execute(p), expected))
+      EXPECT_TRUE(mtx::equal_exact(SpGemmExecutor().run(p, op), expected))
           << s << " format=" << static_cast<int>(format);
     }
   }
@@ -298,8 +293,8 @@ TEST(SpGemmOpMask, UnfusedBaselinesFallBackToFilteredProduct) {
     SpGemmOp op;
     op.algo = algo;
     op.mask = &mask;
-    SpGemmPlan plan = make_plan(p, op);
-    EXPECT_TRUE(mtx::equal_exact(plan.execute(p), expected)) << algo;
+    EXPECT_TRUE(mtx::equal_exact(SpGemmExecutor().run(p, op), expected))
+        << algo;
   }
 }
 
@@ -315,9 +310,8 @@ TEST(SpGemmOpMask, CustomSemiringOnUnfusedGeneralizedAlgorithm) {
   op.algo = "reference";
   op.semiring = kPlusMax;
   op.mask = &mask;
-  SpGemmPlan plan = make_plan(p, op);
-  EXPECT_TRUE(mtx::equal_exact(
-      plan.execute(p), mtx::pattern_filter(plus_max_oracle(p), mask)));
+  EXPECT_TRUE(mtx::equal_exact(SpGemmExecutor().run(p, op),
+                               mtx::pattern_filter(plus_max_oracle(p), mask)));
 }
 
 TEST(SpGemmOpMask, MaskShapeMismatchThrowsAtPlanTime) {
@@ -325,7 +319,8 @@ TEST(SpGemmOpMask, MaskShapeMismatchThrowsAtPlanTime) {
   const mtx::CsrMatrix bad = testutil::exact_er(50, 51, 3.0, 106);
   SpGemmOp op;
   op.mask = &bad;
-  EXPECT_THROW((void)make_plan(SpGemmProblem::square(a), op),
+  SpGemmExecutor exec;
+  EXPECT_THROW(exec.prepare(SpGemmProblem::square(a), op),
                std::invalid_argument);
 }
 
@@ -338,14 +333,14 @@ TEST(SpGemmOpMask, MaskPatternMayChangeBetweenExecutes) {
   SpGemmOp op;
   op.algo = "pb";
   op.mask = &mask;
-  SpGemmPlan plan = make_plan(p, op);
+  SpGemmExecutor exec;
   const mtx::CsrMatrix full = reference_spgemm(p);
   EXPECT_TRUE(
-      mtx::equal_exact(plan.execute(p), mtx::pattern_filter(full, mask)));
+      mtx::equal_exact(exec.run(p, op), mtx::pattern_filter(full, mask)));
   mask = testutil::exact_er(140, 140, 2.0, 109);  // new pattern, same shape
   EXPECT_TRUE(
-      mtx::equal_exact(plan.execute(p), mtx::pattern_filter(full, mask)));
-  EXPECT_EQ(plan.telemetry().replans, 0u);
+      mtx::equal_exact(exec.run(p, op), mtx::pattern_filter(full, mask)));
+  EXPECT_EQ(exec.stats().cache_misses, 1u);
 }
 
 // ---- accumulate -----------------------------------------------------------
@@ -357,9 +352,9 @@ TEST(SpGemmOpAccumulate, PlusTimesAccumulateIsMatrixAdd) {
   SpGemmOp op;
   op.algo = "pb";
   op.accumulate = true;
-  SpGemmPlan plan = make_plan(p, op);
-  EXPECT_THROW((void)plan.execute(p), std::logic_error);
-  const mtx::CsrMatrix c = plan.execute(p, c0);
+  SpGemmExecutor exec;
+  EXPECT_THROW((void)exec.run(p, op), std::logic_error);
+  const mtx::CsrMatrix c = exec.run(p, op, c0);
   EXPECT_TRUE(mtx::equal_exact(c, mtx::add(c0, reference_spgemm(p))));
 }
 
@@ -371,9 +366,8 @@ TEST(SpGemmOpAccumulate, MinPlusAccumulateTakesElementwiseMin) {
   op.algo = "heap";
   op.semiring = MinPlus::name;
   op.accumulate = true;
-  SpGemmPlan plan = make_plan(p, op);
   const mtx::CsrMatrix product = reference_spgemm_semiring<MinPlus>(p);
-  const mtx::CsrMatrix c = plan.execute(p, c0);
+  const mtx::CsrMatrix c = SpGemmExecutor().run(p, op, c0);
   EXPECT_TRUE(
       mtx::equal_exact(c, semiring_ewise_add(MinPlus::name, c0, product)));
   // Spot-check the union-merge semantics directly.
@@ -402,30 +396,6 @@ TEST(PatternFilter, KeepsAndComplementsPartitionTheMatrix) {
   EXPECT_EQ(in.nnz() + out.nnz(), a.nnz());
   EXPECT_TRUE(mtx::equal_exact(mtx::add(in, out), a));
   EXPECT_TRUE(mtx::equal_exact(mtx::pattern_filter(a, a), a));
-}
-
-// ---- shims ----------------------------------------------------------------
-
-TEST(Shims, SpgemmMaskedRoutesThroughDescriptorPath) {
-  const mtx::CsrMatrix a = testutil::exact_er(110, 110, 5.0, 119);
-  const mtx::CsrMatrix mask = testutil::exact_er(110, 110, 6.0, 120);
-  const mtx::CsrMatrix via_shim = spgemm_masked(a, a, mask);
-  const SpGemmProblem p = SpGemmProblem::square(a);
-  SpGemmOp op;
-  op.algo = "spa";
-  op.mask = &mask;
-  EXPECT_TRUE(mtx::equal_exact(via_shim, make_plan(p, op).execute(p)));
-}
-
-TEST(Shims, PlanOptionsAliasStillCompilesAndRuns) {
-  const mtx::CsrMatrix a = testutil::exact_er(90, 90, 4.0, 121);
-  const SpGemmProblem p = SpGemmProblem::square(a);
-  PlanOptions opts;  // the legacy name is an alias of SpGemmOp
-  opts.algo = "heap";
-  opts.semiring = "max_min";
-  SpGemmPlan plan = make_plan(p, opts);
-  EXPECT_TRUE(mtx::equal_exact(
-      plan.execute(p), reference_spgemm_semiring<MaxMin>(p)));
 }
 
 }  // namespace

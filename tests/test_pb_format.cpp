@@ -13,7 +13,6 @@
 
 #include "common/parallel.hpp"
 #include "pb/binning.hpp"
-#include "pb/pb_spgemm.hpp"
 #include "pb/plan.hpp"
 #include "pb/sort_compress.hpp"
 #include "spgemm/semiring.hpp"
@@ -32,10 +31,12 @@ mtx::CsrMatrix expect_formats_identical(const mtx::CscMatrix& a,
   PbWorkspace wide_ws, narrow_ws;
   cfg.validate = true;
   cfg.format = FormatPolicy::kWide;
-  const PbResult wide = pb_spgemm_named(semiring, a, b, cfg, wide_ws);
+  const PbResult wide =
+      testutil::pb_plan_execute(a, b, cfg, wide_ws, semiring);
   EXPECT_EQ(wide.stats.format, TupleFormat::kWide);
   cfg.format = FormatPolicy::kNarrow;
-  const PbResult narrow = pb_spgemm_named(semiring, a, b, cfg, narrow_ws);
+  const PbResult narrow =
+      testutil::pb_plan_execute(a, b, cfg, narrow_ws, semiring);
   EXPECT_TRUE(mtx::equal_exact(wide.c, narrow.c)) << semiring;
   return narrow.c;
 }
@@ -265,7 +266,7 @@ TEST(PbFormat, WideKvSortBitIdenticalToReferenceAcrossPolicies) {
       cfg.format = FormatPolicy::kWide;
       cfg.validate = true;
       PbWorkspace ws;
-      const PbResult r = pb_spgemm_named(s, a, m, cfg, ws);
+      const PbResult r = testutil::pb_plan_execute(a, m, cfg, ws, s);
       EXPECT_EQ(r.stats.format, TupleFormat::kWide);
       EXPECT_TRUE(mtx::equal_exact(r.c, expected))
           << s << " policy=" << static_cast<int>(policy);
@@ -358,14 +359,16 @@ void expect_keyonly_matches_wide(const mtx::CscMatrix& a,
   cfg.validate = true;
   cfg.format = FormatPolicy::kWide;
   PbWorkspace wide_ws;
-  const PbResult wide = pb_spgemm<BoolOrAnd>(a, b, cfg, wide_ws);
+  const PbResult wide =
+      testutil::pb_plan_execute(a, b, cfg, wide_ws, BoolOrAnd::name);
   EXPECT_EQ(wide.stats.format, TupleFormat::kWide);
   for (const int threads : {1, max_threads()}) {
     const ThreadCountGuard lanes(threads);
     PbConfig kcfg = cfg;
     kcfg.format = policy;
     PbWorkspace ws;
-    const PbResult keyonly = pb_spgemm<BoolOrAnd>(a, b, kcfg, ws);
+    const PbResult keyonly =
+        testutil::pb_plan_execute(a, b, kcfg, ws, BoolOrAnd::name);
     EXPECT_EQ(keyonly.stats.format, TupleFormat::kKeyOnly)
         << to_string(policy) << ", " << threads << " thread(s)";
     EXPECT_TRUE(mtx::equal_exact(wide.c, keyonly.c))
@@ -382,8 +385,8 @@ TEST(PbFormatKeyOnly, BitIdenticalToWideAcrossPoliciesAndSchedules) {
       PbConfig cfg;
       cfg.policy = policy;
       cfg.nbins = nbins;
-      // Both the explicit request and auto (pb_spgemm<BoolOrAnd> injects
-      // value_free) must land on key-only.
+      // Both the explicit request and auto (the value_free flag derived
+      // from bool_or_and) must land on key-only.
       expect_keyonly_matches_wide(a, m, cfg, FormatPolicy::kKeyOnly);
       expect_keyonly_matches_wide(a, m, cfg, FormatPolicy::kAuto);
     }
@@ -394,17 +397,19 @@ TEST(PbFormatKeyOnly, AutoSelectsKeyOnlyAndChargesEightBytes) {
   const mtx::CsrMatrix m = testutil::exact_er(500, 500, 5.0, 45);
   const mtx::CscMatrix a = mtx::csr_to_csc(m);
   PbWorkspace ws;
-  const PbResult r = pb_spgemm<BoolOrAnd>(a, m, PbConfig{}, ws);
+  const PbResult r =
+      testutil::pb_plan_execute(a, m, PbConfig{}, ws, BoolOrAnd::name);
   EXPECT_EQ(r.stats.format, TupleFormat::kKeyOnly);
   EXPECT_EQ(r.stats.tuple_bytes(), 8.0);
   // Eq. 4 accounting: the sort streams 8 B/tuple, not 12 or 16.
   EXPECT_EQ(r.stats.sort.bytes, 8.0 * static_cast<double>(r.stats.flop));
-  // Same semiring through the named (DynSemiring-capable) entry point.
-  PbWorkspace named_ws;
-  const PbResult named =
-      pb_spgemm_named("bool_or_and", a, m, PbConfig{}, named_ws);
-  EXPECT_EQ(named.stats.format, TupleFormat::kKeyOnly);
-  EXPECT_TRUE(mtx::equal_exact(r.c, named.c));
+  // Same semiring through the executor, which derives value-freeness from
+  // the name.
+  RunInfo info;
+  const mtx::CsrMatrix c = testutil::pb_product(SpGemmProblem::square(m),
+                                                BoolOrAnd::name, {}, &info);
+  EXPECT_EQ(info.pb_stats.format, TupleFormat::kKeyOnly);
+  EXPECT_TRUE(mtx::equal_exact(r.c, c));
 }
 
 TEST(PbFormatKeyOnly, EngagesWhereNarrowCannotFit) {
@@ -438,7 +443,7 @@ TEST(PbFormatKeyOnly, RequestFallsBackForValuedSemirings) {
   PbConfig cfg;
   cfg.format = FormatPolicy::kKeyOnly;
   PbWorkspace ws;
-  const PbResult r = pb_spgemm<PlusTimes>(a, m, cfg, ws);
+  const PbResult r = testutil::pb_plan_execute(a, m, cfg, ws);
   EXPECT_EQ(r.stats.format, TupleFormat::kNarrow);
   EXPECT_TRUE(
       mtx::equal_exact(r.c, reference_spgemm(SpGemmProblem::square(m))));
@@ -464,7 +469,8 @@ TEST(PbFormatKeyOnly, ExactCancellationStaysStructurallyCorrect) {
   EXPECT_NE(plan.sym.format, TupleFormat::kKeyOnly);
 
   PbWorkspace ws;
-  const PbResult r = pb_spgemm<BoolOrAnd>(a, b, cfg, ws);
+  const PbResult r =
+      testutil::pb_plan_execute(a, b, cfg, ws, BoolOrAnd::name);
   ASSERT_EQ(r.c.nnz(), 1);
   EXPECT_EQ(r.c.vals[0], 0.0);  // 0 ∧ 1 = 0, stored structurally
 }

@@ -1,6 +1,6 @@
 // End-to-end PB-SpGEMM: correctness across configurations and telemetry
 // invariants (Table III byte accounting).
-#include "pb/pb_spgemm.hpp"
+#include "pb/plan.hpp"
 
 #include <gtest/gtest.h>
 
@@ -38,7 +38,7 @@ TEST_P(PbFull, MatchesReferenceOnEr) {
   cfg.local_bin_bytes = fc.local_bin_bytes;
   cfg.validate = true;
 
-  const PbResult r = pb_spgemm(p.a_csc, p.b_csr, cfg);
+  const PbResult r = testutil::pb_plan_execute(p.a_csc, p.b_csr, cfg);
   ASSERT_TRUE(r.c.valid());
   EXPECT_TRUE(equal_exact(r.c, reference_spgemm(p)));
 }
@@ -53,7 +53,7 @@ TEST_P(PbFull, MatchesReferenceOnSkewedRmat) {
   cfg.nbins = fc.nbins;
   cfg.local_bin_bytes = fc.local_bin_bytes;
 
-  const PbResult r = pb_spgemm(p.a_csc, p.b_csr, cfg);
+  const PbResult r = testutil::pb_plan_execute(p.a_csc, p.b_csr, cfg);
   EXPECT_TRUE(equal_exact(r.c, reference_spgemm(p)));
 }
 
@@ -72,7 +72,7 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(PbTelemetry, FlopAndNnzMatchIndependentCounts) {
   const mtx::CsrMatrix a = testutil::exact_er(800, 800, 6.0, 23);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const PbResult r = pb_spgemm(p.a_csc, p.b_csr);
+  const PbResult r = testutil::pb_plan_execute(p.a_csc, p.b_csr);
   EXPECT_EQ(r.stats.flop, mtx::count_flops(a, a));
   EXPECT_EQ(r.stats.nnz_c, mtx::symbolic_nnz(a, a));
   EXPECT_EQ(r.stats.nnz_c, r.c.nnz());
@@ -90,7 +90,7 @@ TEST(PbTelemetry, PhaseTimesPositiveAndSumToTotal) {
   for (const int threads : {1, max_threads()}) {
     const ThreadCountGuard lanes(threads);
     SCOPED_TRACE(std::to_string(threads) + " thread(s)");
-    const PbResult r = pb_spgemm(p.a_csc, p.b_csr);
+    const PbResult r = testutil::pb_plan_execute(p.a_csc, p.b_csr);
     const PbTelemetry& t = r.stats;
     EXPECT_EQ(t.schedule, PbSchedule::kPipeline);
     EXPECT_GT(t.symbolic.seconds, 0.0);
@@ -114,7 +114,7 @@ TEST(PbTelemetry, ByteModelFollowsTableIIIPerFormat) {
   for (const FormatPolicy format : {FormatPolicy::kWide, FormatPolicy::kNarrow}) {
     PbConfig cfg;
     cfg.format = format;
-    const PbResult r = pb_spgemm(p.a_csc, p.b_csr, cfg);
+    const PbResult r = testutil::pb_plan_execute(p.a_csc, p.b_csr, cfg);
     const PbTelemetry& t = r.stats;
     // Inputs are charged at the paper's COO cost; the tuple stream at the
     // format's actual bytes per tuple (16 wide, 12 narrow).
@@ -137,7 +137,7 @@ TEST(PbTelemetry, ScheduleReportedAndPipelineFillsOverlapFields) {
 
   const auto run = [&](int threads) {
     const ThreadCountGuard lanes(threads);
-    return pb_spgemm(p.a_csc, p.b_csr, cfg);
+    return testutil::pb_plan_execute(p.a_csc, p.b_csr, cfg);
   };
   const PbResult one = run(1);
   const PbResult full = run(max_threads());
@@ -168,7 +168,7 @@ TEST(PbTelemetry, NbinsReported) {
   const SpGemmProblem p = SpGemmProblem::square(a);
   PbConfig cfg;
   cfg.nbins = 8;
-  const PbResult r = pb_spgemm(p.a_csc, p.b_csr, cfg);
+  const PbResult r = testutil::pb_plan_execute(p.a_csc, p.b_csr, cfg);
   EXPECT_GE(r.stats.nbins, 1);
   EXPECT_LE(r.stats.nbins, 8);
   EXPECT_GT(r.stats.rows_per_bin, 0);  // range policy default
@@ -177,7 +177,7 @@ TEST(PbTelemetry, NbinsReported) {
 TEST(PbEdgeCases, EmptyTimesEmpty) {
   mtx::CooMatrix empty(50, 50);
   const mtx::CsrMatrix e = mtx::coo_to_csr(empty);
-  const PbResult r = pb_spgemm(mtx::csr_to_csc(e), e);
+  const PbResult r = testutil::pb_plan_execute(mtx::csr_to_csc(e), e);
   EXPECT_EQ(r.c.nnz(), 0);
   EXPECT_TRUE(r.c.valid());
   EXPECT_EQ(r.stats.flop, 0);
@@ -188,7 +188,7 @@ TEST(PbEdgeCases, OneByOne) {
   coo.add(0, 0, 3.0);
   coo.canonicalize();
   const mtx::CsrMatrix a = mtx::coo_to_csr(coo);
-  const PbResult r = pb_spgemm(mtx::csr_to_csc(a), a);
+  const PbResult r = testutil::pb_plan_execute(mtx::csr_to_csc(a), a);
   ASSERT_EQ(r.c.nnz(), 1);
   EXPECT_EQ(r.c.vals[0], 9.0);
 }
@@ -197,7 +197,7 @@ TEST(PbEdgeCases, RectangularProduct) {
   const mtx::CsrMatrix a = testutil::exact_er(64, 128, 4.0, 27);
   const mtx::CsrMatrix b = testutil::exact_er(128, 32, 4.0, 28);
   const SpGemmProblem p = SpGemmProblem::multiply(a, b);
-  const PbResult r = pb_spgemm(p.a_csc, p.b_csr);
+  const PbResult r = testutil::pb_plan_execute(p.a_csc, p.b_csr);
   EXPECT_EQ(r.c.nrows, 64);
   EXPECT_EQ(r.c.ncols, 32);
   EXPECT_TRUE(equal_exact(r.c, reference_spgemm(p)));
@@ -206,7 +206,8 @@ TEST(PbEdgeCases, RectangularProduct) {
 TEST(PbEdgeCases, MismatchedDimensionsThrow) {
   const mtx::CsrMatrix a = testutil::exact_er(10, 20, 2.0, 29);
   const mtx::CsrMatrix b = testutil::exact_er(30, 10, 2.0, 30);
-  EXPECT_THROW(pb_spgemm(mtx::csr_to_csc(a), b), std::invalid_argument);
+  EXPECT_THROW(testutil::pb_plan_execute(mtx::csr_to_csc(a), b),
+               std::invalid_argument);
 }
 
 TEST(PbEdgeCases, HubRowAndColumn) {
@@ -224,7 +225,7 @@ TEST(PbEdgeCases, HubRowAndColumn) {
     PbConfig cfg;
     cfg.policy = policy;
     cfg.nbins = 8;
-    const PbResult r = pb_spgemm(p.a_csc, p.b_csr, cfg);
+    const PbResult r = testutil::pb_plan_execute(p.a_csc, p.b_csr, cfg);
     EXPECT_TRUE(equal_exact(r.c, reference_spgemm(p)))
         << "policy " << to_string(policy);
   }

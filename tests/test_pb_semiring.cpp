@@ -1,8 +1,9 @@
 // Cross-validation of the semiring-generalized PB pipeline and the
 // unified (algorithm × semiring) registry.
 //
-// pb_spgemm<S> shares no accumulation machinery with spgemm_semiring<S>
-// (outer-product expand/sort/compress vs row-wise dense accumulator), so
+// The PB pipeline over S (an executor run with algo = "pb") shares no
+// accumulation machinery with spgemm_semiring<S> (outer-product
+// expand/sort/compress vs row-wise dense accumulator), so
 // agreement over random ER/RMAT inputs for every built-in semiring is a
 // strong property check.  Values are small integers (see test_util.hpp),
 // so plus_times sums are exact in any accumulation order; min/max/bool
@@ -13,7 +14,7 @@
 
 #include "matrix/mstats.hpp"
 #include "matrix/ops.hpp"
-#include "pb/pb_spgemm.hpp"
+#include "pb/plan.hpp"
 #include "spgemm/registry.hpp"
 #include "spgemm/semiring.hpp"
 #include "test_util.hpp"
@@ -23,7 +24,7 @@ namespace {
 
 using testutil::from_triplets;
 
-// ---- pb_spgemm<S> vs spgemm_semiring<S> vs reference over random inputs --
+// ---- pb over S vs spgemm_semiring<S> vs reference over random inputs ----
 
 struct SemiringCase {
   const char* semiring;
@@ -44,11 +45,13 @@ template <typename S>
 void expect_pb_matches_fallback(const mtx::CsrMatrix& a) {
   const SpGemmProblem p = SpGemmProblem::square(a);
   const mtx::CsrMatrix expected = spgemm_semiring<S>(a, a);
-  const pb::PbResult r = pb::pb_spgemm<S>(p.a_csc, p.b_csr);
-  ASSERT_TRUE(r.c.valid());
-  EXPECT_TRUE(equal_exact(r.c, expected))
-      << "pb_spgemm<" << S::name << "> diverges from spgemm_semiring";
-  EXPECT_EQ(r.stats.nnz_c, expected.nnz());
+  RunInfo info;
+  const mtx::CsrMatrix c = testutil::pb_product(p, S::name, {}, &info);
+  ASSERT_TRUE(c.valid());
+  ASSERT_TRUE(info.used_pb);
+  EXPECT_TRUE(equal_exact(c, expected))
+      << "pb over " << S::name << " diverges from spgemm_semiring";
+  EXPECT_EQ(info.pb_stats.nnz_c, expected.nnz());
 }
 
 class PbSemiring : public ::testing::TestWithParam<SemiringCase> {};
@@ -89,17 +92,15 @@ INSTANTIATE_TEST_SUITE_P(Sweep, PbSemiring, ::testing::ValuesIn(make_cases()));
 TEST(PbSemiring, PlusTimesMatchesReference) {
   const mtx::CsrMatrix a = testutil::exact_er(250, 250, 5.0, 31);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  EXPECT_TRUE(equal_exact(pb::pb_spgemm<PlusTimes>(p.a_csc, p.b_csr).c,
-                          reference_spgemm(p)));
+  EXPECT_TRUE(equal_exact(testutil::pb_product(p), reference_spgemm(p)));
 }
 
 TEST(PbSemiring, PatternIsSemiringAndAlgorithmIndependent) {
   const mtx::CsrMatrix a = testutil::exact_rmat(8, 5.0, 33);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const mtx::CsrMatrix base = pb::pb_spgemm<PlusTimes>(p.a_csc, p.b_csr).c;
+  const mtx::CsrMatrix base = testutil::pb_product(p);
   for (const std::string& s : semiring_names()) {
-    const mtx::CsrMatrix c = dispatch_semiring(
-        s, [&]<typename S>() { return pb::pb_spgemm<S>(p.a_csc, p.b_csr).c; });
+    const mtx::CsrMatrix c = testutil::pb_product(p, s);
     EXPECT_EQ(base.rowptr, c.rowptr) << s;
     EXPECT_EQ(base.colids, c.colids) << s;
   }
@@ -113,7 +114,7 @@ TEST(PbSemiringCancellation, PlusTimesExactCancellationKeptStructurally) {
   const mtx::CsrMatrix a = from_triplets(1, 2, {{0, 0, 1.0}, {0, 1, -1.0}});
   const mtx::CsrMatrix b = from_triplets(2, 1, {{0, 0, 1.0}, {1, 0, 1.0}});
   const SpGemmProblem p = SpGemmProblem::multiply(a, b);
-  const mtx::CsrMatrix c = pb::pb_spgemm<PlusTimes>(p.a_csc, p.b_csr).c;
+  const mtx::CsrMatrix c = testutil::pb_product(p);
   ASSERT_EQ(c.nnz(), 1);
   EXPECT_EQ(c.colids[0], 0);
   EXPECT_EQ(c.vals[0], 0.0);
@@ -137,7 +138,7 @@ TEST(PbSemiringCancellation, RandomCancellationHeavyInputs) {
     }
     const mtx::CsrMatrix a = mtx::coo_to_csr(coo);
     const SpGemmProblem p = SpGemmProblem::square(a);
-    const mtx::CsrMatrix c = pb::pb_spgemm<PlusTimes>(p.a_csc, p.b_csr).c;
+    const mtx::CsrMatrix c = testutil::pb_product(p);
     const mtx::CsrMatrix expected = spgemm_semiring<PlusTimes>(a, a);
     ASSERT_TRUE(equal_exact(c, expected)) << "seed " << seed;
     bool has_stored_zero = false;
@@ -154,7 +155,7 @@ TEST(PbSemiringCancellation, BoolOrAndZeroOperandsStayStructural) {
   const mtx::CsrMatrix a = from_triplets(1, 1, {{0, 0, 0.0}});
   const mtx::CsrMatrix b = from_triplets(1, 1, {{0, 0, 1.0}});
   const SpGemmProblem p = SpGemmProblem::multiply(a, b);
-  const mtx::CsrMatrix c = pb::pb_spgemm<BoolOrAnd>(p.a_csc, p.b_csr).c;
+  const mtx::CsrMatrix c = testutil::pb_product(p, BoolOrAnd::name);
   ASSERT_EQ(c.nnz(), 1);
   EXPECT_EQ(c.vals[0], 0.0);
   EXPECT_TRUE(equal_exact(c, spgemm_semiring<BoolOrAnd>(a, b)));
@@ -165,31 +166,33 @@ TEST(PbSemiringCancellation, BoolOrAndZeroOperandsStayStructural) {
 TEST(PbSemiringDispatch, NamedPipelineMatchesTemplate) {
   const mtx::CsrMatrix a = testutil::exact_er(120, 120, 4.0, 51);
   const SpGemmProblem p = SpGemmProblem::square(a);
+  const pb::PbPlan plan = pb::pb_plan_build(p.a_csc, p.b_csr);
   pb::PbWorkspace ws;
   for (const std::string& s : semiring_names()) {
     const pb::PbResult named =
-        pb::pb_spgemm_named(s, p.a_csc, p.b_csr, pb::PbConfig{}, ws);
-    const mtx::CsrMatrix expected = dispatch_semiring(
-        s, [&]<typename S>() { return pb::pb_spgemm<S>(p.a_csc, p.b_csr).c; });
+        pb::pb_execute_named(s, p.a_csc, p.b_csr, plan, ws);
+    const mtx::CsrMatrix expected =
+        dispatch_semiring(s, [&]<typename S>() {
+          return pb::pb_execute<S>(p.a_csc, p.b_csr, plan, ws).c;
+        });
     EXPECT_TRUE(equal_exact(named.c, expected)) << s;
   }
-  EXPECT_THROW(pb::pb_spgemm_named("nope", p.a_csc, p.b_csr, pb::PbConfig{}, ws),
+  EXPECT_THROW(pb::pb_execute_named("nope", p.a_csc, p.b_csr, plan, ws),
                std::invalid_argument);
 }
 
 TEST(RegistrySemiring, PbEntryRunsThePbPipeline) {
-  // `pb` × min_plus through the registry equals the template call — the
-  // registry runs the actual propagation-blocking pipeline, not the
-  // row-wise fallback pretending to be it (they agree on values, so the
-  // check is that the function resolves and matches; the distinct-machinery
-  // guarantee is the PbSemiring sweep above).
+  // `pb` × every semiring through the registry equals an executor's pb run
+  // — the registry's pb kernel is a one-shot executor running the actual
+  // propagation-blocking pipeline, not the row-wise fallback pretending to
+  // be it (they agree on values, so the check is that the function
+  // resolves and matches; the distinct-machinery guarantee is the
+  // PbSemiring sweep above).
   const mtx::CsrMatrix a = testutil::exact_er(150, 150, 5.0, 52);
   const SpGemmProblem p = SpGemmProblem::square(a);
   for (const std::string& s : semiring_names()) {
     const mtx::CsrMatrix via_registry = semiring_algorithm("pb", s)(p);
-    const mtx::CsrMatrix expected = dispatch_semiring(
-        s, [&]<typename S>() { return pb::pb_spgemm<S>(p.a_csc, p.b_csr).c; });
-    EXPECT_TRUE(equal_exact(via_registry, expected)) << s;
+    EXPECT_TRUE(equal_exact(via_registry, testutil::pb_product(p, s))) << s;
   }
 }
 

@@ -116,7 +116,7 @@ TEST(SortCompress, EmptyBinsHandled) {
   cfg.validate = true;
   for (const int threads : {1, max_threads()}) {
     const ThreadCountGuard lanes(threads);
-    const PbResult r = pb_spgemm(p.a_csc, p.b_csr, cfg);
+    const PbResult r = testutil::pb_plan_execute(p.a_csc, p.b_csr, cfg);
     EXPECT_EQ(r.stats.nbins, 4);
     EXPECT_TRUE(mtx::equal_exact(r.c, reference_spgemm(p)))
         << threads << " thread(s)";
@@ -171,7 +171,7 @@ TEST(SortCompress, TimersAreNonNegative) {
   const SpGemmProblem p = SpGemmProblem::square(a);
   for (const int threads : {1, max_threads()}) {
     const ThreadCountGuard lanes(threads);
-    const PbResult r = pb_spgemm(p.a_csc, p.b_csr);
+    const PbResult r = testutil::pb_plan_execute(p.a_csc, p.b_csr);
     EXPECT_GE(r.stats.sort.seconds, 0.0);
     EXPECT_GE(r.stats.compress.seconds, 0.0);
   }

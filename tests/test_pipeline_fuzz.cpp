@@ -2,9 +2,9 @@
 // random (algorithm × semiring) pair + element-wise ops + conversions)
 // applied to random matrices of random shape/density, mirrored
 // step-by-step against a dense implementation.  SpGEMM steps alternate
-// randomly between fresh multiplies and the plan/execute path (plan once,
-// execute twice, outputs must be identical); fresh steps through the PB
-// pipeline additionally randomize the PbConfig (bin count, local-bin
+// randomly between fresh multiplies and one executor running the product
+// twice (plan once, outputs must be identical); fresh steps through the
+// PB pipeline additionally randomize the PbConfig (bin count, local-bin
 // width, binning policy, streaming stores) with validate=true, so the
 // pipeline's internal invariant checks run under fuzzed layouts.  Catches
 // interaction bugs that single-op tests cannot (pattern/value coupling,
@@ -20,9 +20,8 @@
 #include "matrix/convert.hpp"
 #include "matrix/generate.hpp"
 #include "matrix/ops.hpp"
-#include "pb/pb_spgemm.hpp"
+#include "spgemm/executor.hpp"
 #include "spgemm/masked.hpp"
-#include "spgemm/plan.hpp"
 #include "spgemm/registry.hpp"
 #include "spgemm/semiring.hpp"
 #include "test_util.hpp"
@@ -124,26 +123,25 @@ TEST_P(PipelineFuzz, RandomOpChainMatchesDenseMirror) {
                               semiring_names().size())]
                         : PlusTimes::name;
         const SpGemmProblem problem = SpGemmProblem::square(m);
-        // Half the steps go through a fresh multiply, half through the
-        // plan/execute path (plan once, execute twice — the second
-        // execution reuses analysis + workspace and must be identical).
+        // Half the steps go through a fresh multiply, half through one
+        // executor running the product twice (the second run reuses
+        // analysis + workspace and must be identical).
         const bool via_plan = rng.next_below(2) == 0;
         dispatch_semiring(semiring, [&]<typename S>() {
           if (via_plan) {
-            PlanOptions opts;
-            opts.algo = algo;
-            opts.semiring = semiring;
-            SpGemmPlan plan = make_plan(problem, opts);
-            const mtx::CsrMatrix once = plan.execute(problem);
-            m = plan.execute(problem);
+            SpGemmOp op;
+            op.algo = algo;
+            op.semiring = semiring;
+            SpGemmExecutor exec;
+            const mtx::CsrMatrix once = exec.run(problem, op);
+            m = exec.run(problem, op);
             ASSERT_TRUE(mtx::equal_exact(once, m))
                 << "plan re-execution diverged at step " << step;
-            ASSERT_EQ(plan.telemetry().replans, 0u);
+            ASSERT_LE(exec.stats().cache_misses, 1u);
           } else if (std::string(algo) == "pb") {
-            // Drive the pipeline directly so the PbConfig is fuzzed too.
-            m = pb::pb_spgemm<S>(problem.a_csc, problem.b_csr,
-                                 random_pb_config(rng))
-                    .c;
+            // Fuzz the PbConfig too.
+            m = testutil::pb_product(problem, semiring,
+                                     random_pb_config(rng));
           } else {
             m = semiring_algorithm(algo, semiring)(problem);
           }
@@ -226,8 +224,7 @@ TEST_P(PipelineFuzz, RandomOpChainMatchesDenseMirror) {
         op.semiring = semiring;
         op.mask = &mask;
         op.complement = complement;
-        SpGemmPlan plan = make_plan(problem, op);
-        m = plan.execute(problem);
+        m = SpGemmExecutor().run(problem, op);
         dispatch_semiring(semiring,
                           [&]<typename S>() { d = dense_mult<S>(d, d); });
         // Mirror the mask: zero every dense cell whose membership in the
@@ -309,10 +306,12 @@ TEST_P(ScheduleFuzz, PipelineBitIdenticalToRowwiseAcrossDescriptors) {
     }
     op.accumulate = variant == kAccumulate;
     if (variant == kPostOp) op.post_op = post;
-    SpGemmPlan plan = make_plan(problem, op);
-    mtx::CsrMatrix c = variant == kAccumulate ? plan.execute(problem, acc)
-                                              : plan.execute(problem);
-    if (nbins != nullptr) *nbins = plan.last_pb_stats().nbins;
+    SpGemmExecutor exec;
+    RunInfo info;
+    mtx::CsrMatrix c = variant == kAccumulate
+                           ? exec.run(problem, op, acc, &info)
+                           : exec.run(problem, op, &info);
+    if (nbins != nullptr) *nbins = info.pb_stats.nbins;
     return c;
   };
   for (const int threads : {1, max_threads()}) {

@@ -1,6 +1,6 @@
-// Plan/execute architecture: the PB plan-build/execute split, the public
-// SpGemmPlan with roofline-guided "auto" selection, structural
-// invalidation, and workspace pooling across plan executions.
+// Plan/execute architecture: the PB plan-build/execute split, structural
+// fingerprints, the sampled compression-factor estimator and the
+// roofline-guided selection heuristic behind "auto".
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -9,9 +9,8 @@
 #include "common/parallel.hpp"
 #include "matrix/mstats.hpp"
 #include "model/selection.hpp"
-#include "pb/partitioned.hpp"
 #include "pb/plan.hpp"
-#include "spgemm/plan.hpp"
+#include "spgemm/executor.hpp"
 #include "spgemm/registry.hpp"
 #include "spgemm/semiring.hpp"
 #include "test_util.hpp"
@@ -28,9 +27,9 @@ TEST(PbPlan, ExecuteMatchesFreshPipelineAcrossSemirings) {
   const pb::PbPlan plan = pb::pb_plan_build(p.a_csc, p.b_csr, cfg);
 
   for (const std::string& s : semiring_names()) {
-    pb::PbWorkspace fresh_ws, plan_ws;
+    pb::PbWorkspace plan_ws;
     const pb::PbResult fresh =
-        pb::pb_spgemm_named(s, p.a_csc, p.b_csr, cfg, fresh_ws);
+        testutil::pb_plan_execute(p.a_csc, p.b_csr, cfg, s);
     const pb::PbResult planned =
         pb::pb_execute_named(s, p.a_csc, p.b_csr, plan, plan_ws);
     EXPECT_TRUE(mtx::equal_exact(fresh.c, planned.c)) << s;
@@ -78,7 +77,7 @@ TEST(PbPlan, MismatchedInnerDimensionsThrowBeforeAnyFlopPass) {
                std::invalid_argument);
   EXPECT_THROW((void)pb::StructureFingerprint::of(p.a_csc, p.b_csr),
                std::invalid_argument);
-  EXPECT_THROW((void)make_plan(p), std::invalid_argument);
+  EXPECT_THROW(SpGemmExecutor().prepare(p), std::invalid_argument);
 }
 
 TEST(PbPlan, RejectsStructurallyDifferentOperands) {
@@ -279,7 +278,7 @@ TEST(Selection, KeyOnlyStreamShiftsCrossoverTowardPb) {
   const nnz_t flop = 1 << 20;
 
   pb::PbConfig boolean_cfg;
-  boolean_cfg.value_free = true;  // what pb_spgemm<BoolOrAnd> injects
+  boolean_cfg.value_free = true;  // what the executor sets for bool_or_and
   const pb::PbConfig valued_cfg;
   const pb::TupleFormat boolean_fmt =
       pb::predict_tuple_format(n, n, flop, boolean_cfg);
@@ -297,179 +296,6 @@ TEST(Selection, KeyOnlyStreamShiftsCrossoverTowardPb) {
   const model::AlgoChoice boolean = model::select_algorithm(4.0, flop, true, m);
   EXPECT_EQ(boolean.algo, "pb");
   EXPECT_GT(boolean.ai_outer, valued.ai_outer);
-}
-
-// ---- SpGemmPlan -----------------------------------------------------------
-
-TEST(SpGemmPlanTest, MatchesRegistryKernelsAcrossSemirings) {
-  const mtx::CsrMatrix a = testutil::exact_er(250, 250, 6.0, 16);
-  const SpGemmProblem p = SpGemmProblem::square(a);
-  for (const std::string& algo : {"pb", "heap"}) {
-    for (const std::string& s : semiring_names()) {
-      PlanOptions opts;
-      opts.algo = algo;
-      opts.semiring = s;
-      SpGemmPlan plan = make_plan(p, opts);
-      EXPECT_EQ(plan.algo(), algo);
-      const mtx::CsrMatrix c = plan.execute(p);
-      const mtx::CsrMatrix expected = semiring_algorithm(algo, s)(p);
-      EXPECT_TRUE(mtx::equal_exact(c, expected)) << algo << " x " << s;
-    }
-  }
-}
-
-TEST(SpGemmPlanTest, AutoResolvesToConcreteAlgorithmWithRationale) {
-  const mtx::CsrMatrix a = testutil::exact_er(600, 600, 8.0, 17);
-  const SpGemmProblem p = SpGemmProblem::square(a);
-  SpGemmPlan plan = make_plan(p);  // defaults: auto, plus_times
-  const PlanTelemetry& tm = plan.telemetry();
-  EXPECT_EQ(tm.requested_algo, "auto");
-  EXPECT_TRUE(plan.algo() == "pb" || plan.algo() == "hash" ||
-              plan.algo() == "heap")
-      << plan.algo();
-  EXPECT_EQ(plan.algo(), tm.choice.algo);
-  EXPECT_FALSE(tm.choice.rationale.empty());
-  EXPECT_GT(tm.choice.cf, 0.0);
-
-  const mtx::CsrMatrix c = plan.execute(p);
-  EXPECT_TRUE(mtx::equal_exact(c, reference_spgemm(p)));
-}
-
-TEST(SpGemmPlanTest, AutoFollowsCompressionFactor) {
-  // An ER squaring barely compresses -> the outer-product pipeline; a
-  // near-dense squaring compresses heavily -> the Gustavson hash.
-  const mtx::CsrMatrix sparse = testutil::exact_er(2000, 2000, 8.0, 18);
-  const mtx::CsrMatrix dense = testutil::exact_er(150, 150, 40.0, 19);
-  SpGemmPlan sp = make_plan(SpGemmProblem::square(sparse));
-  SpGemmPlan dp = make_plan(SpGemmProblem::square(dense));
-  EXPECT_EQ(sp.algo(), "pb");
-  EXPECT_EQ(dp.algo(), "hash");
-}
-
-TEST(SpGemmPlanTest, RecordsPredictedAndAchievedMflops) {
-  const mtx::CsrMatrix a = testutil::exact_er(500, 500, 8.0, 30);
-  const SpGemmProblem p = SpGemmProblem::square(a);
-  SpGemmPlan plan = make_plan(p);  // auto
-  // The prediction is fixed at plan time from the roofline choice...
-  EXPECT_GT(plan.telemetry().predicted_mflops, 0.0);
-  EXPECT_EQ(plan.telemetry().achieved_mflops, 0.0);
-  // ...and every execute records what it actually achieved against it.
-  (void)plan.execute(p);
-  EXPECT_GT(plan.telemetry().achieved_mflops, 0.0);
-  (void)plan.execute(p);
-  EXPECT_GT(plan.telemetry().achieved_mflops, 0.0);
-}
-
-TEST(SpGemmPlanTest, RepeatedExecutionSkipsAnalysisAndAllocation) {
-  const mtx::CsrMatrix a = testutil::exact_er(350, 350, 7.0, 20);
-  const SpGemmProblem p = SpGemmProblem::square(a);
-  PlanOptions opts;
-  opts.algo = "pb";
-  SpGemmPlan plan = make_plan(p, opts);
-
-  const mtx::CsrMatrix first = plan.execute(p);
-  const pb::PbWorkspace::Stats after_first = plan.workspace_stats();
-  for (int i = 0; i < 5; ++i) {
-    const mtx::CsrMatrix again = plan.execute(p);
-    EXPECT_TRUE(mtx::equal_exact(first, again));
-  }
-  const PlanTelemetry& tm = plan.telemetry();
-  EXPECT_EQ(tm.executes, 6u);
-  EXPECT_EQ(tm.replans, 0u);
-  EXPECT_EQ(tm.analysis_reuses, 6u);
-  // The symbolic phase of a reused execution is skipped entirely...
-  EXPECT_EQ(plan.last_pb_stats().symbolic.seconds, 0.0);
-  // ...and the tuple buffer is never reallocated.
-  const pb::PbWorkspace::Stats steady = plan.workspace_stats();
-  EXPECT_EQ(steady.allocations, after_first.allocations);
-  EXPECT_EQ(steady.reuses, after_first.reuses + 5);
-}
-
-TEST(SpGemmPlanTest, InvalidatesOnShapeChangeAndRecovers) {
-  const mtx::CsrMatrix big = testutil::exact_er(400, 400, 6.0, 21);
-  const mtx::CsrMatrix small = testutil::exact_er(120, 120, 4.0, 22);
-  const SpGemmProblem pb_ = SpGemmProblem::square(big);
-  const SpGemmProblem ps = SpGemmProblem::square(small);
-
-  PlanOptions opts;
-  opts.algo = "pb";
-  SpGemmPlan plan = make_plan(pb_, opts);
-  EXPECT_TRUE(mtx::equal_exact(plan.execute(pb_), reference_spgemm(pb_)));
-
-  // Different structure: the plan transparently replans and stays correct.
-  EXPECT_TRUE(mtx::equal_exact(plan.execute(ps), reference_spgemm(ps)));
-  EXPECT_EQ(plan.telemetry().replans, 1u);
-
-  // Back on the second structure: analysis is reused again.
-  const std::uint64_t reuses_before = plan.telemetry().analysis_reuses;
-  (void)plan.execute(ps);
-  EXPECT_EQ(plan.telemetry().replans, 1u);
-  EXPECT_EQ(plan.telemetry().analysis_reuses, reuses_before + 1);
-}
-
-TEST(SpGemmPlanTest, GrowShrinkGrowReusesPeakCapacity) {
-  // A grow-then-shrink-then-grow problem sequence through one plan: the
-  // pooled buffer sized by the big problem serves the small one and the
-  // big one again without any new allocation.
-  const mtx::CsrMatrix big = testutil::exact_er(500, 500, 8.0, 23);
-  const mtx::CsrMatrix small = testutil::exact_er(100, 100, 3.0, 24);
-  const SpGemmProblem pb_ = SpGemmProblem::square(big);
-  const SpGemmProblem ps = SpGemmProblem::square(small);
-
-  PlanOptions opts;
-  opts.algo = "pb";
-  SpGemmPlan plan = make_plan(pb_, opts);
-  (void)plan.execute(pb_);
-  const pb::PbWorkspace::Stats after_big = plan.workspace_stats();
-
-  EXPECT_TRUE(mtx::equal_exact(plan.execute(ps), reference_spgemm(ps)));
-  EXPECT_TRUE(mtx::equal_exact(plan.execute(pb_), reference_spgemm(pb_)));
-  const pb::PbWorkspace::Stats end = plan.workspace_stats();
-  EXPECT_EQ(end.allocations, after_big.allocations);
-  EXPECT_EQ(end.reuses, after_big.reuses + 2);
-  EXPECT_EQ(end.peak_request, after_big.peak_request);
-}
-
-TEST(SpGemmPlanTest, RejectsUnsupportedPairsAtPlanTime) {
-  const mtx::CsrMatrix a = testutil::exact_er(50, 50, 3.0, 25);
-  const SpGemmProblem p = SpGemmProblem::square(a);
-  PlanOptions opts;
-  opts.algo = "hashvec";  // the hash family's remaining plus_times-only member
-  opts.semiring = "min_plus";
-  EXPECT_THROW((void)make_plan(p, opts), std::invalid_argument);
-  opts.algo = "no_such_algo";
-  EXPECT_THROW((void)make_plan(p, opts), std::invalid_argument);
-}
-
-// ---- partitioned plan -----------------------------------------------------
-
-TEST(PartitionedPlanTest, RepeatedExecutionMatchesFusedPath) {
-  const mtx::CsrMatrix a = testutil::exact_er(300, 300, 6.0, 26);
-  const SpGemmProblem p = SpGemmProblem::square(a);
-  const mtx::CsrMatrix expected = reference_spgemm(p);
-
-  pb::PartitionedPlan plan = pb::make_partitioned_plan(p.a_csc, p.b_csr, 4);
-  EXPECT_EQ(plan.nparts(), 4);
-  EXPECT_GT(plan.build_seconds(), 0.0);
-
-  const pb::PartitionedResult r1 = plan.execute(p.b_csr);
-  const pb::PartitionedResult r2 = plan.execute(p.b_csr);
-  EXPECT_TRUE(mtx::equal_exact(r1.c, expected));
-  EXPECT_TRUE(mtx::equal_exact(r2.c, expected));
-  // Row slices are short, so every part's plan packs the narrow format,
-  // and the per-part telemetry reports it.
-  for (const pb::PbTelemetry& part : r1.parts) {
-    EXPECT_EQ(part.format, pb::TupleFormat::kNarrow);
-    EXPECT_EQ(part.tuple_bytes(), 12.0);
-  }
-
-  const pb::PartitionedResult fused =
-      pb::pb_spgemm_partitioned(p.a_csc, p.b_csr, 4);
-  EXPECT_TRUE(mtx::equal_exact(fused.c, expected));
-
-  // Second execution draws everything from the pooled workspace.
-  const pb::PbWorkspace::Stats ws = plan.workspace_stats();
-  EXPECT_GT(ws.reuses, 0u);
 }
 
 }  // namespace

@@ -366,28 +366,47 @@ TEST(ServeRegistry, UpdateValuesRejectsChangedColids) {
 // (equal_exact, not tolerance) to a single executor for every grid and
 // semiring, in both the Gustavson and PB kernels.
 TEST(ServeShard, TiledRouteIsBitIdenticalAcrossGridsAndSemirings) {
-  const mtx::CsrMatrix a = testutil::exact_er(210, 170, 5.0, 97);
-  const mtx::CsrMatrix b = testutil::exact_er(170, 190, 5.0, 98);
-  const SpGemmProblem p = SpGemmProblem::multiply(a, b);
+  // R×1 grids are the paper's Sec. V-D row-partitioned variant; the tiny
+  // operand also runs with more row blocks than rows (empty blocks).
+  const mtx::CsrMatrix er_a = testutil::exact_er(210, 170, 5.0, 97);
+  const mtx::CsrMatrix er_b = testutil::exact_er(170, 190, 5.0, 98);
+  const mtx::CsrMatrix rmat = testutil::exact_rmat(8, 8.0, 82);
+  const mtx::CsrMatrix tiny = testutil::exact_er(5, 5, 2.0, 85);
+  const mtx::CsrMatrix empty = mtx::coo_to_csr(mtx::CooMatrix(40, 40));
+  const mtx::CsrMatrix rect_a = testutil::exact_er(120, 60, 3.0, 86);
+  const mtx::CsrMatrix rect_b = testutil::exact_er(60, 90, 3.0, 87);
+  const std::vector<std::pair<std::string, SpGemmProblem>> problems = {
+      {"er 210x170 * 170x190", SpGemmProblem::multiply(er_a, er_b)},
+      {"rmat scale 8 squared", SpGemmProblem::square(rmat)},
+      {"5x5 squared", SpGemmProblem::square(tiny)},
+      {"empty 40x40 squared", SpGemmProblem::square(empty)},
+      {"120x60 * 60x90", SpGemmProblem::multiply(rect_a, rect_b)},
+  };
 
-  for (const char* algo : {"heap", "pb"}) {
-    for (const char* semiring :
-         {"plus_times", "min_plus", "max_min", "bool_or_and"}) {
-      SpGemmOp op;
-      op.algo = algo;
-      op.semiring = semiring;
-      SpGemmExecutor single;
-      const mtx::CsrMatrix ref = single.run(p, op);
-      for (const auto [rows, cols] :
-           {std::pair{1, 2}, {2, 1}, {2, 2}, {3, 2}}) {
-        serve::ShardOptions so;
-        so.rows = rows;
-        so.cols = cols;
-        so.pin_numa = false;
-        serve::ShardRouter router(so);
-        const mtx::CsrMatrix c = router.run(p, op);
-        EXPECT_TRUE(mtx::equal_exact(c, ref))
-            << algo << " x " << semiring << " on " << rows << "x" << cols;
+  for (const auto& [name, p] : problems) {
+    std::vector<std::pair<int, int>> grids = {
+        {1, 2}, {2, 1}, {2, 2}, {3, 2}, {3, 1}, {7, 1}, {16, 1}};
+    if (p.a_csr.nrows < 64) grids.emplace_back(64, 1);
+    for (const char* algo : {"heap", "pb"}) {
+      for (const char* semiring :
+           {"plus_times", "min_plus", "max_min", "bool_or_and"}) {
+        SpGemmOp op;
+        op.algo = algo;
+        op.semiring = semiring;
+        SpGemmExecutor single;
+        const mtx::CsrMatrix ref = single.run(p, op);
+        for (const auto& [rows, cols] : grids) {
+          serve::ShardOptions so;
+          so.rows = rows;
+          so.cols = cols;
+          so.pin_numa = false;
+          serve::ShardRouter router(so);
+          const mtx::CsrMatrix c = router.run(p, op);
+          EXPECT_TRUE(c.valid());
+          EXPECT_TRUE(mtx::equal_exact(c, ref))
+              << name << ": " << algo << " x " << semiring << " on " << rows
+              << "x" << cols;
+        }
       }
     }
   }

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "common/parallel.hpp"
-#include "pb/pb_spgemm.hpp"
 #include "spgemm/registry.hpp"
 #include "test_util.hpp"
 
@@ -37,20 +36,21 @@ INSTANTIATE_TEST_SUITE_P(Algos, ThreadSweep,
 TEST(ThreadSweep, PbTelemetryConsistentAcrossThreadCounts) {
   const mtx::CsrMatrix a = testutil::exact_er(600, 600, 6.0, 52);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  pb::PbResult r1, r4;
+  RunInfo r1, r4;
+  mtx::CsrMatrix c1, c4;
   {
     ThreadCountGuard guard(1);
-    r1 = pb::pb_spgemm(p.a_csc, p.b_csr);
+    c1 = testutil::pb_product(p, PlusTimes::name, {}, &r1);
   }
   {
     ThreadCountGuard guard(4);
-    r4 = pb::pb_spgemm(p.a_csc, p.b_csr);
+    c4 = testutil::pb_product(p, PlusTimes::name, {}, &r4);
   }
   // Work metrics are structural, not timing-dependent.
-  EXPECT_EQ(r1.stats.flop, r4.stats.flop);
-  EXPECT_EQ(r1.stats.nnz_c, r4.stats.nnz_c);
-  EXPECT_EQ(r1.stats.nbins, r4.stats.nbins);
-  EXPECT_TRUE(equal_exact(r1.c, r4.c));
+  EXPECT_EQ(r1.pb_stats.flop, r4.pb_stats.flop);
+  EXPECT_EQ(r1.pb_stats.nnz_c, r4.pb_stats.nnz_c);
+  EXPECT_EQ(r1.pb_stats.nbins, r4.pb_stats.nbins);
+  EXPECT_TRUE(equal_exact(c1, c4));
 }
 
 TEST(ThreadSweep, OversubscriptionIsSafe) {

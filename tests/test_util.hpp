@@ -9,11 +9,14 @@
 #pragma once
 
 #include <cstdint>
+#include <string>
 
 #include "matrix/convert.hpp"
 #include "matrix/coo.hpp"
 #include "matrix/csr.hpp"
 #include "matrix/generate.hpp"
+#include "pb/plan.hpp"
+#include "spgemm/executor.hpp"
 
 namespace pbs::testutil {
 
@@ -55,6 +58,47 @@ inline mtx::CsrMatrix from_triplets(
   for (const auto& [r, c, v] : entries) coo.add(r, c, v);
   coo.canonicalize();
   return mtx::coo_to_csr(coo);
+}
+
+/// One PB product through the two calls the executor makes: pb_plan_build,
+/// then pb_execute over `semiring` through `ws`.  Like the executor, it
+/// marks the config value-free when the semiring is; unlike it, it reports
+/// the plan's cost as the symbolic phase, so total_seconds() is
+/// symbolic + numeric wall.
+inline pb::PbResult pb_plan_execute(const mtx::CscMatrix& a,
+                                    const mtx::CsrMatrix& b,
+                                    pb::PbConfig cfg, pb::PbWorkspace& ws,
+                                    const std::string& semiring =
+                                        PlusTimes::name) {
+  if (!cfg.value_free) cfg.value_free = semiring_value_free(semiring);
+  const pb::PbPlan plan = pb::pb_plan_build(a, b, cfg);
+  pb::PbResult r = pb::pb_execute_named(semiring, a, b, plan, ws,
+                                        /*check_fingerprint=*/false);
+  r.stats.symbolic = plan.symbolic;
+  return r;
+}
+
+/// pb_plan_execute on a workspace of its own.
+inline pb::PbResult pb_plan_execute(const mtx::CscMatrix& a,
+                                    const mtx::CsrMatrix& b,
+                                    const pb::PbConfig& cfg = {},
+                                    const std::string& semiring =
+                                        PlusTimes::name) {
+  pb::PbWorkspace ws;
+  return pb_plan_execute(a, b, cfg, ws, semiring);
+}
+
+/// A ⊗ B with the PB pipeline, end to end: one run of a fresh
+/// SpGemmExecutor with op.algo = "pb", that semiring and that config.
+inline mtx::CsrMatrix pb_product(const SpGemmProblem& p,
+                                 const std::string& semiring = PlusTimes::name,
+                                 const pb::PbConfig& cfg = {},
+                                 RunInfo* info = nullptr) {
+  SpGemmOp op;
+  op.algo = "pb";
+  op.semiring = semiring;
+  op.pb = cfg;
+  return SpGemmExecutor().run(p, op, info);
 }
 
 }  // namespace pbs::testutil

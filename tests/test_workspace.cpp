@@ -96,17 +96,20 @@ TEST(Workspace, MixedFormatMultipliesReuseOnePool) {
 
   PbConfig wide_cfg;
   wide_cfg.format = FormatPolicy::kWide;
-  const PbResult wide = pb_spgemm<BoolOrAnd>(p.a_csc, p.b_csr, wide_cfg, ws);
+  const PbResult wide = testutil::pb_plan_execute(p.a_csc, p.b_csr, wide_cfg,
+                                                  ws, BoolOrAnd::name);
   const std::size_t cap = ws.capacity();
   ws.reset_stats();
 
   const PbResult keyonly =
-      pb_spgemm<BoolOrAnd>(p.a_csc, p.b_csr, PbConfig{}, ws);
+      testutil::pb_plan_execute(p.a_csc, p.b_csr, PbConfig{}, ws,
+                                BoolOrAnd::name);
   EXPECT_EQ(keyonly.stats.format, TupleFormat::kKeyOnly);
   PbConfig narrow_cfg;
   narrow_cfg.format = FormatPolicy::kNarrow;
   const PbResult narrow =
-      pb_spgemm<BoolOrAnd>(p.a_csc, p.b_csr, narrow_cfg, ws);
+      testutil::pb_plan_execute(p.a_csc, p.b_csr, narrow_cfg, ws,
+                                BoolOrAnd::name);
   EXPECT_EQ(narrow.stats.format, TupleFormat::kNarrow);
 
   EXPECT_EQ(ws.capacity(), cap);  // 8 and 12 B streams fit the 16 B one
@@ -175,10 +178,13 @@ TEST(Workspace, SharedAcrossDifferentProblems) {
   const SpGemmProblem pb_big = SpGemmProblem::square(big);
   const SpGemmProblem pb_small = SpGemmProblem::square(small);
 
-  const PbResult r1 = pb_spgemm(pb_big.a_csc, pb_big.b_csr, PbConfig{}, ws);
+  const PbResult r1 =
+      testutil::pb_plan_execute(pb_big.a_csc, pb_big.b_csr, PbConfig{}, ws);
   const std::size_t cap_after_big = ws.capacity();
-  const PbResult r2 = pb_spgemm(pb_small.a_csc, pb_small.b_csr, PbConfig{}, ws);
-  const PbResult r3 = pb_spgemm(pb_big.a_csc, pb_big.b_csr, PbConfig{}, ws);
+  const PbResult r2 =
+      testutil::pb_plan_execute(pb_small.a_csc, pb_small.b_csr, PbConfig{}, ws);
+  const PbResult r3 =
+      testutil::pb_plan_execute(pb_big.a_csc, pb_big.b_csr, PbConfig{}, ws);
 
   EXPECT_EQ(ws.capacity(), cap_after_big);  // big buffer retained
   EXPECT_TRUE(equal_exact(r1.c, r3.c));     // reuse does not corrupt results
@@ -189,9 +195,11 @@ TEST(Workspace, RepeatedCallsAreDeterministic) {
   PbWorkspace ws;
   const mtx::CsrMatrix a = testutil::exact_rmat(8, 6.0, 93);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const PbResult first = pb_spgemm(p.a_csc, p.b_csr, PbConfig{}, ws);
+  const PbResult first =
+      testutil::pb_plan_execute(p.a_csc, p.b_csr, PbConfig{}, ws);
   for (int i = 0; i < 3; ++i) {
-    const PbResult again = pb_spgemm(p.a_csc, p.b_csr, PbConfig{}, ws);
+    const PbResult again =
+        testutil::pb_plan_execute(p.a_csc, p.b_csr, PbConfig{}, ws);
     EXPECT_TRUE(equal_exact(first.c, again.c)) << "iteration " << i;
   }
 }

@@ -19,11 +19,12 @@
 //
 // Matrices are Matrix Market files; `multiply` with no --b squares A (the
 // paper's evaluation mode) and prints per-phase PB telemetry when the
-// algorithm is "pb".  --algo auto resolves to a concrete algorithm via the
-// roofline selection model (mask-density-aware when --mask is given) and
-// reports the decision; --repeat N plans once into a SpGemmExecutor and
-// executes N times, reporting the amortization plus the executor's
-// cache-hit/miss and workspace-pool reuse counters.  `calibrate` refits
+// algorithm is "pb".  Every multiply runs through one SpGemmExecutor: it
+// plans once and executes --reps times (best of) or --repeat N times
+// (reporting the amortization), and prints the executor's cache-hit/miss
+// and workspace-pool reuse counters.  --algo auto resolves to a concrete
+// algorithm via the roofline selection model (mask-density-aware when
+// --mask is given) and reports the decision.  `calibrate` refits
 // the selection model's derating constants from recorded
 // predicted-vs-achieved MFLOPS pairs.  --mask restricts the output to the mask's pattern with
 // the mask *fused* into the kernel (PB skips masked-out tuples in its
@@ -35,7 +36,7 @@
 // on value-free semirings.
 // `semiring` demonstrates runtime semiring registration: it registers the
 // tropical (max, +) semiring "plus_max" through SemiringRegistry and runs
-// the multiplication over it via the descriptor plan path.  `info` prints
+// the multiplication over it through the executor.  `info` prints
 // the (algorithm × semiring) support matrix and the detected cache
 // hierarchy.  An option a command does not read, or an option missing its
 // value, is an error: a mistyped or retired option never silently runs
@@ -157,12 +158,11 @@ void print_pb_phases(const pb::PbTelemetry& tm) {
             << tm.bins_stolen << " bin(s) stolen\n";
 }
 
-// Executor path: analyze + select once into the executor's plan cache,
-// execute `execs` times through it.  With --repeat the report centers on
-// amortization and the executor's cache/pool counters (the serving
-// layer's reason to exist); with --reps it is best-of-N timing like the
-// fresh paths, just through the executor.  A non-null mask runs the fused
-// masked descriptor.
+// The multiply path: analyze + select once into the executor's plan
+// cache, execute `execs` times through it.  With --repeat the report
+// centers on amortization and the executor's cache/pool counters (the
+// serving layer's reason to exist); with --reps it is best-of-N timing.
+// A non-null mask runs the fused masked descriptor.
 int multiply_planned(const Cli& cli, const SpGemmProblem& problem,
                      const std::string& algo, const std::string& semiring,
                      pb::FormatPolicy format, int execs,
@@ -363,8 +363,6 @@ int cmd_multiply(const Cli& cli) {
         "--reps (best-of-N timing) and --repeat (plan amortization) are "
         "mutually exclusive; pass one");
   }
-  // A mask always runs the descriptor plan path (the fused kernels live
-  // behind it), as do auto-selection and --repeat amortization.
   std::optional<mtx::CsrMatrix> mask;
   if (cli.get("mask")) {
     mask = mtx::coo_to_csr(mtx::read_matrix_market(*cli.get("mask")));
@@ -382,70 +380,18 @@ int cmd_multiply(const Cli& cli) {
           "nothing to scale, prune or rank");
     }
   }
-  // The robustness and cache knobs live in the executor, so they imply
-  // the executor path even for a fixed algorithm.
-  const bool robust =
-      cli.get("mem-budget-mb").has_value() ||
-      cli.get("deadline-ms").has_value() ||
-      cli.get("cache-capacity").has_value() ||
-      cli.get("cache-capacity-mb").has_value();
-  if (algo == "auto" || repeat > 0 || mask.has_value() || robust ||
-      post_op.active()) {
-    const int execs = repeat > 0 ? repeat : reps;
-    return multiply_planned(cli, problem, algo, semiring, format,
-                            std::max(execs, 1),
-                            /*amortization_report=*/repeat > 0,
-                            mask ? &*mask : nullptr, complement, post_op);
-  }
-
-  // Resolve through the (algorithm × semiring) registry first: unknown
-  // names and unsupported pairs fail here with the full support matrix
-  // instead of falling back to a different algorithm or semiring.
-  const SpGemmFn fn = semiring_algorithm(algo, semiring);
-  const std::string label = algo + " (" + semiring + ")";
-
-  if (algo == "pb") {
-    // The PB pipeline runs for every semiring; keep its per-phase
-    // telemetry rather than going through the type-erased registry fn.
-    pb::PbConfig cfg;
-    cfg.format = format;
-    pb::PbWorkspace ws;
-    pb::PbResult best;
-    for (int i = 0; i < reps; ++i) {
-      pb::PbResult r = pb::pb_spgemm_named(semiring, problem.a_csc,
-                                           problem.b_csr, cfg, ws);
-      if (i == 0 || r.stats.total_seconds() < best.stats.total_seconds())
-        best = std::move(r);
-    }
-    const pb::PbTelemetry& tm = best.stats;
-    std::cout << label << ": nnz(C) = " << best.c.nnz() << ", flop = "
-              << tm.flop << ", cf = " << tm.cf() << ", " << tm.mflops()
-              << " MFLOPS\n";
-    print_pb_phases(tm);
-    if (cli.get("out"))
-      mtx::write_matrix_market(*cli.get("out"), mtx::csr_to_coo(best.c));
-    return 0;
-  }
-
-  const nnz_t flop = mtx::count_flops(a, b);
-  double best_s = 0;
-  mtx::CsrMatrix c;
-  for (int i = 0; i < reps; ++i) {
-    Timer t;
-    c = fn(problem);
-    const double s = t.elapsed_s();
-    if (i == 0 || s < best_s) best_s = s;
-  }
-  std::cout << label << ": nnz(C) = " << c.nnz() << ", flop = " << flop
-            << ", " << static_cast<double>(flop) / best_s / 1e6
-            << " MFLOPS\n";
-  if (cli.get("out")) mtx::write_matrix_market(*cli.get("out"), mtx::csr_to_coo(c));
-  return 0;
+  // Every multiply runs through the executor: best-of-N timing with
+  // --reps, plan amortization and the cache counters with --repeat.
+  const int execs = repeat > 0 ? repeat : reps;
+  return multiply_planned(cli, problem, algo, semiring, format,
+                          std::max(execs, 1),
+                          /*amortization_report=*/repeat > 0,
+                          mask ? &*mask : nullptr, complement, post_op);
 }
 
 // Runtime semiring registration demo: register the tropical (max, +)
-// semiring and run the multiplication over it through the descriptor plan
-// path — the round trip a user-defined semiring takes.
+// semiring and run the multiplication over it through the executor — the
+// round trip a user-defined semiring takes.
 int cmd_semiring(const Cli& cli) {
   const std::string name = cli.get("name").value_or("plus_max");
   SemiringRegistry& reg = SemiringRegistry::instance();
