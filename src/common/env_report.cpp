@@ -11,6 +11,22 @@
 
 namespace pbs {
 
+namespace {
+
+std::string read_thp_mode() {
+  std::ifstream in("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string line;
+  if (!std::getline(in, line)) return "unavailable";
+  const auto open = line.find('[');
+  const auto close = line.find(']', open);
+  if (open == std::string::npos || close == std::string::npos) {
+    return "unavailable";
+  }
+  return line.substr(open + 1, close - open - 1);
+}
+
+}  // namespace
+
 EnvReport collect_env_report() {
   EnvReport r;
   std::ifstream cpuinfo("/proc/cpuinfo");
@@ -30,6 +46,7 @@ EnvReport collect_env_report() {
   r.l1d_bytes = c.l1d_bytes;
   r.l2_bytes = c.l2_bytes;
   r.l3_bytes = c.l3_bytes;
+  r.thp_mode = read_thp_mode();
   return r;
 }
 
@@ -38,7 +55,8 @@ void print_env_report(std::ostream& os, const EnvReport& r) {
      << "# logical cpus: " << r.logical_cpus
      << ", omp max threads: " << r.omp_max_threads << "\n"
      << "# caches: L1d " << r.l1d_bytes / 1024 << "K, L2 "
-     << r.l2_bytes / 1024 << "K, L3 " << r.l3_bytes / 1024 << "K\n";
+     << r.l2_bytes / 1024 << "K, L3 " << r.l3_bytes / 1024 << "K\n"
+     << "# transparent huge pages: " << r.thp_mode << "\n";
 }
 
 }  // namespace pbs

@@ -14,9 +14,14 @@ struct EnvReport {
   std::size_t l1d_bytes = 0;
   std::size_t l2_bytes = 0;
   std::size_t l3_bytes = 0;
+  /// Transparent huge page mode (the bracketed word of
+  /// /sys/kernel/mm/transparent_hugepage/enabled), or "unavailable".
+  /// Large outputs are advised huge pages (common/huge_pages.hpp), so
+  /// their first-touch cost depends on it.
+  std::string thp_mode;
 };
 
-/// Gathers /proc/cpuinfo + cache + OpenMP facts.
+/// Gathers /proc/cpuinfo + cache + OpenMP + THP facts.
 EnvReport collect_env_report();
 
 /// Pretty-prints as a comment block ("# cpu: ...").

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <utility>
 
+#include "common/huge_pages.hpp"
 #include "common/prefix_sum.hpp"
 
 namespace pbs::mtx {
@@ -25,8 +26,8 @@ CsrMatrix coo_to_csr(const CooMatrix& coo) {
   assert(coo.is_canonical());
   CsrMatrix out(coo.nrows, coo.ncols);
   const auto n = static_cast<std::size_t>(coo.nnz());
-  out.colids.resize(n);
-  out.vals.resize(n);
+  resize_on_huge_pages(out.colids, n);
+  resize_on_huge_pages(out.vals, n);
 
   std::vector<nnz_t> counts(static_cast<std::size_t>(coo.nrows) + 1, 0);
   for (std::size_t i = 0; i < n; ++i) ++counts[coo.row[i]];
@@ -45,8 +46,8 @@ CscMatrix coo_to_csc(const CooMatrix& coo) {
   assert(coo.is_canonical());
   CscMatrix out(coo.nrows, coo.ncols);
   const auto n = static_cast<std::size_t>(coo.nnz());
-  out.rowids.resize(n);
-  out.vals.resize(n);
+  resize_on_huge_pages(out.rowids, n);
+  resize_on_huge_pages(out.vals, n);
 
   std::vector<nnz_t> next(static_cast<std::size_t>(coo.ncols) + 1, 0);
   for (std::size_t i = 0; i < n; ++i) ++next[coo.col[i]];
@@ -77,8 +78,8 @@ CooMatrix csr_to_coo(const CsrMatrix& a) {
 CscMatrix csr_to_csc(const CsrMatrix& a) {
   CscMatrix out(a.nrows, a.ncols);
   const auto n = static_cast<std::size_t>(a.nnz());
-  out.rowids.resize(n);
-  out.vals.resize(n);
+  resize_on_huge_pages(out.rowids, n);
+  resize_on_huge_pages(out.vals, n);
 
   std::vector<nnz_t> next;
   csr_columns_histogram(a, next);
@@ -97,8 +98,8 @@ CscMatrix csr_to_csc(const CsrMatrix& a) {
 CsrMatrix csc_to_csr(const CscMatrix& a) {
   CsrMatrix out(a.nrows, a.ncols);
   const auto n = static_cast<std::size_t>(a.nnz());
-  out.colids.resize(n);
-  out.vals.resize(n);
+  resize_on_huge_pages(out.colids, n);
+  resize_on_huge_pages(out.vals, n);
 
   std::vector<nnz_t> next(static_cast<std::size_t>(a.nrows) + 1, 0);
   for (std::size_t i = 0; i < n; ++i) ++next[a.rowids[i]];

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "common/huge_pages.hpp"
 #include "matrix/convert.hpp"
 
 namespace pbs::mtx {
@@ -23,8 +24,8 @@ CsrMatrix build_rowwise(index_t nrows, index_t ncols, EmitFn emit) {
     out.rowptr[static_cast<std::size_t>(r) + 1] =
         out.rowptr[r] + count;
   }
-  out.colids.resize(static_cast<std::size_t>(out.rowptr.back()));
-  out.vals.resize(static_cast<std::size_t>(out.rowptr.back()));
+  resize_on_huge_pages(out.colids, static_cast<std::size_t>(out.rowptr.back()));
+  resize_on_huge_pages(out.vals, static_cast<std::size_t>(out.rowptr.back()));
   for (index_t r = 0; r < nrows; ++r) {
     nnz_t pos = out.rowptr[r];
     emit(r, [&](index_t c, value_t v) {

@@ -28,6 +28,7 @@
 #include <span>
 
 #include "common/cancel.hpp"
+#include "common/huge_pages.hpp"
 #include "common/prefix_sum.hpp"
 #include "matrix/csr.hpp"
 #include "pb/binning.hpp"
@@ -139,8 +140,8 @@ mtx::CsrMatrix build_csr_accum(const StreamSpan<F>& stream, int col_bits,
 
   const nnz_t total =
       counts_to_rowptr(c.rowptr.data(), static_cast<std::size_t>(nrows));
-  c.colids.resize(static_cast<std::size_t>(total));
-  c.vals.resize(static_cast<std::size_t>(total));
+  resize_on_huge_pages(c.colids, static_cast<std::size_t>(total));
+  resize_on_huge_pages(c.vals, static_cast<std::size_t>(total));
 
 #pragma omp parallel for schedule(dynamic, 1)
   for (int bin = 0; bin < nbins; ++bin) {

@@ -15,9 +15,9 @@
 //     fill publishes the bin to the flushing thread's work-stealing deque
 //     (common/parallel.hpp),
 //   - every thread, after finishing its share of expand, becomes a
-//     worker: pop own deque LIFO (the bin most recently flushed — still
-//     warmest in cache), else steal FIFO from a victim, running each
-//     bin's sort + compress + mask filter + CSR row count as one task,
+//     worker: pop own deque LIFO (the Chase–Lev deque's owner end), else
+//     steal FIFO from a victim, running each bin's sort + compress +
+//     mask filter + CSR row count as one task,
 //   - the row count folds into the task (the paper's convert pass 1),
 //     reading the survivors while they are cache-hot; only the prefix
 //     sum and the scatter (pass 2) remain as a short tail after the
@@ -51,6 +51,7 @@
 
 #include "common/cancel.hpp"
 #include "common/fault.hpp"
+#include "common/huge_pages.hpp"
 #include "common/parallel.hpp"
 #include "common/prefix_sum.hpp"
 #include "common/timer.hpp"
@@ -313,10 +314,10 @@ PbResult run_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
                           emask, &abort);
     ts.expand_busy = omp_get_wtime() - e0;
 
-    // Worker loop: own deque first (LIFO — most recently flushed bin,
-    // warmest), then steal FIFO round-robin.  Runs until every nonempty
-    // bin has been processed by someone — or the abort fires (a cancelled
-    // expand leaves bins unpublished, so bins_remaining alone would spin
+    // Worker loop: own deque first (LIFO, the deque's owner end), then
+    // steal FIFO round-robin.  Runs until every nonempty bin has been
+    // processed by someone — or the abort fires (a cancelled expand
+    // leaves bins unpublished, so bins_remaining alone would spin
     // forever).
     int bin = -1;
     while (ok && bins_remaining.load(std::memory_order_acquire) > 0) {
@@ -377,8 +378,8 @@ PbResult run_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   } else {
     const nnz_t total =
         counts_to_rowptr(c.rowptr.data(), static_cast<std::size_t>(a.nrows));
-    c.colids.resize(static_cast<std::size_t>(total));
-    c.vals.resize(static_cast<std::size_t>(total));
+    resize_on_huge_pages(c.colids, static_cast<std::size_t>(total));
+    resize_on_huge_pages(c.vals, static_cast<std::size_t>(total));
 #pragma omp parallel for schedule(dynamic, 1)
     for (int bin = 0; bin < sym.layout.nbins; ++bin) {
       // Deadline may expire inside the tail: skip the remaining bins (the

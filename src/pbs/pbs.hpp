@@ -26,6 +26,8 @@
 #pragma once
 
 #include "common/cache_info.hpp"
+#include "common/env_report.hpp"
+#include "common/huge_pages.hpp"
 #include "common/parallel.hpp"
 #include "common/run_stats.hpp"
 #include "common/stream.hpp"

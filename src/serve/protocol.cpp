@@ -9,6 +9,8 @@
 #include <cstring>
 #include <limits>
 
+#include "common/huge_pages.hpp"
+
 namespace pbs::serve {
 
 const char* wire_status_name(WireStatus s) noexcept {
@@ -88,8 +90,8 @@ mtx::CsrMatrix WireReader::csr() {
       throw WireFormatError("wire: csr rowptr not monotone");
     }
   }
-  m.colids.resize(static_cast<std::size_t>(nnz));
-  m.vals.resize(static_cast<std::size_t>(nnz));
+  resize_on_huge_pages(m.colids, static_cast<std::size_t>(nnz));
+  resize_on_huge_pages(m.vals, static_cast<std::size_t>(nnz));
   std::memcpy(m.colids.data(), data_.data() + pos_,
               m.colids.size() * sizeof(index_t));
   pos_ += m.colids.size() * sizeof(index_t);

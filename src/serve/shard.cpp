@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "common/errors.hpp"
+#include "common/huge_pages.hpp"
 #include "common/numa.hpp"
 
 #ifdef __linux__
@@ -84,8 +85,8 @@ mtx::CsrMatrix slice_cols(const mtx::CsrMatrix& a, index_t col_lo,
     out.rowptr[static_cast<std::size_t>(r) + 1] =
         out.rowptr[r] + (last - first);
   }
-  out.colids.resize(static_cast<std::size_t>(out.rowptr.back()));
-  out.vals.resize(static_cast<std::size_t>(out.rowptr.back()));
+  resize_on_huge_pages(out.colids, static_cast<std::size_t>(out.rowptr.back()));
+  resize_on_huge_pages(out.vals, static_cast<std::size_t>(out.rowptr.back()));
   for (index_t r = 0; r < a.nrows; ++r) {
     const auto src = static_cast<std::size_t>(lo[static_cast<std::size_t>(r)]);
     const auto dst = static_cast<std::size_t>(out.rowptr[r]);
@@ -109,8 +110,8 @@ mtx::CsrMatrix stack_row_blocks(const std::vector<mtx::CsrMatrix>& pieces,
   c.rowptr.assign(static_cast<std::size_t>(nrows) + 1, 0);
   nnz_t total = 0;
   for (const mtx::CsrMatrix& piece : pieces) total += piece.nnz();
-  c.colids.reserve(static_cast<std::size_t>(total));
-  c.vals.reserve(static_cast<std::size_t>(total));
+  resize_on_huge_pages(c.colids, static_cast<std::size_t>(total));
+  resize_on_huge_pages(c.vals, static_cast<std::size_t>(total));
 
   index_t row_base = 0;
   nnz_t nnz_base = 0;
@@ -119,8 +120,10 @@ mtx::CsrMatrix stack_row_blocks(const std::vector<mtx::CsrMatrix>& pieces,
       c.rowptr[static_cast<std::size_t>(row_base + r) + 1] =
           nnz_base + piece.rowptr[static_cast<std::size_t>(r) + 1];
     }
-    c.colids.insert(c.colids.end(), piece.colids.begin(), piece.colids.end());
-    c.vals.insert(c.vals.end(), piece.vals.begin(), piece.vals.end());
+    const auto dst = static_cast<std::size_t>(nnz_base);
+    std::copy(piece.colids.begin(), piece.colids.end(),
+              c.colids.begin() + dst);
+    std::copy(piece.vals.begin(), piece.vals.end(), c.vals.begin() + dst);
     row_base += piece.nrows;
     nnz_base += piece.nnz();
   }

@@ -10,6 +10,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "common/huge_pages.hpp"
 #include "common/prefix_sum.hpp"
 #include "matrix/csr.hpp"
 
@@ -54,8 +55,8 @@ mtx::CsrMatrix assemble_rowwise(index_t nrows, index_t ncols, RowFn body) {
   exclusive_scan_inplace(block_base.data(), static_cast<std::size_t>(nblocks));
   const nnz_t total = block_base[static_cast<std::size_t>(nblocks)];
 
-  out.colids.resize(static_cast<std::size_t>(total));
-  out.vals.resize(static_cast<std::size_t>(total));
+  resize_on_huge_pages(out.colids, static_cast<std::size_t>(total));
+  resize_on_huge_pages(out.vals, static_cast<std::size_t>(total));
 
 #pragma omp parallel for schedule(dynamic, 1)
   for (index_t blk = 0; blk < nblocks; ++blk) {

@@ -25,6 +25,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/huge_pages.hpp"
 #include "common/post_op.hpp"
 #include "matrix/csr.hpp"
 
@@ -105,8 +106,10 @@ inline void apply_post_op(mtx::CsrMatrix& c, const PostOp& op) {
   for (index_t r = 0; r < c.nrows; ++r) kept[r + 1] += kept[r];
 
   // Pass 2: close the gaps between rows.
-  std::vector<index_t> colids(static_cast<std::size_t>(kept[c.nrows]));
-  std::vector<value_t> vals(colids.size());
+  std::vector<index_t> colids;
+  std::vector<value_t> vals;
+  resize_on_huge_pages(colids, static_cast<std::size_t>(kept[c.nrows]));
+  resize_on_huge_pages(vals, colids.size());
 #pragma omp parallel for schedule(static)
   for (index_t r = 0; r < c.nrows; ++r) {
     const nnz_t src = c.rowptr[r];

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/aligned_buffer.hpp"
+#include "common/huge_pages.hpp"
 #include "common/prefix_sum.hpp"
 #include "common/radix_sort.hpp"
 #include "spgemm/spgemm.hpp"
@@ -96,8 +97,8 @@ mtx::CsrMatrix esc_column_spgemm(const SpGemmProblem& p) {
 
   // ---- gather merged slices into the final CSR ----
   const auto total = static_cast<std::size_t>(out.rowptr.back());
-  out.colids.resize(total);
-  out.vals.resize(total);
+  resize_on_huge_pages(out.colids, total);
+  resize_on_huge_pages(out.vals, total);
 #pragma omp parallel for schedule(dynamic, 256)
   for (index_t r = 0; r < a.nrows; ++r) {
     const EscTuple* t = expanded.data() + slice[r];

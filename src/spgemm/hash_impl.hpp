@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/huge_pages.hpp"
 #include "common/parallel.hpp"
 #include "matrix/csr.hpp"
 #include "spgemm/masked.hpp"
@@ -80,8 +81,8 @@ mtx::CsrMatrix hash_spgemm_impl(const SpGemmProblem& p,
     out.rowptr[static_cast<std::size_t>(r) + 1] += out.rowptr[r];
 
   const auto total = static_cast<std::size_t>(out.rowptr.back());
-  out.colids.resize(total);
-  out.vals.resize(total);
+  resize_on_huge_pages(out.colids, total);
+  resize_on_huge_pages(out.vals, total);
 
   // ---- numeric: accumulate, extract, sort, write in place ----
 #pragma omp parallel

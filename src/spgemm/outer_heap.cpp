@@ -16,6 +16,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/huge_pages.hpp"
 #include "common/parallel.hpp"
 #include "spgemm/spgemm.hpp"
 
@@ -109,8 +110,8 @@ mtx::CsrMatrix outer_heap_spgemm(const SpGemmProblem& p) {
 
   const Acc& total = partial[0];
   mtx::CsrMatrix out(a.nrows, b.ncols);
-  out.colids.resize(total.keys.size());
-  out.vals.resize(total.keys.size());
+  resize_on_huge_pages(out.colids, total.keys.size());
+  resize_on_huge_pages(out.vals, total.keys.size());
   for (std::size_t i = 0; i < total.keys.size(); ++i) {
     const auto r = static_cast<index_t>(total.keys[i] >> 32);
     const auto c = static_cast<index_t>(total.keys[i] & 0xFFFFFFFFu);

@@ -483,7 +483,10 @@ int cmd_info(const Cli&) {
             << "  L2   " << c.l2_bytes / 1024 << " KiB  (bins sized to L2/2)\n"
             << "  L3   " << c.l3_bytes / 1024 << " KiB\n"
             << "  line " << c.line_bytes << " B\n"
-            << "\nOpenMP threads: " << max_threads() << "\n";
+            << "\nOpenMP threads: " << max_threads() << "\n"
+            << "transparent huge pages: " << collect_env_report().thp_mode
+            << " (outputs of " << (kHugePageMinBytes >> 20)
+            << " MiB or more are advised huge pages)\n";
   return 0;
 }
 
