@@ -1,12 +1,13 @@
-// Ablation — the design choices DESIGN.md calls out, beyond what the paper
-// plots:
+// Ablation — two design choices beyond what the paper plots, on ER and
+// R-MAT inputs:
 //
-//  1. Binning policy: range (Fig. 4's depiction, our default) vs modulo
-//     (Algorithm 2 line 9's literal `rowid % nbins`) vs adaptive
-//     variable-range bins (Sec. V-C's skew mitigation).
+//  1. Streaming stores: the expand flush with non-temporal stores
+//     (PbConfig::streaming_stores, the default) vs regular stores.
 //  2. The ESC family ladder on the same inputs: plain row-partitioned ESC
 //     (no propagation blocking) vs PB, plus SPA for a dense-accumulator
 //     reference — isolating how much of PB's win is the blocking itself.
+//
+//   ./bench_ablation_binning [--scale 14] [--ef 8] [--reps 3] [--warmup 2]
 #include "bench_sweeps.hpp"
 
 int main(int argc, char** argv) {
@@ -17,9 +18,9 @@ int main(int argc, char** argv) {
   const int reps = args.get_int("reps", 3);
   const int warmup = args.get_int("warmup", 2);
 
-  bench::print_header("Ablation — binning policy and the ESC ladder, scale " +
-                      std::to_string(scale) + ", ef " +
-                      std::to_string(static_cast<int>(ef)));
+  bench::print_header(
+      "Ablation — streaming stores and the ESC ladder, scale " +
+      std::to_string(scale) + ", ef " + std::to_string(static_cast<int>(ef)));
 
   for (const auto kind :
        {bench::MatrixKind::kEr, bench::MatrixKind::kRmat}) {
@@ -30,23 +31,6 @@ int main(int argc, char** argv) {
     const nnz_t flop = mtx::count_flops(a, b);
 
     std::cout << "## " << (er ? "ER" : "R-MAT")
-              << " — binning policy (same auto bin count)\n";
-    bench::Table tp({"policy", "nbins", "expand(GB/s)", "sort(GB/s)",
-                     "total(MF/s)"});
-    for (const pb::BinPolicy policy :
-         {pb::BinPolicy::kRange, pb::BinPolicy::kModulo,
-          pb::BinPolicy::kAdaptive}) {
-      pb::PbConfig cfg;
-      cfg.policy = policy;
-      const pb::PbTelemetry t =
-          bench::pb_best_telemetry(PlusTimes::name, problem, cfg, reps,
-                                   warmup);
-      tp.row(pb::to_string(policy), t.nbins, t.expand.gbs(), t.sort.gbs(),
-             t.mflops());
-    }
-    tp.print(std::cout);
-
-    std::cout << "\n## " << (er ? "ER" : "R-MAT")
               << " — streaming (non-temporal) stores in the expand flush\n";
     bench::Table ts({"streaming_stores", "expand(GB/s)", "total(MF/s)"});
     for (const bool streaming : {true, false}) {

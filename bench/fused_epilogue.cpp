@@ -8,10 +8,10 @@
 //                post-pass reads and writes the accumulator once more per
 //                round — exactly the traffic the fusion deletes.
 //   expand_mask  masked A·A: mask applied in the expand scatter loop
-//                (ExpandMaskMode::kOn) vs filtered at compress (kOff).
-//                Reports generated tuples against the mask-bounded count
-//                (the kOff run's surviving tuples) — the CI gate holds
-//                generated <= 1.05x that bound.
+//                (expand_mask_max_density 1.0) vs filtered at compress
+//                (-1.0).  Reports generated tuples against the
+//                mask-bounded count — the CI gate holds generated <= 1.05x
+//                that bound.
 //   post_op      prune+top-k fused into the per-bin filter vs the plain
 //                product followed by apply_post_op.
 //
@@ -122,13 +122,13 @@ int main(int argc, char** argv) {
           op.algo = "pb";
           op.mask = &mask;
 
-          op.pb.expand_mask = pb::ExpandMaskMode::kOff;
+          op.pb.expand_mask_max_density = -1.0;
           RunInfo off_info;
           (void)exec.run(p, op, &off_info);
           const auto off = bench::measure_seconds(
               [&] { (void)exec.run(p, op); }, reps, warmup);
 
-          op.pb.expand_mask = pb::ExpandMaskMode::kOn;
+          op.pb.expand_mask_max_density = 1.0;
           RunInfo on_info;
           (void)exec.run(p, op, &on_info);
           const auto on = bench::measure_seconds(
@@ -136,8 +136,8 @@ int main(int argc, char** argv) {
 
           // The nnz(mask)-bounded tuple count: a mask-aware kernel
           // generates at most min(nnz(A(i,:)), nnz(B(:,j))) tuples per
-          // mask entry (i,j); the kOff run generates all `flop` of them
-          // regardless of the mask.
+          // mask entry (i,j); the filtering run generates all `flop` of
+          // them regardless of the mask.
           const auto generated = static_cast<double>(
               on_info.pb_stats.flop - on_info.pb_stats.mask_skipped_expand);
           double bound = 0;

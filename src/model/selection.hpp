@@ -124,11 +124,11 @@ struct SelectionModel {
   nnz_t small_flop_threshold = 32768;
 
   /// Kept-side mask density at or below which PB's fused expand mask
-  /// engages (mirror of pb::PbConfig::expand_mask_max_density — keep the
-  /// two in sync or the model credits a path that will not run): sparse
-  /// masks let PB skip tuple generation in the scatter loop, so its
-  /// estimate is credited the skipped tuples; dense masks keep the cheap
-  /// post-compress drop and earn no credit.
+  /// engages (the executor copies pb::PbConfig::expand_mask_max_density
+  /// here, so the model credits only a path that will run; negative never
+  /// engages): sparse masks let PB skip tuple generation in the scatter
+  /// loop, so its estimate is credited the skipped tuples; dense masks
+  /// keep the cheap post-compress drop and earn no credit.
   double expand_mask_density_max = 0.05;
 
   /// Refits the two per-family derating constants — pb_efficiency and
@@ -161,7 +161,7 @@ struct MaskModel {
   /// executor's sampled count of the product entries the mask keeps.
   nnz_t mask_nnz = 0;
   /// Density of the *kept* side — nnz(mask)/cells, complement-flipped —
-  /// the quantity PB's ExpandMaskMode::kAuto gates on.  1.0 ("dense")
+  /// the quantity PB's expand_mask_max_density gates on.  1.0 ("dense")
   /// leaves PB's estimate uncredited.
   double kept_density = 1.0;
 };

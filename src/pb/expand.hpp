@@ -11,8 +11,8 @@
 // One team-callable body serves every tuple format (pb/tuple.hpp) and
 // runs inside pb_execute's parallel region (pipeline_impl.hpp).  It is
 // templated on the format — key width, and whether a value lane exists —
-// on the bin policy, and on the semiring: the only algebraic operation it
-// performs is the scalar multiply A(r,i) ⊗ B(i,c), which becomes S::mul.
+// and on the semiring: the only algebraic operation it performs is the
+// scalar multiply A(r,i) ⊗ B(i,c), which becomes S::mul.
 // Routing, blocking and the store policy are semiring-independent, so
 // every semiring's instantiation streams memory identically.
 #pragma once
@@ -38,15 +38,14 @@
 namespace pbs::pb {
 
 /// Whether this run's expand phase should apply the fused output mask in
-/// its scatter loop (ExpandMaskMode): forced by kOn, and under kAuto
-/// engaged when the kept-side density — nnz(mask)/cells, complement-
-/// flipped — is at most cfg.expand_mask_max_density.  A per-run decision:
-/// the mask is run state, never plan state, so pb_execute calls this with
-/// the mask actually passed to it.
+/// its scatter loop: when the kept-side density — nnz(mask)/cells,
+/// complement-flipped — is at most cfg.expand_mask_max_density, so a
+/// threshold of 1.0 engages for every mask and a negative one for none.
+/// A per-run decision: the mask is run state, never plan state, so
+/// pb_execute calls this with the mask actually passed to it.
 inline bool engage_expand_mask(const MaskSpec& mask, const PbConfig& cfg,
                                index_t nrows, index_t ncols) {
-  if (!mask.active() || cfg.expand_mask == ExpandMaskMode::kOff) return false;
-  if (cfg.expand_mask == ExpandMaskMode::kOn) return true;
+  if (!mask.active() || cfg.expand_mask_max_density < 0) return false;
   const double cells = static_cast<double>(nrows) * static_cast<double>(ncols);
   if (cells <= 0) return true;
   const double density = static_cast<double>(mask.csr->nnz()) / cells;
@@ -85,36 +84,6 @@ inline void flush_fence() {
 #if defined(__SSE2__)
   _mm_sfence();  // make non-temporal stores visible before the bin's sort
 #endif
-}
-
-// The expand kernel is templated on the binning policy so the binid
-// computation in the inner loop is a shift/mask, not a switch.
-template <BinPolicy P>
-int fast_binid(const BinLayout& layout, index_t row) {
-  if constexpr (P == BinPolicy::kRange) {
-    return static_cast<int>(row >> layout.shift);
-  } else if constexpr (P == BinPolicy::kModulo) {
-    return static_cast<int>(static_cast<std::uint32_t>(row) & layout.mask);
-  } else {
-    return layout.binid(row);
-  }
-}
-
-// Bin-relative row for the tuple key, same specialization idea as
-// fast_binid.  `mod_shift` is layout.modulo_shift(), hoisted by the caller
-// so the modulo case is a plain shift here.
-template <BinPolicy P>
-index_t fast_local_row(const BinLayout& layout, int bin, index_t row,
-                       int mod_shift) {
-  if constexpr (P == BinPolicy::kRange) {
-    return static_cast<index_t>(static_cast<std::uint32_t>(row) &
-                                ((std::uint32_t{1} << layout.shift) - 1u));
-  } else if constexpr (P == BinPolicy::kModulo) {
-    return row >> mod_shift;
-  } else {
-    (void)mod_shift;
-    return row - layout.bounds[static_cast<std::size_t>(bin)];
-  }
 }
 
 // Flush sink: the team-callable expand body below notifies it after every
@@ -168,7 +137,7 @@ inline nnz_t masked_scan(std::span<const index_t> bcols,
 // bin region origins.  A non-null `cancel` is polled once per column of A.
 // Returns this thread's flush count (telemetry for the Fig. 6a bin-width
 // study).
-template <TupleFormat F, BinPolicy P, typename S, typename Sink>
+template <TupleFormat F, typename S, typename Sink>
 nnz_t expand_team(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
                   const SymbolicResult& sym, const PbConfig& cfg,
                   StreamSpan<F> out, std::atomic<nnz_t>* cursor,
@@ -184,8 +153,6 @@ nnz_t expand_team(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
       std::max<int>(kLane, cfg.local_bin_bytes / kBytes / kLane * kLane);
   const auto ucap = static_cast<std::size_t>(cap);
   const int col_bits = sym.col_bits;
-  const int mod_shift =
-      layout.policy == BinPolicy::kModulo ? layout.modulo_shift() : 0;
   const bool masked = emask.active();
 
   // Thread-private local bins (paper: 1K bins x 512B fits comfortably in
@@ -228,12 +195,9 @@ nnz_t expand_team(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
 
     for (std::size_t ai = 0; ai < arows.size(); ++ai) {
       const index_t r = arows[ai];
-      const int bin_i = fast_binid<P>(layout, r);
-      const auto bin = static_cast<std::size_t>(bin_i);
+      const auto bin = static_cast<std::size_t>(layout.binid(r));
       // The row bits are constant across B(i,:): build them once.
-      const Key rowkey =
-          static_cast<Key>(fast_local_row<P>(layout, bin_i, r, mod_shift))
-          << col_bits;
+      const Key rowkey = static_cast<Key>(layout.local_row(r)) << col_bits;
       Key* klane = lkeys.data() + bin * ucap;
       value_t* vlane = kValues ? lvals.data() + bin * ucap : nullptr;
       value_t av{};
@@ -270,29 +234,6 @@ nnz_t expand_team(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   }
   flush_fence();
   return flushes;
-}
-
-// Policy dispatch: the bin policy is a template parameter so the inner
-// loop's binid and local row are a shift/mask.
-template <TupleFormat F, typename S, typename Sink>
-nnz_t expand_team_any(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
-                      const SymbolicResult& sym, const PbConfig& cfg,
-                      StreamSpan<F> out, std::atomic<nnz_t>* cursor,
-                      Sink& sink, const MaskSpec& emask = {},
-                      const CancelToken* cancel = nullptr) {
-  switch (sym.layout.policy) {
-    case BinPolicy::kRange:
-      return expand_team<F, BinPolicy::kRange, S>(a, b, sym, cfg, out, cursor,
-                                                  sink, emask, cancel);
-    case BinPolicy::kModulo:
-      return expand_team<F, BinPolicy::kModulo, S>(a, b, sym, cfg, out,
-                                                   cursor, sink, emask, cancel);
-    case BinPolicy::kAdaptive:
-      return expand_team<F, BinPolicy::kAdaptive, S>(a, b, sym, cfg, out,
-                                                     cursor, sink, emask,
-                                                     cancel);
-  }
-  return 0;
 }
 
 }  // namespace detail

@@ -45,7 +45,7 @@ void pb_scatter_bin(BinTuples<F> t, nnz_t merged, const nnz_t* rowptr,
   nnz_t i = 0;
   while (i < merged) {
     const index_t local = t.local_row(i);
-    auto dst = static_cast<std::size_t>(rowptr[t.rows(local)]);
+    auto dst = static_cast<std::size_t>(rowptr[t.first + local]);
     while (i < merged && t.local_row(i) == local) {
       colids[dst] = t.col(i);
       vals[dst] = t.val(i);

@@ -1,17 +1,13 @@
 // PB-SpGEMM configuration and telemetry.
 //
 // The two tunables the paper studies in Fig. 6 — the number of global bins
-// and the width of the thread-private local bins — plus the binning policy
-// (the paper's Algorithm 2 writes `rowid % nbins`, its Fig. 4 depicts row
-// *ranges*, and Sec. V-C mentions variable-length bins for skewed inputs;
-// all three are implemented and compared in bench/ablation_binning).
+// and the width of the thread-private local bins.  Every bin is a
+// power-of-two range of output rows (Fig. 4's depiction; pb/binning.hpp).
 //
 // Telemetry records per-phase wall time alongside the *modeled* bytes of
 // Table III, so "sustained bandwidth" is computed with the same accounting
 // the paper uses for Figs. 6, 7b and 9b.
 #pragma once
-
-#include <cstddef>
 
 #include "common/post_op.hpp"
 #include "common/types.hpp"
@@ -19,14 +15,6 @@
 #include "pb/tuple.hpp"
 
 namespace pbs::pb {
-
-enum class BinPolicy {
-  kRange,    ///< bin b owns rows [b·W, (b+1)·W), W a power of two (Fig. 4)
-  kModulo,   ///< binid = rowid % nbins (Algorithm 2, line 9 literal)
-  kAdaptive, ///< variable row ranges balanced by per-bin flop (Sec. V-C)
-};
-
-const char* to_string(BinPolicy p);
 
 /// The schedule a PB run executed under, as telemetry reports it (the
 /// end-to-end benchmark's harness reads PbTelemetry::schedule).
@@ -51,17 +39,6 @@ enum class FormatPolicy {
 
 const char* to_string(FormatPolicy p);
 
-/// Whether the expand phase applies the fused output mask while scattering
-/// tuples (skipping generation of masked-out tuples entirely) or leaves the
-/// mask to the post-compress filter.
-enum class ExpandMaskMode {
-  kAuto,  ///< engage when the mask's kept-side density is sparse enough
-  kOff,   ///< always filter at compress (the PR 4 behavior)
-  kOn,    ///< always mask at expand (tests/benches force the path)
-};
-
-const char* to_string(ExpandMaskMode m);
-
 struct PbConfig {
   /// Number of global bins; 0 selects the paper's rule
   /// nbins ≈ flop·16B / (L2/2), clamped to [1, 2^16] (Algorithm 3, line 6).
@@ -73,8 +50,6 @@ struct PbConfig {
   /// keys), and up to one lane at least, so every full flush is whole
   /// lines — at 512, 32 tuples wide or narrow and 64 key-only.
   int local_bin_bytes = 512;
-
-  BinPolicy policy = BinPolicy::kRange;
 
   /// Tuple stream format selection (default: narrow when it fits, and
   /// key-only when the semiring is value-free).
@@ -90,9 +65,6 @@ struct PbConfig {
   /// registration.
   bool value_free = false;
 
-  /// L2 size used by the auto-nbins rule; 0 = detect at runtime.
-  std::size_t l2_bytes = 0;
-
   /// Use non-temporal (streaming) stores for local-bin flushes — full
   /// cache-line writes with no read-for-ownership, the mechanism behind
   /// the paper's "always write tuples in multiples of cache lines".
@@ -101,13 +73,13 @@ struct PbConfig {
 
   /// Expand-phase masking (per run: the decision reads the mask passed to
   /// pb_execute, never plan state — mask patterns may change between
-  /// executions of one plan).  Under kAuto the phase engages when the
+  /// executions of one plan).  The expand loop applies the mask when its
   /// kept-side density (nnz(mask)/cells, complement-flipped) is at most
-  /// expand_mask_max_density: sparse masks turn the post-compress traffic
-  /// win into a flop win (tuples for masked-out outputs are never
-  /// generated), while dense masks keep the cheap compress-stage drop —
-  /// the merge-scan against the mask row would cost more than it saves.
-  ExpandMaskMode expand_mask = ExpandMaskMode::kAuto;
+  /// this threshold: sparse masks turn the post-compress traffic win into
+  /// a flop win (tuples for masked-out outputs are never generated), while
+  /// dense masks keep the cheap compress-stage drop — the merge-scan
+  /// against the mask row would cost more than it saves.  1.0 applies it
+  /// for every mask; a negative value never does.
   double expand_mask_max_density = 0.05;
 
   /// Extra O(flop) invariant checks after each phase (tests only).
@@ -169,10 +141,10 @@ struct PbTelemetry {
   /// nnz_c + mask_dropped is the unmasked product's nonzero count.
   nnz_t mask_dropped = 0;
   /// Tuples the expand phase never generated because the fused mask was
-  /// applied in the scatter loop (ExpandMaskMode): a flop reduction, not
-  /// just a traffic one.  When expand masking engages the compress-stage
-  /// filter has nothing left to drop, so mask_dropped stays 0 and
-  /// flop == generated tuples + mask_skipped_expand.
+  /// applied in the scatter loop (PbConfig::expand_mask_max_density): a
+  /// flop reduction, not just a traffic one.  When expand masking engages
+  /// the compress-stage filter has nothing left to drop, so mask_dropped
+  /// stays 0 and flop == generated tuples + mask_skipped_expand.
   nnz_t mask_skipped_expand = 0;
   /// True when this run's expand phase applied the mask in its scatter
   /// loop (mask_skipped_expand is meaningful, even if it skipped nothing).
@@ -181,7 +153,7 @@ struct PbTelemetry {
   /// stage (prune/top-k; a pure scale drops nothing).
   nnz_t post_dropped = 0;
   int nbins = 0;
-  index_t rows_per_bin = 0;  ///< 0 for adaptive layouts
+  index_t rows_per_bin = 0;  ///< width of every bin's row range
 
   /// Stream format this run used and its per-tuple byte cost (the `b` the
   /// phase byte models above were computed with).

@@ -310,8 +310,8 @@ PbResult run_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
     // publishing completed bins.  `omp for nowait` inside: threads fall
     // straight through to the worker loop.
     const double e0 = omp_get_wtime();
-    expand_team_any<F, S>(a, b, sym, plan.cfg, stream, cursor.data(), sink,
-                          emask, &abort);
+    expand_team<F, S>(a, b, sym, plan.cfg, stream, cursor.data(), sink,
+                      emask, &abort);
     ts.expand_busy = omp_get_wtime() - e0;
 
     // Worker loop: own deque first (LIFO, the deque's owner end), then

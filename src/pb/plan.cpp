@@ -1,6 +1,5 @@
 #include "pb/plan_impl.hpp"
 
-#include "common/cache_info.hpp"
 #include "spgemm/op.hpp"
 
 namespace pbs::pb {
@@ -75,7 +74,6 @@ PbPlan pb_plan_build(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   Timer timer;
   plan.sym = pb_symbolic(a, b, cfg, hints);  // throws on dimension mismatch
   plan.cfg = cfg;
-  plan.l2_bytes = cfg.l2_bytes != 0 ? cfg.l2_bytes : cache_info().l2_bytes;
   plan.fingerprint = StructureFingerprint::of(a, b, plan.sym.flop);
   plan.symbolic.seconds = timer.elapsed_s();
   plan.symbolic.bytes = plan.sym.modeled_bytes;

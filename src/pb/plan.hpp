@@ -73,10 +73,9 @@ struct StructureFingerprint {
 /// operands' structure before touching values.
 struct PbPlan {
   SymbolicResult sym;
-  PbConfig cfg;              ///< config the plan was built with
-  std::size_t l2_bytes = 0;  ///< cache size the bin count was derived from
+  PbConfig cfg;         ///< config the plan was built with
   StructureFingerprint fingerprint;
-  PhaseStats symbolic;       ///< cost of building this plan (time + bytes)
+  PhaseStats symbolic;  ///< cost of building this plan (time + bytes)
 
   /// True when (a, b) still matches the structure this plan was built for.
   [[nodiscard]] bool matches(const mtx::CscMatrix& a,
@@ -91,9 +90,9 @@ PbPlan pb_plan_build(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
                      const PbConfig& cfg = {});
 
 /// Variant for callers that already computed parts of the analysis
-/// (typically the plan layer, whose fingerprint pass owns flop and whose
-/// selection pass may own the row-flop histogram): pb_symbolic then runs
-/// each O(ncols)/O(nnz) pass at most once across fingerprint + replan.
+/// (typically the plan layer, whose fingerprint pass owns flop):
+/// pb_symbolic then runs the O(ncols) flop pass at most once across
+/// fingerprint + replan.
 /// The hints must describe these exact operands (SymbolicHints contract).
 PbPlan pb_plan_build(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
                      const PbConfig& cfg, const SymbolicHints& hints);

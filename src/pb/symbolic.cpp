@@ -195,9 +195,9 @@ namespace {
 // an illegal or unfitting request falls back (keyonly -> the kAuto
 // choice, narrow -> wide); the CLI enforces strictness for explicit
 // user requests before planning.
-TupleFormat pick_format(const BinLayout& layout, index_t nrows,
-                        int col_bits, const PbConfig& cfg) {
-  const bool fits = layout.local_row_bits(nrows) + col_bits <= 32;
+TupleFormat pick_format(const BinLayout& layout, int col_bits,
+                        const PbConfig& cfg) {
+  const bool fits = layout.local_row_bits() + col_bits <= 32;
   switch (cfg.format) {
     case FormatPolicy::kWide:
       return TupleFormat::kWide;
@@ -226,6 +226,15 @@ bool has_stored_zero(const std::vector<value_t>& vals) {
   return found;
 }
 
+// The bin layout of an nrows-row product of `flop` tuples: cfg.nbins, or
+// the paper's L2 rule when that is 0.  pb_symbolic and
+// predict_tuple_format both build it here, so the prediction is exact.
+BinLayout plan_layout(index_t nrows, nnz_t flop, const PbConfig& cfg) {
+  const int target =
+      cfg.nbins > 0 ? cfg.nbins : auto_nbins(flop, cache_info().l2_bytes);
+  return make_range_layout(nrows, target);
+}
+
 }  // namespace
 
 SymbolicResult pb_symbolic(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
@@ -239,27 +248,7 @@ SymbolicResult pb_symbolic(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   SymbolicResult out;
   out.flop = hints.flop >= 0 ? hints.flop : pb_count_flop(a, b);
 
-  const std::size_t l2 = cfg.l2_bytes != 0 ? cfg.l2_bytes : cache_info().l2_bytes;
-  const int target = cfg.nbins > 0 ? cfg.nbins : auto_nbins(out.flop, l2);
-
-  switch (cfg.policy) {
-    case BinPolicy::kRange:
-      out.layout = make_range_layout(a.nrows, target);
-      break;
-    case BinPolicy::kModulo:
-      out.layout = make_modulo_layout(a.nrows, target);
-      break;
-    case BinPolicy::kAdaptive: {
-      if (hints.row_flops.size() == static_cast<std::size_t>(a.nrows)) {
-        out.layout = make_adaptive_layout(hints.row_flops, target);
-      } else {
-        const std::vector<nnz_t> rf = pb_row_flops(a, b);
-        out.layout = make_adaptive_layout(rf, target);
-      }
-      break;
-    }
-  }
-
+  out.layout = plan_layout(a.nrows, out.flop, cfg);
   out.col_bits = ceil_log2(static_cast<std::uint64_t>(b.ncols));
   // Key-only is only reachable under cfg.value_free, and the assertion is
   // about the *semiring*; the operands must also be free of explicit
@@ -273,7 +262,7 @@ SymbolicResult pb_symbolic(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
       (has_stored_zero(a.vals) || has_stored_zero(b.vals))) {
     ecfg.value_free = false;
   }
-  out.format = pick_format(out.layout, a.nrows, out.col_bits, ecfg);
+  out.format = pick_format(out.layout, out.col_bits, ecfg);
 
   std::vector<nnz_t> counts = bin_histogram(a, b, out.layout);
   counts.pop_back();  // drop the scan-scratch slot
@@ -297,8 +286,8 @@ SymbolicResult pb_symbolic(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
 
   // Bin -> home-node map: contiguous flop-balanced partition over the
   // machine's NUMA nodes.  Contiguity keeps each node's share of the
-  // tuple pool one address range (range/adaptive layouts are row-ordered,
-  // so it is also a row partition); balancing by fill gives every node
+  // tuple pool one address range (bins are row ranges in row order, so it
+  // is also a row partition); balancing by fill gives every node
   // roughly flop/nnodes tuples to serve from local memory.
   const int nnodes = numa_topology().nnodes;
   out.numa_nodes = 1;
@@ -328,16 +317,8 @@ SymbolicResult pb_symbolic(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
 TupleFormat predict_tuple_format(index_t a_nrows, index_t b_ncols, nnz_t flop,
                                  const PbConfig& cfg) {
   if (cfg.format == FormatPolicy::kWide) return TupleFormat::kWide;
-  const std::size_t l2 =
-      cfg.l2_bytes != 0 ? cfg.l2_bytes : cache_info().l2_bytes;
-  const int target = cfg.nbins > 0 ? cfg.nbins : auto_nbins(flop, l2);
-  // Range and modulo geometries are structure-free, so the prediction
-  // builds the real layout; adaptive uses range as its proxy (see header).
-  const BinLayout layout = cfg.policy == BinPolicy::kModulo
-                               ? make_modulo_layout(a_nrows, target)
-                               : make_range_layout(a_nrows, target);
   const int col_bits = ceil_log2(static_cast<std::uint64_t>(b_ncols));
-  return pick_format(layout, a_nrows, col_bits, cfg);
+  return pick_format(plan_layout(a_nrows, flop, cfg), col_bits, cfg);
 }
 
 }  // namespace pbs::pb

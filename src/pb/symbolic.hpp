@@ -57,13 +57,11 @@ struct SymbolicResult {
 };
 
 /// Structure facts a caller may already own, letting pb_symbolic skip its
-/// own O(ncols) flop pass and (under adaptive binning) its O(nnz) row-flop
-/// pass.  The values are trusted: they must describe the exact operands
-/// being analyzed (the plan layer derives them from the same fingerprint
-/// pass it already runs).
+/// own O(ncols) flop pass.  The value is trusted: it must describe the
+/// exact operands being analyzed (the plan layer derives it from the same
+/// fingerprint pass it already runs).
 struct SymbolicHints {
-  nnz_t flop = -1;                    ///< flop(A·B); < 0 when unknown
-  std::span<const nnz_t> row_flops;   ///< pb_row_flops(A, B); empty = unknown
+  nnz_t flop = -1;  ///< flop(A·B); < 0 when unknown
 };
 
 SymbolicResult pb_symbolic(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
@@ -78,8 +76,8 @@ SymbolicResult pb_symbolic(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
 nnz_t pb_count_flop(const mtx::CscMatrix& a, const mtx::CsrMatrix& b);
 
 /// Per-output-row flop histogram (row r of C receives
-/// Σ_{A(r,i)≠0} nnz(B(i,:)) tuples) — feeds the adaptive bin layout and
-/// the compression-factor estimator.  O(nnz(A)).
+/// Σ_{A(r,i)≠0} nnz(B(i,:)) tuples) — feeds the compression-factor
+/// estimator.  O(nnz(A)).
 std::vector<nnz_t> pb_row_flops(const mtx::CscMatrix& a,
                                 const mtx::CsrMatrix& b);
 
@@ -114,12 +112,9 @@ NnzEstimate pb_estimate_nnz_c(const mtx::CsrMatrix& a, const mtx::CsrMatrix& b,
                               const mtx::CsrMatrix* mask = nullptr);
 
 /// Cheap prediction of the tuple format pb_symbolic would select, without
-/// running symbolic: derives the bin count from flop and L2 the way the
-/// layout builders do and tests the narrow fit.  Exact for the range and
-/// modulo policies; for adaptive layouts (whose bin widths depend on the
-/// row-flop histogram) it uses the range geometry as a proxy, so the
-/// roofline selection sees the right bytes/tuple in the overwhelming case
-/// and a 16-vs-12-byte misestimate in the rest.
+/// running symbolic: builds the same bin layout from the row count, flop
+/// and L2 and tests the narrow fit.  Exact, except that it cannot see an
+/// operand's stored zeros, which make pb_symbolic turn key-only down.
 TupleFormat predict_tuple_format(index_t a_nrows, index_t b_ncols, nnz_t flop,
                                  const PbConfig& cfg);
 

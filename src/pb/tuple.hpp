@@ -8,12 +8,11 @@
 //     key = (local_row << col_bits) | col        (KeyCodec, one codec)
 //
 // in a structure-of-arrays stream — a key array and an optional value
-// array (StreamSpan).  `local_row` is BinLayout::local_row, a bijection
-// onto the bin's rows that is monotone in the rowid, so within a bin
-// ascending keys are ascending (row, col) — CSR order — under every bin
-// policy, and the per-bin radix sorts (stable) leave equal keys in
-// expand's order.  The formats differ only in the key width and in
-// whether the value array exists:
+// array (StreamSpan).  `local_row` is BinLayout::local_row, the row minus
+// its bin's first row, so within a bin ascending keys are ascending
+// (row, col) — CSR order — and the per-bin radix sorts (stable) leave
+// equal keys in expand's order.  The formats differ only in the key width
+// and in whether the value array exists:
 //
 //  * kNarrow — u32 key + f64 value, 12 B/tuple.  Legal when
 //    row_bits + col_bits <= 32 for every bin of the plan's layout.
@@ -104,7 +103,7 @@ struct StreamSpan {
 
 /// The key codec of every format.  `col_bits` is fixed per plan
 /// (ceil_log2(ncols) <= 31 since ncols is a positive int32); `local_row`
-/// is the bin-relative row (BinLayout::local_row / row_map).
+/// is the bin-relative row (BinLayout::local_row).
 template <typename Key>
 struct KeyCodec {
   static_assert(std::is_unsigned_v<Key>, "tuple keys are unsigned");

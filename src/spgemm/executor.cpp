@@ -36,12 +36,9 @@ std::string op_cache_key(const SpGemmOp& op) {
   std::ostringstream key;
   key << op.algo << '|' << op.semiring << '|'
       << static_cast<const void*>(op.mask) << '|' << op.complement << '|'
-      << static_cast<int>(op.pb.policy) << '|'
       << static_cast<int>(op.pb.format) << '|' << op.pb.value_free << '|'
-      << op.pb.nbins << '|'
-      << op.pb.local_bin_bytes << '|' << op.pb.l2_bytes << '|'
+      << op.pb.nbins << '|' << op.pb.local_bin_bytes << '|'
       << op.pb.streaming_stores << '|'
-      << static_cast<int>(op.pb.expand_mask) << '|'
       << op.pb.expand_mask_max_density << '|' << op.post_op.scale << '|'
       << op.post_op.prune_threshold << '|' << op.post_op.top_k << '|'
       << op.model.pb_efficiency << '|' << op.model.pb_pipeline_boost << '|'
@@ -136,9 +133,9 @@ struct CachedPlanEntry {
 namespace {
 
 /// Estimated resident cost of one cache entry: the struct itself, its
-/// strings, and the PB symbolic arrays (per-bin offsets/fills/homes and
-/// the adaptive layout's bounds).  The tuple streams are NOT here — they
-/// live in the workspace pool, shared by every entry.
+/// strings, and the PB symbolic arrays (per-bin offsets/fills/homes).  The
+/// tuple streams are NOT here — they live in the workspace pool, shared
+/// by every entry.
 std::size_t entry_bytes(const CachedPlanEntry& e) {
   std::size_t b = sizeof(CachedPlanEntry);
   b += e.key.capacity() + e.resolved.capacity() + e.op.algo.capacity() +
@@ -147,7 +144,6 @@ std::size_t entry_bytes(const CachedPlanEntry& e) {
   b += sym.bin_offsets.capacity() * sizeof(nnz_t);
   b += sym.bin_fill.capacity() * sizeof(nnz_t);
   b += sym.bin_home.capacity() * sizeof(int);
-  b += sym.layout.bounds.capacity() * sizeof(index_t);
   return b;
 }
 
@@ -403,13 +399,9 @@ struct SpGemmExecutor::Impl {
       // calibrate() inverts predictions through this constant.
       entry->sel_pb_efficiency = m.effective_pb_efficiency();
       entry->sel_column_latency_penalty = m.column_latency_penalty;
-      // Keep the model's expand-mask gate in lockstep with the config the
-      // pb path will actually run under: credit a skip that will happen,
-      // never one that kOff has disabled.
-      m.expand_mask_density_max =
-          pbcfg.expand_mask == pb::ExpandMaskMode::kOff
-              ? 0.0
-              : pbcfg.expand_mask_max_density;
+      // The model's expand-mask gate is the threshold the pb path runs
+      // under, so it credits exactly the skips that will happen.
+      m.expand_mask_density_max = pbcfg.expand_mask_max_density;
       model::MaskModel mm;
       if (op.mask != nullptr) {
         mm.present = true;
@@ -465,7 +457,6 @@ struct SpGemmExecutor::Impl {
       } else {
         pb::SymbolicHints hints;
         hints.flop = fp.flop;
-        hints.row_flops = row_flops;
         entry->pb_plan = pb::pb_plan_build(p.a_csc, p.b_csr, pbcfg, hints);
         if (cap > 0) {
           // Exact requirement of the built plan: the full tuple stream

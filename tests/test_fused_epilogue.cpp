@@ -148,8 +148,9 @@ TEST(FusedEpilogue, AccumulateAlgebraicIdentities) {
 
 // ---- expand-stage masking -------------------------------------------------
 
-// Masking in the expand scatter loop (kOn) must produce the same C as
-// filtering at compress (kOff), for both mask polarities, every format
+// Masking in the expand scatter loop (threshold 1.0) must produce the
+// same C as filtering at compress (threshold -1.0), for both mask
+// polarities, every format
 // and both team sizes — and when the expand mask runs, the compress
 // filter has nothing left to drop.
 TEST(FusedEpilogue, ExpandMaskingMatchesCompressFilteringAcrossTheMatrix) {
@@ -168,10 +169,10 @@ TEST(FusedEpilogue, ExpandMaskingMatchesCompressFilteringAcrossTheMatrix) {
         op.mask = &mask;
         op.complement = complement;
 
-        op.pb.expand_mask = pb::ExpandMaskMode::kOff;
+        op.pb.expand_mask_max_density = -1.0;
         const mtx::CsrMatrix filtered = exec.run(p, op);
 
-        op.pb.expand_mask = pb::ExpandMaskMode::kOn;
+        op.pb.expand_mask_max_density = 1.0;
         RunInfo info;
         const mtx::CsrMatrix skipped = exec.run(p, op, &info);
 
@@ -198,7 +199,7 @@ TEST(FusedEpilogue, ExpandMaskedProductMatchesTheSerialOracle) {
     op.algo = "pb";
     op.mask = &mask;
     op.complement = complement;
-    op.pb.expand_mask = pb::ExpandMaskMode::kOn;
+    op.pb.expand_mask_max_density = 1.0;
     EXPECT_TRUE(mtx::equal_exact(exec.run(p, op),
                                  mtx::pattern_filter(ref, mask, complement)))
         << (complement ? "complement" : "mask");

@@ -224,8 +224,9 @@ TEST(SpGemmOpMask, PbRecordsDroppedTuplesInTelemetry) {
   op.algo = "pb";
   op.mask = &mask;
   // Pin the compress-stage drop path: this mask is sparse enough that the
-  // auto expand-mask would otherwise engage and leave nothing to drop.
-  op.pb.expand_mask = pb::ExpandMaskMode::kOff;
+  // default threshold would otherwise engage the expand mask and leave
+  // nothing to drop.
+  op.pb.expand_mask_max_density = -1.0;
   RunInfo info;
   const mtx::CsrMatrix c = SpGemmExecutor().run(p, op, &info);
   const pb::PbTelemetry& tm = info.pb_stats;
@@ -247,7 +248,7 @@ TEST(SpGemmOpMask, PbRecordsExpandSkippedTuplesInTelemetry) {
   SpGemmOp op;
   op.algo = "pb";
   op.mask = &mask;
-  op.pb.expand_mask = pb::ExpandMaskMode::kOn;
+  op.pb.expand_mask_max_density = 1.0;
   RunInfo info;
   const mtx::CsrMatrix c = SpGemmExecutor().run(p, op, &info);
   const pb::PbTelemetry& tm = info.pb_stats;

@@ -97,8 +97,8 @@ Expanded expand(const Operands& ops, const PbConfig& cfg,
 #pragma omp parallel reduction(+ : flushes)
   {
     MaxFlushSink sink{&largest};
-    flushes += detail::expand_team_any<F, PlusTimes>(
-        ops.a, ops.b, sym, fcfg, out, cursor.data(), sink);
+    flushes += detail::expand_team<F, PlusTimes>(ops.a, ops.b, sym, fcfg, out,
+                                                 cursor.data(), sink);
   }
   e.flushes = flushes;
   e.largest_flush = largest.load();
@@ -125,12 +125,9 @@ void for_each_format(Fn&& fn) {
   fn.template operator()<TupleFormat::kKeyOnly>();
 }
 
-class ExpandPolicy : public ::testing::TestWithParam<BinPolicy> {};
-
-TEST_P(ExpandPolicy, ProducesExactTupleMultiset) {
+TEST(Expand, ProducesExactTupleMultiset) {
   const Operands ops = er_operands(400, 4.0, 1);
   PbConfig cfg;
-  cfg.policy = GetParam();
   cfg.nbins = 8;
   cfg.validate = true;
   for_each_format([&]<TupleFormat F>() {
@@ -142,10 +139,9 @@ TEST_P(ExpandPolicy, ProducesExactTupleMultiset) {
   });
 }
 
-TEST_P(ExpandPolicy, TuplesLandInTheirBins) {
+TEST(Expand, TuplesLandInTheirBins) {
   const Operands ops = er_operands(500, 5.0, 2);
   PbConfig cfg;
-  cfg.policy = GetParam();
   cfg.nbins = 16;
   for_each_format([&]<TupleFormat F>() {
     SymbolicResult sym;
@@ -156,11 +152,6 @@ TEST_P(ExpandPolicy, TuplesLandInTheirBins) {
     }
   });
 }
-
-INSTANTIATE_TEST_SUITE_P(Policies, ExpandPolicy,
-                         ::testing::Values(BinPolicy::kRange,
-                                           BinPolicy::kModulo,
-                                           BinPolicy::kAdaptive));
 
 TEST(Expand, TinyLocalBinsStillCorrect) {
   // A local bin narrower than one tuple rounds up to one lane (a cache

@@ -1,6 +1,6 @@
 // The tuple stream formats (pb/tuple.hpp): plan-level format selection,
 // bit-identity of the narrow, wide and key-only paths across semirings and
-// bin policies, the key codec, and the format boundaries — col_bits at the
+// bin counts, the key codec, and the format boundaries — col_bits at the
 // 32-bit fit edge, single-row bins, empty bins, the wide fallback, and
 // exact cancellation.
 #include <gtest/gtest.h>
@@ -45,13 +45,9 @@ TEST(PbFormat, NarrowVsWideBitIdenticalAcrossSemirings) {
   const mtx::CsrMatrix m = testutil::exact_er(400, 400, 6.0, 41);
   const mtx::CscMatrix a = mtx::csr_to_csc(m);
   for (const std::string& s : semiring_names()) {
-    for (const BinPolicy policy :
-         {BinPolicy::kRange, BinPolicy::kModulo, BinPolicy::kAdaptive}) {
-      PbConfig cfg;
-      cfg.policy = policy;
-      cfg.nbins = 8;
-      (void)expect_formats_identical(a, m, cfg, s);
-    }
+    PbConfig cfg;
+    cfg.nbins = 8;
+    (void)expect_formats_identical(a, m, cfg, s);
   }
 }
 
@@ -105,7 +101,7 @@ TEST(PbFormat, ColBitsAtTheFitBoundary) {
   cfg.nbins = 1;
   const PbPlan plan = pb_plan_build(a, b, cfg);
   ASSERT_EQ(plan.sym.col_bits, 30);
-  ASSERT_EQ(plan.sym.layout.local_row_bits(4), 2);
+  ASSERT_EQ(plan.sym.layout.local_row_bits(), 2);
   EXPECT_EQ(plan.sym.format, TupleFormat::kNarrow);
 
   const mtx::CsrMatrix c = expect_formats_identical(a, b, cfg, "plus_times");
@@ -158,7 +154,7 @@ TEST(PbFormat, SingleRowBinsAndEmptyBins) {
   cfg.nbins = 16;
   const PbPlan plan = pb_plan_build(a, m, cfg);
   EXPECT_EQ(plan.sym.format, TupleFormat::kNarrow);
-  EXPECT_EQ(plan.sym.layout.local_row_bits(16), 0);
+  EXPECT_EQ(plan.sym.layout.local_row_bits(), 0);
 
   for (const std::string& s : semiring_names()) {
     (void)expect_formats_identical(a, m, cfg, s);
@@ -195,9 +191,6 @@ TEST(PbFormat, FuzzAcrossShapesPoliciesAndSemirings) {
     PbConfig cfg;
     const int nbins_choices[] = {0, 1, 3, 17, 64};
     cfg.nbins = nbins_choices[rng.next_below(5)];
-    const BinPolicy policies[] = {BinPolicy::kRange, BinPolicy::kModulo,
-                                  BinPolicy::kAdaptive};
-    cfg.policy = policies[rng.next_below(3)];
     cfg.local_bin_bytes = rng.next_below(2) == 0 ? 16 : 512;
     const std::string semiring =
         semiring_names()[rng.next_below(semiring_names().size())];
@@ -206,21 +199,19 @@ TEST(PbFormat, FuzzAcrossShapesPoliciesAndSemirings) {
 }
 
 TEST(PbFormat, LocalGlobalRowRoundTripsAcrossPolicies) {
-  const index_t nrows = 1000;
-  const BinLayout range = make_range_layout(nrows, 8);
-  const BinLayout modulo = make_modulo_layout(nrows, 8);
-  std::vector<nnz_t> rf(static_cast<std::size_t>(nrows), 1);
-  rf[0] = 500;  // force uneven adaptive bins
-  const BinLayout adaptive = make_adaptive_layout(rf, 8);
-
-  for (const BinLayout* layout : {&range, &modulo, &adaptive}) {
+  // Full bins, a partial top bin (1000 and 17 rows are not multiples of
+  // the width), one bin, and one row per bin.
+  for (const auto& [nrows, target] :
+       {std::pair{1000, 8}, std::pair{1000, 3}, std::pair{17, 4},
+        std::pair{1000, 1}, std::pair{64, 64}}) {
+    const BinLayout layout = make_range_layout(nrows, target);
     for (index_t row = 0; row < nrows; ++row) {
-      const int bin = layout->binid(row);
-      const index_t local = layout->local_row(bin, row);
+      const int bin = layout.binid(row);
+      const index_t local = layout.local_row(row);
       ASSERT_GE(local, 0);
-      ASSERT_LT(local, index_t{1} << layout->local_row_bits(nrows));
-      ASSERT_EQ(layout->global_row(bin, local), row)
-          << to_string(layout->policy) << " row " << row;
+      ASSERT_LT(local, index_t{1} << layout.local_row_bits());
+      ASSERT_EQ(layout.global_row(bin, local), row)
+          << nrows << " rows, target " << target;
     }
   }
 }
@@ -251,26 +242,20 @@ TEST(PbFormat, WideKvSortBitIdenticalToReferenceAcrossPolicies) {
   // The wide stream is SoA: its per-bin sort runs radix_sort_lsd_kv over
   // the u64 key and f64 value arrays in place (8 B histogram reads).  The
   // sort is stable, so on exact-integer inputs the forced-wide pipeline
-  // must stay bit-identical to the gold standard for every bin policy and
-  // semiring.
+  // must stay bit-identical to the gold standard for every semiring.
   const mtx::CsrMatrix m = testutil::exact_er(350, 350, 6.0, 61);
   const mtx::CscMatrix a = mtx::csr_to_csc(m);
   const SpGemmProblem p = SpGemmProblem::square(m);
   for (const std::string& s : semiring_names()) {
     const mtx::CsrMatrix expected = dispatch_semiring(
         s, [&]<typename S>() { return reference_spgemm_semiring<S>(p); });
-    for (const BinPolicy policy :
-         {BinPolicy::kRange, BinPolicy::kModulo, BinPolicy::kAdaptive}) {
-      PbConfig cfg;
-      cfg.policy = policy;
-      cfg.format = FormatPolicy::kWide;
-      cfg.validate = true;
-      PbWorkspace ws;
-      const PbResult r = testutil::pb_plan_execute(a, m, cfg, ws, s);
-      EXPECT_EQ(r.stats.format, TupleFormat::kWide);
-      EXPECT_TRUE(mtx::equal_exact(r.c, expected))
-          << s << " policy=" << static_cast<int>(policy);
-    }
+    PbConfig cfg;
+    cfg.format = FormatPolicy::kWide;
+    cfg.validate = true;
+    PbWorkspace ws;
+    const PbResult r = testutil::pb_plan_execute(a, m, cfg, ws, s);
+    EXPECT_EQ(r.stats.format, TupleFormat::kWide);
+    EXPECT_TRUE(mtx::equal_exact(r.c, expected)) << s;
   }
 }
 
@@ -344,6 +329,31 @@ TEST(PbFormat, PredictionMatchesSymbolicForRangePolicy) {
                 sym.format);
     }
   }
+
+  // Both sides of the narrow fit, with no product run: B has 2^24
+  // columns, so one bin of 256 rows packs 8 + 24 = 32 key bits exactly,
+  // and one bin of 600 rows needs 10 + 24 = 34.
+  const index_t wide_cols = index_t{1} << 24;
+  const mtx::CsrMatrix b = testutil::from_triplets(
+      4, wide_cols, {{0, 0, 1.0}, {1, wide_cols - 1, 2.0}, {3, 12345, 3.0}});
+  for (const auto& [nrows, fits] :
+       {std::pair{256, true}, std::pair{600, false}}) {
+    const mtx::CscMatrix a = mtx::csr_to_csc(testutil::from_triplets(
+        nrows, 4, {{0, 0, 1.0}, {nrows / 2, 3, 2.0}, {nrows - 1, 1, 3.0}}));
+    for (const bool value_free : {false, true}) {
+      PbConfig cfg;
+      cfg.value_free = value_free;
+      const SymbolicResult sym = pb_symbolic(a, b, cfg);
+      ASSERT_EQ(sym.layout.nbins, 1);
+      const TupleFormat valued =
+          fits ? TupleFormat::kNarrow : TupleFormat::kWide;
+      EXPECT_EQ(sym.format, value_free ? TupleFormat::kKeyOnly : valued)
+          << nrows << " rows";
+      EXPECT_EQ(predict_tuple_format(a.nrows, b.ncols, sym.flop, cfg),
+                sym.format)
+          << nrows << " rows";
+    }
+  }
 }
 
 // ---- key-only (8 B) format ------------------------------------------------
@@ -379,17 +389,13 @@ void expect_keyonly_matches_wide(const mtx::CscMatrix& a,
 TEST(PbFormatKeyOnly, BitIdenticalToWideAcrossPoliciesAndSchedules) {
   const mtx::CsrMatrix m = testutil::exact_er(400, 400, 6.0, 44);
   const mtx::CscMatrix a = mtx::csr_to_csc(m);
-  for (const BinPolicy policy :
-       {BinPolicy::kRange, BinPolicy::kModulo, BinPolicy::kAdaptive}) {
-    for (const int nbins : {1, 8}) {
-      PbConfig cfg;
-      cfg.policy = policy;
-      cfg.nbins = nbins;
-      // Both the explicit request and auto (the value_free flag derived
-      // from bool_or_and) must land on key-only.
-      expect_keyonly_matches_wide(a, m, cfg, FormatPolicy::kKeyOnly);
-      expect_keyonly_matches_wide(a, m, cfg, FormatPolicy::kAuto);
-    }
+  for (const int nbins : {1, 8}) {
+    PbConfig cfg;
+    cfg.nbins = nbins;
+    // Both the explicit request and auto (the value_free flag derived
+    // from bool_or_and) must land on key-only.
+    expect_keyonly_matches_wide(a, m, cfg, FormatPolicy::kKeyOnly);
+    expect_keyonly_matches_wide(a, m, cfg, FormatPolicy::kAuto);
   }
 }
 
@@ -428,7 +434,7 @@ TEST(PbFormatKeyOnly, EngagesWhereNarrowCannotFit) {
   cfg.nbins = 1;
   cfg.value_free = true;
   const PbPlan plan = pb_plan_build(a, b, cfg);
-  ASSERT_GT(plan.sym.layout.local_row_bits(8) + plan.sym.col_bits, 32);
+  ASSERT_GT(plan.sym.layout.local_row_bits() + plan.sym.col_bits, 32);
   EXPECT_EQ(plan.sym.format, TupleFormat::kKeyOnly);
 
   expect_keyonly_matches_wide(a, b, cfg, FormatPolicy::kAuto);

@@ -16,13 +16,12 @@ namespace pbs::pb {
 namespace {
 
 struct FullCase {
-  BinPolicy policy;
   int nbins;            // 0 = auto
   int local_bin_bytes;
 };
 
 void PrintTo(const FullCase& c, std::ostream* os) {
-  *os << to_string(c.policy) << "_nb" << c.nbins << "_lb" << c.local_bin_bytes;
+  *os << "range_nb" << c.nbins << "_lb" << c.local_bin_bytes;
 }
 
 class PbFull : public ::testing::TestWithParam<FullCase> {};
@@ -33,7 +32,6 @@ TEST_P(PbFull, MatchesReferenceOnEr) {
   const SpGemmProblem p = SpGemmProblem::square(a);
 
   PbConfig cfg;
-  cfg.policy = fc.policy;
   cfg.nbins = fc.nbins;
   cfg.local_bin_bytes = fc.local_bin_bytes;
   cfg.validate = true;
@@ -49,7 +47,6 @@ TEST_P(PbFull, MatchesReferenceOnSkewedRmat) {
   const SpGemmProblem p = SpGemmProblem::square(a);
 
   PbConfig cfg;
-  cfg.policy = fc.policy;
   cfg.nbins = fc.nbins;
   cfg.local_bin_bytes = fc.local_bin_bytes;
 
@@ -59,15 +56,9 @@ TEST_P(PbFull, MatchesReferenceOnSkewedRmat) {
 
 INSTANTIATE_TEST_SUITE_P(
     Configs, PbFull,
-    ::testing::Values(FullCase{BinPolicy::kRange, 0, 512},
-                      FullCase{BinPolicy::kRange, 1, 512},
-                      FullCase{BinPolicy::kRange, 64, 512},
-                      FullCase{BinPolicy::kRange, 16, 16},
-                      FullCase{BinPolicy::kRange, 16, 4096},
-                      FullCase{BinPolicy::kModulo, 0, 512},
-                      FullCase{BinPolicy::kModulo, 32, 512},
-                      FullCase{BinPolicy::kAdaptive, 0, 512},
-                      FullCase{BinPolicy::kAdaptive, 32, 128}));
+    ::testing::Values(FullCase{0, 512}, FullCase{1, 512}, FullCase{64, 512},
+                      FullCase{16, 16}, FullCase{16, 4096}, FullCase{32, 512},
+                      FullCase{32, 128}));
 
 TEST(PbTelemetry, FlopAndNnzMatchIndependentCounts) {
   const mtx::CsrMatrix a = testutil::exact_er(800, 800, 6.0, 23);
@@ -171,7 +162,7 @@ TEST(PbTelemetry, NbinsReported) {
   const PbResult r = testutil::pb_plan_execute(p.a_csc, p.b_csr, cfg);
   EXPECT_GE(r.stats.nbins, 1);
   EXPECT_LE(r.stats.nbins, 8);
-  EXPECT_GT(r.stats.rows_per_bin, 0);  // range policy default
+  EXPECT_GT(r.stats.rows_per_bin, 0);
 }
 
 TEST(PbEdgeCases, EmptyTimesEmpty) {
@@ -220,15 +211,10 @@ TEST(PbEdgeCases, HubRowAndColumn) {
   coo.canonicalize();
   const mtx::CsrMatrix a = mtx::coo_to_csr(coo);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  for (const BinPolicy policy :
-       {BinPolicy::kRange, BinPolicy::kModulo, BinPolicy::kAdaptive}) {
-    PbConfig cfg;
-    cfg.policy = policy;
-    cfg.nbins = 8;
-    const PbResult r = testutil::pb_plan_execute(p.a_csc, p.b_csr, cfg);
-    EXPECT_TRUE(equal_exact(r.c, reference_spgemm(p)))
-        << "policy " << to_string(policy);
-  }
+  PbConfig cfg;
+  cfg.nbins = 8;
+  const PbResult r = testutil::pb_plan_execute(p.a_csc, p.b_csr, cfg);
+  EXPECT_TRUE(equal_exact(r.c, reference_spgemm(p)));
 }
 
 }  // namespace

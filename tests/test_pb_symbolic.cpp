@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <string>
 
+#include "common/cache_info.hpp"
 #include "matrix/convert.hpp"
 #include "matrix/generate.hpp"
 #include "matrix/mstats.hpp"
@@ -51,42 +52,36 @@ TEST(PbSymbolic, BinHomeIsAContiguousPartitionOverDetectedNodes) {
 }
 
 TEST(PbSymbolic, BinFillsPartitionFlopAndRegionsAlign) {
-  for (const BinPolicy policy :
-       {BinPolicy::kRange, BinPolicy::kModulo, BinPolicy::kAdaptive}) {
-    for (const FormatPolicy format :
-         {FormatPolicy::kWide, FormatPolicy::kNarrow,
-          FormatPolicy::kKeyOnly}) {
-      const Operands ops = er_operands(700, 4.0, 2);
-      PbConfig cfg;
-      cfg.policy = policy;
-      cfg.nbins = 16;
-      cfg.format = format;
-      cfg.value_free = format == FormatPolicy::kKeyOnly;
-      const SymbolicResult sym = pb_symbolic(ops.a, ops.b, cfg);
-      EXPECT_EQ(to_string(sym.format), std::string(to_string(format)));
-      ASSERT_EQ(sym.bin_offsets.size(),
-                static_cast<std::size_t>(sym.layout.nbins) + 1);
-      ASSERT_EQ(sym.bin_fill.size(),
-                static_cast<std::size_t>(sym.layout.nbins));
-      EXPECT_EQ(sym.bin_offsets.front(), 0);
+  for (const FormatPolicy format :
+       {FormatPolicy::kWide, FormatPolicy::kNarrow, FormatPolicy::kKeyOnly}) {
+    const Operands ops = er_operands(700, 4.0, 2);
+    PbConfig cfg;
+    cfg.nbins = 16;
+    cfg.format = format;
+    cfg.value_free = format == FormatPolicy::kKeyOnly;
+    const SymbolicResult sym = pb_symbolic(ops.a, ops.b, cfg);
+    EXPECT_EQ(to_string(sym.format), std::string(to_string(format)));
+    ASSERT_EQ(sym.bin_offsets.size(),
+              static_cast<std::size_t>(sym.layout.nbins) + 1);
+    ASSERT_EQ(sym.bin_fill.size(), static_cast<std::size_t>(sym.layout.nbins));
+    EXPECT_EQ(sym.bin_offsets.front(), 0);
 
-      // Region starts are 64-byte aligned on every array: whole lanes of
-      // one key line each — 16 tuples narrow (16 x 4 B keys), 8 wide and
-      // key-only (8 x 8 B keys) — and so whole value lines too.
-      const nnz_t pad = lane_tuples(sym.format);
-      EXPECT_EQ(pad * static_cast<nnz_t>(key_bytes(sym.format)), 64);
-      nnz_t total_fill = 0;
-      for (int bin = 0; bin < sym.layout.nbins; ++bin) {
-        const auto ubin = static_cast<std::size_t>(bin);
-        const nnz_t region = sym.bin_offsets[ubin + 1] - sym.bin_offsets[ubin];
-        EXPECT_EQ(sym.bin_offsets[ubin] % pad, 0);
-        EXPECT_GE(region, sym.bin_fill[ubin]);
-        EXPECT_LT(region - sym.bin_fill[ubin], pad);
-        total_fill += sym.bin_fill[ubin];
-      }
-      EXPECT_EQ(total_fill, sym.flop);
-      EXPECT_GE(sym.bin_offsets.back(), sym.flop);
+    // Region starts are 64-byte aligned on every array: whole lanes of
+    // one key line each — 16 tuples narrow (16 x 4 B keys), 8 wide and
+    // key-only (8 x 8 B keys) — and so whole value lines too.
+    const nnz_t pad = lane_tuples(sym.format);
+    EXPECT_EQ(pad * static_cast<nnz_t>(key_bytes(sym.format)), 64);
+    nnz_t total_fill = 0;
+    for (int bin = 0; bin < sym.layout.nbins; ++bin) {
+      const auto ubin = static_cast<std::size_t>(bin);
+      const nnz_t region = sym.bin_offsets[ubin + 1] - sym.bin_offsets[ubin];
+      EXPECT_EQ(sym.bin_offsets[ubin] % pad, 0);
+      EXPECT_GE(region, sym.bin_fill[ubin]);
+      EXPECT_LT(region - sym.bin_fill[ubin], pad);
+      total_fill += sym.bin_fill[ubin];
     }
+    EXPECT_EQ(total_fill, sym.flop);
+    EXPECT_GE(sym.bin_offsets.back(), sym.flop);
   }
 }
 
@@ -112,14 +107,19 @@ TEST(PbSymbolic, HistogramMatchesBruteForce) {
 }
 
 TEST(PbSymbolic, AutoNbinsRespectsL2Override) {
+  // nbins = 0 applies the paper's L2 rule at the detected L2 size; the
+  // same product under a smaller L2 is cut into more bins.
   const Operands ops = er_operands(2048, 8.0, 4);
-  PbConfig small_l2;
-  small_l2.l2_bytes = 64 * 1024;
-  PbConfig big_l2;
-  big_l2.l2_bytes = 16 * 1024 * 1024;
-  const SymbolicResult s1 = pb_symbolic(ops.a, ops.b, small_l2);
-  const SymbolicResult s2 = pb_symbolic(ops.a, ops.b, big_l2);
-  EXPECT_GT(s1.layout.nbins, s2.layout.nbins);
+  const SymbolicResult sym = pb_symbolic(ops.a, ops.b, PbConfig{});
+  const BinLayout detected = make_range_layout(
+      ops.a.nrows, auto_nbins(sym.flop, cache_info().l2_bytes));
+  EXPECT_EQ(sym.layout.nbins, detected.nbins);
+  EXPECT_EQ(sym.layout.shift, detected.shift);
+  const BinLayout small_l2 =
+      make_range_layout(ops.a.nrows, auto_nbins(sym.flop, 64 * 1024));
+  const BinLayout big_l2 =
+      make_range_layout(ops.a.nrows, auto_nbins(sym.flop, 16 * 1024 * 1024));
+  EXPECT_GT(small_l2.nbins, big_l2.nbins);
 }
 
 TEST(PbSymbolic, DimensionMismatchThrows) {

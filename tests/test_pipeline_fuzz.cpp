@@ -77,7 +77,7 @@ void expect_dense_eq(const mtx::CsrMatrix& sparse, const Dense& dense,
   }
 }
 
-// A random PbConfig: bin count, local-bin width, policy and store path all
+// A random PbConfig: bin count, local-bin width, format and store path all
 // vary; validate=true arms the pipeline's internal invariant checks.
 pb::PbConfig random_pb_config(mtx::SplitMix64& rng) {
   pb::PbConfig cfg;
@@ -85,10 +85,6 @@ pb::PbConfig random_pb_config(mtx::SplitMix64& rng) {
   cfg.nbins = nbins_choices[rng.next_below(5)];
   const int width_choices[] = {16, 64, 512};
   cfg.local_bin_bytes = width_choices[rng.next_below(3)];
-  const pb::BinPolicy policies[] = {pb::BinPolicy::kRange,
-                                    pb::BinPolicy::kModulo,
-                                    pb::BinPolicy::kAdaptive};
-  cfg.policy = policies[rng.next_below(3)];
   // kKeyOnly is legal here for every semiring: requests are preferences,
   // so valued semirings fall back to the auto choice.
   const pb::FormatPolicy formats[] = {
@@ -261,12 +257,13 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PipelineFuzz,
 // the team size.  It must also be bit-identical — not approximately equal:
 // same rowptr, same colids, same vals — to a row-wise kernel (hash, or
 // heap where hash lacks the semiring) for every semiring, every tuple
-// format, every bin layout and every descriptor variant (plain, masked,
+// format, several bin counts and every descriptor variant (plain, masked,
 // complemented mask, accumulate, and for valued semirings a fused
-// scale/prune/top-k post-op).  The layouts are the three bin policies at
-// 8 and 17 target bins — 17 leaves range's last bin partial and rounds
-// modulo up to 32 — and every run must really plan more than one bin, so
-// the per-bin row decode of every format is exercised across bins.
+// scale/prune/top-k post-op).  The layouts target 2, 8, 17 and 64 bins —
+// from two wide bins to one or two rows per bin, with the last bin
+// partial wherever the width does not divide n — and every run must
+// really plan more than one bin, so the per-bin row decode of every
+// format is exercised across bins.
 // Values are small exact integers (exact_er), so even floating semiring
 // adds are exact and any divergence is a kernel or scheduling bug, not
 // roundoff.  Each seed runs at one OpenMP lane (the serving configuration)
@@ -287,9 +284,6 @@ TEST_P(ScheduleFuzz, PipelineBitIdenticalToRowwiseAcrossDescriptors) {
   const pb::FormatPolicy formats[] = {pb::FormatPolicy::kWide,
                                       pb::FormatPolicy::kNarrow,
                                       pb::FormatPolicy::kKeyOnly};
-  const pb::BinPolicy policies[] = {pb::BinPolicy::kRange,
-                                    pb::BinPolicy::kModulo,
-                                    pb::BinPolicy::kAdaptive};
   enum Variant {
     kPlain, kMasked, kComplement, kAccumulate, kPostOp, kVariants
   };
@@ -326,28 +320,24 @@ TEST_P(ScheduleFuzz, PipelineBitIdenticalToRowwiseAcrossDescriptors) {
         if (variant == kPostOp && semiring_value_free(semiring)) continue;
         const mtx::CsrMatrix want = run(rowwise, variant, nullptr);
         for (const pb::FormatPolicy fmt : formats) {
-          for (const pb::BinPolicy policy : policies) {
-            for (const int nbins : {8, 17}) {
-              SpGemmOp op;
-              op.algo = "pb";
-              op.semiring = semiring;
-              op.pb.format = fmt;
-              op.pb.policy = policy;
-              op.pb.nbins = nbins;
-              op.pb.validate = true;  // arm the pipeline's invariant checks
-              int planned = 0;
-              const mtx::CsrMatrix got = run(op, variant, &planned);
-              ASSERT_TRUE(got.valid());
-              const std::string where =
-                  "semiring " + semiring + ", format " + pb::to_string(fmt) +
-                  ", policy " + pb::to_string(policy) + ", nbins " +
-                  std::to_string(nbins) + ", variant " +
-                  std::to_string(variant) + ", " + std::to_string(threads) +
-                  " thread(s)";
-              ASSERT_GT(planned, 1) << where;
-              ASSERT_TRUE(mtx::equal_exact(want, got))
-                  << "pb diverged from " << rowwise.algo << ": " << where;
-            }
+          for (const int nbins : {2, 8, 17, 64}) {
+            SpGemmOp op;
+            op.algo = "pb";
+            op.semiring = semiring;
+            op.pb.format = fmt;
+            op.pb.nbins = nbins;
+            op.pb.validate = true;  // arm the pipeline's invariant checks
+            int planned = 0;
+            const mtx::CsrMatrix got = run(op, variant, &planned);
+            ASSERT_TRUE(got.valid());
+            const std::string where =
+                "semiring " + semiring + ", format " + pb::to_string(fmt) +
+                ", nbins " + std::to_string(nbins) + ", variant " +
+                std::to_string(variant) + ", " + std::to_string(threads) +
+                " thread(s)";
+            ASSERT_GT(planned, 1) << where;
+            ASSERT_TRUE(mtx::equal_exact(want, got))
+                << "pb diverged from " << rowwise.algo << ": " << where;
           }
         }
       }

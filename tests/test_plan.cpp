@@ -133,31 +133,21 @@ TEST(PbPlan, FingerprintDistinguishesSameAggregateStructures) {
 }
 
 TEST(PbPlan, HintsReproduceTheUnhintedPlan) {
-  // Threading the fingerprint's flop and the selection pass's row-flop
-  // histogram into symbolic must be a pure optimization: identical layout,
-  // regions and format for every policy.
+  // Threading the fingerprint's flop into symbolic must be a pure
+  // optimization: identical layout, regions and format.
   const mtx::CsrMatrix a = testutil::exact_er(300, 300, 5.0, 31);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const nnz_t flop = pb::pb_count_flop(p.a_csc, p.b_csr);
-  const std::vector<nnz_t> rf = pb::pb_row_flops(p.a_csc, p.b_csr);
-
-  for (const pb::BinPolicy policy :
-       {pb::BinPolicy::kRange, pb::BinPolicy::kModulo,
-        pb::BinPolicy::kAdaptive}) {
-    pb::PbConfig cfg;
-    cfg.policy = policy;
-    pb::SymbolicHints hints;
-    hints.flop = flop;
-    hints.row_flops = rf;
-    const pb::PbPlan plain = pb::pb_plan_build(p.a_csc, p.b_csr, cfg);
-    const pb::PbPlan hinted = pb::pb_plan_build(p.a_csc, p.b_csr, cfg, hints);
-    EXPECT_EQ(plain.sym.flop, hinted.sym.flop);
-    EXPECT_EQ(plain.sym.format, hinted.sym.format);
-    EXPECT_EQ(plain.sym.col_bits, hinted.sym.col_bits);
-    EXPECT_EQ(plain.sym.bin_offsets, hinted.sym.bin_offsets);
-    EXPECT_EQ(plain.sym.bin_fill, hinted.sym.bin_fill);
-    EXPECT_EQ(plain.fingerprint, hinted.fingerprint);
-  }
+  pb::SymbolicHints hints;
+  hints.flop = pb::pb_count_flop(p.a_csc, p.b_csr);
+  const pb::PbPlan plain = pb::pb_plan_build(p.a_csc, p.b_csr, {});
+  const pb::PbPlan hinted = pb::pb_plan_build(p.a_csc, p.b_csr, {}, hints);
+  EXPECT_EQ(plain.sym.flop, hinted.sym.flop);
+  EXPECT_EQ(plain.sym.format, hinted.sym.format);
+  EXPECT_EQ(plain.sym.col_bits, hinted.sym.col_bits);
+  EXPECT_EQ(plain.sym.layout.shift, hinted.sym.layout.shift);
+  EXPECT_EQ(plain.sym.bin_offsets, hinted.sym.bin_offsets);
+  EXPECT_EQ(plain.sym.bin_fill, hinted.sym.bin_fill);
+  EXPECT_EQ(plain.fingerprint, hinted.fingerprint);
 }
 
 // ---- compression-factor estimator ----------------------------------------
