@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <mutex>
@@ -20,7 +21,7 @@ std::once_flag g_env_once;
 
 std::atomic<std::int64_t> g_alloc_countdown{-1};        // -1 = unarmed
 std::atomic<std::int64_t> g_point_countdown[kNumFaultPoints] = {
-    {-1}, {-1}, {-1}, {-1}, {-1}};
+    {-1}, {-1}, {-1}, {-1}};
 std::atomic<std::uint32_t> g_slow_bin_ms{0};
 
 bool any_armed() noexcept {
@@ -35,12 +36,13 @@ void refresh_state() noexcept {
 }
 
 FaultPoint parse_point(const std::string& name, bool& ok) noexcept {
-  ok = true;
-  if (name == "plan_build") return FaultPoint::kPlanBuild;
-  if (name == "expand") return FaultPoint::kExpand;
-  if (name == "sort_compress") return FaultPoint::kSortCompress;
-  if (name == "convert") return FaultPoint::kConvert;
-  if (name == "batch_worker") return FaultPoint::kBatchWorker;
+  for (int i = 0; i < kNumFaultPoints; ++i) {
+    const auto p = static_cast<FaultPoint>(i);
+    if (name == fault_point_name(p)) {
+      ok = true;
+      return p;
+    }
+  }
   ok = false;
   return FaultPoint::kPlanBuild;
 }
@@ -59,9 +61,22 @@ void init_from_env() noexcept {
     }
     bool ok = false;
     FaultPoint p = parse_point(spec, ok);
-    if (ok)
+    if (ok) {
       g_point_countdown[static_cast<int>(p)].store(skip,
                                                    std::memory_order_relaxed);
+    } else {
+      // A retired or mistyped point must not pass for a fault that never
+      // fired.
+      std::string valid;
+      for (int i = 0; i < kNumFaultPoints; ++i) {
+        valid += (i > 0 ? ", " : "");
+        valid += fault_point_name(static_cast<FaultPoint>(i));
+      }
+      std::fprintf(stderr,
+                   "PBS_FAULT_THROW_AT: unknown fault point '%s' (valid: "
+                   "%s); nothing armed\n",
+                   spec.c_str(), valid.c_str());
+    }
   }
   if (const char* s = std::getenv("PBS_FAULT_SLOW_BIN_MS")) {
     g_slow_bin_ms.store(static_cast<std::uint32_t>(std::strtoul(s, nullptr, 10)),
@@ -82,7 +97,6 @@ const char* fault_point_name(FaultPoint p) noexcept {
     case FaultPoint::kExpand: return "expand";
     case FaultPoint::kSortCompress: return "sort_compress";
     case FaultPoint::kConvert: return "convert";
-    case FaultPoint::kBatchWorker: return "batch_worker";
   }
   return "?";
 }

@@ -17,7 +17,9 @@
 // Env activation (read once, on first hook crossing):
 //   PBS_FAULT_ALLOC_AFTER=N
 //   PBS_FAULT_THROW_AT=point[:skip]   point in {plan_build, expand,
-//                                     sort_compress, convert, batch_worker}
+//                                     sort_compress, convert}; an unknown
+//                                     point arms nothing and says so on
+//                                     stderr
 //   PBS_FAULT_SLOW_BIN_MS=MS
 
 #include <cstddef>
@@ -30,9 +32,8 @@ enum class FaultPoint : int {
   kExpand = 1,
   kSortCompress = 2,
   kConvert = 3,
-  kBatchWorker = 4,
 };
-inline constexpr int kNumFaultPoints = 5;
+inline constexpr int kNumFaultPoints = 4;
 
 const char* fault_point_name(FaultPoint p) noexcept;
 

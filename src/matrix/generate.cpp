@@ -203,4 +203,13 @@ CooMatrix generate_rmat(const RmatParams& p) {
   return coo;
 }
 
+void make_values_exact(CooMatrix& coo) {
+  for (nnz_t i = 0; i < coo.nnz(); ++i) {
+    const auto h =
+        static_cast<std::uint64_t>(coo.row[i]) * 0x9E3779B97F4A7C15ull +
+        static_cast<std::uint64_t>(coo.col[i]) * 0xC2B2AE3D27D4EB4Full;
+    coo.val[i] = static_cast<value_t>(1 + (h >> 32) % 8);
+  }
+}
+
 }  // namespace pbs::mtx

@@ -51,6 +51,12 @@ CooMatrix generate_rmat(const RmatParams& p);
 CooMatrix generate_banded(index_t n, double d, index_t halfwidth,
                           std::uint64_t seed);
 
+/// Replaces every value with an integer in [1, 8] derived from the entry's
+/// position (deterministic, independent of entry order).  Sums of such
+/// values stay exact, so a product over them has the same bits under any
+/// accumulation order: any algorithm, any team size.
+void make_values_exact(CooMatrix& coo);
+
 /// SplitMix64 — the counter-based PRNG all generators derive streams from.
 /// Public so tests can reproduce sub-streams.
 struct SplitMix64 {

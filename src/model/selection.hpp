@@ -45,8 +45,8 @@ namespace pbs::model {
 
 /// One measured prediction/achievement pair from a fingerprint-verified
 /// execute: what the roofline model promised for the chosen algorithm at
-/// the estimated cf, and what the run sustained.  The executor and plan
-/// layers record these (unmasked "auto" runs only — a mask changes both
+/// the estimated cf, and what the run sustained.  SpGemmExecutor records
+/// these in samples() (unmasked "auto" runs only — a mask changes both
 /// bounds, so masked samples would fold the mask term into the derating
 /// constants); SelectionModel::calibrate refits from them.
 struct PerfSample {
@@ -141,7 +141,8 @@ struct SelectionModel {
   /// their current constant; samples with non-positive fields are
   /// skipped.  The defaults stay calibrated against the paper's figures;
   /// this replaces them with *this machine's* measured efficiencies
-  /// (pbs_cli calibrate, or SpGemmExecutor's warmup refit).
+  /// (pbs_cli calibrate prints such a fit).  A refit takes effect for the
+  /// ops that carry it in SpGemmOp::model.
   CalibrationResult calibrate(std::span<const PerfSample> samples);
 };
 

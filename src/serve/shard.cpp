@@ -239,9 +239,8 @@ mtx::CsrMatrix ShardRouter::run_impl(const SpGemmProblem& p,
   }
   for (std::thread& t : threads) t.join();
 
-  // Root-cause preference mirrors the executor's batch fan-out: a tile
-  // that failed for a real reason beats tiles that merely got cancelled
-  // in its wake.
+  // Root-cause preference: a tile that failed for a real reason beats
+  // tiles that merely got cancelled in its wake.
   std::exception_ptr first;
   std::exception_ptr non_cancel;
   for (const std::exception_ptr& e : errors) {
@@ -319,8 +318,6 @@ ExecutorStats ShardRouter::aggregate_stats() const {
     agg.cache_entries += st.cache_entries;
     agg.cache_bytes += st.cache_bytes;
     agg.bytes_evicted += st.bytes_evicted;
-    agg.batches += st.batches;
-    agg.calibrations += st.calibrations;
     agg.degraded_plans += st.degraded_plans;
     agg.degraded_runs += st.degraded_runs;
     agg.oom_fallbacks += st.oom_fallbacks;

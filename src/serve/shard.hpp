@@ -5,14 +5,18 @@
 // column-wise, so tile (r, c) computes the full C[rows_r, cols_c] block:
 // the k-dimension is NOT split, every tile sees A's full column range and
 // B's full row range.  That is what makes the route bit-identical to a
-// single-executor run — each output entry's accumulation order over k is
-// unchanged in every kernel (Gustavson walks k ascending; PB's stable
-// radix sort preserves the expand emission order), the tiles' output
-// patterns are disjoint by construction, and the merge just re-bases
-// column ids and concatenates row blocks.  The per-row-block fold still
-// goes through semiring_ewise_add — on disjoint patterns the semiring add
-// degenerates to a copy, so the merge is the semiring-correct operation,
-// not a shortcut that would break on overlapping tiles.
+// single-executor run: each output entry's accumulation order over k is
+// unchanged in every row-wise kernel (Gustavson walks k ascending) and in
+// PB at one lane (its stable radix sort keeps the expand emission order),
+// the tiles' output patterns are disjoint by construction, and the merge
+// just re-bases column ids and concatenates row blocks.  With more than
+// one lane, expand flushes reach a PB bin in timing order, so floating-
+// point duplicate sums may round differently from run to run, sharded or
+// not: there the guarantee holds on exact-arithmetic values only.  The
+// per-row-block fold still goes through semiring_ewise_add — on disjoint
+// patterns the semiring add degenerates to a copy, so the merge is the
+// semiring-correct operation, not a shortcut that would break on
+// overlapping tiles.
 //
 // Each tile is served by its own long-lived SpGemmExecutor (own plan
 // cache, own workspace pool), the tiles run concurrently, and the fan-out
@@ -56,8 +60,7 @@ class ShardRouter {
   /// SpGemmExecutor::run.  `info`, when given, reports the (0,0) tile's
   /// telemetry with cache_hit/value_only/degraded aggregated as "true
   /// only if every tile says so".  Throws like the executor; when tiles
-  /// fail differently, a non-cancellation cause wins (mirrors the
-  /// executor's batch fan-out).
+  /// fail differently, a non-cancellation cause wins.
   mtx::CsrMatrix run(const SpGemmProblem& p, const SpGemmOp& op,
                      const RunOptions& ropts = {}, RunInfo* info = nullptr);
 

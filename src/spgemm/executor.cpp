@@ -1,18 +1,13 @@
 #include "spgemm/executor.hpp"
 
 #include <algorithm>
-#include <atomic>
-#include <exception>
 #include <list>
-#include <map>
 #include <mutex>
 #include <sstream>
 #include <stdexcept>
-#include <thread>
 
 #include "common/cancel.hpp"
 #include "common/errors.hpp"
-#include "common/fault.hpp"
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "pb/symbolic.hpp"
@@ -23,15 +18,16 @@ namespace pbs {
 
 namespace {
 
-// Everything of an op that changes what planning produces: the algorithm
-// and semiring, the mask binding (by address — the pattern behind it may
-// change freely, the fused kernels re-read it per call), and the pb/model
-// tunables that steer symbolic layout, "auto" selection and the recorded
-// predicted_mflops.  accumulate
-// is execution-time behavior and deliberately excluded: an accumulating
-// op shares its cached plan with the plain product.  post_op IS keyed —
-// the cached entry's op copy carries it into every execution, so two ops
-// differing only in their post-op must not share an entry.
+// Everything of an op that a cached entry reads: the algorithm and
+// semiring, the mask binding (by address — the pattern behind it may
+// change freely, the fused kernels re-read it per call), every PbConfig
+// field (the plan copies the config, so validate rides into each
+// execution too), the post-op (the entry's op copy carries it into every
+// execution), and the model tunables that steer "auto" selection and the
+// recorded predicted_mflops.  Nothing planning ignores: accumulate is a
+// per-call argument (an accumulating op shares its plan with the plain
+// product), and the model's pb_tuple_bytes is overwritten by analyze
+// from the predicted stream format.
 std::string op_cache_key(const SpGemmOp& op) {
   std::ostringstream key;
   key << op.algo << '|' << op.semiring << '|'
@@ -39,12 +35,13 @@ std::string op_cache_key(const SpGemmOp& op) {
       << static_cast<int>(op.pb.format) << '|' << op.pb.value_free << '|'
       << op.pb.nbins << '|' << op.pb.local_bin_bytes << '|'
       << op.pb.streaming_stores << '|'
-      << op.pb.expand_mask_max_density << '|' << op.post_op.scale << '|'
-      << op.post_op.prune_threshold << '|' << op.post_op.top_k << '|'
-      << op.model.pb_efficiency << '|' << op.model.pb_pipeline_boost << '|'
+      << op.pb.expand_mask_max_density << '|' << op.pb.validate << '|'
+      << op.post_op.scale << '|' << op.post_op.prune_threshold << '|'
+      << op.post_op.top_k << '|' << op.model.pb_efficiency << '|'
+      << op.model.pb_pipeline_boost << '|'
       << op.model.column_latency_penalty << '|'
-      << op.model.small_flop_threshold << '|' << op.model.pb_tuple_bytes
-      << '|' << op.model.bytes_per_nnz << '|' << op.model.beta_gbs;
+      << op.model.small_flop_threshold << '|' << op.model.bytes_per_nnz
+      << '|' << op.model.beta_gbs;
   return key.str();
 }
 
@@ -79,8 +76,8 @@ bool is_passthrough(const SpGemmOp& op) {
   return op.algo != "auto" && op.algo != "pb";
 }
 
-/// Predicted-vs-achieved samples kept for calibrate()/samples(): the most
-/// recent window, oldest dropped first.
+/// Predicted-vs-achieved samples kept for samples(): the most recent
+/// window, oldest dropped first.
 constexpr std::size_t kMaxSamples = 512;
 
 /// Serializes executions over runtime-registered semirings.  The
@@ -105,9 +102,10 @@ std::string fallback_algo(const std::string& semiring) {
 
 }  // namespace
 
-/// One cached plan: the full analysis product for (structure, op),
-/// immutable after construction so in-flight executions can keep using it
-/// through their shared_ptr after an eviction.
+/// One plan: the full analysis product for (structure, op), immutable
+/// after construction so in-flight executions can keep using it through
+/// their shared_ptr after an eviction.  A fixed non-pb op's entry holds
+/// only its resolved kernel, is built per call and is never cached.
 struct CachedPlanEntry {
   pb::StructureFingerprint fp;
   std::string key;
@@ -118,9 +116,9 @@ struct CachedPlanEntry {
   model::AlgoChoice choice;
   double predicted_mflops = 0;
   double plan_seconds = 0;
-  /// Derating constants the "auto" selection ran with (op tunables or
-  /// calibrated overrides) — recorded into every PerfSample so a later
-  /// calibrate() inverts each prediction through the right constants.
+  /// Derating constants the "auto" selection ran with (the op's tunables,
+  /// schedule term applied) — recorded into every PerfSample so a later
+  /// SelectionModel::calibrate inverts each prediction through them.
   double sel_pb_efficiency = 0;
   double sel_column_latency_penalty = 0;
   pb::PbPlan pb_plan;  ///< valid when use_pb
@@ -158,14 +156,10 @@ struct SpGemmExecutor::Impl {
   using EntryPtr = std::shared_ptr<const CachedPlanEntry>;
 
   ExecutorOptions opts;
-  mutable std::mutex mu;  ///< cache + stats + samples + calibration state
+  mutable std::mutex mu;  ///< cache + stats + samples
   std::list<EntryPtr> lru;  ///< front = most recently used
-  std::map<std::string, SpGemmFn> passthrough_fns;  ///< fixed non-pb ops
   ExecutorStats stats;
   std::vector<model::PerfSample> samples;
-  bool calibrated = false;
-  double cal_pb_efficiency = 0;
-  double cal_column_latency_penalty = 0;
   pb::WorkspacePool pool;
 
   /// Cancellation epoch: every run links the epoch current at its start;
@@ -300,55 +294,14 @@ struct SpGemmExecutor::Impl {
     drop(it);
   }
 
-  /// The selection model an analysis of `op` runs under: the op's
-  /// tunables, with the derating constants replaced by calibrated values
-  /// once a refit has run.
-  model::SelectionModel effective_model(const SpGemmOp& op) {
-    model::SelectionModel m = op.model;
-    const std::lock_guard<std::mutex> lock(mu);
-    if (calibrated) {
-      m.pb_efficiency = cal_pb_efficiency;
-      m.column_latency_penalty = cal_column_latency_penalty;
-    }
-    return m;
-  }
-
-  model::CalibrationResult calibrate_now() {
-    std::vector<model::PerfSample> local;
-    model::SelectionModel base;
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      local = samples;
-      if (calibrated) {
-        base.pb_efficiency = cal_pb_efficiency;
-        base.column_latency_penalty = cal_column_latency_penalty;
-      }
-    }
-    const model::CalibrationResult r = base.calibrate(local);
-    const std::lock_guard<std::mutex> lock(mu);
-    if (r.changed) {
-      calibrated = true;
-      cal_pb_efficiency = base.pb_efficiency;
-      cal_column_latency_penalty = base.column_latency_penalty;
-      samples.clear();  // the next window measures the refitted model
-      ++stats.calibrations;
-    }
-    return r;
-  }
-
   // ---- analysis ------------------------------------------------------------
 
   /// Full analysis for one (structure, op): "auto" selection (mask-aware,
-  /// with the sampled nnz estimate), kernel resolution,
-  /// and the PB symbolic build when the choice lands on pb.  Shared
-  /// analysis products from a batch caller arrive via `shared_row_flops`
-  /// / `shared_nnz_est` (< 0 = unknown) so each O(nnz)/O(ncols) pass runs
-  /// at most once per batch.
+  /// with the sampled nnz estimate, under exactly op.model), kernel
+  /// resolution, and the PB symbolic build when the choice lands on pb.
   EntryPtr analyze(const SpGemmProblem& p, const SpGemmOp& op,
                    const std::string& key,
-                   const pb::StructureFingerprint& fp,
-                   std::span<const nnz_t> shared_row_flops,
-                   nnz_t shared_nnz_est) {
+                   const pb::StructureFingerprint& fp) {
     Timer timer;
     check_mask_shape(op, p);
 
@@ -366,29 +319,19 @@ struct SpGemmExecutor::Impl {
     entry->auto_requested = op.algo == "auto";
 
     std::string resolved = op.algo;
-    std::vector<nnz_t> row_flops_storage;
-    std::span<const nnz_t> row_flops = shared_row_flops;
     if (entry->auto_requested) {
-      if (row_flops.empty()) {
-        row_flops_storage = pb::pb_row_flops(p.a_csc, p.b_csr);
-        row_flops = row_flops_storage;
-      }
-      // A plain mask's kept count rides the same sampled pass; a batch's
-      // shared estimate covers only the unmasked product.
+      const std::vector<nnz_t> row_flops = pb::pb_row_flops(p.a_csc, p.b_csr);
+      // A plain mask's kept count rides the same sampled pass.
       const mtx::CsrMatrix* plain_mask =
           op.mask != nullptr && !op.complement ? op.mask : nullptr;
-      pb::NnzEstimate est;
-      if (shared_nnz_est >= 0 && plain_mask == nullptr) {
-        est.nnz = est.masked = shared_nnz_est;
-      } else {
-        est = pb::pb_estimate_nnz_c(p.a_csr, p.b_csr, row_flops, plain_mask);
-      }
+      const pb::NnzEstimate est =
+          pb::pb_estimate_nnz_c(p.a_csr, p.b_csr, row_flops, plain_mask);
       const double cf = static_cast<double>(fp.flop) /
                         static_cast<double>(std::max<nnz_t>(est.nnz, 1));
       const AlgoInfo* hash = find_algorithm("hash");
       const bool hash_available =
           hash != nullptr && hash->supports_semiring(op.semiring);
-      model::SelectionModel m = effective_model(op);
+      model::SelectionModel m = op.model;
       m.pb_tuple_bytes = static_cast<double>(pb::bytes_per_tuple(
           pb::predict_tuple_format(p.a_csc.nrows, p.b_csr.ncols, fp.flop,
                                    pbcfg)));
@@ -573,25 +516,17 @@ struct SpGemmExecutor::Impl {
             ? static_cast<double>(entry->fp.flop) / seconds / 1e6
             : 0.0;
 
-    // Close the telemetry loop: unmasked "auto" executes feed the
-    // calibration sample window (a mask changes both roofline bounds, so
-    // masked pairs would fold the mask term into the derating constants).
+    // Close the telemetry loop: unmasked "auto" executes feed the sample
+    // window (a mask changes both roofline bounds, so masked pairs would
+    // fold the mask term into a refit's derating constants).
     if (entry->auto_requested && entry->op.mask == nullptr && !oom_fallback &&
         entry->predicted_mflops > 0 && achieved > 0) {
-      bool want_calibration = false;
-      {
-        const std::lock_guard<std::mutex> lock(mu);
-        samples.push_back({entry->resolved, entry->choice.cf,
-                           entry->predicted_mflops, achieved,
-                           entry->sel_pb_efficiency,
-                           entry->sel_column_latency_penalty});
-        if (samples.size() > kMaxSamples) {
-          samples.erase(samples.begin());
-        }
-        want_calibration = opts.calibrate_after > 0 && !calibrated &&
-                           samples.size() >= opts.calibrate_after;
-      }
-      if (want_calibration) (void)calibrate_now();
+      const std::lock_guard<std::mutex> lock(mu);
+      samples.push_back({entry->resolved, entry->choice.cf,
+                         entry->predicted_mflops, achieved,
+                         entry->sel_pb_efficiency,
+                         entry->sel_column_latency_penalty});
+      if (samples.size() > kMaxSamples) samples.erase(samples.begin());
     }
 
     if (info != nullptr) {
@@ -619,51 +554,50 @@ struct SpGemmExecutor::Impl {
     info.choice = entry.choice;
   }
 
-  SpGemmFn passthrough_fn(const SpGemmOp& op, const std::string& key) {
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      const auto it = passthrough_fns.find(key);
-      if (it != passthrough_fns.end()) return it->second;
-    }
-    SpGemmFn fn = masked_semiring_algorithm(op.algo, op.semiring, op.mask,
-                                            op.complement);
-    const std::lock_guard<std::mutex> lock(mu);
-    return passthrough_fns.emplace(key, std::move(fn)).first->second;
-  }
+  /// The entry a call runs through, and how it was found.
+  struct Resolved {
+    EntryPtr entry;
+    bool hit = false;         ///< came from the cache
+    bool value_only = false;  ///< matched on dims + nnz alone
+  };
 
-  mtx::CsrMatrix run_passthrough(const SpGemmProblem& p, const SpGemmOp& op,
-                                 RunInfo* info,
-                                 const CancelToken* cancel = nullptr,
-                                 const mtx::CsrMatrix* accumulate = nullptr) {
-    check_mask_shape(op, p);
-    const SpGemmFn fn = passthrough_fn(op, op_cache_key(op));
-    throw_if_stopped(cancel);
-    mtx::CsrMatrix c;
-    {
-      std::unique_lock<std::mutex> dyn_lock;
-      if (!is_semiring_name(op.semiring)) {
-        dyn_lock = std::unique_lock<std::mutex>(dyn_semiring_mutex());
+  /// Finds or builds the entry for (p, op).  A fixed non-pb op resolves
+  /// its kernel into a fresh entry that is never cached: there is no
+  /// analysis to reuse and no fingerprint to verify.  Any other op is
+  /// looked up by (structure, op) — first by dims + nnz alone for a
+  /// value-only call — and analyzed and cached on a miss, which counts
+  /// the hit or miss.
+  Resolved resolve(const SpGemmProblem& p, const SpGemmOp& op,
+                   bool values_only) {
+    Resolved r;
+    if (is_passthrough(op)) {
+      check_mask_shape(op, p);
+      auto entry = std::make_shared<CachedPlanEntry>();
+      entry->op = op;
+      entry->resolved = op.algo;
+      entry->fn = masked_semiring_algorithm(op.algo, op.semiring, op.mask,
+                                            op.complement);
+      r.entry = std::move(entry);
+      return r;
+    }
+    const std::string key = op_cache_key(op);
+    if (values_only) r.entry = find_values_only(p, key);
+    r.value_only = r.hit = r.entry != nullptr;
+    if (!r.hit) {
+      // No structure on file for a value-only call: the full path.
+      const pb::StructureFingerprint fp =
+          pb::StructureFingerprint::of(p.a_csc, p.b_csr);
+      r.entry = find(fp, key);
+      r.hit = r.entry != nullptr;
+      if (!r.hit) {
+        r.entry = analyze(p, op, key, fp);
+        insert(r.entry);
       }
-      c = fn(p);
-      // Fixed baseline kernels never fuse: post-pass epilogue, same
-      // result as the fused paths.
-      if (op.post_op.active()) apply_post_op(c, op.post_op);
-      if (accumulate != nullptr) {
-        c = semiring_ewise_add(op.semiring, *accumulate, c);
-      }
     }
-    throw_if_stopped(cancel);
-    {
-      const std::lock_guard<std::mutex> lock(mu);
-      ++stats.executes;
-      ++stats.passthrough;
-    }
-    if (info != nullptr) {
-      *info = RunInfo{};
-      info->algo = op.algo;
-      info->passthrough = true;
-    }
-    return c;
+    const std::lock_guard<std::mutex> lock(mu);
+    r.hit ? ++stats.cache_hits : ++stats.cache_misses;
+    if (r.value_only) ++stats.value_only_hits;
+    return r;
   }
 };
 
@@ -689,47 +623,19 @@ mtx::CsrMatrix SpGemmExecutor::run_product(const SpGemmProblem& p,
   im.arm_token(token, ropts, epoch_snapshot);
 
   try {
-    if (is_passthrough(op)) {
-      // A fixed baseline algorithm caches nothing beyond kernel
-      // resolution: there is no analysis to reuse and no fingerprint to
-      // verify.
-      return im.run_passthrough(p, op, info, &token, accumulate);
-    }
-
-    const std::string key = op_cache_key(op);
-    if (values_only) {
-      if (Impl::EntryPtr entry = im.find_values_only(p, key)) {
-        {
-          const std::lock_guard<std::mutex> lock(im.mu);
-          ++im.stats.executes;
-          ++im.stats.cache_hits;
-          ++im.stats.value_only_hits;
-        }
-        mtx::CsrMatrix c = im.execute_entry(entry, p, info, &token, accumulate);
-        if (info != nullptr) {
-          info->cache_hit = true;
-          info->value_only = true;
-        }
-        return c;
-      }
-      // No structure on file for this op: fall through to the full path.
-    }
-
-    const pb::StructureFingerprint fp =
-        pb::StructureFingerprint::of(p.a_csc, p.b_csr);
-    Impl::EntryPtr entry = im.find(fp, key);
-    const bool hit = entry != nullptr;
-    if (!hit) {
-      entry = im.analyze(p, op, key, fp, {}, -1);
-      im.insert(entry);
-    }
+    const Impl::Resolved r = im.resolve(p, op, values_only);
+    const bool passthrough = is_passthrough(op);
     {
       const std::lock_guard<std::mutex> lock(im.mu);
       ++im.stats.executes;
-      hit ? ++im.stats.cache_hits : ++im.stats.cache_misses;
+      if (passthrough) ++im.stats.passthrough;
     }
-    mtx::CsrMatrix c = im.execute_entry(entry, p, info, &token, accumulate);
-    if (info != nullptr) info->cache_hit = hit;
+    mtx::CsrMatrix c = im.execute_entry(r.entry, p, info, &token, accumulate);
+    if (info != nullptr) {
+      info->cache_hit = r.hit;
+      info->value_only = r.value_only;
+      info->passthrough = passthrough;
+    }
     return c;
   } catch (const CancelledError&) {
     im.count_cancelled();
@@ -791,198 +697,22 @@ void SpGemmExecutor::cancel() {
   old->request_cancel();
 }
 
-std::vector<mtx::CsrMatrix> SpGemmExecutor::run(const SpGemmProblem& p,
-                                                std::span<const SpGemmOp> ops) {
-  return run(p, ops, RunOptions{});
-}
-
-std::vector<mtx::CsrMatrix> SpGemmExecutor::run(const SpGemmProblem& p,
-                                                std::span<const SpGemmOp> ops,
-                                                const RunOptions& ropts) {
-  Impl& im = *impl_;
-  std::vector<mtx::CsrMatrix> results;
-  if (ops.empty()) return results;
-  results.reserve(ops.size());
-  {
-    const std::lock_guard<std::mutex> lock(im.mu);
-    ++im.stats.batches;
-  }
-  if (im.opts.validate_inputs) {
-    for (const SpGemmOp& op : ops) im.validate_problem(p, op);
-  }
-  CancelToken token;
-  std::shared_ptr<CancelToken> epoch_snapshot;
-  im.arm_token(token, ropts, epoch_snapshot);
-
-  // One analysis pass shared by every op that plans: the fingerprint's
-  // flop count always; the row-flop histogram and nnz estimate when any
-  // op runs "auto" selection (an op with a plain mask reruns the sampled
-  // estimate to count what its mask keeps).
-  bool any_planned = false;
-  bool any_auto = false;
-  for (const SpGemmOp& op : ops) {
-    if (op.accumulate) {
-      throw std::logic_error(
-          "SpGemmExecutor::run(problem, ops): batch results are products; "
-          "accumulate through the two-argument run");
-    }
-    check_post_op(op, op.accumulate);
-    if (!is_passthrough(op)) any_planned = true;
-    if (op.algo == "auto") any_auto = true;
-  }
-
-  pb::StructureFingerprint fp;
-  std::vector<nnz_t> row_flops;
-  nnz_t nnz_est = -1;
-  if (any_planned) {
-    fp = pb::StructureFingerprint::of(p.a_csc, p.b_csr);
-    if (any_auto) {
-      row_flops = pb::pb_row_flops(p.a_csc, p.b_csr);
-      nnz_est = pb::pb_estimate_nnz_c(p.a_csr, p.b_csr, row_flops).nnz;
-    }
-  }
-
-  // Phase 1 (serial): resolve every descriptor to an executable entry —
-  // cache lookups, analyses and stats stay ordered, and every plan is in
-  // the cache before anything runs.  Passthrough ops resolve to a null
-  // entry and execute through run_passthrough below.
-  std::vector<Impl::EntryPtr> entries(ops.size());
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    const SpGemmOp& op = ops[i];
-    if (is_passthrough(op)) continue;
-    const std::string key = op_cache_key(op);
-    Impl::EntryPtr entry = im.find(fp, key);
-    const bool hit = entry != nullptr;
-    if (!hit) {
-      entry = im.analyze(p, op, key, fp, row_flops, nnz_est);
-      im.insert(entry);
-    }
-    {
-      const std::lock_guard<std::mutex> lock(im.mu);
-      ++im.stats.executes;
-      hit ? ++im.stats.cache_hits : ++im.stats.cache_misses;
-    }
-    entries[i] = std::move(entry);
-  }
-
-  // Phase 2: fan the executions out over the workspace pool — each worker
-  // leases its own PbWorkspace, so ops run fully concurrent (dyn-semiring
-  // ops still serialize on the process-global bridge).  Results land in
-  // op order; the first worker exception is rethrown after the join.
-  results.resize(ops.size());
-  auto execute_one = [&](std::size_t i) {
-    FaultInjector::at(FaultPoint::kBatchWorker);
-    results[i] = entries[i] != nullptr
-                     ? im.execute_entry(entries[i], p, nullptr, &token)
-                     : im.run_passthrough(p, ops[i], nullptr, &token);
-  };
-  const std::size_t hw =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  const std::size_t workers =
-      std::min(ops.size(), im.opts.batch_concurrency == 0
-                               ? hw
-                               : im.opts.batch_concurrency);
-  if (workers <= 1) {
-    try {
-      for (std::size_t i = 0; i < ops.size(); ++i) execute_one(i);
-    } catch (const CancelledError&) {
-      im.count_cancelled();
-      throw;
-    }
-    return results;
-  }
-  std::atomic<std::size_t> next{0};
-  std::vector<std::exception_ptr> errors(workers);
-  std::vector<std::thread> team;
-  team.reserve(workers);
-  for (std::size_t w = 0; w < workers; ++w) {
-    team.emplace_back([&, w] {
-      for (std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-           i < ops.size();
-           i = next.fetch_add(1, std::memory_order_relaxed)) {
-        try {
-          execute_one(i);
-        } catch (...) {
-          errors[w] = std::current_exception();
-          // Drain the queue on any failure: sibling workers stop at
-          // their next poll instead of finishing doomed products.
-          token.request_cancel();
-          return;  // this worker stops; the rest drain the queue
-        }
-      }
-    });
-  }
-  for (std::thread& t : team) t.join();
-  // Rethrow the root-cause error; every lease has already returned (RAII
-  // inside execute_entry), so the pool and cache are consistent.  A
-  // failing worker cancels its siblings, so prefer an error that is NOT
-  // the induced CancelledError when one exists.
-  std::exception_ptr first;
-  std::exception_ptr root;
-  for (const std::exception_ptr& e : errors) {
-    if (!e) continue;
-    if (!first) first = e;
-    if (!root) {
-      try {
-        std::rethrow_exception(e);
-      } catch (const CancelledError&) {
-      } catch (...) {
-        root = e;
-      }
-    }
-  }
-  if (!root) root = first;
-  if (root) {
-    try {
-      std::rethrow_exception(root);
-    } catch (const CancelledError&) {
-      im.count_cancelled();
-      throw;
-    }
-  }
-  return results;
-}
-
 void SpGemmExecutor::prepare(const SpGemmProblem& p, const SpGemmOp& op,
                              RunInfo* info) {
   Impl& im = *impl_;
   check_post_op(op, op.accumulate);
   if (im.opts.validate_inputs) im.validate_problem(p, op);
-  if (is_passthrough(op)) {
-    check_mask_shape(op, p);
-    Timer timer;
-    (void)im.passthrough_fn(op, op_cache_key(op));  // throws on bad pairs
-    // Fixed baseline plans still report the problem's flop, they just
-    // never re-verify it.
-    const pb::StructureFingerprint fp =
-        pb::StructureFingerprint::of(p.a_csc, p.b_csr);
-    if (info != nullptr) {
-      *info = RunInfo{};
-      info->algo = op.algo;
-      info->passthrough = true;
-      info->flop = fp.flop;
-      info->plan_seconds = timer.elapsed_s();
-    }
-    return;
-  }
-  const std::string key = op_cache_key(op);
-  const pb::StructureFingerprint fp =
-      pb::StructureFingerprint::of(p.a_csc, p.b_csr);
-  Impl::EntryPtr entry = im.find(fp, key);
-  const bool hit = entry != nullptr;
-  if (!hit) {
-    entry = im.analyze(p, op, key, fp, {}, -1);
-    im.insert(entry);
-    const std::lock_guard<std::mutex> lock(im.mu);
-    ++im.stats.cache_misses;
-  } else {
-    const std::lock_guard<std::mutex> lock(im.mu);
-    ++im.stats.cache_hits;
-  }
+  const Impl::Resolved r = im.resolve(p, op, /*values_only=*/false);
   if (info != nullptr) {
     *info = RunInfo{};
-    Impl::fill_info(*info, *entry);
-    info->cache_hit = hit;
+    Impl::fill_info(*info, *r.entry);
+    info->cache_hit = r.hit;
+    info->passthrough = is_passthrough(op);
+    // A fixed algorithm's entry never fingerprints the structure; prepare
+    // still reports the problem's flop.
+    if (info->passthrough) {
+      info->flop = pb::StructureFingerprint::of(p.a_csc, p.b_csr).flop;
+    }
   }
 }
 
@@ -1002,20 +732,6 @@ pb::PbWorkspace::Stats SpGemmExecutor::workspace_stats() const {
 std::vector<model::PerfSample> SpGemmExecutor::samples() const {
   const std::lock_guard<std::mutex> lock(impl_->mu);
   return impl_->samples;
-}
-
-model::SelectionModel SpGemmExecutor::selection_model() const {
-  model::SelectionModel m;
-  const std::lock_guard<std::mutex> lock(impl_->mu);
-  if (impl_->calibrated) {
-    m.pb_efficiency = impl_->cal_pb_efficiency;
-    m.column_latency_penalty = impl_->cal_column_latency_penalty;
-  }
-  return m;
-}
-
-model::CalibrationResult SpGemmExecutor::calibrate() {
-  return impl_->calibrate_now();
 }
 
 }  // namespace pbs

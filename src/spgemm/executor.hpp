@@ -11,9 +11,8 @@
 //
 // Repeating one structure is the simplest traffic; iterative and serving
 // workloads need more: MCL alternates between a few pruned shapes, AMG
-// walks two triple-product sites down a level hierarchy, batched masked
-// BFS/BC frontiers run several descriptors against one analysis, and a
-// service multiplies through one hot plan from many threads at once.  The
+// walks two triple-product sites down a level hierarchy, and a service
+// multiplies through one hot plan from many threads at once.  The
 // executor owns all of these patterns:
 //
 //   PlanCache      — an LRU of cached plans keyed by StructureFingerprint
@@ -26,10 +25,6 @@
 //                    this op (same structure), the executor matches the
 //                    cached plan on dims+nnz alone and replays just the
 //                    numeric stages — no flop recount, no symbolic.
-//   batched ops    — run(problem, span<SpGemmOp>) plans every descriptor
-//                    from ONE analysis pass (fingerprint flop, row-flop
-//                    histogram, nnz estimate) and selects each op's
-//                    algorithm from it.
 //   concurrency    — run() is thread-safe: the cache is mutex-guarded,
 //                    each in-flight execution leases its own PbWorkspace
 //                    from a WorkspacePool, and cached plans are shared
@@ -42,16 +37,15 @@
 //                    (the DynSemiring bridge is process-global); built-in
 //                    semirings run fully concurrent.
 //
-// The executor also closes the PR 3 telemetry loop: every unmasked "auto"
-// execute records a model::PerfSample (predicted vs achieved MFLOPS), and
-// after `calibrate_after` samples the executor refits its selection
-// model's derating constants from them (SelectionModel::calibrate), so
-// long-running services converge onto this machine's measured crossover.
+// Every unmasked "auto" execute also records a model::PerfSample
+// (predicted vs achieved MFLOPS) in samples().  A refit is the caller's:
+// SelectionModel::calibrate over those samples (what `pbs_cli calibrate`
+// prints), applied to later ops through SpGemmOp::model — which keys the
+// plan cache, so a refitted op plans afresh.
 #pragma once
 
 #include <chrono>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -84,21 +78,6 @@ struct ExecutorOptions {
   /// most recent entry is always retained so the current workload cannot
   /// thrash itself out of the cache.
   std::size_t cache_capacity_bytes = 0;
-
-  /// Refit the selection model's derating constants once this many
-  /// predicted-vs-achieved samples have been recorded (0 = never).
-  /// Replans and new structures selected after the refit use the
-  /// calibrated constants; already-cached choices are kept.
-  std::size_t calibrate_after = 0;
-
-  /// Worker threads the batched run(problem, ops) fans executions out
-  /// over after its shared (serial) analysis pass.  0 = auto:
-  /// min(#ops, hardware threads).  1 = serial (the pre-fan-out
-  /// behavior).  Each worker leases its own PbWorkspace from the pool
-  /// and runs its op's full execution; results land in op order
-  /// regardless.  Ops over runtime-registered semirings still serialize
-  /// on the process-global DynSemiring bridge.
-  std::size_t batch_concurrency = 0;
 
   /// Byte cap on the pooled workspace memory (tuple streams + sort
   /// scratch) across ALL concurrent leases; 0 = unlimited.  A plan whose
@@ -136,8 +115,6 @@ struct ExecutorStats {
   std::uint64_t cache_entries = 0;  ///< plans currently cached
   std::uint64_t cache_bytes = 0;    ///< estimated bytes they occupy
   std::uint64_t bytes_evicted = 0;  ///< cumulative bytes reclaimed
-  std::uint64_t batches = 0;      ///< run(problem, ops) calls
-  std::uint64_t calibrations = 0; ///< automatic warmup refits performed
   std::uint64_t degraded_plans = 0;  ///< pb plans downgraded at plan time
   std::uint64_t degraded_runs = 0;   ///< runs that fell back mid-flight
   std::uint64_t oom_fallbacks = 0;   ///< degraded_runs caused by bad_alloc
@@ -181,7 +158,9 @@ class SpGemmExecutor {
   SpGemmExecutor& operator=(const SpGemmExecutor&) = delete;
 
   /// Multiplies p under op, through the cached plan for (structure, op)
-  /// when one exists (building and caching it otherwise).  Thread-safe.
+  /// when one exists (building and caching it otherwise).  A fixed
+  /// algorithm other than pb has nothing to plan: it runs its kernel
+  /// directly, with no fingerprint pass and no cache lookup.  Thread-safe.
   /// Throws std::invalid_argument for unknown algorithms/semirings,
   /// unsupported pairs, or a mask whose shape does not match the product;
   /// throws std::logic_error when op.accumulate is set (use the
@@ -206,24 +185,6 @@ class SpGemmExecutor {
   mtx::CsrMatrix run(const SpGemmProblem& p, const SpGemmOp& op,
                      const mtx::CsrMatrix& accumulate_into,
                      RunInfo* info = nullptr);
-
-  /// Batched descriptor execution: every op multiplied against p, sharing
-  /// ONE analysis pass — the fingerprint's flop count, the row-flop
-  /// histogram and the nnz(C) estimate are computed once and every op's
-  /// selection (mask-aware per op) and symbolic build draw on them.  The
-  /// executions then fan out over ExecutorOptions::batch_concurrency
-  /// worker threads, each leasing its own PbWorkspace from the pool.
-  /// Results are returned in op order; each (structure, op) plan lands in
-  /// the cache, so subsequent single runs hit.  Accumulating descriptors
-  /// are rejected here (std::logic_error) — batch results are products.
-  std::vector<mtx::CsrMatrix> run(const SpGemmProblem& p,
-                                  std::span<const SpGemmOp> ops);
-
-  /// Batched run under deadline/cancellation: the first stopped or failed
-  /// worker's error propagates after every in-flight op unwinds.
-  std::vector<mtx::CsrMatrix> run(const SpGemmProblem& p,
-                                  std::span<const SpGemmOp> ops,
-                                  const RunOptions& ropts);
 
   /// Value-only fast path: the caller asserts p's operands have the SAME
   /// STRUCTURE as the most recent run of this op and only the numeric
@@ -272,15 +233,6 @@ class SpGemmExecutor {
   /// The recorded predicted-vs-achieved samples (the most recent 512),
   /// oldest first.
   [[nodiscard]] std::vector<model::PerfSample> samples() const;
-
-  /// The selection model future analyses will use: per-op tunables with
-  /// the derating constants replaced by calibrated values once a refit
-  /// has run (reported relative to the default-constructed model).
-  [[nodiscard]] model::SelectionModel selection_model() const;
-
-  /// Refits the derating constants from the recorded samples now
-  /// (regardless of calibrate_after) and applies them to future analyses.
-  model::CalibrationResult calibrate();
 
  private:
   mtx::CsrMatrix run_product(const SpGemmProblem& p, const SpGemmOp& op,

@@ -1,7 +1,7 @@
 // Executor layer: fingerprint-keyed plan cache (LRU hits/evictions),
-// value-only re-execution, batched descriptors over one analysis pass,
-// workspace-pooled concurrent serving, the calibration telemetry loop,
-// and the sampled nnz estimate behind "auto".
+// value-only re-execution, workspace-pooled concurrent serving, the
+// predicted-vs-achieved samples a refit reads, and the sampled nnz
+// estimate behind "auto".
 #include <gtest/gtest.h>
 
 #include <stdexcept>
@@ -257,7 +257,10 @@ TEST(Executor, OpIdentityKeysTheCacheAlongsideStructure) {
 TEST(Executor, SelectionModelTunablesKeyTheCache) {
   // pb_pipeline_boost steers "auto" and beta_gbs sets the recorded
   // prediction: an op that differs from a cached one only there plans
-  // afresh, and agrees with a fresh executor.
+  // afresh, and agrees with a fresh executor.  The key holds what a plan
+  // reads and nothing it ignores: pb.validate rides in the plan's config
+  // into every execution, while the model's pb_tuple_bytes is replaced
+  // by the predicted stream format before selection.
   const SpGemmProblem p =
       SpGemmProblem::square(testutil::exact_er(2000, 2000, 8.0, 55));
   const SpGemmOp base;  // "auto"
@@ -277,7 +280,17 @@ TEST(Executor, SelectionModelTunablesKeyTheCache) {
     EXPECT_EQ(shared.algo, alone.algo);
     EXPECT_DOUBLE_EQ(shared.predicted_mflops, alone.predicted_mflops);
   }
-  EXPECT_EQ(exec.stats().cache_misses, 3u);
+  SpGemmOp validated = base;
+  validated.pb.validate = true;
+  RunInfo info;
+  exec.prepare(p, validated, &info);
+  EXPECT_FALSE(info.cache_hit);
+  SpGemmOp tuple_bytes = base;
+  tuple_bytes.model.pb_tuple_bytes = 2.0 * base.model.pb_tuple_bytes;
+  exec.prepare(p, tuple_bytes, &info);
+  EXPECT_TRUE(info.cache_hit);
+  EXPECT_EQ(exec.stats().cache_misses, 4u);
+  EXPECT_EQ(exec.stats().cache_hits, 1u);
 }
 
 TEST(Executor, FixedBaselineOpsArePassthrough) {
@@ -290,8 +303,26 @@ TEST(Executor, FixedBaselineOpsArePassthrough) {
   const mtx::CsrMatrix c = exec.run(p, op, &info);
   EXPECT_TRUE(mtx::equal_exact(c, reference_spgemm(p)));
   EXPECT_TRUE(info.passthrough);
+  // A masked op with a post-op takes the same path: the mask is fused
+  // into the kernel, the post-op applies after it, and nothing is looked
+  // up or cached.
+  const mtx::CsrMatrix mask = testutil::exact_er(100, 100, 3.0, 56);
+  SpGemmOp shaped = op;
+  shaped.mask = &mask;
+  shaped.post_op.prune_threshold = 20.0;
+  shaped.post_op.top_k = 2;
+  RunInfo shaped_info;
+  const mtx::CsrMatrix cs = exec.run(p, shaped, &shaped_info);
+  EXPECT_TRUE(mtx::equal_exact(
+      cs, mtx::keep_top_k_per_row(
+              mtx::prune(mtx::pattern_filter(reference_spgemm(p), mask),
+                         20.0),
+              2)));
+  EXPECT_TRUE(shaped_info.passthrough);
+  EXPECT_FALSE(shaped_info.cache_hit);
   const ExecutorStats s = exec.stats();
-  EXPECT_EQ(s.passthrough, 1u);
+  EXPECT_EQ(s.passthrough, 2u);
+  EXPECT_EQ(s.executes, 2u);
   EXPECT_EQ(s.cache_hits + s.cache_misses, 0u);
 }
 
@@ -325,44 +356,6 @@ TEST(Executor, ValueOnlyRunSkipsAnalysisAndStaysCorrect) {
   EXPECT_TRUE(mtx::equal_exact(co, reference_spgemm(other)));
 }
 
-// ---- batched descriptors --------------------------------------------------
-
-TEST(Executor, BatchRunsEveryDescriptorOffOneAnalysisPass) {
-  const mtx::CsrMatrix a = testutil::exact_er(250, 250, 5.0, 58);
-  const mtx::CsrMatrix mask = testutil::exact_er(250, 250, 2.0, 59);
-  const SpGemmProblem p = SpGemmProblem::square(a);
-
-  std::vector<SpGemmOp> ops(3);
-  ops[0].algo = "auto";
-  ops[1].algo = "auto";
-  ops[1].semiring = MinPlus::name;
-  ops[2].algo = "pb";
-  ops[2].mask = &mask;
-
-  SpGemmExecutor exec;
-  const std::vector<mtx::CsrMatrix> rs = exec.run(p, ops);
-  ASSERT_EQ(rs.size(), 3u);
-  EXPECT_TRUE(mtx::equal_exact(rs[0], reference_spgemm(p)));
-  EXPECT_TRUE(
-      mtx::equal_exact(rs[1], reference_spgemm_semiring<MinPlus>(p)));
-  EXPECT_TRUE(mtx::equal_exact(
-      rs[2], mtx::pattern_filter(reference_spgemm(p), mask, false)));
-
-  const ExecutorStats s = exec.stats();
-  EXPECT_EQ(s.batches, 1u);
-  EXPECT_EQ(s.cache_misses, 3u);
-  // Every batch plan landed in the cache: single runs now hit.
-  RunInfo info;
-  (void)exec.run(p, ops[0], &info);
-  EXPECT_TRUE(info.cache_hit);
-
-  SpGemmOp acc;
-  acc.accumulate = true;
-  const std::vector<SpGemmOp> bad{acc};
-  EXPECT_THROW((void)exec.run(p, std::span<const SpGemmOp>(bad)),
-               std::logic_error);
-}
-
 TEST(Executor, SameAggregateStructuresGetDistinctCacheEntries) {
   // Regression for the fingerprint's structural hash: two permutation
   // matrices share dims, nnz and flop(P²) — every aggregate the
@@ -392,53 +385,6 @@ TEST(Executor, SameAggregateStructuresGetDistinctCacheEntries) {
   const ExecutorStats s = exec.stats();
   EXPECT_EQ(s.cache_misses, 2u);  // distinct entries, no false hit
   EXPECT_EQ(s.cache_hits, 0u);
-}
-
-TEST(ExecutorConcurrency, BatchFanOutMatchesSerialAtEveryConcurrency) {
-  // The batched run's phase-2 fan-out (worker threads over the workspace
-  // pool) must be a pure scheduling change: op-order results identical to
-  // the serial batch, for a mix of semirings, masks and tuple formats.
-  const mtx::CsrMatrix a = testutil::exact_er(220, 220, 5.0, 91);
-  const mtx::CsrMatrix mask = testutil::exact_er(220, 220, 2.0, 92);
-  const SpGemmProblem p = SpGemmProblem::square(a);
-
-  std::vector<SpGemmOp> ops(6);
-  ops[0].algo = "pb";
-  ops[1].algo = "pb";
-  ops[1].semiring = MinPlus::name;
-  ops[2].algo = "pb";
-  ops[2].mask = &mask;
-  ops[3].algo = "pb";
-  ops[3].mask = &mask;
-  ops[3].complement = true;
-  ops[4].algo = "auto";
-  ops[5].algo = "pb";
-  ops[5].pb.format = pb::FormatPolicy::kWide;
-
-  ExecutorOptions serial_opts;
-  serial_opts.batch_concurrency = 1;
-  SpGemmExecutor serial(serial_opts);
-  const std::vector<mtx::CsrMatrix> want = serial.run(p, ops);
-
-  for (const std::size_t conc : {std::size_t{0}, std::size_t{2},
-                                 std::size_t{4}}) {
-    ExecutorOptions o;
-    o.batch_concurrency = conc;
-    SpGemmExecutor exec(o);
-    for (int round = 0; round < 3; ++round) {
-      const std::vector<mtx::CsrMatrix> got = exec.run(p, ops);
-      ASSERT_EQ(got.size(), want.size());
-      for (std::size_t i = 0; i < want.size(); ++i) {
-        EXPECT_TRUE(mtx::equal_exact(got[i], want[i]))
-            << "concurrency " << conc << ", round " << round << ", op " << i;
-      }
-    }
-    const ExecutorStats s = exec.stats();
-    EXPECT_EQ(s.batches, 3u);
-    // Rounds 2 and 3 served every op from the cache.
-    EXPECT_EQ(s.cache_misses, static_cast<std::uint64_t>(ops.size()));
-    EXPECT_GE(s.cache_hits, 2u * ops.size());
-  }
 }
 
 // ---- concurrent serving ---------------------------------------------------
@@ -566,25 +512,6 @@ TEST(SelectionCalibrate, RecoversSyntheticDeratingConstants) {
   EXPECT_EQ(untouched.pb_efficiency, defaults.pb_efficiency);
 }
 
-TEST(Executor, CalibratesItsSelectionModelAfterTheWarmup) {
-  ExecutorOptions eo;
-  eo.calibrate_after = 3;
-  SpGemmExecutor exec(eo);
-  const SpGemmProblem p =
-      SpGemmProblem::square(testutil::exact_er(300, 300, 6.0, 63));
-  SpGemmOp op;  // auto: unmasked executes record samples
-  for (int i = 0; i < 5; ++i) (void)exec.run(p, op);
-  const ExecutorStats s = exec.stats();
-  EXPECT_EQ(s.calibrations, 1u);
-  // The refitted constants drive future analyses and stay in range.
-  const model::SelectionModel m = exec.selection_model();
-  EXPECT_GT(m.pb_efficiency, 0.0);
-  EXPECT_LE(m.pb_efficiency, 1.0);
-  EXPECT_GE(m.column_latency_penalty, 0.0);
-  // The sample window restarted after the refit.
-  EXPECT_LT(exec.samples().size(), 3u);
-}
-
 // ---- sampled nnz estimate: masks and the auto choice ----------------------
 
 TEST(MaskedEstimate, CountsExactlyTheEntriesTheMaskKeeps) {
@@ -652,12 +579,31 @@ TEST(Executor, RecordsPredictedAndAchievedMflops) {
   exec.prepare(p, SpGemmOp{}, &info);
   EXPECT_GT(info.predicted_mflops, 0.0);
   EXPECT_EQ(info.achieved_mflops, 0.0);
-  // ...and every run records what it actually achieved against it.
-  for (int i = 0; i < 2; ++i) {
+  EXPECT_TRUE(exec.samples().empty());
+  // ...and every unmasked "auto" run records what it actually achieved
+  // against it: one sample per run, the pair a refit reads.
+  for (std::size_t runs = 1; runs <= 2; ++runs) {
     (void)exec.run(p, SpGemmOp{}, &info);
     EXPECT_GT(info.predicted_mflops, 0.0);
     EXPECT_GT(info.achieved_mflops, 0.0);
+    const std::vector<model::PerfSample> samples = exec.samples();
+    ASSERT_EQ(samples.size(), runs);
+    EXPECT_EQ(samples.back().algo, info.algo);
+    EXPECT_EQ(samples.back().cf, info.choice.cf);
+    EXPECT_EQ(samples.back().predicted_mflops, info.predicted_mflops);
+    EXPECT_EQ(samples.back().achieved_mflops, info.achieved_mflops);
   }
+  // A mask changes both roofline bounds, and a fixed algorithm predicts
+  // nothing: neither adds a sample.
+  SpGemmOp masked;
+  masked.mask = &a;
+  (void)exec.run(p, masked);
+  for (const char* algo : {"pb", "hash"}) {
+    SpGemmOp fixed;
+    fixed.algo = algo;
+    (void)exec.run(p, fixed);
+  }
+  EXPECT_EQ(exec.samples().size(), 2u);
 }
 
 TEST(Executor, RepeatedRunsSkipAnalysisAndAllocation) {

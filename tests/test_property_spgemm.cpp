@@ -33,7 +33,7 @@ mtx::CsrMatrix build_input(const PropertyCase& p) {
   }
   // banded: high compression factor regime
   mtx::CooMatrix coo = mtx::generate_banded(n, 8.0, 6, p.seed);
-  testutil::make_values_exact(coo);
+  mtx::make_values_exact(coo);
   return mtx::coo_to_csr(coo);
 }
 

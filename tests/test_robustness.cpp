@@ -168,35 +168,6 @@ TEST(ExecutorFault, PipelinePlanBuildThrowThenServes) {
   EXPECT_TRUE(mtx::equal_exact(exec.run(p, op), ref));
 }
 
-// A failing batch worker drains its siblings (they unwind as cancelled)
-// but the ROOT CAUSE is what propagates — not the induced cancellation —
-// and the executor serves the full batch cleanly afterwards.
-TEST(ExecutorFault, BatchWorkerThrowPropagatesRootCauseThenServes) {
-  const mtx::CsrMatrix a = testutil::exact_er(300, 300, 5.0, 45);
-  const SpGemmProblem p = SpGemmProblem::square(a);
-  std::vector<SpGemmOp> ops;
-  for (const char* s : {"plus_times", "min_plus", "bool_or_and"}) {
-    SpGemmOp op;
-    op.algo = "pb";
-    op.semiring = s;
-    ops.push_back(op);
-  }
-  FaultGuard guard;
-  SpGemmExecutor exec;
-  FaultInjector::throw_at(FaultPoint::kBatchWorker, /*skip=*/1);
-  EXPECT_THROW(exec.run(p, std::span<const SpGemmOp>(ops)),
-               FaultInjectedError);
-  EXPECT_EQ(exec.pool_stats().in_flight, 0u);
-  const std::vector<mtx::CsrMatrix> cs =
-      exec.run(p, std::span<const SpGemmOp>(ops));
-  ASSERT_EQ(cs.size(), ops.size());
-  for (std::size_t i = 0; i < ops.size(); ++i) {
-    EXPECT_TRUE(mtx::equal_exact(
-        cs[i], semiring_algorithm("reference", ops[i].semiring)(p)))
-        << ops[i].semiring;
-  }
-}
-
 // ---- deadlines and cancellation -------------------------------------------
 
 // A per-run timeout with forced-slow bins unwinds with DeadlineError (at
@@ -237,7 +208,11 @@ TEST(ExecutorDeadline, ExpiredDeadlineStopsBeforeWork) {
                DeadlineError);
   EXPECT_THROW(exec.run(p, pb_op(), ropts),
                CancelledError);
-  EXPECT_EQ(exec.stats().cancelled, 2u);
+  // A fixed row-wise op polls the same token before its kernel runs.
+  SpGemmOp hash;
+  hash.algo = "hash";
+  EXPECT_THROW(exec.run(p, hash, ropts), DeadlineError);
+  EXPECT_EQ(exec.stats().cancelled, 3u);
   EXPECT_EQ(exec.pool_stats().in_flight, 0u);
 }
 

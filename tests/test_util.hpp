@@ -1,11 +1,13 @@
 // Shared helpers for the test suite.
 //
 // Property tests compare floating-point matrix products across algorithms
-// whose accumulation *order* differs (PB's radix sort is not stable for
-// equal keys).  To make equality exact rather than tolerance-based, random
-// test matrices use small-integer values: all intermediate sums then stay
-// well inside the 2^53 exactly-representable range, so any order of
-// additions yields bit-identical results.
+// whose accumulation *order* differs: with more than one OpenMP lane, PB's
+// expand flushes reach a bin in timing order, and its stable radix sort
+// keeps that order for equal keys.  To make equality exact rather than
+// tolerance-based, random test matrices use small-integer values
+// (mtx::make_values_exact): all intermediate sums then stay well inside
+// the 2^53 exactly-representable range, so any order of additions yields
+// bit-identical results.
 #pragma once
 
 #include <cstdint>
@@ -20,21 +22,11 @@
 
 namespace pbs::testutil {
 
-/// Replaces all values with integers in [1, 8] derived from the entry's
-/// position (deterministic, order-independent).
-inline void make_values_exact(mtx::CooMatrix& coo) {
-  for (nnz_t i = 0; i < coo.nnz(); ++i) {
-    const auto h = static_cast<std::uint64_t>(coo.row[i]) * 0x9E3779B97F4A7C15ull +
-                   static_cast<std::uint64_t>(coo.col[i]) * 0xC2B2AE3D27D4EB4Full;
-    coo.val[i] = static_cast<value_t>(1 + (h >> 32) % 8);
-  }
-}
-
 /// ER matrix with exact-integer values.
 inline mtx::CsrMatrix exact_er(index_t nrows, index_t ncols, double d,
                                std::uint64_t seed) {
   mtx::CooMatrix coo = mtx::generate_er(nrows, ncols, d, seed);
-  make_values_exact(coo);
+  mtx::make_values_exact(coo);
   return mtx::coo_to_csr(coo);
 }
 
@@ -46,7 +38,7 @@ inline mtx::CsrMatrix exact_rmat(int scale, double edge_factor,
   p.edge_factor = edge_factor;
   p.seed = seed;
   mtx::CooMatrix coo = mtx::generate_rmat(p);
-  make_values_exact(coo);
+  mtx::make_values_exact(coo);
   return mtx::coo_to_csr(coo);
 }
 

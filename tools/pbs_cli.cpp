@@ -310,6 +310,9 @@ int multiply_planned(const Cli& cli, const SpGemmProblem& problem,
   }
   if (info.used_pb) {
     print_pb_phases(info.pb_stats);
+  } else if (info.passthrough) {
+    std::cout << "  note: nothing is cached for a fixed " << info.algo
+              << "; each execute is a fresh multiply\n";
   } else {
     std::cout << "  note: the executor caches "
               << (algo == "auto" ? "the roofline selection"
@@ -467,8 +470,7 @@ int cmd_calibrate(const Cli& cli) {
             << " -> " << r.column_latency_penalty << "\n"
             << "apply via SelectionModel{.pb_efficiency = " << r.pb_efficiency
             << ", .column_latency_penalty = " << r.column_latency_penalty
-            << "} in SpGemmOp::model, or let a long-lived executor refit "
-               "itself (ExecutorOptions::calibrate_after)\n";
+            << "} in SpGemmOp::model\n";
   return 0;
 }
 

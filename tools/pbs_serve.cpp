@@ -11,11 +11,13 @@
 //
 //   pbs_serve smoke --socket /tmp/pbs.sock [--scale 13] [--ef 8]
 //     Drives a running daemon through the client: ping, inline multiply
-//     checked bit-identical against an in-process executor, upload +
-//     multiply-by-handle, values-only refresh hitting the fast path,
-//     deadline rejection as a typed kDeadline code, and unknown-handle
-//     rejection.  Exits non-zero on the first violation — the CI serve
-//     smoke job runs exactly this against a daemon it then SIGTERMs.
+//     of an integer-valued ER operand checked bit-identical against an
+//     in-process executor (at any team size: integer sums are exact in
+//     every accumulation order), upload + multiply-by-handle, values-only
+//     refresh hitting the fast path, deadline rejection as a typed
+//     kDeadline code, and unknown-handle rejection.  Exits non-zero on
+//     the first violation — the CI serve smoke job runs exactly this
+//     against a daemon it then SIGTERMs.
 #include <csignal>
 #include <cstring>
 #include <iostream>
@@ -131,8 +133,13 @@ int cmd_smoke(const Args& args) {
   serve::Client cli(path);
   cli.ping();
 
-  const mtx::CsrMatrix a = mtx::coo_to_csr(
-      mtx::generate_er(mtx::RandomScale{scale, ef}, /*seed=*/7));
+  // Integer values in [1, 8]: with more than one OpenMP lane, pb's
+  // floating-point duplicate sums round in the order expand flushes reach
+  // each bin, which varies from run to run; integer sums do not.
+  mtx::CooMatrix coo =
+      mtx::generate_er(mtx::RandomScale{scale, ef}, /*seed=*/7);
+  mtx::make_values_exact(coo);
+  const mtx::CsrMatrix a = mtx::coo_to_csr(coo);
   const SpGemmProblem p = SpGemmProblem::square(a);
   SpGemmOp op;
   op.algo = "pb";
