@@ -40,7 +40,10 @@ class ThreadCountGuard {
 /// produced task is the cache-hottest); any other thread steal()s from the
 /// top (FIFO).  T must be trivially copyable; elements are stored in
 /// atomics so a steal racing a wrapped-around push is a defined (relaxed)
-/// access, keeping the structure clean under TSan.
+/// access.  The orderings sit on the atomic operations themselves rather
+/// than on standalone fences, which ThreadSanitizer does not model: the
+/// deque hands every task to its worker, so its happens-before edges must
+/// be the ones TSan checks.
 ///
 /// The capacity is fixed at construction (rounded up to a power of two)
 /// and never grows: the pipelined PB schedule knows its total task count
@@ -64,21 +67,20 @@ class WorkStealingDeque {
     assert(b - top_.load(std::memory_order_acquire) <= mask_ &&
            "WorkStealingDeque overflow: capacity must cover all pushes");
     buffer_[b & mask_].store(v, std::memory_order_relaxed);
-    // Publish the slot before the new bottom: a thief that observes b+1
+    // Publish the slot with the new bottom: a thief that observes b+1
     // must also observe the element (and everything the owner wrote
-    // before this push — the fence pairs with steal()'s acquire loads).
-    std::atomic_thread_fence(std::memory_order_release);
-    bottom_.store(b + 1, std::memory_order_relaxed);
+    // before this push — the release pairs with steal()'s bottom load).
+    bottom_.store(b + 1, std::memory_order_release);
   }
 
   /// Owner only.  LIFO; false when empty.
   bool pop(T& out) {
     const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-    bottom_.store(b, std::memory_order_relaxed);
-    // The seq_cst fence orders the bottom decrement against thieves'
-    // top reads — the classic Chase–Lev race on the last element.
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    std::int64_t t = top_.load(std::memory_order_relaxed);
+    // Both seq_cst: the bottom decrement is ordered before this top read,
+    // and against thieves' top-then-bottom reads — the classic Chase–Lev
+    // race on the last element.
+    bottom_.store(b, std::memory_order_seq_cst);
+    std::int64_t t = top_.load(std::memory_order_seq_cst);
     if (t > b) {  // already empty
       bottom_.store(b + 1, std::memory_order_relaxed);
       return false;
@@ -95,9 +97,10 @@ class WorkStealingDeque {
   /// Any thread.  FIFO; false when empty or when the steal lost a race
   /// (callers treat both as "try elsewhere, then retry").
   bool steal(T& out) {
-    std::int64_t t = top_.load(std::memory_order_acquire);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    const std::int64_t b = bottom_.load(std::memory_order_acquire);
+    // seq_cst pairs with pop()'s bottom store and top load (see there);
+    // the bottom load also acquires push()'s release.
+    std::int64_t t = top_.load(std::memory_order_seq_cst);
+    const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
     if (t >= b) return false;
     out = buffer_[t & mask_].load(std::memory_order_relaxed);
     return top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,

@@ -4,9 +4,13 @@
 // multiplied tuple toward its row's global bin *through a thread-private
 // local bin* (paper Fig. 5): tuples accumulate in a small cache-resident
 // buffer and are flushed to the global bin in one cache-line-multiple
-// memcpy when it fills, so global-memory writes always use full cache
-// lines.  Global bins are contiguous regions of one flop-sized allocation;
-// a flush claims its destination with a relaxed atomic fetch-add.
+// copy when it fills, so global-memory writes always use full cache
+// lines.  Global bins are contiguous regions of one flop-sized allocation,
+// and the symbolic phase has already cut each into one slice per chunk of
+// A's columns (pb/symbolic.hpp).  A thread expanding a chunk owns that
+// chunk's slices outright, so a flush is a plain copy to a private write
+// position: no atomic, no fence.  Synchronization happens once per chunk,
+// after its last flush.
 //
 // One team-callable body serves every tuple format (pb/tuple.hpp) and
 // runs inside pb_execute's parallel region (pipeline_impl.hpp).  It is
@@ -22,7 +26,6 @@
 #endif
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -58,10 +61,11 @@ namespace detail {
 // Flush copy: when the destination is cache-line aligned and the block is
 // whole lines, use non-temporal stores — full-line writes with no
 // read-for-ownership traffic, which is what lets the expand phase approach
-// STREAM bandwidth (paper Sec. III-C).  Symbolic pads bin regions so full
-// flushes stay aligned; partial drain flushes fall back to memcpy.  A
-// flush moves the key block and, for valued formats, the value block
-// separately (non-temporal on both).
+// STREAM bandwidth (paper Sec. III-C).  Symbolic pads bin regions and
+// expand phases each lane by its slice's offset, so full flushes stay
+// aligned; a slice's short first flush and its partial drain fall back to
+// memcpy.  A flush moves the key block and, for valued formats, the value
+// block separately (non-temporal on both).
 template <typename T>
 inline void flush_copy(T* dst, const T* src, int count,
                        [[maybe_unused]] bool streaming) {
@@ -82,48 +86,33 @@ inline void flush_copy(T* dst, const T* src, int count,
 
 inline void flush_fence() {
 #if defined(__SSE2__)
-  _mm_sfence();  // make non-temporal stores visible before the bin's sort
+  _mm_sfence();  // make non-temporal stores visible before the chunk's credit
 #endif
 }
-
-// Flush sink: the team-callable expand body below notifies it after every
-// completed flush_copy — `sink.flushed(bin, count)` with the data already
-// written to the bin's global region.  pb_execute's sink advances the
-// bin's done-counter and, on completion, publishes the bin to a
-// work-stealing deque (pipeline_impl.hpp).
-//
-// With an active expand-phase mask (emask), tuples the mask rejects are
-// never buffered — the body instead batches per-bin *skip credits* and
-// report them through `sink.skipped(bin, count)`.  A bin's done-counter
-// thus still converges to its symbolic fill mark (flushed + skipped ==
-// flop), so bin-completion detection is untouched; only the write cursor
-// falls short of the mark, and the caller reads the cursors back as the
-// bins' actual generated fills.  Credits ride the flush cycle (plus a
-// final drain) rather than hitting the sink per tuple.
 
 // The per-(output row, B row) mask merge of the masked expand: the
 // B row's columns and the mask row's columns are both ascending, so one
 // forward scan of the mask row per pair decides every candidate tuple.
-// Keep when membership != complement.  Returns via `emit(bi)` for kept
-// candidates and counts the rest.
+// Keep when membership != complement: `emit(bi)` for kept candidates.
 template <typename Emit>
-inline nnz_t masked_scan(std::span<const index_t> bcols,
-                         std::span<const index_t> mrow, bool complement,
-                         Emit&& emit) {
-  nnz_t skipped = 0;
+inline void masked_scan(std::span<const index_t> bcols,
+                        std::span<const index_t> mrow, bool complement,
+                        Emit&& emit) {
   std::size_t mi = 0;
   for (std::size_t bi = 0; bi < bcols.size(); ++bi) {
     const index_t c = bcols[bi];
     while (mi < mrow.size() && mrow[mi] < c) ++mi;
     const bool in_mask = mi < mrow.size() && mrow[mi] == c;
-    if (in_mask == complement) {
-      ++skipped;
-      continue;
-    }
-    emit(bi);
+    if (in_mask != complement) emit(bi);
   }
-  return skipped;
 }
+
+/// Flush statistics of one thread's expand, which tests check against the
+/// plan's slices and the local-bin capacity.
+struct ExpandCounts {
+  nnz_t flushes = 0;
+  int largest_flush = 0;  ///< tuples in the largest single flush
+};
 
 // Team-callable expand: runs INSIDE an existing parallel region (every
 // thread of the team must call it — it contains an `omp for`).  Writes the
@@ -133,16 +122,26 @@ inline nnz_t masked_scan(std::span<const index_t> bcols,
 // capacity is rounded to whole lanes (StreamTraits::kLane tuples = one key
 // line) so a full flush is whole cache lines on every array.  Key-only
 // streams have no value lane, so S::mul and the value reads disappear.
-// `cursor` is the shared per-bin write-cursor array, pre-seeded with the
-// bin region origins.  A non-null `cancel` is polled once per column of A.
-// Returns this thread's flush count (telemetry for the Fig. 6a bin-width
-// study).
-template <TupleFormat F, typename S, typename Sink>
-nnz_t expand_team(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
-                  const SymbolicResult& sym, const PbConfig& cfg,
-                  StreamSpan<F> out, std::atomic<nnz_t>* cursor,
-                  Sink& sink, const MaskSpec& emask = {},
-                  const CancelToken* cancel = nullptr) {
+//
+// Threads take the plan's chunks dynamically.  For each chunk a thread
+// seeds private per-bin write positions with the chunk's slice starts.
+// Only a bin's first slice is sure to start on a lane boundary, so each
+// local lane is phased by its slice start's offset from one: the slice's
+// first flush is short (a plain memcpy), and every later full flush lands
+// line-aligned and streams.  At the end of the chunk the thread drains its
+// partial lanes, stores each slice's written count in `written` (indexed
+// sym.slice(c, bin)), issues one sfence and calls `chunk_done(c)`, which
+// may hand the chunk's slices to other threads.  An active expand mask
+// (emask) never buffers a rejected tuple, so a masked slice may end short
+// of its planned size; its written count says where.  A non-null `cancel`
+// is polled once per column of A; a cancelled chunk drains nothing and
+// calls nothing.  Returns this thread's flush statistics.
+template <TupleFormat F, typename S, typename ChunkDone>
+ExpandCounts expand_team(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
+                         const SymbolicResult& sym, const PbConfig& cfg,
+                         StreamSpan<F> out, nnz_t* written,
+                         ChunkDone&& chunk_done, const MaskSpec& emask = {},
+                         const CancelToken* cancel = nullptr) {
   using Key = typename StreamTraits<F>::Key;
   constexpr bool kValues = StreamTraits<F>::kHasValues;
   constexpr int kLane = StreamTraits<F>::kLane;
@@ -157,83 +156,95 @@ nnz_t expand_team(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
 
   // Thread-private local bins (paper: 1K bins x 512B fits comfortably in
   // L2): all key lanes, then all value lanes, each lane line-aligned.
+  // Lane slot k of a bin maps to Cˆ position pos - phase + k, where
+  // phase = pos mod kLane: lcnt counts the phase slots too.
   AlignedBuffer<Key> lkeys(nbins * ucap);
   AlignedBuffer<value_t> lvals(kValues ? nbins * ucap : 0);
   std::vector<int> lcnt(nbins, 0);
-  std::vector<nnz_t> lskip(masked ? nbins : 0, 0);
-  nnz_t flushes = 0;
+  std::vector<nnz_t> pos(nbins, 0);
+  auto phase = [&](std::size_t bin) {
+    return static_cast<int>(pos[bin] & (kLane - 1));
+  };
+  ExpandCounts counts;
 
   auto flush = [&](std::size_t bin) {
-    const int count = lcnt[bin];
-    const nnz_t pos = cursor[bin].fetch_add(count, std::memory_order_relaxed);
-    flush_copy(out.keys + pos, lkeys.data() + bin * ucap, count,
+    const int from = phase(bin);
+    const int count = lcnt[bin] - from;
+    flush_copy(out.keys + pos[bin], lkeys.data() + bin * ucap + from, count,
                cfg.streaming_stores);
     if constexpr (kValues) {
-      flush_copy(out.vals + pos, lvals.data() + bin * ucap, count,
+      flush_copy(out.vals + pos[bin], lvals.data() + bin * ucap + from, count,
                  cfg.streaming_stores);
     }
+    pos[bin] += count;
     lcnt[bin] = 0;
-    ++flushes;
-    sink.flushed(bin, count);
-    if (masked && lskip[bin] != 0) {
-      sink.skipped(bin, lskip[bin]);
-      lskip[bin] = 0;
-    }
+    ++counts.flushes;
+    counts.largest_flush = std::max(counts.largest_flush, count);
   };
 
-#pragma omp for schedule(guided) nowait
-  for (index_t i = 0; i < a.ncols; ++i) {
-    // Cooperative cancellation at column granularity (`break` is illegal
-    // in an omp for; skipped columns just leave their bins short, and the
-    // caller raises the typed error after the join).
-    if (stop_requested(cancel)) continue;
-    const auto arows = a.col_rows(i);
-    const auto avals = a.col_vals(i);
-    const auto bcols = b.row_cols(i);
-    const auto bvals = b.row_vals(i);
-    if (bcols.empty()) continue;
+#pragma omp for schedule(dynamic, 1) nowait
+  for (int chunk = 0; chunk < sym.nchunks(); ++chunk) {
+    const nnz_t* start = sym.slice_offsets.data() + sym.slice(chunk, 0);
+    for (std::size_t bin = 0; bin < nbins; ++bin) {
+      pos[bin] = start[bin];
+      lcnt[bin] = phase(bin);
+    }
+    // Cooperative cancellation at column granularity: the chunk stops
+    // where it is, and the caller raises the typed error after the join.
+    bool stopped = false;
+    const auto cols_end = sym.chunk_cols[static_cast<std::size_t>(chunk) + 1];
+    for (index_t i = sym.chunk_cols[static_cast<std::size_t>(chunk)];
+         i < cols_end; ++i) {
+      if (stop_requested(cancel)) {
+        stopped = true;
+        break;
+      }
+      const auto arows = a.col_rows(i);
+      const auto avals = a.col_vals(i);
+      const auto bcols = b.row_cols(i);
+      const auto bvals = b.row_vals(i);
+      if (bcols.empty()) continue;
 
-    for (std::size_t ai = 0; ai < arows.size(); ++ai) {
-      const index_t r = arows[ai];
-      const auto bin = static_cast<std::size_t>(layout.binid(r));
-      // The row bits are constant across B(i,:): build them once.
-      const Key rowkey = static_cast<Key>(layout.local_row(r)) << col_bits;
-      Key* klane = lkeys.data() + bin * ucap;
-      value_t* vlane = kValues ? lvals.data() + bin * ucap : nullptr;
-      value_t av{};
-      if constexpr (kValues) av = avals[ai];
-      auto emit = [&](std::size_t bi) {
-        if (lcnt[bin] == cap) flush(bin);
-        const int at = lcnt[bin]++;
-        klane[at] = rowkey | static_cast<Key>(bcols[bi]);
-        if constexpr (kValues) vlane[at] = S::mul(av, bvals[bi]);
-      };
-      if (masked) {
-        const auto mrow = emask.csr->row_cols(r);
-        if (mrow.empty() && !emask.complement) {
-          // Empty mask row keeps nothing: the whole B row is skipped
+      for (std::size_t ai = 0; ai < arows.size(); ++ai) {
+        const index_t r = arows[ai];
+        const auto bin = static_cast<std::size_t>(layout.binid(r));
+        // The row bits are constant across B(i,:): build them once.
+        const Key rowkey = static_cast<Key>(layout.local_row(r)) << col_bits;
+        Key* klane = lkeys.data() + bin * ucap;
+        value_t* vlane = kValues ? lvals.data() + bin * ucap : nullptr;
+        value_t av{};
+        if constexpr (kValues) av = avals[ai];
+        auto emit = [&](std::size_t bi) {
+          if (lcnt[bin] == cap) flush(bin);
+          const int at = lcnt[bin]++;
+          klane[at] = rowkey | static_cast<Key>(bcols[bi]);
+          if constexpr (kValues) vlane[at] = S::mul(av, bvals[bi]);
+        };
+        if (masked) {
+          // An empty mask row keeps nothing: the whole B row is skipped
           // without touching the lane (the common case on sparse masks).
-          lskip[bin] += static_cast<nnz_t>(bcols.size());
+          const auto mrow = emask.csr->row_cols(r);
+          if (!mrow.empty() || emask.complement) {
+            masked_scan(bcols, mrow, emask.complement, emit);
+          }
           continue;
         }
-        lskip[bin] += masked_scan(bcols, mrow, emask.complement, emit);
-        continue;
+        for (std::size_t bi = 0; bi < bcols.size(); ++bi) emit(bi);
       }
-      for (std::size_t bi = 0; bi < bcols.size(); ++bi) emit(bi);
     }
-  }
+    if (stopped) continue;
 
-  // Drain the partially-filled local bins (Algorithm 2, lines 15-18), plus
-  // any skip credits batched for bins this thread never flushed again.
-  for (std::size_t bin = 0; bin < nbins; ++bin) {
-    if (lcnt[bin] != 0) flush(bin);
-    if (masked && lskip[bin] != 0) {
-      sink.skipped(bin, lskip[bin]);
-      lskip[bin] = 0;
+    // Drain the partially-filled local bins (Algorithm 2, lines 15-18),
+    // then make the chunk's stores, non-temporal ones included, visible
+    // before chunk_done hands its slices on.
+    for (std::size_t bin = 0; bin < nbins; ++bin) {
+      if (lcnt[bin] > phase(bin)) flush(bin);
+      written[sym.slice(chunk, 0) + bin] = pos[bin] - start[bin];
     }
+    flush_fence();
+    chunk_done(chunk);
   }
-  flush_fence();
-  return flushes;
+  return counts;
 }
 
 }  // namespace detail

@@ -7,13 +7,14 @@
 // every phase, and the whole Cˆ buffer would go cold between the expand
 // that wrote a bin and the sort that reads it.  But the dependence
 // structure is per bin, not per phase: bin b is sortable the moment the
-// *last* expand flush into b lands, regardless of how much expanding
-// remains elsewhere.  This file exploits that, at every thread count:
+// *last* chunk that writes into b is done, regardless of how much
+// expanding remains elsewhere.  This file exploits that, at every thread
+// count:
 //
-//   - expand runs expand.hpp's team body with a flush sink that
-//     advances a per-bin done-counter; the flush that completes a bin's
-//     fill publishes the bin to the flushing thread's work-stealing deque
-//     (common/parallel.hpp),
+//   - expand runs expand.hpp's team body over the plan's chunks; a done
+//     chunk credits each bin it wrote with its slice's planned size, and
+//     the credit that completes a bin's fill publishes the bin to the
+//     crediting thread's work-stealing deque (common/parallel.hpp),
 //   - every thread, after finishing its share of expand, becomes a
 //     worker: pop own deque LIFO (the Chase–Lev deque's owner end), else
 //     steal FIFO from a victim, running each bin's sort + compress +
@@ -30,18 +31,20 @@
 // that format.
 //
 // Memory-ordering contract (the reason this is TSan-clean by design):
-// a flushing thread's tuple stores are ordered before its done-counter
-// fetch_add (acq_rel, preceded by an sfence for the non-temporal path);
-// the completing thread's fetch_add joins the same RMW chain, so by the
-// release-sequence rule every flusher's stores happen-before the
-// completion; the deque's release/acquire handoff then carries that
-// ordering to whichever worker pops or steals the bin.
+// a chunk's tuple stores and its slices' written counts are ordered before
+// its credits, the done counters' fetch_adds (acq_rel, preceded by one
+// sfence for the non-temporal stores); the completing credit joins the
+// same RMW chain, so by the release-sequence rule every chunk's stores
+// into the bin happen-before the completion; the deque's release/acquire
+// handoff then carries that ordering to whichever worker pops or steals
+// the bin.
 #pragma once
 
 #include <omp.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <exception>
 #include <memory>
 #include <stdexcept>
@@ -65,43 +68,34 @@ namespace pbs::pb {
 
 namespace detail {
 
-// Flush sink of pb_execute: counts flushed tuples per bin and
-// publishes a bin to this thread's deque the moment its fill completes.
-struct PipelineSink {
-  std::atomic<nnz_t>* done = nullptr;  ///< per-bin flushed-tuple counters
-  const nnz_t* fill = nullptr;         ///< sym.bin_fill
-  double* ready_ts = nullptr;          ///< per-bin readiness timestamp
-  int* completer = nullptr;            ///< per-bin completing thread
-  WorkStealingDeque<int>* my_deque = nullptr;
-  int tid = 0;
-
-  void flushed(std::size_t bin, int count) {
-    // Order the flush's stores (non-temporal included — flush_fence is an
-    // sfence) before the counter add; acq_rel keeps the RMW chain a
-    // release sequence so the completion below carries every flusher's
-    // stores with it.
-    flush_fence();
-    credit(bin, static_cast<nnz_t>(count));
-  }
-
-  /// Skip credit from a masked expand (expand.hpp): `count` tuples of
-  /// this bin were never generated, so the done counter still converges to
-  /// the symbolic fill mark — flushed + skipped == flop — and bin
-  /// completion is detected exactly as in the unmasked run.  No data was
-  /// written, so no flush_fence is needed; the credit may itself complete
-  /// the bin.
-  void skipped(std::size_t bin, nnz_t count) { credit(bin, count); }
-
- private:
-  void credit(std::size_t bin, nnz_t count) {
-    const nnz_t prev = done[bin].fetch_add(count, std::memory_order_acq_rel);
-    if (prev + count == fill[bin]) {
-      ready_ts[bin] = omp_get_wtime();
-      completer[bin] = tid;
-      my_deque->push(static_cast<int>(bin));
+// A masked expand may leave its slices short of their planned sizes:
+// move each slice's written tuples down against the previous one, in
+// chunk order, so bin `bin` holds them contiguously from its region start.
+// Returns the bin's tuple count.  Only slices with a planned size are
+// read: a chunk that plans none of the bin's tuples never credits it, so
+// it may still be running.
+template <TupleFormat F>
+nnz_t compact_slices(StreamSpan<F> stream, const SymbolicResult& sym,
+                     const nnz_t* written, int bin) {
+  using Key = typename StreamTraits<F>::Key;
+  const nnz_t off = sym.bin_offsets[static_cast<std::size_t>(bin)];
+  nnz_t at = off;
+  for (int c = 0; c < sym.nchunks(); ++c) {
+    const std::size_t s = sym.slice(c, bin);
+    if (sym.slice_fill[s] == 0) continue;
+    const nnz_t from = sym.slice_offsets[s];
+    const auto n = static_cast<std::size_t>(written[s]);
+    if (from != at && n != 0) {
+      std::memmove(stream.keys + at, stream.keys + from, n * sizeof(Key));
+      if constexpr (has_values(F)) {
+        std::memmove(stream.vals + at, stream.vals + from,
+                     n * sizeof(value_t));
+      }
     }
+    at += written[s];
   }
-};
+  return at - off;
+}
 
 // Per-thread accounting of the pipelined region, reduced into PbTelemetry
 // after the join.
@@ -149,10 +143,10 @@ PbResult run_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
 
   // Fused expand-time mask (a per-run decision: the mask is run state).
   // When it engages, the done counters still reach the symbolic fill marks
-  // — skipped tuples are credited through PipelineSink::skipped — but the
-  // write cursors fall short, so task lengths come from the cursors and
-  // the compress-stage filter is disabled (survivors are in-mask by
-  // construction).
+  // — a chunk credits its slices' planned sizes — but the slices may end
+  // short, so a task compacts its bin's slices and takes its length from
+  // their written counts, and the compress-stage filter is disabled
+  // (survivors are in-mask by construction).
   const bool expand_masked =
       engage_expand_mask(mask, plan.cfg, a.nrows, b.ncols);
   const MaskSpec emask = expand_masked ? mask : MaskSpec{};
@@ -171,12 +165,9 @@ PbResult run_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   workspace.place_bins(sym.bin_offsets, sym.bin_home, F);
   workspace.prepare_scratch(nthreads);
 
-  std::vector<std::atomic<nnz_t>> cursor(nbins);
-  std::vector<std::atomic<nnz_t>> done(nbins);
-  for (std::size_t bin = 0; bin < nbins; ++bin) {
-    cursor[bin].store(sym.bin_offsets[bin], std::memory_order_relaxed);
-    done[bin].store(0, std::memory_order_relaxed);
-  }
+  std::vector<std::atomic<nnz_t>> done(nbins);  // credited tuples per bin
+  for (auto& d : done) d.store(0, std::memory_order_relaxed);
+  std::vector<nnz_t> written(sym.slice_fill.size(), 0);
   std::vector<double> ready_ts(nbins, 0.0);
   std::vector<int> completer(nbins, -1);
   std::vector<nnz_t> merged(nbins, 0);
@@ -246,19 +237,18 @@ PbResult run_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
       const auto ubin = static_cast<std::size_t>(bin);
       const double t0 = omp_get_wtime();
       const nnz_t off = sym.bin_offsets[ubin];
-      // The bin's actual tuple count comes from its write cursor, not the
-      // symbolic fill mark: a masked expand generates fewer tuples than
-      // flop.  Every flusher's cursor add happens-before the completing
-      // done add (program order into the acq_rel RMW chain), and the deque
-      // handoff carries that ordering here, so a relaxed load is exact.
+      // A masked expand generates fewer tuples than flop: the bin's length
+      // is then its slices' written counts, each stored before its chunk's
+      // credit (see the memory-ordering contract).
       const auto len = static_cast<std::size_t>(
-          cursor[ubin].load(std::memory_order_relaxed) - off);
+          expand_masked ? compact_slices(stream, sym, written.data(), bin)
+                        : sym.bin_fill[ubin]);
 
       double t1 = t0;
       nnz_t kept = 0;
       nnz_t pre_mask = 0;
       nnz_t kept_mask = 0;
-      // A fully masked bin can complete on skip credits alone: nothing to
+      // A fully masked bin completes with every slice empty: nothing to
       // sort (the kernels assume non-empty bins), nothing to count.
       if (len != 0) {
         ops.sort(off, len, scratch);
@@ -303,15 +293,28 @@ PbResult run_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
       }
     };
 
-    PipelineSink sink{done.data(), sym.bin_fill.data(), ready_ts.data(),
-                      completer.data(), deques[utid].get(), tid};
+    // A done chunk credits every bin it wrote with its slice's planned
+    // size; the credit that completes a bin publishes it to this thread's
+    // deque.
+    auto credit_chunk = [&](int chunk) {
+      for (std::size_t bin = 0; bin < nbins; ++bin) {
+        const nnz_t n = sym.slice_fill[sym.slice(chunk, 0) + bin];
+        if (n == 0) continue;
+        const nnz_t prev = done[bin].fetch_add(n, std::memory_order_acq_rel);
+        if (prev + n == sym.bin_fill[bin]) {
+          ready_ts[bin] = omp_get_wtime();
+          completer[bin] = tid;
+          deques[utid]->push(static_cast<int>(bin));
+        }
+      }
+    };
 
-    // Expand this thread's share, interleaved (by the sink) with
+    // Expand this thread's chunks, interleaved (by the credits) with
     // publishing completed bins.  `omp for nowait` inside: threads fall
     // straight through to the worker loop.
     const double e0 = omp_get_wtime();
-    expand_team<F, S>(a, b, sym, plan.cfg, stream, cursor.data(), sink,
-                      emask, &abort);
+    expand_team<F, S>(a, b, sym, plan.cfg, stream, written.data(),
+                      credit_chunk, emask, &abort);
     ts.expand_busy = omp_get_wtime() - e0;
 
     // Worker loop: own deque first (LIFO, the deque's owner end), then
@@ -341,22 +344,26 @@ PbResult run_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   }
 
   // Unwind before the validate pass: a cancelled or faulted region leaves
-  // cursors/done counters legitimately short of their fill marks, and the
-  // typed error must win over the (misleading) logic_error.
+  // slices unwritten and done counters legitimately short of their fill
+  // marks, and the typed error must win over the (misleading) logic_error.
   if (error != nullptr) std::rethrow_exception(error);
   throw_if_stopped(cancel);
 
   if (plan.cfg.validate) {
-    for (std::size_t bin = 0; bin < nbins; ++bin) {
-      // A masked expand legitimately leaves the cursor short of the fill
-      // mark (skipped tuples were credited, not written); it must still
-      // never overshoot.
-      const nnz_t end = cursor[bin].load(std::memory_order_relaxed);
-      const nnz_t mark = sym.bin_offsets[bin] + sym.bin_fill[bin];
-      if (expand_masked ? end > mark : end != mark) {
-        throw std::logic_error("pb_execute: bin " + std::to_string(bin) +
-                               " cursor does not meet its fill mark");
+    // A masked expand legitimately leaves a slice short of its planned
+    // size (rejected tuples were never written); it must still never
+    // overshoot.
+    for (std::size_t s = 0; s < written.size(); ++s) {
+      const nnz_t planned = sym.slice_fill[s];
+      if (expand_masked ? written[s] > planned : written[s] != planned) {
+        throw std::logic_error(
+            "pb_execute: chunk " + std::to_string(s / nbins) + " wrote " +
+            std::to_string(written[s]) + " of its " +
+            std::to_string(planned) + " planned tuples into bin " +
+            std::to_string(s % nbins));
       }
+    }
+    for (std::size_t bin = 0; bin < nbins; ++bin) {
       if (done[bin].load(std::memory_order_relaxed) != sym.bin_fill[bin]) {
         throw std::logic_error("pb_execute: bin " + std::to_string(bin) +
                                " done counter does not meet its fill mark");
@@ -403,15 +410,11 @@ PbResult run_pipeline(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   nnz_t nnz_c = 0;
   for (const nnz_t m : merged) nnz_c += m;
   tm.nnz_c = nnz_c;
-  // Tuples this run actually generated (== flop unless expand masked; the
-  // cursors are exact after the join).
+  // Tuples this run actually generated (== flop unless expand masked).
   nnz_t generated = sym.flop;
   if (expand_masked) {
     generated = 0;
-    for (std::size_t bin = 0; bin < nbins; ++bin) {
-      generated += cursor[bin].load(std::memory_order_relaxed) -
-                   sym.bin_offsets[bin];
-    }
+    for (const nnz_t w : written) generated += w;
     tm.mask_skipped_expand = sym.flop - generated;
     tm.expand_masked = true;
   }

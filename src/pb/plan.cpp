@@ -64,15 +64,10 @@ StructureFingerprint StructureFingerprint::of(const mtx::CscMatrix& a,
 
 PbPlan pb_plan_build(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
                      const PbConfig& cfg) {
-  return pb_plan_build(a, b, cfg, SymbolicHints{});
-}
-
-PbPlan pb_plan_build(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
-                     const PbConfig& cfg, const SymbolicHints& hints) {
   FaultInjector::at(FaultPoint::kPlanBuild);
   PbPlan plan;
   Timer timer;
-  plan.sym = pb_symbolic(a, b, cfg, hints);  // throws on dimension mismatch
+  plan.sym = pb_symbolic(a, b, cfg);  // throws on dimension mismatch
   plan.cfg = cfg;
   plan.fingerprint = StructureFingerprint::of(a, b, plan.sym.flop);
   plan.symbolic.seconds = timer.elapsed_s();

@@ -89,14 +89,6 @@ struct PbPlan {
 PbPlan pb_plan_build(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
                      const PbConfig& cfg = {});
 
-/// Variant for callers that already computed parts of the analysis
-/// (typically the plan layer, whose fingerprint pass owns flop):
-/// pb_symbolic then runs the O(ncols) flop pass at most once across
-/// fingerprint + replan.
-/// The hints must describe these exact operands (SymbolicHints contract).
-PbPlan pb_plan_build(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
-                     const PbConfig& cfg, const SymbolicHints& hints);
-
 /// Executes expand → sort/compress → convert over semiring S against a
 /// previously built plan, drawing all scratch from `workspace`.  The
 /// operands must match plan.fingerprint: with check_fingerprint (the

@@ -151,36 +151,81 @@ NnzEstimate pb_estimate_nnz_c(const mtx::CsrMatrix& a, const mtx::CsrMatrix& b,
 
 namespace {
 
-// Per-bin flop histogram: every nonzero A(r, i) contributes nnz(B(i,:))
-// tuples to row r's bin.  Per-thread histograms, reduced at the end.
-std::vector<nnz_t> bin_histogram(const mtx::CscMatrix& a,
-                                 const mtx::CsrMatrix& b,
-                                 const BinLayout& layout) {
-  const auto nbins = static_cast<std::size_t>(layout.nbins);
-  const int nthreads = max_threads();
-  std::vector<std::vector<nnz_t>> local(
-      static_cast<std::size_t>(nthreads));
+// Expand chunks per thread of the planning team: enough that a dynamic
+// schedule evens out chunks of unequal cost, few enough that the
+// per-chunk drains and credits stay negligible.
+constexpr int kChunksPerThread = 4;
 
+// Column bounds of `nchunks` chunks of about flop/nchunks each: chunk c
+// ends after the first column at which the running flop reaches
+// (c+1)/nchunks of the total.  A column heavier than a chunk's share
+// leaves the chunks after it empty.  Each thread sums a static block of
+// columns, then, knowing the flop before its block, cuts the bounds that
+// fall inside it.  The block sums also give `flop`.
+std::vector<index_t> chunk_columns(const mtx::CscMatrix& a,
+                                   const mtx::CsrMatrix& b, int nchunks,
+                                   nnz_t& flop) {
+  std::vector<index_t> bounds(static_cast<std::size_t>(nchunks) + 1, a.ncols);
+  bounds[0] = 0;
+  const int nthreads = max_threads();
+  std::vector<nnz_t> before(static_cast<std::size_t>(nthreads) + 1, 0);
 #pragma omp parallel num_threads(nthreads)
   {
-    auto& hist = local[static_cast<std::size_t>(omp_get_thread_num())];
-    hist.assign(nbins, 0);
-#pragma omp for schedule(guided)
-    for (index_t i = 0; i < a.ncols; ++i) {
-      const nnz_t weight = b.row_nnz(i);
-      if (weight == 0) continue;
-      for (const index_t r : a.col_rows(i)) {
-        hist[static_cast<std::size_t>(layout.binid(r))] += weight;
+    const int t = omp_get_thread_num();
+    const int nt = omp_get_num_threads();
+    const auto lo = static_cast<index_t>(static_cast<nnz_t>(a.ncols) * t / nt);
+    const auto hi =
+        static_cast<index_t>(static_cast<nnz_t>(a.ncols) * (t + 1) / nt);
+    nnz_t sum = 0;
+    for (index_t i = lo; i < hi; ++i) sum += a.col_nnz(i) * b.row_nnz(i);
+    before[static_cast<std::size_t>(t) + 1] = sum;
+#pragma omp barrier
+#pragma omp single
+    {
+      for (int k = 0; k < nt; ++k) {
+        before[static_cast<std::size_t>(k) + 1] +=
+            before[static_cast<std::size_t>(k)];
+      }
+      flop = before[static_cast<std::size_t>(nt)];
+    }
+    const nnz_t total = flop;
+    nnz_t seen = before[static_cast<std::size_t>(t)];
+    int c = 1;  // the first bound not yet reached before this block
+    while (t > 0 && c < nchunks && seen * nchunks >= total * c) ++c;
+    for (index_t i = lo; i < hi && c < nchunks; ++i) {
+      seen += a.col_nnz(i) * b.row_nnz(i);
+      while (c < nchunks && seen * nchunks >= total * c) {
+        bounds[static_cast<std::size_t>(c++)] = i + 1;
       }
     }
   }
+  return bounds;
+}
 
-  std::vector<nnz_t> total(nbins + 1, 0);
-  for (const auto& hist : local) {
-    if (hist.empty()) continue;
-    for (std::size_t bin = 0; bin < nbins; ++bin) total[bin] += hist[bin];
+// Per-chunk bin histogram: every nonzero A(r, i) of chunk c contributes
+// nnz(B(i,:)) tuples to slice (c, bin of r).  Each chunk fills its own row.
+// A static schedule, like the flop pass's: every plan of one structure
+// gives a thread the same columns, which its cache may still hold.
+std::vector<nnz_t> slice_histogram(const mtx::CscMatrix& a,
+                                   const mtx::CsrMatrix& b,
+                                   const SymbolicResult& sym) {
+  const int nchunks = sym.nchunks();
+  std::vector<nnz_t> fill(static_cast<std::size_t>(nchunks) *
+                              static_cast<std::size_t>(sym.layout.nbins),
+                          0);
+#pragma omp parallel for schedule(static)
+  for (int c = 0; c < nchunks; ++c) {
+    nnz_t* hist = fill.data() + sym.slice(c, 0);
+    for (index_t i = sym.chunk_cols[static_cast<std::size_t>(c)];
+         i < sym.chunk_cols[static_cast<std::size_t>(c) + 1]; ++i) {
+      const nnz_t weight = b.row_nnz(i);
+      if (weight == 0) continue;
+      for (const index_t r : a.col_rows(i)) {
+        hist[sym.layout.binid(r)] += weight;
+      }
+    }
   }
-  return total;  // counts in [0, nbins), slot nbins is scan scratch
+  return fill;
 }
 
 }  // namespace
@@ -238,7 +283,7 @@ BinLayout plan_layout(index_t nrows, nnz_t flop, const PbConfig& cfg) {
 }  // namespace
 
 SymbolicResult pb_symbolic(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
-                           const PbConfig& cfg, const SymbolicHints& hints) {
+                           const PbConfig& cfg) {
   if (a.ncols != b.nrows) {
     throw std::invalid_argument("pb_symbolic: inner dimensions differ (" +
                                 std::to_string(a.ncols) + " vs " +
@@ -246,7 +291,9 @@ SymbolicResult pb_symbolic(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   }
 
   SymbolicResult out;
-  out.flop = hints.flop >= 0 ? hints.flop : pb_count_flop(a, b);
+  const int nchunks = static_cast<int>(std::min<index_t>(
+      kChunksPerThread * max_threads(), a.ncols));
+  out.chunk_cols = chunk_columns(a, b, nchunks, out.flop);
 
   out.layout = plan_layout(a.nrows, out.flop, cfg);
   out.col_bits = ceil_log2(static_cast<std::uint64_t>(b.ncols));
@@ -263,26 +310,42 @@ SymbolicResult pb_symbolic(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
     ecfg.value_free = false;
   }
   out.format = pick_format(out.layout, out.col_bits, ecfg);
+  out.slice_fill = slice_histogram(a, b, out);
 
-  std::vector<nnz_t> counts = bin_histogram(a, b, out.layout);
-  counts.pop_back();  // drop the scan-scratch slot
-  out.bin_fill = counts;
+  // Each bin's fill, and its slices' starts relative to the bin: a running
+  // sum over the chunks in order.
+  const auto nbins = static_cast<std::size_t>(out.layout.nbins);
+  out.bin_fill.assign(nbins, 0);
+  out.slice_offsets.resize(out.slice_fill.size());
+  for (int c = 0; c < nchunks; ++c) {
+    const std::size_t row = out.slice(c, 0);
+    for (std::size_t bin = 0; bin < nbins; ++bin) {
+      out.slice_offsets[row + bin] = out.bin_fill[bin];
+      out.bin_fill[bin] += out.slice_fill[row + bin];
+    }
+  }
 
   // Region layout: pad every bin to whole lanes — one 64 B key line, and
   // with it whole value lines (lane_tuples: 16 narrow, 8 wide/key-only) —
   // so full local-bin flushes are line aligned (see SymbolicResult).
   const nnz_t pad = lane_tuples(out.format);
-  out.bin_offsets.assign(static_cast<std::size_t>(out.layout.nbins) + 1, 0);
+  out.bin_offsets.assign(nbins + 1, 0);
   nnz_t cursor = 0;
   nnz_t total_fill = 0;
-  for (int bin = 0; bin < out.layout.nbins; ++bin) {
-    out.bin_offsets[static_cast<std::size_t>(bin)] = cursor;
-    cursor += (counts[static_cast<std::size_t>(bin)] + pad - 1) / pad * pad;
-    total_fill += counts[static_cast<std::size_t>(bin)];
+  for (std::size_t bin = 0; bin < nbins; ++bin) {
+    out.bin_offsets[bin] = cursor;
+    cursor += (out.bin_fill[bin] + pad - 1) / pad * pad;
+    total_fill += out.bin_fill[bin];
   }
-  out.bin_offsets[static_cast<std::size_t>(out.layout.nbins)] = cursor;
+  out.bin_offsets[nbins] = cursor;
   assert(total_fill == out.flop);
   (void)total_fill;
+  for (int c = 0; c < nchunks; ++c) {
+    const std::size_t row = out.slice(c, 0);
+    for (std::size_t bin = 0; bin < nbins; ++bin) {
+      out.slice_offsets[row + bin] += out.bin_offsets[bin];
+    }
+  }
 
   // Bin -> home-node map: contiguous flop-balanced partition over the
   // machine's NUMA nodes.  Contiguity keeps each node's share of the
@@ -301,7 +364,7 @@ SymbolicResult pb_symbolic(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
           nnodes - 1, static_cast<int>(static_cast<double>(seen) / share));
       out.bin_home[static_cast<std::size_t>(bin)] = node;
       out.numa_nodes = std::max(out.numa_nodes, node + 1);
-      seen += counts[static_cast<std::size_t>(bin)];
+      seen += out.bin_fill[static_cast<std::size_t>(bin)];
     }
   }
 

@@ -5,6 +5,14 @@
 // histograms flop *per bin* (an O(nnz(A)) pass over A's row ids) so the
 // global bin array can be laid out as contiguous per-bin regions of a
 // single uninitialized allocation.
+//
+// The same pass plans every expand write.  A's columns are split into
+// *chunks* — contiguous column ranges of about equal flop, the expand
+// phase's work items — and the histogram is kept per chunk, so each bin's
+// region is cut into one *slice* per chunk, in chunk order.  A chunk writes
+// only its own slices, at positions nobody else touches: expand needs no
+// shared cursor, and every bin holds its tuples in ascending A-column order
+// whatever thread ran which chunk.
 #pragma once
 
 #include <span>
@@ -35,6 +43,30 @@ struct SymbolicResult {
   /// of the region up to bin_offsets[b+1] is alignment slack.
   std::vector<nnz_t> bin_fill;
 
+  /// Column bounds of the expand chunks: chunk c covers A's columns
+  /// [chunk_cols[c], chunk_cols[c+1]).  A few chunks per thread of the
+  /// planning team (never more than A's column count), split at about
+  /// equal flop.  Chunks are work items, so a plan runs correctly at any
+  /// team size.  Size nchunks() + 1.
+  std::vector<index_t> chunk_cols;
+
+  /// The slice of bin b that chunk c writes, indexed slice(c, b): its
+  /// start in Cˆ and its planned tuple count.  A bin's slices are
+  /// contiguous and in chunk order from bin_offsets[b], so their counts
+  /// sum to bin_fill[b].  Only a bin's first slice is sure to start on a
+  /// lane boundary.  Size nchunks() · layout.nbins each.
+  std::vector<nnz_t> slice_offsets;
+  std::vector<nnz_t> slice_fill;
+
+  [[nodiscard]] int nchunks() const {
+    return chunk_cols.empty() ? 0 : static_cast<int>(chunk_cols.size()) - 1;
+  }
+  [[nodiscard]] std::size_t slice(int chunk, int bin) const {
+    return static_cast<std::size_t>(chunk) *
+               static_cast<std::size_t>(layout.nbins) +
+           static_cast<std::size_t>(bin);
+  }
+
   /// Home NUMA node of each bin (size layout.nbins): a contiguous,
   /// flop-balanced partition of the bins over the machine's nodes
   /// (common/numa.hpp).  The placement layer first-touches each bin's
@@ -56,17 +88,10 @@ struct SymbolicResult {
   double modeled_bytes = 0;
 };
 
-/// Structure facts a caller may already own, letting pb_symbolic skip its
-/// own O(ncols) flop pass.  The value is trusted: it must describe the
-/// exact operands being analyzed (the plan layer derives it from the same
-/// fingerprint pass it already runs).
-struct SymbolicHints {
-  nnz_t flop = -1;  ///< flop(A·B); < 0 when unknown
-};
-
+/// The symbolic phase.  Its chunk split sums the column flops once, which
+/// also gives flop.  Throws std::invalid_argument when a.ncols != b.nrows.
 SymbolicResult pb_symbolic(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
-                           const PbConfig& cfg,
-                           const SymbolicHints& hints = {});
+                           const PbConfig& cfg);
 
 /// flop(A·B) = Σ_i nnz(A(:,i)) · nnz(B(i,:)) — Algorithm 3 lines 1-5.
 /// O(k) over the pointer arrays only; the cheapest structural invariant of

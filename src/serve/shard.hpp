@@ -7,16 +7,13 @@
 // B's full row range.  That is what makes the route bit-identical to a
 // single-executor run: each output entry's accumulation order over k is
 // unchanged in every row-wise kernel (Gustavson walks k ascending) and in
-// PB at one lane (its stable radix sort keeps the expand emission order),
-// the tiles' output patterns are disjoint by construction, and the merge
-// just re-bases column ids and concatenates row blocks.  With more than
-// one lane, expand flushes reach a PB bin in timing order, so floating-
-// point duplicate sums may round differently from run to run, sharded or
-// not: there the guarantee holds on exact-arithmetic values only.  The
-// per-row-block fold still goes through semiring_ewise_add — on disjoint
-// patterns the semiring add degenerates to a copy, so the merge is the
-// semiring-correct operation, not a shortcut that would break on
-// overlapping tiles.
+// PB at any team size (every bin holds its tuples in A-column order, and
+// its stable radix sort keeps that order), the tiles' output patterns are
+// disjoint by construction, and the merge just re-bases column ids and
+// concatenates row blocks.  The per-row-block fold still goes through
+// semiring_ewise_add — on disjoint patterns the semiring add degenerates
+// to a copy, so the merge is the semiring-correct operation, not a
+// shortcut that would break on overlapping tiles.
 //
 // Each tile is served by its own long-lived SpGemmExecutor (own plan
 // cache, own workspace pool), the tiles run concurrently, and the fan-out

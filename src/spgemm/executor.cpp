@@ -131,7 +131,8 @@ struct CachedPlanEntry {
 namespace {
 
 /// Estimated resident cost of one cache entry: the struct itself, its
-/// strings, and the PB symbolic arrays (per-bin offsets/fills/homes).  The
+/// strings, and the PB symbolic arrays (per-bin offsets/fills/homes, the
+/// chunk bounds and the per-(chunk, bin) slice offsets/fills).  The
 /// tuple streams are NOT here — they live in the workspace pool, shared
 /// by every entry.
 std::size_t entry_bytes(const CachedPlanEntry& e) {
@@ -142,6 +143,9 @@ std::size_t entry_bytes(const CachedPlanEntry& e) {
   b += sym.bin_offsets.capacity() * sizeof(nnz_t);
   b += sym.bin_fill.capacity() * sizeof(nnz_t);
   b += sym.bin_home.capacity() * sizeof(int);
+  b += sym.chunk_cols.capacity() * sizeof(index_t);
+  b += sym.slice_offsets.capacity() * sizeof(nnz_t);
+  b += sym.slice_fill.capacity() * sizeof(nnz_t);
   return b;
 }
 
@@ -398,9 +402,7 @@ struct SpGemmExecutor::Impl {
       if (cap > 0 && static_cast<double>(fp.flop) * 8.0 > cap) {
         over_budget = true;
       } else {
-        pb::SymbolicHints hints;
-        hints.flop = fp.flop;
-        entry->pb_plan = pb::pb_plan_build(p.a_csc, p.b_csr, pbcfg, hints);
+        entry->pb_plan = pb::pb_plan_build(p.a_csc, p.b_csr, pbcfg);
         if (cap > 0) {
           // Exact requirement of the built plan: the full tuple stream
           // plus one max-bin sort scratch per thread, at the chosen

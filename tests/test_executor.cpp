@@ -203,6 +203,31 @@ TEST(Executor, ByteBudgetLiftsTheEntryCountBound) {
   EXPECT_EQ(s.bytes_evicted, 0u);
 }
 
+TEST(Executor, CacheBytesCountTheExpandSlices) {
+  // A pb entry's footprint includes every symbolic array it holds.  At
+  // 1024 bins the per-(chunk, bin) slice arrays outweigh the per-bin ones,
+  // so an estimate without them under-counts the entry several times over.
+  const SpGemmProblem p =
+      SpGemmProblem::square(testutil::exact_er(2048, 2048, 4.0, 71));
+  SpGemmOp op;
+  op.algo = "pb";
+  op.pb.nbins = 1024;
+  SpGemmExecutor exec;
+  (void)exec.run(p, op);
+  const pb::SymbolicResult sym = pb::pb_symbolic(p.a_csc, p.b_csr, op.pb);
+  ASSERT_EQ(sym.layout.nbins, 1024);
+  ASSERT_GT(sym.nchunks(), 0);
+  const std::size_t arrays =
+      sym.bin_offsets.size() * sizeof(nnz_t) +
+      sym.bin_fill.size() * sizeof(nnz_t) + sym.bin_home.size() * sizeof(int) +
+      sym.chunk_cols.size() * sizeof(index_t) +
+      sym.slice_offsets.size() * sizeof(nnz_t) +
+      sym.slice_fill.size() * sizeof(nnz_t);
+  const ExecutorStats s = exec.stats();
+  EXPECT_EQ(s.cache_entries, 1u);
+  EXPECT_GE(s.cache_bytes, arrays);
+}
+
 TEST(Executor, ByteBudgetEvictsDownToTheTargetButKeepsTheNewestEntry) {
   // A budget no entry can fit under still caches the most recent plan
   // (the budget is a target, not a hard cap), evicting the previous one

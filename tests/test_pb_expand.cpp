@@ -30,9 +30,10 @@ Operands er_operands(index_t n, double d, std::uint64_t seed) {
 
 using Entry = std::tuple<index_t, index_t, value_t>;  // (row, col, value)
 
-// Brute-force expansion: every product tuple, sorted.  A key-only stream
-// carries no values, so its tuples read kPresentValue.
-std::vector<Entry> brute_tuples(const Operands& ops, bool values) {
+// Every product tuple in the order a one-thread expand emits them: columns
+// of A ascending, then A(:,i)'s rows, then B(i,:)'s columns.  A key-only
+// stream carries no values, so its tuples read kPresentValue.
+std::vector<Entry> column_order_tuples(const Operands& ops, bool values) {
   std::vector<Entry> out;
   for (index_t i = 0; i < ops.a.ncols; ++i) {
     const auto rows = ops.a.col_rows(i);
@@ -45,35 +46,20 @@ std::vector<Entry> brute_tuples(const Operands& ops, bool values) {
       }
     }
   }
+  return out;
+}
+
+// Brute-force expansion: every product tuple, sorted.
+std::vector<Entry> brute_tuples(const Operands& ops, bool values) {
+  std::vector<Entry> out = column_order_tuples(ops, values);
   std::sort(out.begin(), out.end());
   return out;
 }
 
-// Records the largest flush, to check it against the local-bin capacity.
-struct MaxFlushSink {
-  std::atomic<int>* largest = nullptr;
-  void flushed(std::size_t /*bin*/, int count) {
-    int seen = largest->load();
-    while (count > seen && !largest->compare_exchange_weak(seen, count)) {
-    }
-  }
-  void skipped(std::size_t /*bin*/, nnz_t /*count*/) {}
-};
-
-struct Expanded {
-  std::vector<Entry> tuples;  ///< decoded, in stream order
-  std::vector<int> bins;      ///< the bin each tuple was found in
-  nnz_t flushes = 0;
-  int largest_flush = 0;
-};
-
-// Runs the team-callable expand for format F the way pb_execute does —
-// every thread of one parallel region, write cursors seeded with the bin
-// region origins — then decodes every bin's filled prefix through its
-// BinTuples view.  Every bin's cursor must land exactly on its fill mark.
+// The symbolic phase for format F, planned at the current team size (which
+// sets the chunk count).
 template <TupleFormat F>
-Expanded expand(const Operands& ops, const PbConfig& cfg,
-                SymbolicResult* sym_out = nullptr) {
+SymbolicResult plan(const Operands& ops, const PbConfig& cfg) {
   PbConfig fcfg = cfg;
   fcfg.format = F == TupleFormat::kWide     ? FormatPolicy::kWide
                 : F == TupleFormat::kNarrow ? FormatPolicy::kNarrow
@@ -81,30 +67,50 @@ Expanded expand(const Operands& ops, const PbConfig& cfg,
   fcfg.value_free = F == TupleFormat::kKeyOnly;
   const SymbolicResult sym = pb_symbolic(ops.a, ops.b, fcfg);
   EXPECT_EQ(sym.format, F);
-  const auto len = static_cast<std::size_t>(sym.bin_offsets.back());
-  AlignedBuffer<typename StreamSpan<F>::Key> keys(len);
-  AlignedBuffer<value_t> vals(has_values(F) ? len : 0);
-  const StreamSpan<F> out{keys.data(), has_values(F) ? vals.data() : nullptr};
+  return sym;
+}
 
-  const auto nbins = static_cast<std::size_t>(sym.layout.nbins);
-  std::vector<std::atomic<nnz_t>> cursor(nbins);
-  for (std::size_t bin = 0; bin < nbins; ++bin) {
-    cursor[bin].store(sym.bin_offsets[bin]);
-  }
-  std::atomic<int> largest{0};
-  Expanded e;
+template <TupleFormat F>
+struct Expanded {
+  std::vector<Entry> tuples;  ///< decoded, in stream order
+  std::vector<int> bins;      ///< the bin each tuple was found in
   nnz_t flushes = 0;
-#pragma omp parallel reduction(+ : flushes)
+  int largest_flush = 0;
+  AlignedBuffer<typename StreamSpan<F>::Key> keys;  ///< the raw stream
+  AlignedBuffer<value_t> vals;
+};
+
+// Runs the team-callable expand for `sym` the way pb_execute does — every
+// thread of one parallel region takes chunks — then decodes every bin's
+// filled prefix through its BinTuples view.  Every slice must be written
+// to exactly its planned size.
+template <TupleFormat F>
+Expanded<F> expand(const Operands& ops, const SymbolicResult& sym,
+                   const PbConfig& cfg) {
+  const auto len = static_cast<std::size_t>(sym.bin_offsets.back());
+  Expanded<F> e;
+  e.keys = AlignedBuffer<typename StreamSpan<F>::Key>(len);
+  e.vals = AlignedBuffer<value_t>(has_values(F) ? len : 0);
+  const StreamSpan<F> out{e.keys.data(),
+                          has_values(F) ? e.vals.data() : nullptr};
+
+  std::vector<nnz_t> written(sym.slice_fill.size(), -1);
+  std::atomic<int> chunks_done{0};
+#pragma omp parallel
   {
-    MaxFlushSink sink{&largest};
-    flushes += detail::expand_team<F, PlusTimes>(ops.a, ops.b, sym, fcfg, out,
-                                                 cursor.data(), sink);
+    const detail::ExpandCounts mine = detail::expand_team<F, PlusTimes>(
+        ops.a, ops.b, sym, cfg, out, written.data(),
+        [&](int) { chunks_done.fetch_add(1); });
+#pragma omp critical
+    {
+      e.flushes += mine.flushes;
+      e.largest_flush = std::max(e.largest_flush, mine.largest_flush);
+    }
   }
-  e.flushes = flushes;
-  e.largest_flush = largest.load();
+  EXPECT_EQ(chunks_done.load(), sym.nchunks());
+  EXPECT_EQ(written, sym.slice_fill);
+  const auto nbins = static_cast<std::size_t>(sym.layout.nbins);
   for (std::size_t bin = 0; bin < nbins; ++bin) {
-    EXPECT_EQ(cursor[bin].load(), sym.bin_offsets[bin] + sym.bin_fill[bin])
-        << "bin " << bin;
     const auto ibin = static_cast<int>(bin);
     const BinTuples<F> t(out, sym.bin_offsets[bin], sym.layout, ibin,
                          sym.col_bits);
@@ -113,8 +119,21 @@ Expanded expand(const Operands& ops, const PbConfig& cfg,
       e.bins.push_back(ibin);
     }
   }
-  if (sym_out != nullptr) *sym_out = sym;
   return e;
+}
+
+// Flushes a plan takes at local-bin capacity `cap`: a slice with n > 0
+// tuples whose start sits s tuples past a lane boundary fills its first
+// local bin from slot s, so it flushes ceil((s + n) / cap) times.
+nnz_t planned_flushes(const SymbolicResult& sym, int cap) {
+  const nnz_t lane = lane_tuples(sym.format);
+  nnz_t flushes = 0;
+  for (std::size_t s = 0; s < sym.slice_fill.size(); ++s) {
+    const nnz_t n = sym.slice_fill[s];
+    if (n == 0) continue;
+    flushes += (sym.slice_offsets[s] % lane + n + cap - 1) / cap;
+  }
+  return flushes;
 }
 
 // Runs `fn.template operator()<F>()` once per tuple format.
@@ -133,7 +152,7 @@ TEST(Expand, ProducesExactTupleMultiset) {
   for_each_format([&]<TupleFormat F>() {
     // Same multiset of (row, col, value) as brute force.  Only the filled
     // prefix of each (padded) bin region holds tuples.
-    Expanded e = expand<F>(ops, cfg);
+    Expanded<F> e = expand<F>(ops, plan<F>(ops, cfg), cfg);
     std::sort(e.tuples.begin(), e.tuples.end());
     EXPECT_EQ(e.tuples, brute_tuples(ops, has_values(F))) << to_string(F);
   });
@@ -144,8 +163,8 @@ TEST(Expand, TuplesLandInTheirBins) {
   PbConfig cfg;
   cfg.nbins = 16;
   for_each_format([&]<TupleFormat F>() {
-    SymbolicResult sym;
-    const Expanded e = expand<F>(ops, cfg, &sym);
+    const SymbolicResult sym = plan<F>(ops, cfg);
+    const Expanded<F> e = expand<F>(ops, sym, cfg);
     for (std::size_t i = 0; i < e.tuples.size(); ++i) {
       ASSERT_EQ(sym.layout.binid(std::get<0>(e.tuples[i])), e.bins[i])
           << to_string(F) << ": tuple in wrong bin";
@@ -155,8 +174,9 @@ TEST(Expand, TuplesLandInTheirBins) {
 
 TEST(Expand, TinyLocalBinsStillCorrect) {
   // A local bin narrower than one tuple rounds up to one lane (a cache
-  // line of keys): the smallest full flush.  At one lane a bin flushes
-  // each time its lane fills, plus once for the drained remainder.
+  // line of keys): the smallest full flush.  A slice's first local bin is
+  // phased by the slice start's offset from a lane boundary, so every
+  // slice flushes ceil((offset + n) / lane) times.
   const Operands ops = er_operands(200, 4.0, 3);
   PbConfig cfg;
   cfg.nbins = 4;
@@ -164,12 +184,10 @@ TEST(Expand, TinyLocalBinsStillCorrect) {
   cfg.validate = true;
   const ThreadCountGuard lanes(1);
   for_each_format([&]<TupleFormat F>() {
-    SymbolicResult sym;
-    Expanded e = expand<F>(ops, cfg, &sym);
+    const SymbolicResult sym = plan<F>(ops, cfg);
+    Expanded<F> e = expand<F>(ops, sym, cfg);
     const int lane = lane_tuples(F);
-    nnz_t expected = 0;
-    for (const nnz_t fill : sym.bin_fill) expected += (fill + lane - 1) / lane;
-    EXPECT_EQ(e.flushes, expected) << to_string(F);
+    EXPECT_EQ(e.flushes, planned_flushes(sym, lane)) << to_string(F);
     EXPECT_EQ(e.largest_flush, lane) << to_string(F);
     std::sort(e.tuples.begin(), e.tuples.end());
     EXPECT_EQ(e.tuples, brute_tuples(ops, has_values(F))) << to_string(F);
@@ -177,19 +195,73 @@ TEST(Expand, TinyLocalBinsStillCorrect) {
 }
 
 TEST(Expand, WideLocalBinsFlushRarely) {
+  // Planned at one lane, so the chunk count (and with it the number of
+  // slices, each of which drains once) does not grow with the machine.
   const Operands ops = er_operands(200, 4.0, 3);
   PbConfig cfg;
   cfg.nbins = 4;
   cfg.local_bin_bytes = 4096;
   for_each_format([&]<TupleFormat F>() {
     SymbolicResult sym;
-    const Expanded e = expand<F>(ops, cfg, &sym);
+    {
+      const ThreadCountGuard lanes(1);
+      sym = plan<F>(ops, cfg);
+    }
+    const Expanded<F> e = expand<F>(ops, sym, cfg);
+    const int lane = lane_tuples(F);
+    const int cap = 4096 / static_cast<int>(bytes_per_tuple(F)) / lane * lane;
+    EXPECT_EQ(e.flushes, planned_flushes(sym, cap)) << to_string(F);
     EXPECT_LT(e.flushes, sym.flop / 16) << to_string(F);
     // No flush exceeds the lane-rounded local-bin capacity.
-    const int lane = lane_tuples(F);
-    EXPECT_LE(e.largest_flush,
-              4096 / static_cast<int>(bytes_per_tuple(F)) / lane * lane)
-        << to_string(F);
+    EXPECT_LE(e.largest_flush, cap) << to_string(F);
+  });
+}
+
+TEST(Expand, BinOrderIsColumnOrderAtAnyChunkCount) {
+  // Plans built at one lane and at the full team get different chunk
+  // counts; either way every bin holds its tuples in the order a
+  // one-thread expand emits them, so the unsorted streams are identical.
+  const Operands ops = er_operands(400, 6.0, 4);
+  PbConfig cfg;
+  cfg.nbins = 8;
+  for_each_format([&]<TupleFormat F>() {
+    SymbolicResult one;
+    {
+      const ThreadCountGuard lanes(1);
+      one = plan<F>(ops, cfg);
+    }
+    const SymbolicResult team = plan<F>(ops, cfg);
+    if (max_threads() > 1) EXPECT_NE(one.nchunks(), team.nchunks());
+    ASSERT_EQ(one.bin_offsets, team.bin_offsets);
+    const Expanded<F> e1 = expand<F>(ops, one, cfg);
+    const Expanded<F> et = expand<F>(ops, team, cfg);
+    std::vector<std::vector<Entry>> order(
+        static_cast<std::size_t>(one.layout.nbins));
+    for (const Entry& e : column_order_tuples(ops, has_values(F))) {
+      order[static_cast<std::size_t>(one.layout.binid(std::get<0>(e)))]
+          .push_back(e);
+    }
+    std::size_t at = 0;
+    for (std::size_t bin = 0; bin < order.size(); ++bin) {
+      ASSERT_EQ(static_cast<nnz_t>(order[bin].size()), one.bin_fill[bin]);
+      const std::vector<Entry> got(
+          e1.tuples.begin() + static_cast<std::ptrdiff_t>(at),
+          e1.tuples.begin() +
+              static_cast<std::ptrdiff_t>(at + order[bin].size()));
+      EXPECT_EQ(got, order[bin]) << to_string(F) << " bin " << bin;
+      at += order[bin].size();
+      const auto off = static_cast<std::size_t>(one.bin_offsets[bin]);
+      const auto n = static_cast<std::size_t>(one.bin_fill[bin]);
+      EXPECT_TRUE(std::equal(e1.keys.data() + off, e1.keys.data() + off + n,
+                             et.keys.data() + off))
+          << to_string(F) << " bin " << bin << " keys";
+      if constexpr (has_values(F)) {
+        EXPECT_TRUE(std::equal(e1.vals.data() + off,
+                               e1.vals.data() + off + n,
+                               et.vals.data() + off))
+            << to_string(F) << " bin " << bin << " values";
+      }
+    }
   });
 }
 
@@ -207,7 +279,7 @@ TEST(Expand, ValueProductsAreExact) {
   PbConfig cfg;
   cfg.nbins = 2;
   for_each_format([&]<TupleFormat F>() {
-    Expanded e = expand<F>(ops, cfg);
+    Expanded<F> e = expand<F>(ops, plan<F>(ops, cfg), cfg);
     ASSERT_EQ(e.tuples.size(), 4u);
     std::sort(e.tuples.begin(), e.tuples.end());
     const auto v = [](value_t x) { return has_values(F) ? x : kPresentValue; };

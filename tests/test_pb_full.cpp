@@ -217,5 +217,45 @@ TEST(PbEdgeCases, HubRowAndColumn) {
   EXPECT_TRUE(equal_exact(r.c, reference_spgemm(p)));
 }
 
+TEST(PbDeterminism, FloatProductIsIndependentOfTeamSize) {
+  // Floating-point values, not make_values_exact: every bin holds its
+  // tuples in A-column order whatever chunks the plan has, and the stable
+  // sort keeps that order, so each duplicate sum is added in Gustavson's
+  // k order at any team size — plain, expand-masked or complemented.
+  mtx::RmatParams rp;
+  rp.scale = 10;
+  rp.edge_factor = 16;
+  rp.seed = 21;
+  const mtx::CsrMatrix a = mtx::coo_to_csr(mtx::generate_rmat(rp));
+  const SpGemmProblem p = SpGemmProblem::square(a);
+  auto run = [&](int lanes, const std::string& algo, bool masked,
+                 bool complement) {
+    const ThreadCountGuard team(lanes);
+    SpGemmOp op;
+    op.algo = algo;
+    if (masked) {
+      op.mask = &a;
+      op.complement = complement;
+      op.pb.expand_mask_max_density = 1.0;
+    }
+    SpGemmExecutor exec;
+    RunInfo info;
+    mtx::CsrMatrix c = exec.run(p, op, &info);
+    EXPECT_EQ(info.used_pb, algo == "pb");
+    if (info.used_pb) EXPECT_EQ(info.pb_stats.expand_masked, masked);
+    return c;
+  };
+  const int team = max_threads();
+  for (const bool masked : {false, true}) {
+    for (const bool complement : {false, true}) {
+      if (complement && !masked) continue;
+      const mtx::CsrMatrix one = run(1, "pb", masked, complement);
+      EXPECT_TRUE(equal_exact(one, run(team, "pb", masked, complement)))
+          << "masked " << masked << " complement " << complement;
+      if (!masked) EXPECT_TRUE(equal_exact(one, run(team, "hash", false, false)));
+    }
+  }
+}
+
 }  // namespace
 }  // namespace pbs::pb

@@ -91,18 +91,51 @@ TEST(PbSymbolic, HistogramMatchesBruteForce) {
   cfg.nbins = 8;
   const SymbolicResult sym = pb_symbolic(ops.a, ops.b, cfg);
 
-  // Brute force: per tuple, find its bin.
-  std::vector<nnz_t> expected(static_cast<std::size_t>(sym.layout.nbins), 0);
-  for (index_t i = 0; i < ops.a.ncols; ++i) {
-    for (const index_t r : ops.a.col_rows(i)) {
-      expected[static_cast<std::size_t>(sym.layout.binid(r))] +=
-          ops.b.row_nnz(i);
+  // The chunks partition A's columns, at most one column each at least.
+  const int nchunks = sym.nchunks();
+  ASSERT_GE(nchunks, 1);
+  ASSERT_LE(nchunks, ops.a.ncols);
+  EXPECT_EQ(sym.chunk_cols.front(), 0);
+  EXPECT_EQ(sym.chunk_cols.back(), ops.a.ncols);
+  EXPECT_TRUE(std::is_sorted(sym.chunk_cols.begin(), sym.chunk_cols.end()));
+
+  // Brute force: per tuple, find its chunk and bin.  Each chunk holds
+  // about flop / nchunks: no more than that plus one column's flop.
+  const auto nbins = static_cast<std::size_t>(sym.layout.nbins);
+  std::vector<nnz_t> expected(nbins, 0);
+  std::vector<nnz_t> slices(static_cast<std::size_t>(nchunks) * nbins, 0);
+  nnz_t max_col = 0;
+  for (int c = 0; c < nchunks; ++c) {
+    nnz_t chunk_flop = 0;
+    for (index_t i = sym.chunk_cols[static_cast<std::size_t>(c)];
+         i < sym.chunk_cols[static_cast<std::size_t>(c) + 1]; ++i) {
+      max_col = std::max(max_col, ops.a.col_nnz(i) * ops.b.row_nnz(i));
+      chunk_flop += ops.a.col_nnz(i) * ops.b.row_nnz(i);
+      for (const index_t r : ops.a.col_rows(i)) {
+        const auto bin = static_cast<std::size_t>(sym.layout.binid(r));
+        expected[bin] += ops.b.row_nnz(i);
+        slices[sym.slice(c, static_cast<int>(bin))] += ops.b.row_nnz(i);
+      }
     }
+    EXPECT_LE(chunk_flop, sym.flop / nchunks + max_col) << "chunk " << c;
   }
   for (int bin = 0; bin < sym.layout.nbins; ++bin) {
     EXPECT_EQ(sym.bin_fill[static_cast<std::size_t>(bin)],
               expected[static_cast<std::size_t>(bin)])
         << "bin " << bin;
+  }
+  EXPECT_EQ(sym.slice_fill, slices);
+
+  // A bin's slices tile its filled prefix in chunk order.
+  for (int bin = 0; bin < sym.layout.nbins; ++bin) {
+    nnz_t at = sym.bin_offsets[static_cast<std::size_t>(bin)];
+    for (int c = 0; c < nchunks; ++c) {
+      EXPECT_EQ(sym.slice_offsets[sym.slice(c, bin)], at)
+          << "chunk " << c << " bin " << bin;
+      at += sym.slice_fill[sym.slice(c, bin)];
+    }
+    EXPECT_EQ(at, sym.bin_offsets[static_cast<std::size_t>(bin)] +
+                      sym.bin_fill[static_cast<std::size_t>(bin)]);
   }
 }
 

@@ -132,24 +132,6 @@ TEST(PbPlan, FingerprintDistinguishesSameAggregateStructures) {
   EXPECT_TRUE(fi == pb::StructureFingerprint::of(ps.a_csc, ps.b_csr));
 }
 
-TEST(PbPlan, HintsReproduceTheUnhintedPlan) {
-  // Threading the fingerprint's flop into symbolic must be a pure
-  // optimization: identical layout, regions and format.
-  const mtx::CsrMatrix a = testutil::exact_er(300, 300, 5.0, 31);
-  const SpGemmProblem p = SpGemmProblem::square(a);
-  pb::SymbolicHints hints;
-  hints.flop = pb::pb_count_flop(p.a_csc, p.b_csr);
-  const pb::PbPlan plain = pb::pb_plan_build(p.a_csc, p.b_csr, {});
-  const pb::PbPlan hinted = pb::pb_plan_build(p.a_csc, p.b_csr, {}, hints);
-  EXPECT_EQ(plain.sym.flop, hinted.sym.flop);
-  EXPECT_EQ(plain.sym.format, hinted.sym.format);
-  EXPECT_EQ(plain.sym.col_bits, hinted.sym.col_bits);
-  EXPECT_EQ(plain.sym.layout.shift, hinted.sym.layout.shift);
-  EXPECT_EQ(plain.sym.bin_offsets, hinted.sym.bin_offsets);
-  EXPECT_EQ(plain.sym.bin_fill, hinted.sym.bin_fill);
-  EXPECT_EQ(plain.fingerprint, hinted.fingerprint);
-}
-
 // ---- compression-factor estimator ----------------------------------------
 
 pb::NnzEstimate estimate_square(const mtx::CsrMatrix& a) {

@@ -1,9 +1,9 @@
 // Shared helpers for the test suite.
 //
 // Property tests compare floating-point matrix products across algorithms
-// whose accumulation *order* differs: with more than one OpenMP lane, PB's
-// expand flushes reach a bin in timing order, and its stable radix sort
-// keeps that order for equal keys.  To make equality exact rather than
+// whose accumulation *order* differs: PB and hash add each duplicate sum
+// in Gustavson's k order at any team size, but heap, ESC and the other
+// kernels merge in their own orders.  To make equality exact rather than
 // tolerance-based, random test matrices use small-integer values
 // (mtx::make_values_exact): all intermediate sums then stay well inside
 // the 2^53 exactly-representable range, so any order of additions yields

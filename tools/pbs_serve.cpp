@@ -133,9 +133,8 @@ int cmd_smoke(const Args& args) {
   serve::Client cli(path);
   cli.ping();
 
-  // Integer values in [1, 8]: with more than one OpenMP lane, pb's
-  // floating-point duplicate sums round in the order expand flushes reach
-  // each bin, which varies from run to run; integer sums do not.
+  // Integer values in [1, 8]: the smoke's equal_exact checks then hold
+  // whatever order any kernel adds a duplicate sum in.
   mtx::CooMatrix coo =
       mtx::generate_er(mtx::RandomScale{scale, ef}, /*seed=*/7);
   mtx::make_values_exact(coo);
