@@ -63,4 +63,15 @@ class ValidationError : public std::runtime_error {
       : std::runtime_error(what) {}
 };
 
+// A PB plan no longer fits the operands it runs on: a chunk's tuples
+// overran or fell short of the slices the plan sized for them, or a
+// key-only plan met an operand that stores an explicit zero.  The run
+// wrote nothing outside its slices.  Deliberately NOT a bad_alloc: the
+// executor answers it with a fresh plan, never with the OOM fallback.
+class StaleLayoutError : public std::runtime_error {
+ public:
+  explicit StaleLayoutError(const std::string& what)
+      : std::runtime_error(what) {}
+};
+
 }  // namespace pbs

@@ -99,7 +99,7 @@ AlgoChoice select_algorithm(double cf, nnz_t flop, bool hash_available,
                                        m.bytes_per_nnz)
               : ai_column_lower(choice.cf, m.bytes_per_nnz);
 
-  const double pb_eff = m.effective_pb_efficiency();
+  const double pb_eff = std::min(m.pb_efficiency, kPbEfficiencyCap);
   // Accumulator reuse is flop per surviving output entry, so the latency
   // derating runs on cf_out (== cf unmasked).
   const double col_eff = choice.cf_out / (choice.cf_out + m.column_latency_penalty);

@@ -15,7 +15,7 @@
 //   perf_pb(cf)     = pb_efficiency · β · AI_outer(cf)
 //   perf_column(cf) = cf/(cf + column_latency_penalty) · β · AI_column(cf)
 //
-// With the defaults below the crossover sits at cf ≈ 2.2.  β cancels in
+// With the defaults below the crossover sits at cf ≈ 2.4.  β cancels in
 // the comparison, so selection needs no STREAM run; it only scales the
 // absolute MFLOPS estimates reported for telemetry.
 //
@@ -29,10 +29,10 @@
 // write+read term the bytes the plan's tuple format actually moves
 // (pb_tuple_bytes: 16 wide, 12 narrow, 8 key-only — see pb/tuple.hpp
 // and pb::predict_tuple_format), so the compressed streams' higher bounds
-// shift the crossover toward higher cf: with defaults it sits at cf ≈ 2.2
-// at 16 B, ≈ 3.0 at 12 B and ≈ 7.7 at 8 B — a value-free (boolean)
-// workload keeps PB competitive well past where a valued one switches to
-// hash.
+// shift the crossover toward higher cf: with defaults it sits at cf ≈ 2.4
+// at 16 B, ≈ 3.5 at 12 B and ≈ 12.2 at 8 B, at every team size — a
+// value-free (boolean) workload keeps PB competitive well past where a
+// valued one switches to hash.
 #pragma once
 
 #include <span>
@@ -79,6 +79,10 @@ struct CalibrationResult {
 /// measured STREAM figure.  The *choice* is β-independent.
 inline constexpr double kDefaultBetaGbs = 20.0;
 
+/// The most of its bound PB is credited, whatever pb_efficiency says: no
+/// schedule streams above the machine.
+inline constexpr double kPbEfficiencyCap = 0.98;
+
 /// Tunables of the selection heuristic, exposed so benches and tests can
 /// probe the crossover.  Defaults are calibrated against the paper's
 /// single-socket figures (7, 9, 11).
@@ -95,25 +99,9 @@ struct SelectionModel {
   double pb_tuple_bytes = kDefaultBytesPerNnz;
 
   /// Fraction of its roofline bound PB sustains (its phases stream at
-  /// near-STREAM bandwidth regardless of cf).
-  double pb_efficiency = 0.85;
-
-  /// Multiplier on pb_efficiency when PB's per-bin dataflow has threads
-  /// to overlap across: with more than one, it hides the fork-join tails
-  /// and sorts bins cache-hot while expand still runs.  The product is
-  /// capped at 0.98 — no schedule streams above the machine.  Callers set
-  /// pipelined_schedule (the executor: max_threads() > 1); the default
-  /// (false) applies no boost.
-  double pb_pipeline_boost = 1.06;
-  bool pipelined_schedule = false;
-
-  /// pb_efficiency with the schedule term applied — what
-  /// select_algorithm actually derates PB's bound by.
-  [[nodiscard]] double effective_pb_efficiency() const {
-    const double e =
-        pipelined_schedule ? pb_efficiency * pb_pipeline_boost : pb_efficiency;
-    return e < 0.98 ? e : 0.98;
-  }
+  /// near-STREAM bandwidth regardless of cf), the same at every team
+  /// size.  select_algorithm caps it at kPbEfficiencyCap.
+  double pb_efficiency = 0.901;
 
   /// Gustavson efficiency model cf/(cf + penalty): latency-bound hash
   /// probes at low cf, approaching the bound as reuse grows.

@@ -9,8 +9,10 @@
 // and the symbolic phase has already cut each into one slice per chunk of
 // A's columns (pb/symbolic.hpp).  A thread expanding a chunk owns that
 // chunk's slices outright, so a flush is a plain copy to a private write
-// position: no atomic, no fence.  Synchronization happens once per chunk,
-// after its last flush.
+// position: no atomic, no fence.  Every flush is bounded by its slice's
+// end, so operands that outgrew the plan never write past it.
+// Synchronization happens once per thread, after its last chunk: one
+// sfence, before the caller's barrier.
 //
 // One team-callable body serves every tuple format (pb/tuple.hpp) and
 // runs inside pb_execute's parallel region (pipeline_impl.hpp).  It is
@@ -86,7 +88,7 @@ inline void flush_copy(T* dst, const T* src, int count,
 
 inline void flush_fence() {
 #if defined(__SSE2__)
-  _mm_sfence();  // make non-temporal stores visible before the chunk's credit
+  _mm_sfence();  // make non-temporal stores visible before the barrier
 #endif
 }
 
@@ -112,6 +114,9 @@ inline void masked_scan(std::span<const index_t> bcols,
 struct ExpandCounts {
   nnz_t flushes = 0;
   int largest_flush = 0;  ///< tuples in the largest single flush
+  /// A chunk of this thread did not fit its slices: the operands are not
+  /// the ones the plan was built for.
+  bool stale = false;
 };
 
 // Team-callable expand: runs INSIDE an existing parallel region (every
@@ -123,25 +128,32 @@ struct ExpandCounts {
 // line) so a full flush is whole cache lines on every array.  Key-only
 // streams have no value lane, so S::mul and the value reads disappear.
 //
-// Threads take the plan's chunks dynamically.  For each chunk a thread
-// seeds private per-bin write positions with the chunk's slice starts.
-// Only a bin's first slice is sure to start on a lane boundary, so each
-// local lane is phased by its slice start's offset from one: the slice's
-// first flush is short (a plain memcpy), and every later full flush lands
-// line-aligned and streams.  At the end of the chunk the thread drains its
-// partial lanes, stores each slice's written count in `written` (indexed
-// sym.slice(c, bin)), issues one sfence and calls `chunk_done(c)`, which
-// may hand the chunk's slices to other threads.  An active expand mask
-// (emask) never buffers a rejected tuple, so a masked slice may end short
-// of its planned size; its written count says where.  A non-null `cancel`
-// is polled once per column of A; a cancelled chunk drains nothing and
-// calls nothing.  Returns this thread's flush statistics.
-template <TupleFormat F, typename S, typename ChunkDone>
+// Threads take the plan's chunks dynamically (`omp for nowait`).  For each
+// chunk a thread seeds private per-bin write positions with the chunk's
+// slice starts.  Only a bin's first slice is sure to start on a lane
+// boundary, so each local lane is phased by its slice start's offset from
+// one: the slice's first flush is short (a plain memcpy), and every later
+// full flush lands line-aligned and streams.  At the end of the chunk the
+// thread drains its partial lanes and stores each slice's written count in
+// `written` (indexed sym.slice(c, bin)).  An active expand mask (emask)
+// never buffers a rejected tuple, so a masked slice may end short of its
+// planned size; its written count says where.  After its last chunk the
+// thread issues one sfence; the caller's barrier then publishes every
+// slice.
+//
+// The plan is checked, not trusted: a flush that would run past its
+// slice's end, or an unmasked slice that ends short of its planned size,
+// is a *miss*.  A miss drops the flush, sets ExpandCounts::stale, which
+// stops this thread's chunks, and fires `abort`, which stops the team's,
+// so nothing is ever written outside a slice.  A non-null `abort` is also
+// polled once per column of A; a stopped chunk drains nothing.  Returns
+// this thread's statistics.
+template <TupleFormat F, typename S>
 ExpandCounts expand_team(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
                          const SymbolicResult& sym, const PbConfig& cfg,
                          StreamSpan<F> out, nnz_t* written,
-                         ChunkDone&& chunk_done, const MaskSpec& emask = {},
-                         const CancelToken* cancel = nullptr) {
+                         const MaskSpec& emask = {},
+                         const CancelToken* abort = nullptr) {
   using Key = typename StreamTraits<F>::Key;
   constexpr bool kValues = StreamTraits<F>::kHasValues;
   constexpr int kLane = StreamTraits<F>::kLane;
@@ -162,14 +174,24 @@ ExpandCounts expand_team(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   AlignedBuffer<value_t> lvals(kValues ? nbins * ucap : 0);
   std::vector<int> lcnt(nbins, 0);
   std::vector<nnz_t> pos(nbins, 0);
+  std::vector<nnz_t> end(nbins, 0);  // the chunk's slice ends
   auto phase = [&](std::size_t bin) {
     return static_cast<int>(pos[bin] & (kLane - 1));
   };
   ExpandCounts counts;
+  auto miss = [&] {  // the plan is stale: stop this thread and the team
+    counts.stale = true;
+    if (abort != nullptr) abort->request_cancel();
+  };
 
   auto flush = [&](std::size_t bin) {
     const int from = phase(bin);
     const int count = lcnt[bin] - from;
+    if (pos[bin] + count > end[bin]) {  // a stale plan: drop, never overrun
+      lcnt[bin] = from;
+      miss();
+      return;
+    }
     flush_copy(out.keys + pos[bin], lkeys.data() + bin * ucap + from, count,
                cfg.streaming_stores);
     if constexpr (kValues) {
@@ -184,9 +206,12 @@ ExpandCounts expand_team(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
 
 #pragma omp for schedule(dynamic, 1) nowait
   for (int chunk = 0; chunk < sym.nchunks(); ++chunk) {
-    const nnz_t* start = sym.slice_offsets.data() + sym.slice(chunk, 0);
+    const std::size_t first = sym.slice(chunk, 0);
+    const nnz_t* start = sym.slice_offsets.data() + first;
+    const nnz_t* planned = sym.slice_fill.data() + first;
     for (std::size_t bin = 0; bin < nbins; ++bin) {
       pos[bin] = start[bin];
+      end[bin] = start[bin] + planned[bin];
       lcnt[bin] = phase(bin);
     }
     // Cooperative cancellation at column granularity: the chunk stops
@@ -194,8 +219,8 @@ ExpandCounts expand_team(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
     bool stopped = false;
     const auto cols_end = sym.chunk_cols[static_cast<std::size_t>(chunk) + 1];
     for (index_t i = sym.chunk_cols[static_cast<std::size_t>(chunk)];
-         i < cols_end; ++i) {
-      if (stop_requested(cancel)) {
+         i < cols_end && !counts.stale; ++i) {
+      if (stop_requested(abort)) {
         stopped = true;
         break;
       }
@@ -232,18 +257,20 @@ ExpandCounts expand_team(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
         for (std::size_t bi = 0; bi < bcols.size(); ++bi) emit(bi);
       }
     }
-    if (stopped) continue;
+    if (stopped || counts.stale) continue;
 
-    // Drain the partially-filled local bins (Algorithm 2, lines 15-18),
-    // then make the chunk's stores, non-temporal ones included, visible
-    // before chunk_done hands its slices on.
+    // Drain the partially-filled local bins (Algorithm 2, lines 15-18).
+    // The flush bound keeps every slice within its planned size; an
+    // unmasked one must also reach it, or its bin would sort stale tuples.
     for (std::size_t bin = 0; bin < nbins; ++bin) {
       if (lcnt[bin] > phase(bin)) flush(bin);
-      written[sym.slice(chunk, 0) + bin] = pos[bin] - start[bin];
+      written[first + bin] = pos[bin] - start[bin];
+      if (!masked && pos[bin] != end[bin]) miss();
     }
-    flush_fence();
-    chunk_done(chunk);
   }
+  // One fence per thread for all its non-temporal stores; the caller's
+  // barrier orders them before any bin is read.
+  flush_fence();
   return counts;
 }
 

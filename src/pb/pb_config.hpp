@@ -16,11 +16,10 @@
 
 namespace pbs::pb {
 
-/// The schedule a PB run executed under, as telemetry reports it (the
-/// end-to-end benchmark's harness reads PbTelemetry::schedule).
-/// pb_execute always runs the per-bin task dataflow (pipeline_impl.hpp):
-/// a bin sorts/compresses the moment its last expand flush lands, on any
-/// free worker.
+/// The schedule a PB run executed under, as telemetry reports it.  There
+/// is one: expand, one barrier, then a dynamic loop over the bins
+/// (pipeline_impl.hpp).  Kept only because the end-to-end benchmark's
+/// harness reads PbTelemetry::schedule; ROADMAP item 2(c) removes it.
 enum class PbSchedule {
   kPipeline,
 };
@@ -81,9 +80,6 @@ struct PbConfig {
   /// against the mask row would cost more than it saves.  1.0 applies it
   /// for every mask; a negative value never does.
   double expand_mask_max_density = 0.05;
-
-  /// Extra O(flop) invariant checks after each phase (tests only).
-  bool validate = false;
 };
 
 /// Output-mask request threaded through the pipeline (an SpGemmOp mask
@@ -159,24 +155,23 @@ struct PbTelemetry {
   /// phase byte models above were computed with).
   TupleFormat format = TupleFormat::kWide;
 
-  /// Schedule this run executed under (always the pipeline).
+  /// Schedule this run executed under (always the one there is; ROADMAP
+  /// item 2(c) removes the field).
   PbSchedule schedule = PbSchedule::kPipeline;
 
-  /// Wall time of the overlapped numeric phases (expand through convert).
-  /// The per-phase seconds above are busy times that overlap each other,
-  /// so their sum exceeds the wall when the pipeline achieves overlap.
+  /// Wall time of the numeric phases, expand through convert.  The phase
+  /// seconds above are walls too, and sum to it: expand runs from the
+  /// region's start to the barrier; the bin loop's wall is split among
+  /// sort, compress and convert in proportion to the team's busy seconds
+  /// in each; the prefix-sum/scatter tail is added to convert.
   double wall_seconds = 0;
 
-  /// Total time completed bins spent *waiting* — between the expand flush
-  /// that made a bin sortable and a worker picking its task up.
+  /// Σ over bins of the time from the barrier to a thread claiming the bin
+  /// (ROADMAP item 2(c) removes it).
   double bin_wait_seconds = 0;
 
-  /// Total time workers spent *running* bin tasks (sort + compress + mask
-  /// filter + row count), summed over bins.
-  double bin_run_seconds = 0;
-
-  /// Bin tasks executed by a thread other than the one whose flush
-  /// completed the bin (work stealing in action).
+  /// Always 0: one barrier completes every bin at once, so no thread
+  /// steals one from another (ROADMAP item 2(c) removes it).
   int bins_stolen = 0;
 
   [[nodiscard]] double tuple_bytes() const {
@@ -195,8 +190,8 @@ struct PbTelemetry {
            compress.seconds + convert.seconds;
   }
 
-  /// Busy time the overlap hid — Σ phase busy − wall (0 when nothing
-  /// overlapped).
+  /// Σ phase seconds − wall, floored at 0.  The phases are walls that sum
+  /// to wall_seconds, so a pb run reads 0 (ROADMAP item 2(c) removes it).
   [[nodiscard]] double overlap_seconds() const {
     if (wall_seconds <= 0) return 0.0;
     const double busy = expand.seconds + sort.seconds + compress.seconds +

@@ -97,7 +97,10 @@ PbPlan pb_plan_build(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
 /// from (a, b) or already verified the fingerprint themselves pass false
 /// and skip the O(ncols) flop recount.  The returned telemetry's symbolic
 /// phase is zero: analysis was paid at plan-build time (plan.symbolic
-/// records it).
+/// records it).  The plan is never trusted blindly: a chunk whose tuples
+/// do not fit its slices, or a key-only plan whose operands store an
+/// explicit zero, throws StaleLayoutError (common/errors.hpp) with nothing
+/// written outside the tuple stream — the cue to rebuild the plan.
 ///
 /// An active `mask` (SpGemmOp's fused output mask) drops tuples outside
 /// (or, complemented, inside) the mask's pattern at the compress stage;

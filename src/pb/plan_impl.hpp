@@ -1,6 +1,6 @@
 // Template definition of the plan-execute stage (see plan.hpp): argument
-// checks, then the per-bin task dataflow of pipeline_impl.hpp, which runs
-// every plan at every thread count.  Included by plan.cpp, which
+// checks, then pipeline_impl.hpp's expand, barrier and bin loop, which
+// run every plan at every thread count.  Included by plan.cpp, which
 // explicitly instantiates pb_execute<S> for the built-in semirings —
 // include this header directly only to instantiate a custom semiring.
 #pragma once
@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "common/cancel.hpp"
+#include "common/errors.hpp"
 #include "pb/pipeline_impl.hpp"
 #include "pb/plan.hpp"
 
@@ -55,6 +56,14 @@ PbResult pb_execute(const mtx::CscMatrix& a, const mtx::CsrMatrix& b,
   }
   detail::validate_epilogue(epi, plan.sym.format, a.nrows, b.ncols);
   throw_if_stopped(cancel);
+  // Stored zeros are values, which no fingerprint sees: a key-only plan
+  // built while neither operand stored one must not run once one does.
+  if (plan.sym.format == TupleFormat::kKeyOnly &&
+      (has_stored_zero(a.vals) || has_stored_zero(b.vals))) {
+    throw StaleLayoutError(
+        "pb_execute: an operand stores an explicit zero, which the key-only "
+        "plan cannot carry");
+  }
 
   return pb_execute_pipeline<S>(a, b, plan, workspace, mask, cancel, epi);
 }

@@ -6,8 +6,8 @@
 // L2 is radix-sorted and immediately two-pointer-merged while still
 // cache-hot, which is what lets the paper charge the compress phase only
 // its output writes (Table III).  pb_execute (pipeline_impl.hpp) runs one
-// bin's sort → compress → mask filter → post-op as one task the moment the
-// bin's last expand flush lands.
+// bin's sort → compress → mask filter → post-op back to back, as one
+// iteration of its loop over the bins.
 //
 // One BinOps template runs these stages for every tuple format.  The
 // duplicate merge combines equal-key tuples with S::add.  Tuples whose
@@ -133,8 +133,8 @@ nnz_t post_op_bin(nnz_t kept, const PostOp& op, RowOf row_of, GetVal get_val,
 
 }  // namespace detail
 
-/// Per-bin operations on one tuple stream — the unit of work of a bin task
-/// (pipeline_impl.hpp).  Holds only pointers: cheap to copy into each
+/// Per-bin operations on one tuple stream — the unit of work of the bin
+/// loop (pipeline_impl.hpp).  Holds only pointers: cheap to copy into each
 /// thread.  One template serves every format (pb/tuple.hpp); the key-only
 /// stream has no value array, so its sort scatters keys alone, its
 /// compress is a pure duplicate drop with no S::add, and it has no post-op

@@ -153,7 +153,7 @@ namespace {
 
 // Expand chunks per thread of the planning team: enough that a dynamic
 // schedule evens out chunks of unequal cost, few enough that the
-// per-chunk drains and credits stay negligible.
+// per-chunk drains and slice checks stay negligible.
 constexpr int kChunksPerThread = 4;
 
 // Column bounds of `nchunks` chunks of about flop/nchunks each: chunk c
@@ -230,6 +230,16 @@ std::vector<nnz_t> slice_histogram(const mtx::CscMatrix& a,
 
 }  // namespace
 
+bool has_stored_zero(const std::vector<value_t>& vals) {
+  bool found = false;
+  const auto n = static_cast<std::ptrdiff_t>(vals.size());
+#pragma omp parallel for reduction(|| : found)
+  for (std::ptrdiff_t i = 0; i < n; ++i) {
+    found = found || vals[static_cast<std::size_t>(i)] == 0.0;
+  }
+  return found;
+}
+
 namespace {
 
 // Format selection.  The narrow format fits when every bin's varying key
@@ -254,21 +264,6 @@ TupleFormat pick_format(const BinLayout& layout, int col_bits,
       return fits ? TupleFormat::kNarrow : TupleFormat::kWide;
   }
   return TupleFormat::kWide;
-}
-
-// Value-freeness promises presence ⇒ the semiring's present-value, which
-// only holds when no operand stores an explicit zero: a stored 0.0 is
-// bool-false, its products must surface as stored zeros (the library
-// keeps exact-zero entries structurally), so the value stream cannot be
-// dropped.  One O(nnz) scan per operand guards the key-only choice.
-bool has_stored_zero(const std::vector<value_t>& vals) {
-  bool found = false;
-  const auto n = static_cast<std::ptrdiff_t>(vals.size());
-#pragma omp parallel for reduction(|| : found)
-  for (std::ptrdiff_t i = 0; i < n; ++i) {
-    found = found || vals[static_cast<std::size_t>(i)] == 0.0;
-  }
-  return found;
 }
 
 // The bin layout of an nrows-row product of `flop` tuples: cfg.nbins, or

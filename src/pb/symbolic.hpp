@@ -70,9 +70,9 @@ struct SymbolicResult {
   /// Home NUMA node of each bin (size layout.nbins): a contiguous,
   /// flop-balanced partition of the bins over the machine's nodes
   /// (common/numa.hpp).  The placement layer first-touches each bin's
-  /// tuple region from a thread on its home node.  Work stealing does not
-  /// read it: pb_execute_pipeline tries victims in (tid + k) % nthreads
-  /// order, whatever their node.  All zeros on single-node hosts.
+  /// tuple region from a thread on its home node.  The bin loop does not
+  /// read it: pb_execute hands bins to whichever thread is free, whatever
+  /// its node.  All zeros on single-node hosts.
   std::vector<int> bin_home;
 
   /// Number of distinct nodes bin_home spans (>= 1).
@@ -135,6 +135,15 @@ struct NnzEstimate {
 NnzEstimate pb_estimate_nnz_c(const mtx::CsrMatrix& a, const mtx::CsrMatrix& b,
                               std::span<const nnz_t> row_flops,
                               const mtx::CsrMatrix* mask = nullptr);
+
+/// Whether any entry of `vals` is an explicit 0.0.  Value-freeness
+/// promises presence ⇒ the semiring's present-value, which only holds
+/// when no operand stores a zero: a stored 0.0 is bool-false, and its
+/// products must surface as stored zeros (the library keeps exact-zero
+/// entries structurally), so the value stream cannot be dropped.
+/// pb_symbolic turns key-only down on it, and pb_execute refuses to run a
+/// key-only plan on operands that have one.  O(nnz), parallel.
+bool has_stored_zero(const std::vector<value_t>& vals);
 
 /// Cheap prediction of the tuple format pb_symbolic would select, without
 /// running symbolic: builds the same bin layout from the row count, flop

@@ -487,7 +487,8 @@ struct Server::Impl {
          << ",\"bytes_evicted\":" << e.bytes_evicted
          << ",\"degraded_plans\":" << e.degraded_plans
          << ",\"degraded_runs\":" << e.degraded_runs
-         << ",\"cancelled\":" << e.cancelled << "}";
+         << ",\"cancelled\":" << e.cancelled
+         << ",\"stale_replans\":" << e.stale_replans << "}";
     };
     os << ",\"aggregate\":";
     emit(router->aggregate_stats());

@@ -322,6 +322,7 @@ ExecutorStats ShardRouter::aggregate_stats() const {
     agg.degraded_runs += st.degraded_runs;
     agg.oom_fallbacks += st.oom_fallbacks;
     agg.cancelled += st.cancelled;
+    agg.stale_replans += st.stale_replans;
   }
   return agg;
 }

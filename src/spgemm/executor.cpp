@@ -21,10 +21,10 @@ namespace {
 // Everything of an op that a cached entry reads: the algorithm and
 // semiring, the mask binding (by address — the pattern behind it may
 // change freely, the fused kernels re-read it per call), every PbConfig
-// field (the plan copies the config, so validate rides into each
-// execution too), the post-op (the entry's op copy carries it into every
-// execution), and the model tunables that steer "auto" selection and the
-// recorded predicted_mflops.  Nothing planning ignores: accumulate is a
+// field (the plan copies the config into each execution), the post-op
+// (the entry's op copy carries it into every execution), and the model
+// tunables that steer "auto" selection and the recorded
+// predicted_mflops.  Nothing planning ignores: accumulate is a
 // per-call argument (an accumulating op shares its plan with the plain
 // product), and the model's pb_tuple_bytes is overwritten by analyze
 // from the predicted stream format.
@@ -35,13 +35,11 @@ std::string op_cache_key(const SpGemmOp& op) {
       << static_cast<int>(op.pb.format) << '|' << op.pb.value_free << '|'
       << op.pb.nbins << '|' << op.pb.local_bin_bytes << '|'
       << op.pb.streaming_stores << '|'
-      << op.pb.expand_mask_max_density << '|' << op.pb.validate << '|'
-      << op.post_op.scale << '|' << op.post_op.prune_threshold << '|'
-      << op.post_op.top_k << '|' << op.model.pb_efficiency << '|'
-      << op.model.pb_pipeline_boost << '|'
-      << op.model.column_latency_penalty << '|'
-      << op.model.small_flop_threshold << '|' << op.model.bytes_per_nnz
-      << '|' << op.model.beta_gbs;
+      << op.pb.expand_mask_max_density << '|' << op.post_op.scale << '|'
+      << op.post_op.prune_threshold << '|' << op.post_op.top_k << '|'
+      << op.model.pb_efficiency << '|' << op.model.column_latency_penalty
+      << '|' << op.model.small_flop_threshold << '|'
+      << op.model.bytes_per_nnz << '|' << op.model.beta_gbs;
   return key.str();
 }
 
@@ -117,7 +115,7 @@ struct CachedPlanEntry {
   double predicted_mflops = 0;
   double plan_seconds = 0;
   /// Derating constants the "auto" selection ran with (the op's tunables,
-  /// schedule term applied) — recorded into every PerfSample so a later
+  /// pb's capped) — recorded into every PerfSample so a later
   /// SelectionModel::calibrate inverts each prediction through them.
   double sel_pb_efficiency = 0;
   double sel_column_latency_penalty = 0;
@@ -339,12 +337,10 @@ struct SpGemmExecutor::Impl {
       m.pb_tuple_bytes = static_cast<double>(pb::bytes_per_tuple(
           pb::predict_tuple_format(p.a_csc.nrows, p.b_csr.ncols, fp.flop,
                                    pbcfg)));
-      // Schedule term: pb's derating credits the pipeline's overlap only
-      // when the team has more than one thread to overlap across.
-      m.pipelined_schedule = max_threads() > 1;
-      // Record the *effective* derating (schedule term applied): a later
-      // calibrate() inverts predictions through this constant.
-      entry->sel_pb_efficiency = m.effective_pb_efficiency();
+      // Record the derating select_algorithm applies (the capped one): a
+      // later calibrate() inverts predictions through this constant.
+      entry->sel_pb_efficiency =
+          std::min(m.pb_efficiency, model::kPbEfficiencyCap);
       entry->sel_column_latency_penalty = m.column_latency_penalty;
       // The model's expand-mask gate is the threshold the pb path runs
       // under, so it credits exactly the skips that will happen.
@@ -439,6 +435,23 @@ struct SpGemmExecutor::Impl {
     entry->plan_seconds = timer.elapsed_s();
     entry->bytes = entry_bytes(*entry);
     return entry;
+  }
+
+  /// A fresh analysis of (p, op) in place of `stale`, whose plan the
+  /// operands no longer fit.  It skips the cache lookup: a fingerprint
+  /// collision would find the same stale entry.
+  EntryPtr replan(const SpGemmProblem& p, const SpGemmOp& op,
+                  const EntryPtr& stale) {
+    EntryPtr fresh = analyze(p, op, stale->key,
+                             pb::StructureFingerprint::of(p.a_csc, p.b_csr));
+    {
+      const std::lock_guard<std::mutex> lock(mu);
+      ++stats.stale_replans;
+      const auto it = std::find(lru.begin(), lru.end(), stale);
+      if (it != lru.end()) drop(it);
+    }
+    insert(fresh);
+    return fresh;
   }
 
   // ---- execution -----------------------------------------------------------
@@ -625,14 +638,23 @@ mtx::CsrMatrix SpGemmExecutor::run_product(const SpGemmProblem& p,
   im.arm_token(token, ropts, epoch_snapshot);
 
   try {
-    const Impl::Resolved r = im.resolve(p, op, values_only);
+    Impl::Resolved r = im.resolve(p, op, values_only);
     const bool passthrough = is_passthrough(op);
     {
       const std::lock_guard<std::mutex> lock(im.mu);
       ++im.stats.executes;
       if (passthrough) ++im.stats.passthrough;
     }
-    mtx::CsrMatrix c = im.execute_entry(r.entry, p, info, &token, accumulate);
+    mtx::CsrMatrix c;
+    try {
+      c = im.execute_entry(r.entry, p, info, &token, accumulate);
+    } catch (const StaleLayoutError&) {
+      // The plan does not fit these operands: a value-only call on changed
+      // structure, a fingerprint collision, or stored zeros under a
+      // key-only plan.  Replan once and rerun; a second miss propagates.
+      r = Impl::Resolved{im.replan(p, op, r.entry)};
+      c = im.execute_entry(r.entry, p, info, &token, accumulate);
+    }
     if (info != nullptr) {
       info->cache_hit = r.hit;
       info->value_only = r.value_only;

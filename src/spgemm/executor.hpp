@@ -119,6 +119,10 @@ struct ExecutorStats {
   std::uint64_t degraded_runs = 0;   ///< runs that fell back mid-flight
   std::uint64_t oom_fallbacks = 0;   ///< degraded_runs caused by bad_alloc
   std::uint64_t cancelled = 0;       ///< runs unwound by cancel/deadline
+  /// Plans rebuilt mid-run because the operands no longer fit them
+  /// (StaleLayoutError: changed structure behind a value-only call or a
+  /// fingerprint collision, or stored zeros under a key-only plan).
+  std::uint64_t stale_replans = 0;
 
   [[nodiscard]] double hit_ratio() const {
     const double looked = static_cast<double>(cache_hits + cache_misses);
@@ -192,10 +196,12 @@ class SpGemmExecutor {
   /// the O(ncols) flop recount and the symbolic phase are both skipped —
   /// and only the numeric stages replay.  Falls back to the full path
   /// (fingerprint + replan) when no dims+nnz-matching entry is cached.
-  /// The assertion is trusted: operands that moved nonzeros between rows
-  /// at equal dims+nnz would be routed through a stale bin layout
-  /// (undefined results) — exactly the StructureFingerprint contract,
-  /// minus the flop term the caller vouches for.  An op with a post_op
+  /// A wrong assertion costs a replan, not undefined results.  Operands
+  /// that moved nonzeros at equal dims+nnz miss the cached pb plan's
+  /// slices; the run stops before writing past them, and the executor
+  /// replans once, reruns and counts ExecutorStats::stale_replans
+  /// (RunInfo::value_only then reads false).  A cached row-wise choice
+  /// reads the operands afresh anyway.  An op with a post_op
   /// stays valid here even when it drops entries: the cached plan
   /// describes the *operands'* structure, and the post-op shapes only the
   /// output, downstream of everything the plan fixed.

@@ -3,6 +3,7 @@
 // predicted-vs-achieved samples a refit reads, and the sampled nnz
 // estimate behind "auto".
 #include <gtest/gtest.h>
+#include <omp.h>
 
 #include <stdexcept>
 #include <thread>
@@ -280,23 +281,22 @@ TEST(Executor, OpIdentityKeysTheCacheAlongsideStructure) {
 }
 
 TEST(Executor, SelectionModelTunablesKeyTheCache) {
-  // pb_pipeline_boost steers "auto" and beta_gbs sets the recorded
+  // pb_efficiency steers "auto" and beta_gbs sets the recorded
   // prediction: an op that differs from a cached one only there plans
   // afresh, and agrees with a fresh executor.  The key holds what a plan
-  // reads and nothing it ignores: pb.validate rides in the plan's config
-  // into every execution, while the model's pb_tuple_bytes is replaced
+  // reads and nothing it ignores: the model's pb_tuple_bytes is replaced
   // by the predicted stream format before selection.
   const SpGemmProblem p =
       SpGemmProblem::square(testutil::exact_er(2000, 2000, 8.0, 55));
   const SpGemmOp base;  // "auto"
-  SpGemmOp boosted = base;
-  boosted.model.pb_pipeline_boost = 0.5;
+  SpGemmOp steered = base;
+  steered.model.pb_efficiency = 0.5 * base.model.pb_efficiency;
   SpGemmOp faster = base;
   faster.model.beta_gbs = 2.0 * base.model.beta_gbs;
 
   SpGemmExecutor exec;
   exec.prepare(p, base);
-  for (const SpGemmOp* op : {&boosted, &faster}) {
+  for (const SpGemmOp* op : {&steered, &faster}) {
     RunInfo shared, alone;
     exec.prepare(p, *op, &shared);
     SpGemmExecutor fresh;
@@ -305,17 +305,38 @@ TEST(Executor, SelectionModelTunablesKeyTheCache) {
     EXPECT_EQ(shared.algo, alone.algo);
     EXPECT_DOUBLE_EQ(shared.predicted_mflops, alone.predicted_mflops);
   }
-  SpGemmOp validated = base;
-  validated.pb.validate = true;
   RunInfo info;
-  exec.prepare(p, validated, &info);
-  EXPECT_FALSE(info.cache_hit);
   SpGemmOp tuple_bytes = base;
   tuple_bytes.model.pb_tuple_bytes = 2.0 * base.model.pb_tuple_bytes;
   exec.prepare(p, tuple_bytes, &info);
   EXPECT_TRUE(info.cache_hit);
-  EXPECT_EQ(exec.stats().cache_misses, 4u);
+  EXPECT_EQ(exec.stats().cache_misses, 3u);
   EXPECT_EQ(exec.stats().cache_hits, 1u);
+}
+
+TEST(Executor, AutoPredictionIsIndependentOfTeamSize) {
+  // One pb_efficiency at every team size: an ER product (cf ≈ 1, so pb)
+  // gets the same pick and the same recorded prediction on one lane as on
+  // four.
+  const SpGemmProblem p =
+      SpGemmProblem::square(testutil::exact_er(2000, 2000, 8.0, 59));
+  const auto prepare = [&](int threads) {
+    // The executor sees the team size through max_threads() alone.  No
+    // active levels runs every region inline, so the test starts no
+    // OpenMP threads, which a ThreadSanitizer build cannot follow.
+    const ThreadCountGuard lanes(threads);
+    const int levels = omp_get_max_active_levels();
+    omp_set_max_active_levels(0);
+    RunInfo info;
+    SpGemmExecutor().prepare(p, SpGemmOp{}, &info);
+    omp_set_max_active_levels(levels);
+    return info;
+  };
+  const RunInfo one = prepare(1);
+  const RunInfo four = prepare(4);
+  EXPECT_EQ(one.algo, "pb");
+  EXPECT_EQ(four.algo, one.algo);
+  EXPECT_DOUBLE_EQ(four.predicted_mflops, one.predicted_mflops);
 }
 
 TEST(Executor, FixedBaselineOpsArePassthrough) {
@@ -379,6 +400,58 @@ TEST(Executor, ValueOnlyRunSkipsAnalysisAndStaysCorrect) {
   EXPECT_FALSE(fallback.value_only);
   EXPECT_FALSE(fallback.cache_hit);
   EXPECT_TRUE(mtx::equal_exact(co, reference_spgemm(other)));
+}
+
+TEST(Executor, ValueOnlyRunOnChangedStructureReplans) {
+  // A caller who wrongly claims an unchanged structure: A2 matches A's
+  // dims and nnz, so the value-only lookup finds A's plan, but A2·B's
+  // tuples overrun its slices.  The run stops before writing past them,
+  // and the executor replans once, reruns and keeps the fresh plan.
+  const testutil::ChangedStructure s = testutil::changed_structure(2048);
+  SpGemmExecutor exec;
+  SpGemmOp op;
+  op.algo = "pb";
+  (void)exec.run(SpGemmProblem::multiply(s.a, s.b), op);
+
+  const SpGemmProblem p2 = SpGemmProblem::multiply(s.a2, s.b);
+  RunInfo info;
+  const mtx::CsrMatrix c = exec.run_values_updated(p2, op, &info);
+  EXPECT_TRUE(mtx::equal_exact(c, SpGemmExecutor().run(p2, op)));
+  EXPECT_EQ(exec.stats().stale_replans, 1u);
+  EXPECT_FALSE(info.value_only);
+
+  // The fresh plan replaced the stale one, so the next value-only run of
+  // A2's structure fits it.
+  EXPECT_TRUE(mtx::equal_exact(exec.run_values_updated(p2, op, &info), c));
+  EXPECT_TRUE(info.value_only);
+  EXPECT_EQ(exec.stats().stale_replans, 1u);
+  EXPECT_EQ(exec.stats().cache_entries, 1u);
+}
+
+TEST(Executor, KeyOnlyPlanReplansWhenStoredZerosAppear) {
+  // Stored zeros are values, so zeros appearing in A keep its fingerprint
+  // and the run hits the cached key-only plan.  That stream cannot carry
+  // them (a stored 0.0 is bool-false), so the run replans narrow instead
+  // of dropping every stored zero of the product.
+  mtx::CsrMatrix a = testutil::exact_er(512, 512, 8.0, 58);
+  for (value_t& v : a.vals) v = 1.0;
+  SpGemmExecutor exec;
+  SpGemmOp op;
+  op.algo = "pb";
+  op.semiring = BoolOrAnd::name;
+  RunInfo info;
+  (void)exec.run(SpGemmProblem::square(a), op, &info);
+  ASSERT_EQ(info.pb_stats.format, pb::TupleFormat::kKeyOnly);
+
+  for (std::size_t i = 0; i < a.vals.size(); i += 4) a.vals[i] = 0.0;
+  const SpGemmProblem p = SpGemmProblem::square(a);
+  const mtx::CsrMatrix c = exec.run(p, op, &info);
+  EXPECT_NE(info.pb_stats.format, pb::TupleFormat::kKeyOnly);
+  EXPECT_TRUE(pb::has_stored_zero(c.vals));
+  EXPECT_TRUE(mtx::equal_exact(c, SpGemmExecutor().run(p, op)));
+  EXPECT_TRUE(mtx::equal_exact(
+      c, semiring_algorithm("heap", BoolOrAnd::name)(p)));
+  EXPECT_EQ(exec.stats().stale_replans, 1u);
 }
 
 TEST(Executor, SameAggregateStructuresGetDistinctCacheEntries) {

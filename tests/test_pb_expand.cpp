@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <tuple>
 #include <vector>
 
@@ -95,19 +94,17 @@ Expanded<F> expand(const Operands& ops, const SymbolicResult& sym,
                           has_values(F) ? e.vals.data() : nullptr};
 
   std::vector<nnz_t> written(sym.slice_fill.size(), -1);
-  std::atomic<int> chunks_done{0};
 #pragma omp parallel
   {
     const detail::ExpandCounts mine = detail::expand_team<F, PlusTimes>(
-        ops.a, ops.b, sym, cfg, out, written.data(),
-        [&](int) { chunks_done.fetch_add(1); });
+        ops.a, ops.b, sym, cfg, out, written.data());
 #pragma omp critical
     {
       e.flushes += mine.flushes;
       e.largest_flush = std::max(e.largest_flush, mine.largest_flush);
+      EXPECT_FALSE(mine.stale);
     }
   }
-  EXPECT_EQ(chunks_done.load(), sym.nchunks());
   EXPECT_EQ(written, sym.slice_fill);
   const auto nbins = static_cast<std::size_t>(sym.layout.nbins);
   for (std::size_t bin = 0; bin < nbins; ++bin) {
@@ -148,7 +145,6 @@ TEST(Expand, ProducesExactTupleMultiset) {
   const Operands ops = er_operands(400, 4.0, 1);
   PbConfig cfg;
   cfg.nbins = 8;
-  cfg.validate = true;
   for_each_format([&]<TupleFormat F>() {
     // Same multiset of (row, col, value) as brute force.  Only the filled
     // prefix of each (padded) bin region holds tuples.
@@ -181,7 +177,6 @@ TEST(Expand, TinyLocalBinsStillCorrect) {
   PbConfig cfg;
   cfg.nbins = 4;
   cfg.local_bin_bytes = 1;
-  cfg.validate = true;
   const ThreadCountGuard lanes(1);
   for_each_format([&]<TupleFormat F>() {
     const SymbolicResult sym = plan<F>(ops, cfg);
@@ -289,6 +284,35 @@ TEST(Expand, ValueProductsAreExact) {
                                       {2, 3, v(55.0)}};
     EXPECT_EQ(e.tuples, expected) << to_string(F);
   });
+}
+
+TEST(Expand, StalePlanMissesInsteadOfWritingPastItsSlices) {
+  // A plan is checked, not trusted.  Operands with the plan's dims but a
+  // denser structure overrun some slice, whose flush is dropped; sparser
+  // ones leave some unmasked slice short.  Either way a thread reports its
+  // chunk stale, and no write leaves the stream the plan sized (which a
+  // sanitizer build would catch).
+  const Operands planned = er_operands(300, 4.0, 5);
+  PbConfig cfg;
+  cfg.nbins = 8;
+  for (const double d : {8.0, 2.0}) {
+    const Operands other = er_operands(300, d, 6);
+    for_each_format([&]<TupleFormat F>() {
+      const SymbolicResult sym = plan<F>(planned, cfg);
+      const auto len = static_cast<std::size_t>(sym.bin_offsets.back());
+      AlignedBuffer<typename StreamSpan<F>::Key> keys(len);
+      AlignedBuffer<value_t> vals(has_values(F) ? len : 0);
+      const StreamSpan<F> out{keys.data(),
+                              has_values(F) ? vals.data() : nullptr};
+      std::vector<nnz_t> written(sym.slice_fill.size(), 0);
+      bool stale = false;
+#pragma omp parallel reduction(|| : stale)
+      stale = detail::expand_team<F, PlusTimes>(other.a, other.b, sym, cfg,
+                                                out, written.data())
+                  .stale;
+      EXPECT_TRUE(stale) << to_string(F) << ", density " << d;
+    });
+  }
 }
 
 }  // namespace

@@ -29,7 +29,6 @@ mtx::CsrMatrix expect_formats_identical(const mtx::CscMatrix& a,
                                         PbConfig cfg,
                                         const std::string& semiring) {
   PbWorkspace wide_ws, narrow_ws;
-  cfg.validate = true;
   cfg.format = FormatPolicy::kWide;
   const PbResult wide =
       testutil::pb_plan_execute(a, b, cfg, wide_ws, semiring);
@@ -251,7 +250,6 @@ TEST(PbFormat, WideKvSortBitIdenticalToReferenceAcrossPolicies) {
         s, [&]<typename S>() { return reference_spgemm_semiring<S>(p); });
     PbConfig cfg;
     cfg.format = FormatPolicy::kWide;
-    cfg.validate = true;
     PbWorkspace ws;
     const PbResult r = testutil::pb_plan_execute(a, m, cfg, ws, s);
     EXPECT_EQ(r.stats.format, TupleFormat::kWide);
@@ -366,7 +364,6 @@ TEST(PbFormat, PredictionMatchesSymbolicForRangePolicy) {
 void expect_keyonly_matches_wide(const mtx::CscMatrix& a,
                                  const mtx::CsrMatrix& b, PbConfig cfg,
                                  FormatPolicy policy) {
-  cfg.validate = true;
   cfg.format = FormatPolicy::kWide;
   PbWorkspace wide_ws;
   const PbResult wide =

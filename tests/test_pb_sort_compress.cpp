@@ -103,9 +103,9 @@ TEST(SortCompress, SingleBinKnownCase) {
 
 TEST(SortCompress, EmptyBinsHandled) {
   // Products land in rows 0-3 only, so with 16-row range bins every bin
-  // but the first is empty: pb_execute must not wait for them, and the
-  // validate checks must accept their untouched regions — at one lane
-  // and at full width.
+  // but the first is empty: the bin loop must skip them, and expand's
+  // slice checks must accept their empty slices — at one lane and at full
+  // width.
   const mtx::CsrMatrix a = testutil::from_triplets(
       64, 64, {{0, 5, 2.0}, {1, 5, 3.0}, {3, 9, 4.0}});
   const mtx::CsrMatrix b = testutil::from_triplets(
@@ -113,7 +113,6 @@ TEST(SortCompress, EmptyBinsHandled) {
   const SpGemmProblem p = SpGemmProblem::multiply(a, b);
   PbConfig cfg;
   cfg.nbins = 4;
-  cfg.validate = true;
   for (const int threads : {1, max_threads()}) {
     const ThreadCountGuard lanes(threads);
     const PbResult r = testutil::pb_plan_execute(p.a_csc, p.b_csr, cfg);

@@ -5,8 +5,8 @@
 // randomly between fresh multiplies and one executor running the product
 // twice (plan once, outputs must be identical); fresh steps through the
 // PB pipeline additionally randomize the PbConfig (bin count, local-bin
-// width, binning policy, streaming stores) with validate=true, so the
-// pipeline's internal invariant checks run under fuzzed layouts.  Catches
+// width, format, streaming stores), so expand's always-on slice checks run
+// under fuzzed layouts.  Catches
 // interaction bugs that single-op tests cannot (pattern/value coupling,
 // empty intermediate results, shape propagation, semiring/config
 // coupling).
@@ -78,7 +78,7 @@ void expect_dense_eq(const mtx::CsrMatrix& sparse, const Dense& dense,
 }
 
 // A random PbConfig: bin count, local-bin width, format and store path all
-// vary; validate=true arms the pipeline's internal invariant checks.
+// vary.
 pb::PbConfig random_pb_config(mtx::SplitMix64& rng) {
   pb::PbConfig cfg;
   const int nbins_choices[] = {0, 1, 2, 8, 64};
@@ -92,7 +92,6 @@ pb::PbConfig random_pb_config(mtx::SplitMix64& rng) {
       pb::FormatPolicy::kNarrow, pb::FormatPolicy::kKeyOnly};
   cfg.format = formats[rng.next_below(4)];
   cfg.streaming_stores = rng.next_below(2) == 0;
-  cfg.validate = true;
   return cfg;
 }
 
@@ -251,10 +250,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PipelineFuzz,
 
 // --- Pipeline against a row-wise kernel ----------------------------------
 //
-// pb_execute runs every bin as a task (sort → compress → filter → post-op
-// → count, then scatter) and reorders WHEN each bin runs relative to
-// expand and WHO runs it (work stealing), so its output must not depend on
-// the team size.  It must also be bit-identical — not approximately equal:
+// pb_execute runs every bin through sort → compress → filter → post-op
+// → count, then scatter, on whichever thread the bin loop hands it to, so
+// its output must not depend on the team size.  It must also be bit-identical — not approximately equal:
 // same rowptr, same colids, same vals — to a row-wise kernel (hash, or
 // heap where hash lacks the semiring) for every semiring, every tuple
 // format, several bin counts and every descriptor variant (plain, masked,
@@ -326,7 +324,6 @@ TEST_P(ScheduleFuzz, PipelineBitIdenticalToRowwiseAcrossDescriptors) {
             op.semiring = semiring;
             op.pb.format = fmt;
             op.pb.nbins = nbins;
-            op.pb.validate = true;  // arm the pipeline's invariant checks
             int planned = 0;
             const mtx::CsrMatrix got = run(op, variant, &planned);
             ASSERT_TRUE(got.valid());

@@ -238,13 +238,31 @@ TEST(Selection, CrossoverIsMonotoneInCf) {
   EXPECT_TRUE(seen_column);
 }
 
+TEST(Selection, DefaultCrossoversPerTupleWidth) {
+  // The documented default crossovers, one set for every team size:
+  // cf ≈ 2.4 at 16 B tuples, 3.5 at 12 B and 12.2 at 8 B.
+  struct Crossover {
+    double tuple_bytes, pb_at, hash_at;
+  };
+  for (const Crossover& x : {Crossover{16, 2.3, 2.5}, Crossover{12, 3.4, 3.6},
+                             Crossover{8, 12.0, 12.5}}) {
+    model::SelectionModel m;
+    m.pb_tuple_bytes = x.tuple_bytes;
+    EXPECT_EQ(model::select_algorithm(x.pb_at, 1 << 20, true, m).algo, "pb")
+        << x.tuple_bytes << " B at cf " << x.pb_at;
+    EXPECT_EQ(model::select_algorithm(x.hash_at, 1 << 20, true, m).algo,
+              "hash")
+        << x.tuple_bytes << " B at cf " << x.hash_at;
+  }
+}
+
 TEST(Selection, KeyOnlyStreamShiftsCrossoverTowardPb) {
   // The byte model charges Eq. 4's Cˆ term the bytes the plan's tuple
   // stream actually moves (executor wiring: m.pb_tuple_bytes =
   // bytes_per_tuple(predict_tuple_format(...))).  A boolean workload
   // predicts the 8 B key-only stream, a numeric one the 12 B narrow
   // stream — same geometry, same flop.  With defaults the pb/hash
-  // crossover sits at cf ≈ 3.0 for 12 B and cf ≈ 7.7 for 8 B, so at
+  // crossover sits at cf ≈ 3.5 for 12 B and cf ≈ 12.2 for 8 B, so at
   // cf = 4 the valued plan rules pb out while the boolean plan keeps it.
   const index_t n = 1 << 16;  // narrow fits: local_row_bits + col_bits ≤ 32
   const nnz_t flop = 1 << 20;

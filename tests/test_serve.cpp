@@ -626,6 +626,30 @@ TEST(ServeEndToEnd, HandleReuseHitsThePlanCacheAndValueOnlyPath) {
   }
 }
 
+// A client that sets values_only on a changed structure: request 2's
+// operands have request 1's dims and nnz, but their tuples overrun the
+// cached plan's slices.  The worker replans instead of writing past them,
+// answers with the fresh product, and the daemon keeps serving.
+TEST(ServeEndToEnd, ValuesOnlyOnChangedStructureReplans) {
+  TestServer ts;
+  serve::Client cli(ts.path());
+  const testutil::ChangedStructure s = testutil::changed_structure(2048);
+
+  serve::MultiplyOptions mo;
+  mo.algo = "pb";
+  SpGemmOp op;
+  op.algo = "pb";
+  (void)cli.multiply(s.a, s.b, mo);
+  mo.values_only = true;
+  EXPECT_TRUE(mtx::equal_exact(cli.multiply(s.a2, s.b, mo),
+                               local_run(s.a2, s.b, op)));
+  EXPECT_NE(cli.telemetry().find("\"stale_replans\":1"), std::string::npos);
+
+  mo.values_only = false;
+  EXPECT_TRUE(mtx::equal_exact(cli.multiply(s.a, s.b, mo),
+                               local_run(s.a, s.b, op)));
+}
+
 // ---- typed error codes over the wire --------------------------------------
 
 TEST(ServeErrors, DeadlineExpiryArrivesAsKDeadline) {

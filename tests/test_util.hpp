@@ -93,4 +93,26 @@ inline mtx::CsrMatrix pb_product(const SpGemmProblem& p,
   return SpGemmExecutor().run(p, op, info);
 }
 
+/// Two products with equal dims and nnz but different structure, for
+/// callers who claim an unchanged structure: B's row 0 is dense and every
+/// other row holds its diagonal entry; A is the diagonal without (0, 0),
+/// plus (1, 0); A2 has A's dims and nnz with every entry in column 0.  So
+/// A·B expands 2n − 1 tuples and A2·B expands n².
+struct ChangedStructure {
+  mtx::CsrMatrix a, a2, b;
+};
+
+inline ChangedStructure changed_structure(index_t n) {
+  mtx::CooMatrix a(n, n), a2(n, n), b(n, n);
+  a.add(1, 0, 2.0);
+  for (index_t j = 0; j < n; ++j) b.add(0, j, static_cast<value_t>(1 + j % 3));
+  for (index_t i = 1; i < n; ++i) {
+    a.add(i, i, 1.0);
+    b.add(i, i, 3.0);
+  }
+  for (index_t r = 0; r < n; ++r) a2.add(r, 0, static_cast<value_t>(1 + r % 5));
+  for (mtx::CooMatrix* m : {&a, &a2, &b}) m->canonicalize();
+  return {mtx::coo_to_csr(a), mtx::coo_to_csr(a2), mtx::coo_to_csr(b)};
+}
+
 }  // namespace pbs::testutil

@@ -152,10 +152,9 @@ void print_pb_phases(const pb::PbTelemetry& tm) {
             << tm.compress.seconds * 1e3 << " ms, convert "
             << tm.convert.seconds * 1e3 << " ms\n"
             << "  pipeline: numeric wall " << tm.wall_seconds * 1e3
-            << " ms, overlap hidden " << tm.overlap_seconds() * 1e3
-            << " ms, bin wait " << tm.bin_wait_seconds * 1e3
-            << " ms, bin run " << tm.bin_run_seconds * 1e3 << " ms, "
-            << tm.bins_stolen << " bin(s) stolen\n";
+            << " ms (the phase walls above sum to it), bin wait "
+            << tm.bin_wait_seconds * 1e3
+            << " ms (summed over bins, from the barrier)\n";
 }
 
 // The multiply path: analyze + select once into the executor's plan
