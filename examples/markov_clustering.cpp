@@ -12,11 +12,12 @@
 // The prune step is FUSED into the expansion: inflation is monotone on
 // the product's non-negative values, so "inflate then drop |v| < t and
 // keep the top-k" selects exactly the entries "drop |v| < t^(1/r), keep
-// the top-k" selects on the raw product.  The op's post_op runs that
-// selection inside the SpGEMM kernels (PB applies it per bin, before CSR
-// conversion ever sizes the output), so the unpruned expansion — the
-// iteration's peak-memory spike in a post-pass formulation — is never
-// materialized; only the surviving entries are inflated.
+// the top-k" selects on the raw product.  The op's post_op carries that
+// selection into the multiply: PB applies it per bin, before CSR
+// conversion ever sizes the output, so under pb the unpruned expansion —
+// the iteration's peak-memory spike in a post-pass formulation — is never
+// materialized; after hash, heap and spa the executor prunes the full
+// product in one parallel pass.  Only the surviving entries are inflated.
 //
 // The expansion step runs through a SpGemmExecutor: MCL multiplies every
 // iteration and its structure ALTERNATES as pruning kicks in and the
@@ -94,7 +95,7 @@ int main(int argc, char** argv) {
   op.algo = algo;
   // Fused inflate-prune (header comment): the raw-product threshold whose
   // survivors are exactly the post-inflation kPruneThreshold survivors,
-  // plus the top-k per row, both applied inside the kernels.
+  // plus the top-k per row, both applied by the multiply.
   op.post_op.prune_threshold = std::pow(kPruneThreshold, 1.0 / inflation);
   op.post_op.top_k = kKeepPerRow;
   pbs::SpGemmExecutor exec;

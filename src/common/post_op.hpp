@@ -5,10 +5,12 @@
 // AMG rescales, filtering queries threshold.  Run separately, each of
 // those is a full extra read+write of C — exactly the traffic the PB
 // pipeline exists to avoid.  A PostOp travels inside the operation
-// descriptor (SpGemmOp::post_op) and is applied while the output row is
-// still in cache: in the PB pipeline's per-bin filter stage (right after
-// the fused mask, before convert ever sizes the CSR), and in the row-wise
-// kernels' row flush.  The unpruned C is never materialized.
+// descriptor (SpGemmOp::post_op).  The PB pipeline applies it while the
+// output is still in cache, in its per-bin filter stage (right after the
+// fused mask, before convert ever sizes the CSR), so pb never
+// materializes the unpruned C.  The row-wise kernels (hash, heap, spa) do
+// not fuse it: they build the full product and the executor runs
+// apply_post_op over it as one parallel post-pass (spgemm/epilogue.hpp).
 //
 // The three knobs compose (all may be set at once) and apply in a fixed
 // order chosen to match MCL's inflate-prune-select written as separate

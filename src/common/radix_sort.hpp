@@ -10,7 +10,14 @@
 //    structure-of-arrays key array (plus a value array for _kv) into and
 //    out of a scratch of the same length.  Stable.  These are the per-bin
 //    sorts of PB-SpGEMM's tuple streams (paper Sec. III-D; pb/tuple.hpp):
-//    _kv for the valued formats, _keys for the key-only format.
+//    _kv for the valued formats, _keys for the key-only format.  _kv also
+//    sorts each output row of the hash kernels in place by column
+//    (spgemm/hash_impl.hpp), so both kernel families share one sort.
+//    _kv takes a stable insertion sort for inputs of at most 32 elements:
+//    clearing and summing the 256-bucket byte histograms costs more than
+//    insertion-sorting 32 keys that arrive as a few sorted runs, as a
+//    hash row's do (one run per contributing row of B).  _keys always
+//    takes the radix path.
 //
 // Both skip constant bytes: inside a PB bin only ~log2(rows_per_bin) row
 // bits and log2(ncols) column bits of a key vary, so detecting the bytes
@@ -116,6 +123,27 @@ void radix_sort(Record* a, std::size_t n, KeyFn key) {
 
 namespace detail {
 
+/// At or below this length radix_sort_lsd_kv runs insertion_sort_kv,
+/// which is stable like the radix passes.
+inline constexpr std::size_t kLsdInsertionCutoff = 32;
+
+/// Stable insertion sort of keys[0..n) carrying vals[i] along.
+template <typename Key, typename Value>
+void insertion_sort_kv(Key* keys, Value* vals, std::size_t n) {
+  for (std::size_t i = 1; i < n; ++i) {
+    const Key k = keys[i];
+    const Value v = vals[i];
+    std::size_t j = i;
+    while (j > 0 && keys[j - 1] > k) {
+      keys[j] = keys[j - 1];
+      vals[j] = vals[j - 1];
+      --j;
+    }
+    keys[j] = k;
+    vals[j] = v;
+  }
+}
+
 /// Shared skeleton of the SoA LSD sorts: byte-skipping histogram setup over
 /// an unsigned key array — all byte histograms gathered in one read pass —
 /// then `Scatter(byte_index, src_is_a)` once per varying byte.
@@ -181,7 +209,10 @@ template <typename Key, typename Value>
 void radix_sort_lsd_kv(Key* keys, Value* vals, std::size_t n,
                        Key* key_scratch, Value* val_scratch) {
   static_assert(std::is_unsigned_v<Key>, "radix keys must be unsigned");
-  if (n < 2) return;
+  if (n <= detail::kLsdInsertionCutoff) {
+    detail::insertion_sort_kv(keys, vals, n);
+    return;
+  }
 
   detail::lsd_soa_driver(
       keys, n,

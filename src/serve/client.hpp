@@ -53,8 +53,9 @@ struct MultiplyOptions {
   bool values_only = false;
   /// Per-request deadline; 0 defers to the server default.
   double deadline_ms = 0;
-  /// Fused elementwise epilogue (scale/prune/top-k) applied server-side
-  /// inside the kernels.  Sent only when active (versioned wire field);
+  /// Elementwise epilogue (scale/prune/top-k) applied server-side: fused
+  /// into pb's per-bin filter, a post-pass over the product after the
+  /// row-wise kernels.  Sent only when active (versioned wire field);
   /// a server that cannot honor it answers kUnsupported.
   PostOp post_op;
 };

@@ -5,8 +5,12 @@
 // set to count nnz(C(r,:)) exactly; prefix-sum gives rowptr and one exact
 // allocation — the structure of Nagasaka et al. [12].
 // Phase 2 (numeric): per row, accumulate into the hash table (S::mul
-// products, S::add keyed-insert combine), extract, sort by column
-// (canonical CSR), write in place.
+// products, S::add keyed-insert combine), extract the occupied slots
+// straight into the row's final segment [rowptr[r], rowptr[r+1]) of C, and
+// sort them there by column (canonical CSR) with the PB bins' stable LSD
+// radix sort (common/radix_sort.hpp) and per-thread scratch.  Every slot
+// adds its contributions in B's row order and a row's keys are unique, so
+// neither the hash function nor the sort changes a value's bits.
 //
 // With a mask, both phases skip columns outside (or, complemented, inside)
 // the mask row's pattern — the row's stamp array marks the allowed
@@ -17,11 +21,12 @@
 #include <omp.h>
 
 #include <algorithm>
-#include <utility>
+#include <type_traits>
 #include <vector>
 
 #include "common/huge_pages.hpp"
 #include "common/parallel.hpp"
+#include "common/radix_sort.hpp"
 #include "matrix/csr.hpp"
 #include "spgemm/masked.hpp"
 #include "spgemm/spgemm.hpp"
@@ -84,12 +89,16 @@ mtx::CsrMatrix hash_spgemm_impl(const SpGemmProblem& p,
   resize_on_huge_pages(out.colids, total);
   resize_on_huge_pages(out.vals, total);
 
-  // ---- numeric: accumulate, extract, sort, write in place ----
+  // ---- numeric: accumulate, extract into C's row, sort it in place ----
+  // Column ids are non-negative, so their unsigned view (a legal alias of
+  // a signed/unsigned pair) sorts in the same order.
+  using ColKey = std::make_unsigned_t<index_t>;
 #pragma omp parallel
   {
     Accumulator acc;
     MaskStamp stamp;
-    std::vector<std::pair<index_t, value_t>> entries;
+    std::vector<ColKey> key_scratch;
+    std::vector<value_t> val_scratch;
 #pragma omp for schedule(dynamic, 256)
     for (index_t r = 0; r < a.nrows; ++r) {
       const nnz_t lo = out.rowptr[r];
@@ -106,14 +115,16 @@ mtx::CsrMatrix hash_spgemm_impl(const SpGemmProblem& p,
           acc.template accumulate<S>(c, S::mul(av, b.vals[j]));
         }
       }
-      entries.clear();
-      acc.extract(std::back_inserter(entries));
-      std::sort(entries.begin(), entries.end(),
-                [](const auto& x, const auto& y) { return x.first < y.first; });
-      for (std::size_t i = 0; i < entries.size(); ++i) {
-        out.colids[static_cast<std::size_t>(lo) + i] = entries[i].first;
-        out.vals[static_cast<std::size_t>(lo) + i] = entries[i].second;
+      const auto len = static_cast<std::size_t>(hi - lo);
+      index_t* cols = out.colids.data() + lo;
+      value_t* vals = out.vals.data() + lo;
+      acc.extract(cols, vals);
+      if (key_scratch.size() < len) {
+        key_scratch.resize(len);
+        val_scratch.resize(len);
       }
+      radix_sort_lsd_kv(reinterpret_cast<ColKey*>(cols), vals, len,
+                        key_scratch.data(), val_scratch.data());
     }
   }
 

@@ -7,12 +7,21 @@
 //    group per step is the scalar analogue of the vector-register probing
 //    in HashVecSpGEMM (the compiler vectorizes the 8-wide key compare).
 //
-// Tables are sized per row to the next power of two >= 2x the row's upper
-// bound and reused across rows via an occupied-slot list (no O(table) clear
-// between rows).
+// Each thread keeps one table, grown to the next power of two >= 2x the
+// largest row upper bound it has seen and never shrunk; a row probes the
+// whole table in use, not a per-row slice, and an occupied-slot list
+// clears it between rows (no O(table) clear).
+//
+// A column's home slot is its Fibonacci hash (Knuth, TAOCP 6.4): the top
+// log2(table) bits of col x 2^64/phi.  One multiply and one shift per
+// probe start; the top bits depend on every bit of the column, so columns
+// that share their low bits (multiples of the table size, say) spread
+// over the table instead of sharing one probe chain, as they would under
+// a low-bit hash such as (col * 107) & mask.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -20,11 +29,11 @@
 
 namespace pbs::detail {
 
-inline std::uint32_t hash_col(index_t c) {
-  auto x = static_cast<std::uint32_t>(c);
-  x = (x ^ (x >> 16)) * 0x85EBCA6Bu;
-  x = (x ^ (x >> 13)) * 0xC2B2AE35u;
-  return x ^ (x >> 16);
+/// Fibonacci hash of a non-negative column id: the top 64 - `shift` bits
+/// of col x 2^64/phi.  `shift` must be below 64.
+inline std::uint32_t hash_col(index_t c, int shift) {
+  return static_cast<std::uint32_t>(
+      (static_cast<std::uint64_t>(c) * 0x9E3779B97F4A7C15ull) >> shift);
 }
 
 class HashAccumulator {
@@ -36,10 +45,11 @@ class HashAccumulator {
     if (want > keys_.size()) {
       keys_.assign(want, kEmpty);
       vals_.resize(want);
+      mask_ = static_cast<std::uint32_t>(want - 1);
+      shift_ = 64 - std::countr_zero(want);  // want >= 2: shift_ <= 63
     } else {
       for (const std::uint32_t s : occupied_) keys_[s] = kEmpty;
     }
-    mask_ = static_cast<std::uint32_t>(keys_.size() - 1);
     occupied_.clear();
   }
 
@@ -49,7 +59,7 @@ class HashAccumulator {
   /// original `vals_[slot] += v` byte for byte.
   template <typename S>
   void accumulate(index_t col, value_t v) {
-    std::uint32_t slot = hash_col(col) & mask_;
+    std::uint32_t slot = hash_col(col, shift_);
     for (;;) {
       if (keys_[slot] == col) {
         vals_[slot] = S::add(vals_[slot], v);
@@ -67,7 +77,7 @@ class HashAccumulator {
 
   /// Symbolic variant: inserts the key only; returns true when new.
   bool insert(index_t col) {
-    std::uint32_t slot = hash_col(col) & mask_;
+    std::uint32_t slot = hash_col(col, shift_);
     for (;;) {
       if (keys_[slot] == col) return false;
       if (keys_[slot] == kEmpty) {
@@ -81,10 +91,13 @@ class HashAccumulator {
 
   [[nodiscard]] nnz_t size() const { return static_cast<nnz_t>(occupied_.size()); }
 
-  /// Extracts (col, val) pairs in table order into `out` (unsorted).
-  template <typename OutIt>
-  void extract(OutIt out) const {
-    for (const std::uint32_t s : occupied_) *out++ = {keys_[s], vals_[s]};
+  /// Writes the size() occupied slots, in insertion order (unsorted), to
+  /// cols[0..size()) and vals[0..size()).
+  void extract(index_t* cols, value_t* vals) const {
+    for (std::size_t i = 0; i < occupied_.size(); ++i) {
+      cols[i] = keys_[occupied_[i]];
+      vals[i] = vals_[occupied_[i]];
+    }
   }
 
  private:
@@ -93,6 +106,7 @@ class HashAccumulator {
   std::vector<value_t> vals_;
   std::vector<std::uint32_t> occupied_;
   std::uint32_t mask_ = 0;
+  int shift_ = 63;
 };
 
 class GroupedAccumulator {
@@ -103,20 +117,24 @@ class GroupedAccumulator {
     const auto want_groups = static_cast<std::size_t>(next_pow2(
         (static_cast<std::uint64_t>(std::max<nnz_t>(upper, 1)) * 2 + kGroup - 1) /
         kGroup));
-    if (want_groups * kGroup > keys_.size()) {
-      keys_.assign(want_groups * kGroup, kEmpty);
-      vals_.resize(want_groups * kGroup);
+    const std::size_t want = want_groups * kGroup;
+    if (want > keys_.size()) {
+      keys_.assign(want, kEmpty);
+      vals_.resize(want);
+      group_mask_ = static_cast<std::uint32_t>(want_groups - 1);
+      // Hash to a slot, then take its group: a one-group table still
+      // shifts by 64 - log2(8) = 61, never by 64.
+      shift_ = 64 - std::countr_zero(want);
     } else {
       for (const std::uint32_t s : occupied_) keys_[s] = kEmpty;
     }
-    group_mask_ = static_cast<std::uint32_t>(keys_.size() / kGroup - 1);
     occupied_.clear();
   }
 
   /// Same keyed insert-or-combine contract as HashAccumulator::accumulate.
   template <typename S>
   void accumulate(index_t col, value_t v) {
-    std::uint32_t g = hash_col(col) & group_mask_;
+    std::uint32_t g = hash_col(col, shift_) / kGroup;
     for (;;) {
       const std::uint32_t base = g * kGroup;
       // 8-wide compare; with -march=native this is one vector compare.
@@ -139,7 +157,7 @@ class GroupedAccumulator {
   }
 
   bool insert(index_t col) {
-    std::uint32_t g = hash_col(col) & group_mask_;
+    std::uint32_t g = hash_col(col, shift_) / kGroup;
     for (;;) {
       const std::uint32_t base = g * kGroup;
       for (std::uint32_t lane = 0; lane < kGroup; ++lane) {
@@ -158,9 +176,12 @@ class GroupedAccumulator {
 
   [[nodiscard]] nnz_t size() const { return static_cast<nnz_t>(occupied_.size()); }
 
-  template <typename OutIt>
-  void extract(OutIt out) const {
-    for (const std::uint32_t s : occupied_) *out++ = {keys_[s], vals_[s]};
+  /// Same contract as HashAccumulator::extract.
+  void extract(index_t* cols, value_t* vals) const {
+    for (std::size_t i = 0; i < occupied_.size(); ++i) {
+      cols[i] = keys_[occupied_[i]];
+      vals[i] = vals_[occupied_[i]];
+    }
   }
 
  private:
@@ -169,6 +190,7 @@ class GroupedAccumulator {
   std::vector<value_t> vals_;
   std::vector<std::uint32_t> occupied_;
   std::uint32_t group_mask_ = 0;
+  int shift_ = 61;
 };
 
 }  // namespace pbs::detail

@@ -195,11 +195,13 @@ struct SpGemmOp {
   bool accumulate = false;
 
   /// Elementwise post-op (scale / prune / top-k, common/post_op.hpp)
-  /// applied to the product before it is returned — fused into the
-  /// kernels, so a pruning op never materializes the unpruned C.  Applies
-  /// after the mask; rejected at plan time for value-free semirings
-  /// (there are no values to scale or compare) and in combination with
-  /// accumulate (prune/top-k over a merged C is ambiguous).
+  /// applied to the product before it is returned.  pb fuses it into its
+  /// per-bin filter, so a pruning op never materializes the unpruned C;
+  /// after hash, heap and spa the executor runs apply_post_op as one
+  /// parallel pass over the full product.  Applies after the mask;
+  /// rejected at plan time for value-free semirings (there are no values
+  /// to scale or compare) and in combination with accumulate (prune/top-k
+  /// over a merged C is ambiguous).
   PostOp post_op;
 
   /// Configuration for the PB pipeline when it is (or may be) chosen.

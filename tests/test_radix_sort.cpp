@@ -203,6 +203,38 @@ TEST(RadixSortLsd, IsStable) {
   }
 }
 
+TEST(RadixSortLsd, SmallInputsSortStably) {
+  // n = 0..33 spans the kv sort's insertion-sort path (n <= 32) and its
+  // first radix length.  Few distinct keys, spread over two bytes, so most
+  // inputs hold duplicates; the payload is the input position, so equal
+  // keys must come out with ascending payloads.
+  std::mt19937_64 rng(27);
+  for (std::size_t n = 0; n <= 33; ++n) {
+    std::vector<std::uint32_t> keys(n);
+    for (auto& k : keys) {
+      k = static_cast<std::uint32_t>((rng() % 3) << 16 | rng() % 4);
+    }
+    std::vector<std::uint32_t> expected_keys = keys;
+    std::sort(expected_keys.begin(), expected_keys.end());
+
+    std::vector<std::uint32_t> only = keys, scratch(n);
+    radix_sort_lsd_keys(only.data(), n, scratch.data());
+    ASSERT_EQ(only, expected_keys) << "keys-only, n = " << n;
+
+    std::vector<double> vals(n);
+    for (std::size_t i = 0; i < n; ++i) vals[i] = static_cast<double>(i);
+    std::vector<double> vscratch(n);
+    radix_sort_lsd_kv(keys.data(), vals.data(), n, scratch.data(),
+                      vscratch.data());
+    ASSERT_EQ(keys, expected_keys) << "kv, n = " << n;
+    for (std::size_t i = 1; i < n; ++i) {
+      if (keys[i - 1] == keys[i]) {
+        ASSERT_LT(vals[i - 1], vals[i]) << "stability broken, n = " << n;
+      }
+    }
+  }
+}
+
 TEST(RadixSortLsd, AgreesWithInPlaceVariant) {
   for (const std::uint64_t mask : {0xFFFFFull, ~0ull}) {
     std::vector<std::uint64_t> a = random_keys64(20000, mask, 26);

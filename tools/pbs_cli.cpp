@@ -30,10 +30,11 @@
 // the mask *fused* into the kernel (PB skips masked-out tuples in its
 // expand scatter loop when the kept side is sparse, or drops them at the
 // compress stage when dense, reporting both counts); --complement flips
-// the polarity.  --post-op applies a fused elementwise epilogue
-// (scale, then prune |v| < T, then keep the top-k per row) inside the
-// kernels — the unpruned product is never materialized; it is an error
-// on value-free semirings.
+// the polarity.  --post-op applies an elementwise epilogue (scale, then
+// prune |v| < T, then keep the top-k per row): pb fuses it into its
+// per-bin filter and never materializes the unpruned product; after hash,
+// heap and spa the executor runs it as one parallel pass over the full
+// product.  It is an error on value-free semirings.
 // `semiring` demonstrates runtime semiring registration: it registers the
 // tropical (max, +) semiring "plus_max" through SemiringRegistry and runs
 // the multiplication over it through the executor.  `info` prints
@@ -152,9 +153,7 @@ void print_pb_phases(const pb::PbTelemetry& tm) {
             << tm.compress.seconds * 1e3 << " ms, convert "
             << tm.convert.seconds * 1e3 << " ms\n"
             << "  pipeline: numeric wall " << tm.wall_seconds * 1e3
-            << " ms (the phase walls above sum to it), bin wait "
-            << tm.bin_wait_seconds * 1e3
-            << " ms (summed over bins, from the barrier)\n";
+            << " ms (the phase walls above sum to it)\n";
 }
 
 // The multiply path: analyze + select once into the executor's plan
@@ -543,16 +542,19 @@ void usage() {
       "`pbs_cli info` for the support matrix).  --algo auto selects\n"
       "pb/hash/heap from the roofline model and reports why; --repeat N\n"
       "plans once and executes N times, reporting the amortized cost.\n"
-      "PB runs each bin's sort/compress as a task the moment its last\n"
-      "expand flush lands; pb runs report the numeric wall, the busy time\n"
-      "that overlap hid, and bins stolen.\n"
+      "PB expands every column, meets at one barrier, then runs a dynamic\n"
+      "loop over bins (sort, compress, mask, post-op) and the CSR\n"
+      "convert; pb runs report each phase's wall and the numeric wall\n"
+      "they sum to.\n"
       "--mask M restricts the output to M's pattern with the mask fused\n"
       "into the kernel (a sparse mask skips tuple generation at expand, a\n"
       "dense one drops at compress; both counts are reported);\n"
-      "--complement keeps the positions NOT in M.  --post-op fuses an\n"
-      "elementwise epilogue into the kernels — scale, then prune\n"
-      "|v| < T, then top-k per row — so the unpruned product is never\n"
-      "materialized; it is an error on value-free semirings.\n"
+      "--complement keeps the positions NOT in M.  --post-op applies an\n"
+      "elementwise epilogue — scale, then prune |v| < T, then top-k per\n"
+      "row.  pb fuses it into its per-bin filter, so pb never\n"
+      "materializes the unpruned product; after hash, heap and spa the\n"
+      "executor runs it as one parallel pass over the full product.  It\n"
+      "is an error on value-free semirings.\n"
       "--mem-budget-mb N caps the executor's pooled workspace memory: a\n"
       "PB stream that cannot fit degrades to the row-wise fallback and\n"
       "the degradation is reported; --deadline-ms T bounds each execute\n"
