@@ -12,7 +12,8 @@
 //                (-1.0).  Reports generated tuples against the
 //                mask-bounded count — the CI gate holds generated <= 1.05x
 //                that bound.
-//   post_op      prune+top-k fused into the per-bin filter vs the plain
+//   post_op      prune+top-k fused into pb's per-bin filter, and into
+//                hash's one-pass row loop, vs the same algorithm's plain
 //                product followed by apply_post_op.
 //
 //   ./bench_fused_epilogue [--scales 11,12] [--efs 8] [--rounds 6]
@@ -178,13 +179,13 @@ int main(int argc, char** argv) {
         }
 
         // ---- fused post-op vs plain product + apply_post_op --------------
-        {
+        for (const char* algo : {"pb", "hash"}) {
           PostOp post;
           post.prune_threshold = 2.0;
           post.top_k = 16;
 
           SpGemmOp plain;
-          plain.algo = "pb";
+          plain.algo = algo;
           SpGemmOp op = plain;
           op.post_op = post;
           (void)exec.run(p, op);  // warm the fused plan
@@ -200,12 +201,14 @@ int main(int argc, char** argv) {
 
           const double fused_ms = fused.min * 1e3;
           const double sep_ms = separate.min * 1e3;
-          table.row(in.name, "post_op", "prune:2,topk:16", fused_ms, sep_ms,
+          table.row(in.name, "post_op",
+                    std::string(algo) + " prune:2,topk:16", fused_ms, sep_ms,
                     sep_ms / fused_ms);
           if (json.enabled()) {
             json.add(bench::Json()
                          .field("bench", std::string("fused_epilogue"))
                          .field("mode", std::string("post_op"))
+                         .field("algo", std::string(algo))
                          .field("input", in.name)
                          .field("fused_ms", fused_ms)
                          .field("separate_ms", sep_ms)

@@ -14,10 +14,12 @@
 // keep the top-k" selects exactly the entries "drop |v| < t^(1/r), keep
 // the top-k" selects on the raw product.  The op's post_op carries that
 // selection into the multiply: PB applies it per bin, before CSR
-// conversion ever sizes the output, so under pb the unpruned expansion —
-// the iteration's peak-memory spike in a post-pass formulation — is never
-// materialized; after hash, heap and spa the executor prunes the full
-// product in one parallel pass.  Only the surviving entries are inflated.
+// conversion ever sizes the output, and hash (which "auto" picks for the
+// large middle expansions) per row in one pass with no symbolic phase, so
+// under either the unpruned expansion — the iteration's peak-memory spike
+// in a post-pass formulation — is never materialized; after heap and spa
+// the executor prunes the full product in one parallel pass.  Only the
+// surviving entries are inflated.
 //
 // The expansion step runs through a SpGemmExecutor: MCL multiplies every
 // iteration and its structure ALTERNATES as pruning kicks in and the

@@ -8,9 +8,12 @@
 // descriptor (SpGemmOp::post_op).  The PB pipeline applies it while the
 // output is still in cache, in its per-bin filter stage (right after the
 // fused mask, before convert ever sizes the CSR), so pb never
-// materializes the unpruned C.  The row-wise kernels (hash, heap, spa) do
-// not fuse it: they build the full product and the executor runs
-// apply_post_op over it as one parallel post-pass (spgemm/epilogue.hpp).
+// materializes the unpruned C.  The hash family fuses it too: hash and
+// unmasked hashvec shape each row in their row loop, and an op that
+// prunes runs there as one pass with no symbolic phase
+// (spgemm/hash_impl.hpp).  heap, spa and masked hashvec do not: they
+// build the full product and the executor runs apply_post_op over it as
+// one parallel post-pass (spgemm/epilogue.hpp).
 //
 // The three knobs compose (all may be set at once) and apply in a fixed
 // order chosen to match MCL's inflate-prune-select written as separate

@@ -1,5 +1,5 @@
 // "Buffer and stitch" CSR assembly shared by the single-pass row-wise
-// algorithms (heap, SPA, ESC).
+// algorithms (heap, SPA, ESC, and hash's one pass for pruned products).
 //
 // Rows are processed in fixed blocks; each block appends its entries to a
 // private buffer, so no symbolic pass is needed and results are independent

@@ -1,15 +1,19 @@
-// Epilogue helpers for the execution paths that cannot fuse.
+// Epilogue helpers: one row's post-op, and the post-pass for the
+// execution paths that cannot fuse.
 //
 // The PB pipeline applies SpGemmOp::post_op inside its per-bin filter
 // stage and merges an accumulation target during CSR conversion
 // (pb/sort_compress.hpp, pb/output_accum.hpp), so the shaped output
-// is the only one that ever exists.  The row-wise kernels (heap, hash,
-// spa) and the executor's degraded/fallback runs produce the plain
-// product; this header gives them the same semantics as one post-pass:
+// is the only one that ever exists.  hash and unmasked hashvec shape
+// each sorted row with post_op_row inside their row loop
+// (spgemm/hash_impl.hpp), so theirs is the only one too.  heap, spa,
+// masked hashvec and the other baselines produce the plain product;
+// this header gives them the same semantics as one post-pass:
 //
-//   apply_post_op(c, op)   — scale / prune / top-k in place, row by row,
-//                            bit-identical in selection and ordering to
-//                            the fused pb path (scale first, prune
+//   apply_post_op(c, op)   — scale / prune / top-k in place, row by row
+//                            through the same post_op_row, bit-identical
+//                            in selection and ordering to the fused pb
+//                            and hash paths (scale first, prune
 //                            |v| < threshold, top-k by (|v| desc, col
 //                            asc), survivors in ascending column order)
 //   accumulate             — semiring_ewise_add (spgemm/op.hpp) IS the
@@ -31,7 +35,8 @@
 
 namespace pbs {
 
-/// Applies the post-op to one row segment [begin, end) of (colids, vals),
+/// Applies the post-op's prune and top-k to one row segment [begin, end)
+/// of (colids, vals) — sorted by column, with the scale already applied —
 /// compacting survivors to the front of the segment in ascending column
 /// order.  Returns the survivor count.  `sel` is caller-provided scratch
 /// so a parallel driver reuses one allocation per thread.

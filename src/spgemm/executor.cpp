@@ -121,6 +121,9 @@ struct CachedPlanEntry {
   double sel_column_latency_penalty = 0;
   pb::PbPlan pb_plan;  ///< valid when use_pb
   SpGemmFn fn;         ///< execution path when !use_pb
+  /// fn applies op.post_op itself (hash, unmasked hashvec); otherwise the
+  /// executor runs apply_post_op over fn's result.
+  bool fn_fuses_post_op = false;
   bool degraded = false;       ///< plan-time budget downgrade
   std::string degrade_reason;  ///< "budget" when degraded
   std::size_t bytes = 0;  ///< estimated footprint (set at insert time)
@@ -384,8 +387,9 @@ struct SpGemmExecutor::Impl {
     // pair check; every other entry resolves its row-wise kernel.
     entry->use_pb = resolved == "pb";
     if (!entry->use_pb) {
-      entry->fn = masked_semiring_algorithm(resolved, op.semiring, op.mask,
-                                            op.complement);
+      entry->fn = post_op_semiring_algorithm(resolved, op.semiring, op.mask,
+                                             op.complement, op.post_op,
+                                             &entry->fn_fuses_post_op);
     }
     entry->resolved = std::move(resolved);
     if (entry->use_pb) {
@@ -421,8 +425,9 @@ struct SpGemmExecutor::Impl {
         // is a property of the cached plan — re-raising the budget means
         // a new executor (or larger cache pressure evicting the entry).
         const std::string fb = fallback_algo(op.semiring);
-        entry->fn = masked_semiring_algorithm(fb, op.semiring, op.mask,
-                                              op.complement);
+        entry->fn = post_op_semiring_algorithm(fb, op.semiring, op.mask,
+                                               op.complement, op.post_op,
+                                               &entry->fn_fuses_post_op);
         entry->resolved = fb;
         entry->use_pb = false;
         entry->degraded = true;
@@ -464,6 +469,7 @@ struct SpGemmExecutor::Impl {
     mtx::CsrMatrix c;
     pb::PbTelemetry pb_stats;
     bool oom_fallback = false;
+    bool post_op_applied = entry->fn_fuses_post_op;  // by a row-wise kernel
     {
       // Runtime-registered semirings indirect through the process-global
       // DynSemiring bridge; serialize those executions.  Built-ins (and
@@ -499,9 +505,10 @@ struct SpGemmExecutor::Impl {
             ++stats.oom_fallbacks;
             ++stats.degraded_runs;
           }
-          const SpGemmFn fn = masked_semiring_algorithm(
-              fallback_algo(entry->op.semiring), entry->op.semiring,
-              entry->op.mask, entry->op.complement);
+          const SpGemmOp& op = entry->op;
+          const SpGemmFn fn = post_op_semiring_algorithm(
+              fallback_algo(op.semiring), op.semiring, op.mask, op.complement,
+              op.post_op, &post_op_applied);
           c = fn(p);
           oom_fallback = true;
         }
@@ -509,14 +516,15 @@ struct SpGemmExecutor::Impl {
         throw_if_stopped(cancel);
         c = entry->fn(p);
       }
-      // Unfused epilogue: row-wise kernels and the oom fallback produced
+      // Unfused epilogue: a row-wise kernel or the oom fallback produced
       // the plain product — shape/merge it here so every path returns the
-      // same matrix the fused pb kernels build directly.  Inside the dyn
-      // scope: semiring_ewise_add over a runtime semiring rides the same
-      // process-global bridge.
+      // same matrix the fused kernels build directly.  hash and unmasked
+      // hashvec applied the post-op themselves; it runs exactly once.
+      // Inside the dyn scope: semiring_ewise_add over a runtime semiring
+      // rides the same process-global bridge.
       if (!entry->use_pb || oom_fallback) {
         throw_if_stopped(cancel);
-        if (entry->op.post_op.active()) apply_post_op(c, entry->op.post_op);
+        if (!post_op_applied) apply_post_op(c, entry->op.post_op);
         if (accumulate != nullptr) {
           c = semiring_ewise_add(entry->op.semiring, *accumulate, c);
         }
@@ -590,8 +598,9 @@ struct SpGemmExecutor::Impl {
       auto entry = std::make_shared<CachedPlanEntry>();
       entry->op = op;
       entry->resolved = op.algo;
-      entry->fn = masked_semiring_algorithm(op.algo, op.semiring, op.mask,
-                                            op.complement);
+      entry->fn = post_op_semiring_algorithm(op.algo, op.semiring, op.mask,
+                                             op.complement, op.post_op,
+                                             &entry->fn_fuses_post_op);
       r.entry = std::move(entry);
       return r;
     }

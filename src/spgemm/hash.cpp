@@ -3,8 +3,9 @@
 //
 // Generalized over any semiring via the keyed insert-or-combine step in
 // hash_table.hpp (hash_spgemm_semiring<S>); hash_spgemm is the numeric
-// (+, ×) instantiation, and the masked form fuses an output mask into
-// both the symbolic and numeric row loops (see hash_impl.hpp).
+// (+, ×) instantiation, the masked form fuses an output mask into every
+// row loop, and hash_post_op_semiring also fuses the op's post-op (see
+// hash_impl.hpp).
 #include "spgemm/hash_impl.hpp"
 #include "spgemm/hash_table.hpp"
 #include "spgemm/masked.hpp"
@@ -52,5 +53,25 @@ template mtx::CsrMatrix hash_masked_semiring<BoolOrAnd>(const SpGemmProblem&,
                                                         bool);
 template mtx::CsrMatrix hash_masked_semiring<DynSemiring>(
     const SpGemmProblem&, const mtx::CsrMatrix&, bool);
+
+template <typename S>
+mtx::CsrMatrix hash_post_op_semiring(const SpGemmProblem& p,
+                                     const mtx::CsrMatrix* mask,
+                                     bool complement, const PostOp& post_op) {
+  if (mask != nullptr) detail::check_mask_shape("hash_post_op_semiring", p, *mask);
+  return detail::hash_spgemm_impl<S, detail::HashAccumulator>(
+      p, mask, complement, post_op);
+}
+
+template mtx::CsrMatrix hash_post_op_semiring<PlusTimes>(
+    const SpGemmProblem&, const mtx::CsrMatrix*, bool, const PostOp&);
+template mtx::CsrMatrix hash_post_op_semiring<MinPlus>(
+    const SpGemmProblem&, const mtx::CsrMatrix*, bool, const PostOp&);
+template mtx::CsrMatrix hash_post_op_semiring<MaxMin>(
+    const SpGemmProblem&, const mtx::CsrMatrix*, bool, const PostOp&);
+template mtx::CsrMatrix hash_post_op_semiring<BoolOrAnd>(
+    const SpGemmProblem&, const mtx::CsrMatrix*, bool, const PostOp&);
+template mtx::CsrMatrix hash_post_op_semiring<DynSemiring>(
+    const SpGemmProblem&, const mtx::CsrMatrix*, bool, const PostOp&);
 
 }  // namespace pbs

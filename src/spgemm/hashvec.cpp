@@ -13,4 +13,10 @@ mtx::CsrMatrix hashvec_spgemm(const SpGemmProblem& p) {
   return detail::hash_spgemm_impl<PlusTimes, detail::GroupedAccumulator>(p);
 }
 
+mtx::CsrMatrix hashvec_post_op_spgemm(const SpGemmProblem& p,
+                                      const PostOp& post_op) {
+  return detail::hash_spgemm_impl<PlusTimes, detail::GroupedAccumulator>(
+      p, nullptr, false, post_op);
+}
+
 }  // namespace pbs

@@ -51,6 +51,21 @@ mtx::CsrMatrix reference_run(const SpGemmProblem& p) {
   return reference_spgemm_semiring<S>(p);
 }
 
+/// make<S>() for the named semiring: the compiled instantiation for a
+/// built-in, DynSemiring for a runtime registration — whose value copy
+/// (the registry never removes entries, but a copy keeps the kernel
+/// self-contained) is activated around every call.
+template <typename Make>
+SpGemmFn semiring_kernel(const std::string& semiring, Make make) {
+  if (is_semiring_name(semiring)) return dispatch_semiring(semiring, make);
+  const RuntimeSemiring rs = SemiringRegistry::instance().at(semiring);
+  const SpGemmFn inner = make.template operator()<DynSemiring>();
+  return [rs, inner](const SpGemmProblem& p) {
+    detail::ScopedSemiring guard(&rs);
+    return inner(p);
+  };
+}
+
 /// The generalized kernel of `algo` over S; algo must be one of the
 /// registry entries flagged `generalized`.
 template <typename S>
@@ -198,22 +213,10 @@ SpGemmFn semiring_algorithm(const std::string& algo,
 
   // The generalized kernels; the check above guarantees the pair is
   // supported, so `semiring` here is a non-plus_times name of a
-  // generalized algorithm (built-in via the compiled instantiations,
-  // runtime via DynSemiring).
-  if (is_semiring_name(semiring)) {
-    return dispatch_semiring(semiring, [&]<typename S>() -> SpGemmFn {
-      return generalized_kernel<S>(algo);
-    });
-  }
-  // Runtime-registered: capture the semiring by value and activate it
-  // around every call (the registry never removes entries, but a value
-  // copy keeps the kernel self-contained).
-  const RuntimeSemiring rs = SemiringRegistry::instance().at(semiring);
-  const SpGemmFn inner = generalized_kernel<DynSemiring>(algo);
-  return [rs, inner](const SpGemmProblem& p) {
-    detail::ScopedSemiring guard(&rs);
-    return inner(p);
-  };
+  // generalized algorithm.
+  return semiring_kernel(semiring, [&]<typename S>() -> SpGemmFn {
+    return generalized_kernel<S>(algo);
+  });
 }
 
 SpGemmFn masked_semiring_algorithm(const std::string& algo,
@@ -224,17 +227,33 @@ SpGemmFn masked_semiring_algorithm(const std::string& algo,
   check_algorithm_semiring(algo, semiring);
   if (algo == "pb") return pb_kernel(semiring, mask, complement);
 
-  if (is_semiring_name(semiring)) {
-    return dispatch_semiring(semiring, [&]<typename S>() -> SpGemmFn {
-      return masked_kernel<S>(algo, mask, complement);
-    });
+  return semiring_kernel(semiring, [&]<typename S>() -> SpGemmFn {
+    return masked_kernel<S>(algo, mask, complement);
+  });
+}
+
+SpGemmFn post_op_semiring_algorithm(const std::string& algo,
+                                    const std::string& semiring,
+                                    const mtx::CsrMatrix* mask,
+                                    bool complement, const PostOp& post_op,
+                                    bool* fused) {
+  // Masked hashvec is pattern_filter over plain hashvec: the mask lands
+  // after the kernel, so the post-op must wait for the post-pass.
+  const bool fuses = post_op.active() &&
+                     (algo == "hash" || (algo == "hashvec" && mask == nullptr));
+  *fused = fuses;
+  if (!fuses) return masked_semiring_algorithm(algo, semiring, mask, complement);
+  check_algorithm_semiring(algo, semiring);
+  if (algo == "hashvec") {
+    return [post_op](const SpGemmProblem& p) {
+      return hashvec_post_op_spgemm(p, post_op);
+    };
   }
-  const RuntimeSemiring rs = SemiringRegistry::instance().at(semiring);
-  const SpGemmFn inner = masked_kernel<DynSemiring>(algo, mask, complement);
-  return [rs, inner](const SpGemmProblem& p) {
-    detail::ScopedSemiring guard(&rs);
-    return inner(p);
-  };
+  return semiring_kernel(semiring, [&]<typename S>() -> SpGemmFn {
+    return [mask, complement, post_op](const SpGemmProblem& p) {
+      return hash_post_op_semiring<S>(p, mask, complement, post_op);
+    };
+  });
 }
 
 std::vector<AlgoInfo> paper_comparison_set() {

@@ -78,6 +78,20 @@ SpGemmFn masked_semiring_algorithm(const std::string& algo,
                                    const mtx::CsrMatrix* mask,
                                    bool complement);
 
+/// masked_semiring_algorithm with the op's post-op: `hash` (every
+/// semiring, plain or under its fused mask) and unmasked `hashvec` apply
+/// `post_op` inside their row loop (hash_post_op_semiring), so a pruning
+/// op never builds the unpruned product, and `*fused` reads true.  Every
+/// other kernel is masked_semiring_algorithm's and `*fused` reads false:
+/// the caller applies the post-op to its result (apply_post_op,
+/// spgemm/epilogue.hpp).  Masked hashvec is one of those — its mask is a
+/// pattern_filter after the kernel, and must come before the post-op.
+SpGemmFn post_op_semiring_algorithm(const std::string& algo,
+                                    const std::string& semiring,
+                                    const mtx::CsrMatrix* mask,
+                                    bool complement, const PostOp& post_op,
+                                    bool* fused);
+
 /// Human-readable support matrix, one "algo: semiring..." line per
 /// algorithm (used by CLI --help and lookup errors).  Runtime-registered
 /// semirings show up on every generalized algorithm's line.

@@ -10,6 +10,8 @@
 //   hash_spgemm_semiring<S>     — two-phase hash accumulation: the keyed
 //                                 insert stays structural, the combine on
 //                                 an occupied slot becomes S::add
+//   hash_post_op_semiring<S>    — the same kernel with the op's mask and
+//                                 post-op fused into its row loop
 //   reference_spgemm_semiring<S>— serial ordered-map gold standard, the
 //                                 direct oracle for non-numeric semirings
 //
@@ -26,6 +28,7 @@
 
 #include <string>
 
+#include "common/post_op.hpp"
 #include "spgemm/semiring_ops.hpp"
 #include "spgemm/spgemm.hpp"
 
@@ -77,6 +80,18 @@ extern template mtx::CsrMatrix hash_spgemm_semiring<MaxMin>(
     const SpGemmProblem&);
 extern template mtx::CsrMatrix hash_spgemm_semiring<BoolOrAnd>(
     const SpGemmProblem&);
+
+/// hash_spgemm_semiring with the op's epilogue inside the kernel: the
+/// optional mask (nullptr = unmasked; `complement` flips it, as in
+/// hash_masked_semiring) and `post_op`.  A post-op that prunes or keeps
+/// the top-k runs as one pass with no symbolic phase, so the unpruned
+/// product is never built (spgemm/hash_impl.hpp).  Equal byte for byte
+/// to the kernel followed by apply_post_op (spgemm/epilogue.hpp).
+/// Instantiated in hash.cpp for the built-in four and the runtime bridge.
+template <typename S>
+mtx::CsrMatrix hash_post_op_semiring(const SpGemmProblem& p,
+                                     const mtx::CsrMatrix* mask,
+                                     bool complement, const PostOp& post_op);
 
 /// Serial ordered-map gold standard over semiring S — the direct oracle
 /// for validating non-numeric semirings (generalized reference_spgemm;

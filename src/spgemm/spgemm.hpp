@@ -12,6 +12,7 @@
 #include <functional>
 #include <string>
 
+#include "common/post_op.hpp"
 #include "matrix/csc.hpp"
 #include "matrix/csr.hpp"
 
@@ -53,6 +54,11 @@ mtx::CsrMatrix hash_spgemm(const SpGemmProblem& p);
 /// Hash variant probing 8-slot bucket groups, the scalar-emulated analogue
 /// of the paper's vector-register probing HashVecSpGEMM [12].
 mtx::CsrMatrix hashvec_spgemm(const SpGemmProblem& p);
+
+/// hashvec_spgemm with `post_op` fused into its row loop, as
+/// hash_post_op_semiring (spgemm/semiring.hpp) fuses it into hash's.
+mtx::CsrMatrix hashvec_post_op_spgemm(const SpGemmProblem& p,
+                                      const PostOp& post_op);
 
 /// Row-wise Gustavson with a dense sparse-accumulator (SPA) [20], [25].
 mtx::CsrMatrix spa_spgemm(const SpGemmProblem& p);

@@ -5,16 +5,21 @@
 // (scale/prune/top-k) vs the separate mtx:: passes — over
 // {plus_times, min_plus, max_min, bool_or_and} x
 // {wide, narrow, key-only} x {one OpenMP lane, full width} x
-// {mask, complemented mask}; plus the PostOp spec parser and the
+// {mask, complemented mask}; the hash family's in-kernel post-op (one
+// pass when it drops entries) vs the executor's apply_post_op post-pass,
+// degraded runs included; plus the PostOp spec parser and the
 // descriptor-layer validation rules (post-op x accumulate, post-op on a
 // value-free semiring).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/fault.hpp"
 #include "common/parallel.hpp"
 #include "matrix/ops.hpp"
 #include "spgemm/epilogue.hpp"
@@ -342,6 +347,175 @@ TEST(FusedEpilogue, PostOpIsPartOfThePlanCacheKey) {
   EXPECT_FALSE(info.cache_hit);
   EXPECT_LT(pruned_50.vals.size(), pruned_2.vals.size());
   EXPECT_TRUE(mtx::equal_exact(pruned_50, mtx::prune(pruned_2, 50.0)));
+}
+
+// ---- the hash family's fused post-op --------------------------------------
+
+/// The post-ops the hash family is checked under: each dropping knob
+/// alone, both, both after a 0.5 scale (exact in binary, and a second
+/// application would halve the values again), and a scale alone, which
+/// keeps the two-phase path.
+std::vector<std::pair<std::string, PostOp>> hash_post_ops(double prune) {
+  PostOp prune_only;
+  prune_only.prune_threshold = prune;
+  PostOp topk_only;
+  topk_only.top_k = 5;
+  PostOp both = prune_only;
+  both.top_k = 5;
+  PostOp scaled = both;
+  scaled.scale = 0.5;
+  scaled.prune_threshold = prune / 2;
+  PostOp scale_only;
+  scale_only.scale = 0.5;
+  return {{"prune", prune_only},
+          {"topk", topk_only},
+          {"prune+topk", both},
+          {"scale+prune+topk", scaled},
+          {"scale", scale_only}};
+}
+
+/// What a product offers the checks: rows longer than the sort's
+/// insertion cutoff, rows `post` empties, and rows whose top-k cut falls
+/// inside a run of equal |v| — where only the column tie-break decides.
+struct Coverage {
+  int long_rows = 0;
+  int emptied_rows = 0;
+  int tied_cuts = 0;
+};
+
+Coverage coverage(const mtx::CsrMatrix& product, const PostOp& post) {
+  mtx::CsrMatrix shaped = product;
+  apply_post_op(shaped, post);
+  Coverage cov;
+  std::vector<double> mags;
+  for (index_t r = 0; r < product.nrows; ++r) {
+    const nnz_t lo = product.rowptr[r];
+    const nnz_t hi = product.rowptr[static_cast<std::size_t>(r) + 1];
+    if (hi - lo > 32) ++cov.long_rows;
+    if (hi > lo && shaped.row_nnz(r) == 0) ++cov.emptied_rows;
+    mags.clear();
+    for (nnz_t i = lo; i < hi; ++i) {
+      const double v = std::abs(product.vals[i] * post.scale);
+      if (!(post.prune_threshold > 0 && v < post.prune_threshold)) {
+        mags.push_back(v);
+      }
+    }
+    const auto k = static_cast<std::size_t>(post.top_k);
+    if (k > 0 && mags.size() > k) {
+      std::sort(mags.begin(), mags.end(), std::greater<>());
+      if (mags[k - 1] == mags[k]) ++cov.tied_cuts;
+    }
+  }
+  return cov;
+}
+
+// hash (every valued built-in semiring; unmasked, masked, complemented)
+// and hashvec (plus_times; unmasked, and masked, whose mask is a filter
+// after the kernel and so keeps the executor's post-pass) apply the
+// post-op inside the kernel.  Whatever path runs, the executor's result
+// must equal the same op without the post-op followed by apply_post_op,
+// byte for byte, at one lane and full width — and under plus_times also
+// pb's fused result.  Integer-valued operands make |v| ties common, so a
+// top-k cut that broke ties by insertion order instead of column order
+// shows.
+TEST(FusedEpilogue, HashFamilyPostOpMatchesThePostPass) {
+  const mtx::CsrMatrix a = testutil::exact_rmat(8, 8.0, 531);
+  const mtx::CsrMatrix mask = testutil::exact_er(256, 256, 30.0, 532);
+  const SpGemmProblem p = SpGemmProblem::square(a);
+  SpGemmExecutor exec;
+
+  struct Case {
+    const char* algo;
+    const char* semiring;
+    double prune;  ///< empties some rows of this semiring's product
+    bool masked;
+    bool complement;
+  };
+  std::vector<Case> cases;
+  for (const auto& [semiring, prune] :
+       {std::pair{"plus_times", 40.0}, std::pair{"min_plus", 10.0},
+        std::pair{"max_min", 5.0}}) {
+    cases.push_back({"hash", semiring, prune, false, false});
+    cases.push_back({"hash", semiring, prune, true, false});
+    cases.push_back({"hash", semiring, prune, true, true});
+  }
+  cases.push_back({"hashvec", "plus_times", 40.0, false, false});
+  cases.push_back({"hashvec", "plus_times", 40.0, true, false});
+
+  for (const Case& cs : cases) {
+    SpGemmOp plain;
+    plain.algo = cs.algo;
+    plain.semiring = cs.semiring;
+    plain.mask = cs.masked ? &mask : nullptr;
+    plain.complement = cs.complement;
+    const std::string where = std::string(cs.algo) + "/" + cs.semiring +
+                              (cs.masked ? (cs.complement ? "/complement"
+                                                          : "/mask")
+                                         : "");
+    for (const auto& [name, post] : hash_post_ops(cs.prune)) {
+      if (!cs.masked) {
+        const Coverage cov = coverage(exec.run(p, plain), post);
+        EXPECT_GT(cov.long_rows, 0) << where;
+        if (post.prune_threshold > 0) EXPECT_GT(cov.emptied_rows, 0) << where;
+        if (post.top_k > 0) EXPECT_GT(cov.tied_cuts, 0) << where << " " << name;
+      }
+      for (const int threads : {1, max_threads()}) {
+        const ThreadCountGuard lanes(threads);
+        SCOPED_TRACE(where + " " + name + " " + std::to_string(threads) +
+                     " thread(s)");
+        mtx::CsrMatrix gold = exec.run(p, plain);
+        apply_post_op(gold, post);
+
+        SpGemmOp op = plain;
+        op.post_op = post;
+        RunInfo info;
+        const mtx::CsrMatrix fused = exec.run(p, op, &info);
+        EXPECT_EQ(info.algo, cs.algo);
+        EXPECT_TRUE(mtx::equal_exact(fused, gold));
+        if (std::string(cs.semiring) == "plus_times") {
+          op.algo = "pb";
+          EXPECT_TRUE(mtx::equal_exact(fused, exec.run(p, op)));
+        }
+      }
+    }
+  }
+}
+
+// A run that degrades to the row-wise fallback — at plan time, because
+// pb's stream cannot fit the memory budget, or mid-run, because an
+// allocation fails — resolves to hash, which fuses the post-op: it must
+// apply it exactly once (the 0.5 scale would show a second application)
+// and return pb's fused result.
+TEST(FusedEpilogue, DegradedRunsApplyThePostOpOnce) {
+  const mtx::CsrMatrix a = testutil::exact_er(400, 400, 6.0, 533);
+  const SpGemmProblem p = SpGemmProblem::square(a);
+  SpGemmOp op;
+  op.algo = "pb";
+  op.post_op.scale = 0.5;
+  op.post_op.prune_threshold = 4.0;
+  op.post_op.top_k = 6;
+  const mtx::CsrMatrix gold = SpGemmExecutor().run(p, op);
+
+  {
+    ExecutorOptions eo;
+    eo.mem_budget_bytes = 64 * 1024;  // far below the expand stream
+    SpGemmExecutor exec(eo);
+    RunInfo info;
+    EXPECT_TRUE(mtx::equal_exact(exec.run(p, op, &info), gold));
+    EXPECT_EQ(info.degrade_reason, "budget");
+    EXPECT_EQ(info.algo, "hash");
+  }
+  {
+    FaultInjector::reset();
+    SpGemmExecutor exec;
+    FaultInjector::fail_alloc_after(0);
+    RunInfo info;
+    const mtx::CsrMatrix c = exec.run(p, op, &info);
+    FaultInjector::reset();
+    EXPECT_TRUE(mtx::equal_exact(c, gold));
+    EXPECT_EQ(info.degrade_reason, "oom");
+    EXPECT_EQ(info.algo, "hash");
+  }
 }
 
 // ---- descriptor validation ------------------------------------------------

@@ -32,9 +32,11 @@
 // compress stage when dense, reporting both counts); --complement flips
 // the polarity.  --post-op applies an elementwise epilogue (scale, then
 // prune |v| < T, then keep the top-k per row): pb fuses it into its
-// per-bin filter and never materializes the unpruned product; after hash,
-// heap and spa the executor runs it as one parallel pass over the full
-// product.  It is an error on value-free semirings.
+// per-bin filter and hash and hashvec into their row loop (one pass with
+// no symbolic phase when it prunes), so none of them materializes the
+// unpruned product; after heap, spa and masked hashvec the executor runs
+// it as one parallel pass over the full product.  It is an error on
+// value-free semirings.
 // `semiring` demonstrates runtime semiring registration: it registers the
 // tropical (max, +) semiring "plus_max" through SemiringRegistry and runs
 // the multiplication over it through the executor.  `info` prints
@@ -519,6 +521,8 @@ void usage() {
   std::cout <<
       "pbs_cli <command> [options]\n"
       "  gen      --kind er|rmat|banded --out FILE.mtx [--scale N --ef F --seed S]\n"
+      "           [--n N --halfwidth W]   (banded: N x N, nonzeros within W\n"
+      "                                    of the diagonal)\n"
       "  stats    --a FILE.mtx\n"
       "  multiply --a FILE.mtx [--b FILE.mtx] [--algo NAME|auto] [--semiring NAME]\n"
       "           [--format auto|wide|narrow|keyonly]\n"
@@ -551,10 +555,11 @@ void usage() {
       "dense one drops at compress; both counts are reported);\n"
       "--complement keeps the positions NOT in M.  --post-op applies an\n"
       "elementwise epilogue — scale, then prune |v| < T, then top-k per\n"
-      "row.  pb fuses it into its per-bin filter, so pb never\n"
-      "materializes the unpruned product; after hash, heap and spa the\n"
-      "executor runs it as one parallel pass over the full product.  It\n"
-      "is an error on value-free semirings.\n"
+      "row.  pb fuses it into its per-bin filter and hash and hashvec into\n"
+      "their row loop, so they never materialize the unpruned product;\n"
+      "after heap, spa and masked hashvec the executor runs it as one\n"
+      "parallel pass over the full product.  It is an error on value-free\n"
+      "semirings.\n"
       "--mem-budget-mb N caps the executor's pooled workspace memory: a\n"
       "PB stream that cannot fit degrades to the row-wise fallback and\n"
       "the degradation is reported; --deadline-ms T bounds each execute\n"
