@@ -33,9 +33,12 @@
 // without an include cycle.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/types.hpp"
 
@@ -59,6 +62,46 @@ struct PostOp {
 
   friend bool operator==(const PostOp&, const PostOp&) = default;
 };
+
+/// The prune and top-k selection of one row segment [begin, end), whose
+/// entry t has the (already scaled) absolute value abs_at(t): fills `sel`
+/// with the survivors' (|v|, t) pairs in ascending t.  Top-k keeps the k
+/// largest under (|v| desc, t asc); within a row, index order is column
+/// order, so ties go to the smaller column, as in mtx::keep_top_k_per_row.
+/// pb's per-bin filter and post_op_row (spgemm/epilogue.hpp) both select
+/// through it, and each moves the survivors its own way.  `sel` is
+/// caller scratch, reused across rows.
+template <typename AbsAt>
+void post_op_select(const PostOp& op, nnz_t begin, nnz_t end, AbsAt abs_at,
+                    std::vector<std::pair<double, nnz_t>>& sel) {
+  sel.clear();
+  for (nnz_t t = begin; t < end; ++t) {
+    const double av = abs_at(t);
+    if (op.prune_threshold > 0 && av < op.prune_threshold) continue;
+    sel.emplace_back(av, t);
+  }
+  if (op.top_k <= 0 || sel.size() <= static_cast<std::size_t>(op.top_k)) return;
+  // The k-th entry under (|v| desc, t asc) is the cutoff; keeping
+  // everything at or before it selects exactly k (indices are distinct,
+  // so the order is total).
+  const auto larger = [](const std::pair<double, nnz_t>& x,
+                         const std::pair<double, nnz_t>& y) {
+    return x.first > y.first || (x.first == y.first && x.second < y.second);
+  };
+  const auto kth = sel.begin() + (op.top_k - 1);
+  std::nth_element(sel.begin(), kth, sel.end(), larger);
+  const auto cut = *kth;
+  sel.erase(std::remove_if(sel.begin(), sel.end(),
+                           [&](const std::pair<double, nnz_t>& e) {
+                             return larger(cut, e);
+                           }),
+            sel.end());
+  std::sort(sel.begin(), sel.end(),
+            [](const std::pair<double, nnz_t>& x,
+               const std::pair<double, nnz_t>& y) {
+              return x.second < y.second;
+            });
+}
 
 /// Parses a CLI/wire spec: comma-separated `prune:T`, `topk:K`, `scale:X`
 /// terms in any order, e.g. "prune:1e-5,topk:64".  Throws

@@ -22,7 +22,6 @@
 // sees them and the masked output costs only its own writes.
 #pragma once
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -75,9 +74,9 @@ nnz_t mask_filter_bin(nnz_t merged, const mtx::CsrMatrix& mask,
 /// filtered) bin in place.  Tuples are key-sorted, so each output row is
 /// one contiguous, column-ascending segment: scale rewrites values, prune
 /// drops |v| < threshold, and top-k keeps the row's k largest-|v| entries
-/// (ties toward smaller columns — the same selection
-/// mtx::keep_top_k_per_row makes) with survivors compacted in ascending
-/// column order.  `row_of` only segments the scan, so bin-local row ids
+/// (ties toward smaller columns — the selection post_op_select makes for
+/// post_op_row too) with survivors compacted in ascending column order.
+/// `row_of` only segments the scan, so bin-local row ids
 /// serve as well as global ones.  Returns the survivor count.
 template <typename RowOf, typename GetVal, typename SetVal, typename Move>
 nnz_t post_op_bin(nnz_t kept, const PostOp& op, RowOf row_of, GetVal get_val,
@@ -87,41 +86,15 @@ nnz_t post_op_bin(nnz_t kept, const PostOp& op, RowOf row_of, GetVal get_val,
   }
   if (!op.drops_entries()) return kept;
 
-  std::vector<std::pair<double, nnz_t>> sel;  // top-k scratch: (|v|, index)
-  const auto larger = [](const std::pair<double, nnz_t>& x,
-                         const std::pair<double, nnz_t>& y) {
-    return x.first > y.first || (x.first == y.first && x.second < y.second);
-  };
+  std::vector<std::pair<double, nnz_t>> sel;  // selection scratch
   nnz_t out = 0;
   for (nnz_t i = 0; i < kept;) {
     const auto r = row_of(i);
     nnz_t j = i + 1;
     while (j < kept && row_of(j) == r) ++j;
 
-    sel.clear();
-    for (nnz_t t = i; t < j; ++t) {
-      const double av = std::abs(get_val(t));
-      if (op.prune_threshold > 0 && av < op.prune_threshold) continue;
-      sel.emplace_back(av, t);
-    }
-    if (op.top_k > 0 && sel.size() > static_cast<std::size_t>(op.top_k)) {
-      // The k-th entry under (|v| desc, col asc) is the cutoff; keeping
-      // everything at or before it selects exactly k (indices are
-      // distinct, so the order is total).
-      const auto kth = sel.begin() + (op.top_k - 1);
-      std::nth_element(sel.begin(), kth, sel.end(), larger);
-      const auto cut = *kth;
-      sel.erase(std::remove_if(sel.begin(), sel.end(),
-                               [&](const std::pair<double, nnz_t>& e) {
-                                 return larger(cut, e);
-                               }),
-                sel.end());
-      std::sort(sel.begin(), sel.end(),
-                [](const std::pair<double, nnz_t>& x,
-                   const std::pair<double, nnz_t>& y) {
-                  return x.second < y.second;
-                });
-    }
+    post_op_select(
+        op, i, j, [&](nnz_t t) { return std::abs(get_val(t)); }, sel);
     for (const auto& e : sel) {
       if (e.second != out) move(e.second, out);
       ++out;

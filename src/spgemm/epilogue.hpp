@@ -43,34 +43,8 @@ namespace pbs {
 inline nnz_t post_op_row(const PostOp& op, index_t* colids, value_t* vals,
                          nnz_t begin, nnz_t end,
                          std::vector<std::pair<double, nnz_t>>& sel) {
-  sel.clear();
-  for (nnz_t t = begin; t < end; ++t) {
-    const double av = std::abs(vals[t]);
-    if (op.prune_threshold > 0 && av < op.prune_threshold) continue;
-    sel.emplace_back(av, t);
-  }
-  // (|v| desc, index asc) — within a row index order is column order, so
-  // this is the same total order the fused pb filter and
-  // mtx::keep_top_k_per_row select under.
-  const auto larger = [](const std::pair<double, nnz_t>& x,
-                         const std::pair<double, nnz_t>& y) {
-    return x.first > y.first || (x.first == y.first && x.second < y.second);
-  };
-  if (op.top_k > 0 && sel.size() > static_cast<std::size_t>(op.top_k)) {
-    const auto kth = sel.begin() + (op.top_k - 1);
-    std::nth_element(sel.begin(), kth, sel.end(), larger);
-    const auto cut = *kth;
-    sel.erase(std::remove_if(sel.begin(), sel.end(),
-                             [&](const std::pair<double, nnz_t>& e) {
-                               return larger(cut, e);
-                             }),
-              sel.end());
-    std::sort(sel.begin(), sel.end(),
-              [](const std::pair<double, nnz_t>& x,
-                 const std::pair<double, nnz_t>& y) {
-                return x.second < y.second;
-              });
-  }
+  post_op_select(
+      op, begin, end, [vals](nnz_t t) { return std::abs(vals[t]); }, sel);
   nnz_t out = begin;
   for (const auto& e : sel) {
     if (e.second != out) {

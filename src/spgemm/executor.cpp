@@ -89,15 +89,6 @@ std::mutex& dyn_semiring_mutex() {
   return mu;
 }
 
-/// The low-memory row-wise kernel a degraded op executes with: hash when
-/// it speaks the op's semiring, heap otherwise (heap supports every
-/// registered semiring).
-std::string fallback_algo(const std::string& semiring) {
-  const AlgoInfo* hash = find_algorithm("hash");
-  return hash != nullptr && hash->supports_semiring(semiring) ? "hash"
-                                                              : "heap";
-}
-
 }  // namespace
 
 /// One plan: the full analysis product for (structure, op), immutable
@@ -421,14 +412,14 @@ struct SpGemmExecutor::Impl {
       }
       if (over_budget) {
         // Graceful degradation: this (structure, op) serves through the
-        // low-memory row-wise kernel instead of failing.  The downgrade
+        // low-memory row-wise hash kernel, registered over every
+        // semiring, instead of failing.  The downgrade
         // is a property of the cached plan — re-raising the budget means
         // a new executor (or larger cache pressure evicting the entry).
-        const std::string fb = fallback_algo(op.semiring);
-        entry->fn = post_op_semiring_algorithm(fb, op.semiring, op.mask,
+        entry->fn = post_op_semiring_algorithm("hash", op.semiring, op.mask,
                                                op.complement, op.post_op,
                                                &entry->fn_fuses_post_op);
-        entry->resolved = fb;
+        entry->resolved = "hash";
         entry->use_pb = false;
         entry->degraded = true;
         entry->degrade_reason = "budget";
@@ -507,8 +498,8 @@ struct SpGemmExecutor::Impl {
           }
           const SpGemmOp& op = entry->op;
           const SpGemmFn fn = post_op_semiring_algorithm(
-              fallback_algo(op.semiring), op.semiring, op.mask, op.complement,
-              op.post_op, &post_op_applied);
+              "hash", op.semiring, op.mask, op.complement, op.post_op,
+              &post_op_applied);
           c = fn(p);
           oom_fallback = true;
         }
@@ -557,7 +548,7 @@ struct SpGemmExecutor::Impl {
       info->achieved_mflops = achieved;
       if (entry->use_pb && !oom_fallback) info->pb_stats = pb_stats;
       if (oom_fallback) {
-        info->algo = fallback_algo(entry->op.semiring);
+        info->algo = "hash";
         info->used_pb = false;
         info->degraded = true;
         info->degrade_reason = "oom";

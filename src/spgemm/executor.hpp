@@ -81,9 +81,9 @@ struct ExecutorOptions {
 
   /// Byte cap on the pooled workspace memory (tuple streams + sort
   /// scratch) across ALL concurrent leases; 0 = unlimited.  A plan whose
-  /// PB stream cannot fit degrades to the row-wise fallback at plan time;
-  /// a run whose workspace growth is rejected mid-flight (or whose
-  /// allocation genuinely fails) re-executes through the fallback kernel,
+  /// PB stream cannot fit degrades to the row-wise `hash` kernel at plan
+  /// time; a run whose workspace growth is rejected mid-flight (or whose
+  /// allocation genuinely fails) re-executes through `hash`,
   /// keeping the cached PB plan for the next, possibly less contended,
   /// run.  Degradations surface in ExecutorStats and RunInfo.
   std::size_t mem_budget_bytes = 0;

@@ -2,7 +2,8 @@
 // (paper Sec. IV-A, after Nagasaka et al. [12], [27]).
 //
 // Generalized over any semiring via the keyed insert-or-combine step in
-// hash_table.hpp (hash_spgemm_semiring<S>); hash_spgemm is the numeric
+// hash_table.hpp, which narrow rows apply in a dense window instead
+// (hash_spgemm_semiring<S>, hash_impl.hpp); hash_spgemm is the numeric
 // (+, ×) instantiation, the masked form fuses an output mask into every
 // row loop, and hash_post_op_semiring also fuses the op's post-op (see
 // hash_impl.hpp).

@@ -9,7 +9,8 @@
 //   heap_spgemm_semiring<S>     — row-wise k-way heap merge
 //   hash_spgemm_semiring<S>     — two-phase hash accumulation: the keyed
 //                                 insert stays structural, the combine on
-//                                 an occupied slot becomes S::add
+//                                 an occupied slot becomes S::add; narrow
+//                                 rows accumulate in a dense window
 //   hash_post_op_semiring<S>    — the same kernel with the op's mask and
 //                                 post-op fused into its row loop
 //   reference_spgemm_semiring<S>— serial ordered-map gold standard, the
@@ -67,7 +68,11 @@ extern template mtx::CsrMatrix heap_spgemm_semiring<BoolOrAnd>(
 
 /// Row-wise Gustavson with two-phase hash accumulation over semiring S —
 /// the generalized form of hash_spgemm (see hash.cpp): symbolic keyed
-/// inserts are pure structure, numeric slot hits combine with S::add.
+/// inserts are pure structure, numeric slot hits combine with S::add.  A
+/// row whose window of output columns is no wider than its flop and at
+/// most 2^16 columns accumulates instead into a dense array over that
+/// window, under the same first-product-as-is rule, and reads out sorted
+/// (spgemm/hash_impl.hpp); its bits are the hash table's.
 template <typename S>
 mtx::CsrMatrix hash_spgemm_semiring(const SpGemmProblem& p);
 

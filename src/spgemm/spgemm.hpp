@@ -48,11 +48,15 @@ mtx::CsrMatrix reference_spgemm(const SpGemmProblem& p);
 mtx::CsrMatrix heap_spgemm(const SpGemmProblem& p);
 
 /// Row-wise Gustavson with hash accumulation, two-phase symbolic+numeric
-/// (paper's HashSpGEMM, Nagasaka et al. [12]).
+/// (paper's HashSpGEMM, Nagasaka et al. [12]).  A row whose products span
+/// a column window no wider than its flop (and at most 2^16 columns)
+/// accumulates densely by column instead and skips the row sort, with
+/// the same bits (spgemm/hash_impl.hpp).
 mtx::CsrMatrix hash_spgemm(const SpGemmProblem& p);
 
 /// Hash variant probing 8-slot bucket groups, the scalar-emulated analogue
-/// of the paper's vector-register probing HashVecSpGEMM [12].
+/// of the paper's vector-register probing HashVecSpGEMM [12].  Shares
+/// hash_spgemm's row loop, dense window included.
 mtx::CsrMatrix hashvec_spgemm(const SpGemmProblem& p);
 
 /// hashvec_spgemm with `post_op` fused into its row loop, as

@@ -5,20 +5,32 @@
 // one to four bytes.  `hash` and `hashvec`, plain, masked and
 // complemented, must equal `heap` exactly (integer values, so the order
 // of additions cannot matter) with strictly ascending rows.
+//
+// Then the dense window, on rows on either side of its two bounds,
+// windows at either end of the column range, empty B rows, a first
+// product of -0.0, and an R-MAT product that mixes window and table rows:
+// every semiring, mask polarity and post-op the kernels fuse, at one lane
+// and at full width.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <random>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/parallel.hpp"
 #include "matrix/csr.hpp"
+#include "spgemm/epilogue.hpp"
+#include "spgemm/hash_impl.hpp"
 #include "spgemm/masked.hpp"
 #include "spgemm/registry.hpp"
 #include "spgemm/semiring.hpp"
 #include "spgemm/spgemm.hpp"
+#include "test_util.hpp"
 
 namespace pbs {
 namespace {
@@ -180,6 +192,257 @@ TEST(HashKernel, ColumnIdsVaryingInOneToFourBytes) {
     expect_hash_kernels_match_heap(fan_in(60, 40, 3),
                                    csr_from_rows(ncols, std::move(b_rows)),
                                    std::to_string(ncols) + " columns");
+  }
+}
+
+/// Window rows and hash-table rows of A·B, as the kernels sort them.
+struct RowKinds {
+  index_t window = 0;
+  index_t table = 0;
+};
+
+RowKinds row_kinds(const mtx::CsrMatrix& a, const mtx::CsrMatrix& b) {
+  RowKinds kinds;
+  for (index_t r = 0; r < a.nrows; ++r) {
+    const detail::RowBounds rb =
+        detail::row_bounds(a, b, nullptr, false, r, true);
+    if (rb.upper == 0) continue;
+    ++(rb.width > 0 ? kinds.window : kinds.table);
+  }
+  return kinds;
+}
+
+/// Every path through the hash kernels' row loop on A·B against heap's
+/// product, at one lane and at full width: `hash` under four semirings,
+/// plain, masked and complemented; `hashvec` under plus_times, plain and
+/// masked; and the fused post-ops prune + top-k and scale only (one pass
+/// and two phases), against heap followed by apply_post_op.
+void expect_every_path_matches_heap(const mtx::CsrMatrix& a,
+                                    const mtx::CsrMatrix& b,
+                                    const std::string& what) {
+  const SpGemmProblem p = SpGemmProblem::multiply(a, b);
+  const mtx::CsrMatrix mask = mask_of(heap_spgemm(p));
+  PostOp prune_top_k;
+  prune_top_k.prune_threshold = 3.0;
+  prune_top_k.top_k = 4;
+  PostOp scale_only;
+  scale_only.scale = 0.5;
+  for (const int lanes : {1, max_threads()}) {
+    const ThreadCountGuard guard(lanes);
+    for (const std::string semiring :
+         {"plus_times", "min_plus", "max_min", "bool_or_and"}) {
+      for (const int polarity : {0, 1, 2}) {  // plain, masked, complemented
+        const mtx::CsrMatrix* m = polarity == 0 ? nullptr : &mask;
+        const bool complement = polarity == 2;
+        const bool hashvec = semiring == "plus_times" && polarity < 2;
+        const std::string tag =
+            what + " " + semiring +
+            (polarity == 0 ? "" : complement ? " complemented" : " masked") +
+            " at " + std::to_string(lanes) + " lane(s)";
+        const mtx::CsrMatrix gold =
+            masked_semiring_algorithm("heap", semiring, m, complement)(p);
+        expect_canonical_and_equal(
+            masked_semiring_algorithm("hash", semiring, m, complement)(p),
+            gold, tag + " hash");
+        if (hashvec) {
+          expect_canonical_and_equal(
+              masked_semiring_algorithm("hashvec", semiring, m, complement)(p),
+              gold, tag + " hashvec");
+        }
+        if (semiring == "bool_or_and") continue;  // value-free: no post-op
+        for (const PostOp& post : {prune_top_k, scale_only}) {
+          mtx::CsrMatrix shaped = gold;
+          apply_post_op(shaped, post);
+          for (const std::string algo : {"hash", "hashvec"}) {
+            if (algo == "hashvec" && (!hashvec || m != nullptr)) continue;
+            bool fused = false;
+            const mtx::CsrMatrix got = post_op_semiring_algorithm(
+                algo, semiring, m, complement, post, &fused)(p);
+            EXPECT_TRUE(fused) << tag << " " << algo;
+            expect_canonical_and_equal(
+                got, shaped,
+                tag + " " + algo + " post-op " + post_op_to_string(post));
+          }
+        }
+      }
+    }
+  }
+}
+
+/// A·B built one output row at a time, each from B rows of its own.  B's
+/// row 0 is empty, and every A row but the empty ones also sums it.
+class RowCases {
+ public:
+  explicit RowCases(index_t ncols) : ncols_(ncols), b_rows_(1) {}
+
+  /// Appends an A row whose product makes `flop` multiplies over the
+  /// window [lo, lo + width), both of whose ends it hits.  The columns
+  /// beyond the two ends are random; each B row holds distinct columns,
+  /// so the flop is exact.
+  void add(index_t lo, index_t width, index_t flop, bool window,
+           std::mt19937_64& rng) {
+    std::vector<index_t> cols = {lo, lo + width - 1};
+    while (static_cast<index_t>(cols.size()) < flop) {
+      cols.push_back(lo + static_cast<index_t>(
+                              rng() % static_cast<std::uint64_t>(width)));
+    }
+    std::vector<std::set<index_t>> parts;
+    for (const index_t c : cols) {
+      auto it = std::find_if(parts.begin(), parts.end(),
+                             [c](const std::set<index_t>& s) {
+                               return s.count(c) == 0;
+                             });
+      if (it == parts.end()) it = parts.emplace(parts.end());
+      it->insert(c);
+    }
+    std::vector<index_t> a_row = {0};
+    for (const std::set<index_t>& part : parts) {
+      a_row.push_back(static_cast<index_t>(b_rows_.size()));
+      b_rows_.emplace_back(part.begin(), part.end());
+    }
+    a_rows_.push_back(std::move(a_row));
+    window_.push_back(window);
+  }
+
+  /// Appends an A row with no entries, or one that sums only the empty
+  /// B row: either way an empty output row.
+  void add_empty(bool touches_empty_b_row) {
+    a_rows_.push_back(touches_empty_b_row ? std::vector<index_t>{0}
+                                          : std::vector<index_t>{});
+    window_.push_back(false);
+  }
+
+  [[nodiscard]] mtx::CsrMatrix a() const {
+    return csr_from_rows(static_cast<index_t>(b_rows_.size()), a_rows_);
+  }
+  [[nodiscard]] mtx::CsrMatrix b() const {
+    return csr_from_rows(ncols_, b_rows_);
+  }
+  [[nodiscard]] bool window(index_t r) const { return window_[r]; }
+
+ private:
+  index_t ncols_;
+  Rows a_rows_, b_rows_;
+  std::vector<bool> window_;
+};
+
+TEST(HashKernel, DenseWindowBoundsAndEdges) {
+  constexpr auto kMaxWidth = static_cast<index_t>(detail::kWindowMaxWidth);
+  constexpr index_t kCols = 2 * kMaxWidth;
+  std::mt19937_64 rng(25);
+  RowCases rows(kCols);
+  // Width against the row's flop: equal (window) and one more (table).
+  rows.add(0, 40, 40, true, rng);  // also starts at column 0
+  rows.add(1000, 41, 40, false, rng);
+  rows.add(kCols - 40, 40, 40, true, rng);  // ends at column ncols - 1
+  rows.add(kCols - 41, 41, 40, false, rng);
+  // Width against the cap, with flop to spare: 2^16 (window) and 2^16 + 1
+  // (table), one of each at either end of the column range.
+  rows.add(0, kMaxWidth, kMaxWidth + 700, true, rng);
+  rows.add(kCols - kMaxWidth - 1, kMaxWidth + 1, kMaxWidth + 700, false, rng);
+  rows.add(kCols - kMaxWidth, kMaxWidth, kMaxWidth + 300, true, rng);
+  rows.add(3, kMaxWidth + 1, kMaxWidth + 300, false, rng);
+  // Narrow windows with many duplicates, one column wide at the extreme,
+  // and a sparse row over the whole range.
+  rows.add(500, 300, 2000, true, rng);
+  rows.add(kCols - 1, 1, 6, true, rng);
+  rows.add(0, kCols, 300, false, rng);
+  rows.add_empty(true);
+  rows.add_empty(false);
+
+  const mtx::CsrMatrix a = rows.a();
+  const mtx::CsrMatrix b = rows.b();
+  for (index_t r = 0; r < a.nrows; ++r) {
+    EXPECT_EQ(detail::row_bounds(a, b, nullptr, false, r, true).width > 0,
+              rows.window(r))
+        << "row " << r;
+  }
+  expect_every_path_matches_heap(a, b, "window bounds");
+}
+
+TEST(HashKernel, DenseWindowKeepsANegativeZeroFirstProduct) {
+  // Row 0 is a window row and row 1 a table row (its window spans every
+  // column).  Column 0's products are all -1 x 0.0 = -0.0; the hash table
+  // stores a first product as-is, so -0.0 stays -0.0 where a sum started
+  // from S::zero() = +0.0 would read +0.0.
+  constexpr index_t kCols = 1000;
+  const mtx::CsrMatrix a = testutil::from_triplets(
+      2, 3, {{0, 0, -1.0}, {0, 1, -1.0}, {1, 0, -1.0}, {1, 2, 2.0}});
+  const mtx::CsrMatrix b = testutil::from_triplets(
+      3, kCols,
+      {{0, 0, 0.0}, {0, 1, 1.0}, {0, 2, 2.0}, {1, 0, 0.0}, {1, 2, 3.0},
+       {1, 3, 4.0}, {2, 1, 5.0}, {2, kCols - 1, 6.0}});
+  // from_triplets keeps explicit zeros, which the test needs.
+  ASSERT_EQ(b.nnz(), 8);
+  ASSERT_GT(detail::row_bounds(a, b, nullptr, false, 0, true).width, 0);
+  ASSERT_EQ(detail::row_bounds(a, b, nullptr, false, 1, true).width, 0);
+  const SpGemmProblem p = SpGemmProblem::multiply(a, b);
+  const mtx::CsrMatrix mask = testutil::from_triplets(
+      2, kCols, {{0, 0, 1.0}, {0, 3, 1.0}, {1, 0, 1.0}});
+  PostOp scale_only;
+  scale_only.scale = 0.5;
+  for (const int lanes : {1, max_threads()}) {
+    const ThreadCountGuard guard(lanes);
+    bool fused = false;
+    const std::vector<std::pair<std::string, mtx::CsrMatrix>> results = {
+        {"hash", hash_spgemm(p)},
+        {"hashvec", hashvec_spgemm(p)},
+        {"masked hash", hash_masked_semiring<PlusTimes>(p, mask, false)},
+        {"scaled hash",
+         post_op_semiring_algorithm("hash", "plus_times", nullptr, false,
+                                    scale_only, &fused)(p)},
+    };
+    for (const auto& [what, c] : results) {
+      for (index_t r = 0; r < 2; ++r) {
+        ASSERT_GT(c.row_nnz(r), 0) << what;
+        const nnz_t first = c.rowptr[r];
+        ASSERT_EQ(c.colids[first], 0) << what << " row " << r;
+        EXPECT_EQ(c.vals[first], 0.0) << what << " row " << r;
+        EXPECT_TRUE(std::signbit(c.vals[first]))
+            << what << " row " << r << " at " << lanes << " lane(s)";
+      }
+    }
+  }
+}
+
+TEST(HashKernel, RmatMixesWindowAndTableRows) {
+  const mtx::CsrMatrix a = testutil::exact_rmat(10, 16.0, 25);
+  const RowKinds kinds = row_kinds(a, a);
+  EXPECT_GT(kinds.window, 0);
+  EXPECT_GT(kinds.table, 0);
+  expect_every_path_matches_heap(a, a, "R-MAT scale 10");
+}
+
+TEST(HashKernel, UnsortedBRowsKeepTheHashTable) {
+  // B is A with every row's entries reversed: the same entries, so the
+  // same product bit for bit, but a row's first and last columns no
+  // longer bound it.  The window would write outside itself; the kernels
+  // must see the unsorted rows and keep every row on the hash table.
+  const mtx::CsrMatrix a = testutil::exact_rmat(10, 16.0, 26);
+  ASSERT_GT(row_kinds(a, a).window, 0);
+  mtx::CsrMatrix reversed = a;
+  for (index_t r = 0; r < a.nrows; ++r) {
+    const auto begin = static_cast<std::ptrdiff_t>(a.rowptr[r]);
+    const auto end = static_cast<std::ptrdiff_t>(a.rowptr[r + 1]);
+    std::reverse(reversed.colids.begin() + begin,
+                 reversed.colids.begin() + end);
+    std::reverse(reversed.vals.begin() + begin, reversed.vals.begin() + end);
+  }
+  ASSERT_TRUE(detail::rows_sorted(a));
+  ASSERT_FALSE(detail::rows_sorted(reversed));
+  const SpGemmProblem sorted = SpGemmProblem::multiply(a, a);
+  const SpGemmProblem unsorted = SpGemmProblem::multiply(a, reversed);
+  PostOp prune_top_k;
+  prune_top_k.prune_threshold = 3.0;
+  prune_top_k.top_k = 4;
+  for (const int lanes : {1, max_threads()}) {
+    const ThreadCountGuard guard(lanes);
+    EXPECT_TRUE(mtx::equal_exact(hash_spgemm(unsorted), hash_spgemm(sorted)));
+    EXPECT_TRUE(
+        mtx::equal_exact(hashvec_spgemm(unsorted), hashvec_spgemm(sorted)));
+    EXPECT_TRUE(mtx::equal_exact(
+        hash_post_op_semiring<PlusTimes>(unsorted, nullptr, false, prune_top_k),
+        hash_post_op_semiring<PlusTimes>(sorted, nullptr, false, prune_top_k)));
   }
 }
 
