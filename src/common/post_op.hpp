@@ -9,11 +9,11 @@
 // output is still in cache, in its per-bin filter stage (right after the
 // fused mask, before convert ever sizes the CSR), so pb never
 // materializes the unpruned C.  The hash family fuses it too: hash and
-// unmasked hashvec shape each row in their row loop, and an op that
-// prunes runs there as one pass with no symbolic phase
-// (spgemm/hash_impl.hpp).  heap, spa and masked hashvec do not: they
-// build the full product and the executor runs apply_post_op over it as
-// one parallel post-pass (spgemm/epilogue.hpp).
+// hashvec shape each row in their row loop, masked or not, and an op
+// that prunes runs there as one pass with no symbolic phase
+// (spgemm/hash_impl.hpp).  The other algorithms build the full product,
+// and their registry kernels (spgemm/registry.hpp) run apply_post_op
+// over it as one parallel post-pass (spgemm/epilogue.hpp).
 //
 // The three knobs compose (all may be set at once) and apply in a fixed
 // order chosen to match MCL's inflate-prune-select written as separate
@@ -35,6 +35,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -105,8 +106,14 @@ void post_op_select(const PostOp& op, nnz_t begin, nnz_t end, AbsAt abs_at,
 
 /// Parses a CLI/wire spec: comma-separated `prune:T`, `topk:K`, `scale:X`
 /// terms in any order, e.g. "prune:1e-5,topk:64".  Throws
-/// std::invalid_argument on unknown terms or malformed numbers.
+/// std::invalid_argument on unknown terms, on a number that does not fill
+/// its term, and on a value out of range: a negative or non-finite
+/// threshold, a non-finite scale, a top-k outside [1, index_t's max].
 inline PostOp parse_post_op(const std::string& spec) {
+  // std::stod/stoll read a prefix; the whole term must be the number.
+  const auto whole = [](std::size_t used, const std::string& val) {
+    if (used != val.size()) throw std::invalid_argument("trailing characters");
+  };
   PostOp op;
   std::size_t pos = 0;
   while (pos < spec.size()) {
@@ -121,17 +128,23 @@ inline PostOp parse_post_op(const std::string& spec) {
     const std::string name = term.substr(0, colon);
     const std::string val = term.substr(colon + 1);
     try {
+      std::size_t used = 0;
       if (name == "prune") {
-        op.prune_threshold = std::stod(val);
+        op.prune_threshold = std::stod(val, &used);
+        whole(used, val);
         if (!(op.prune_threshold >= 0) || !std::isfinite(op.prune_threshold)) {
           throw std::invalid_argument("negative or non-finite");
         }
       } else if (name == "topk") {
-        const long k = std::stol(val);
-        if (k <= 0) throw std::invalid_argument("non-positive");
+        const long long k = std::stoll(val, &used);
+        whole(used, val);
+        if (k <= 0 || k > std::numeric_limits<index_t>::max()) {
+          throw std::invalid_argument("out of range");
+        }
         op.top_k = static_cast<index_t>(k);
       } else if (name == "scale") {
-        op.scale = std::stod(val);
+        op.scale = std::stod(val, &used);
+        whole(used, val);
         if (!std::isfinite(op.scale)) throw std::invalid_argument("non-finite");
       } else {
         throw std::invalid_argument("unknown term");

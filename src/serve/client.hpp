@@ -54,9 +54,9 @@ struct MultiplyOptions {
   /// Per-request deadline; 0 defers to the server default.
   double deadline_ms = 0;
   /// Elementwise epilogue (scale/prune/top-k) applied server-side: fused
-  /// into pb's per-bin filter and into the hash family's row loop, a
-  /// post-pass over the product after heap and spa.  Sent only when
-  /// active (versioned wire field);
+  /// into pb's per-bin filter and into the row loop of hash and hashvec,
+  /// masked or not; a post-pass over the product after heap, spa and the
+  /// other baselines.  Sent only when active (versioned wire field);
   /// a server that cannot honor it answers kUnsupported.
   PostOp post_op;
 };

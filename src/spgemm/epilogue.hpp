@@ -4,11 +4,12 @@
 // The PB pipeline applies SpGemmOp::post_op inside its per-bin filter
 // stage and merges an accumulation target during CSR conversion
 // (pb/sort_compress.hpp, pb/output_accum.hpp), so the shaped output
-// is the only one that ever exists.  hash and unmasked hashvec shape
-// each sorted row with post_op_row inside their row loop
-// (spgemm/hash_impl.hpp), so theirs is the only one too.  heap, spa,
-// masked hashvec and the other baselines produce the plain product;
-// this header gives them the same semantics as one post-pass:
+// is the only one that ever exists.  hash and hashvec shape each sorted
+// row with post_op_row inside their row loop (spgemm/hash_impl.hpp),
+// masked or not, so theirs is the only one too.  heap, spa and the
+// other baselines produce the plain product; this header gives them the
+// same semantics as one post-pass, which their registry kernels
+// (spgemm/registry.hpp) run after the kernel and any mask filter:
 //
 //   apply_post_op(c, op)   — scale / prune / top-k in place, row by row
 //                            through the same post_op_row, bit-identical
@@ -20,8 +21,9 @@
 //                            row-merge post-pass; the fused pb builders
 //                            are verified bit-identical against it
 //
-// Keeping the unfused epilogue in one place is what lets the executor
-// guarantee "same result, different traffic" across every algo.
+// Keeping the unfused epilogue in one place is what lets the registry
+// and the executor guarantee "same result, different traffic" across
+// every algo.
 #pragma once
 
 #include <algorithm>
@@ -57,7 +59,7 @@ inline nnz_t post_op_row(const PostOp& op, index_t* colids, value_t* vals,
 }
 
 /// Applies `op` to a finished CSR matrix in place — the unfused epilogue
-/// the executor runs after row-wise kernels and fallback executions.
+/// the registry's kernels run after heap, spa and the other baselines.
 /// Scale rewrites values; prune/top-k compact the matrix (rowptr shrinks).
 /// No-op when the post-op is the identity.
 inline void apply_post_op(mtx::CsrMatrix& c, const PostOp& op) {

@@ -11,7 +11,6 @@
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
 #include "pb/symbolic.hpp"
-#include "spgemm/epilogue.hpp"
 #include "spgemm/registry.hpp"
 
 namespace pbs {
@@ -111,10 +110,9 @@ struct CachedPlanEntry {
   double sel_pb_efficiency = 0;
   double sel_column_latency_penalty = 0;
   pb::PbPlan pb_plan;  ///< valid when use_pb
-  SpGemmFn fn;         ///< execution path when !use_pb
-  /// fn applies op.post_op itself (hash, unmasked hashvec); otherwise the
-  /// executor runs apply_post_op over fn's result.
-  bool fn_fuses_post_op = false;
+  /// Execution path when !use_pb: the registry's finished kernel, mask
+  /// and post-op included.
+  SpGemmFn fn;
   bool degraded = false;       ///< plan-time budget downgrade
   std::string degrade_reason;  ///< "budget" when degraded
   std::size_t bytes = 0;  ///< estimated footprint (set at insert time)
@@ -378,9 +376,8 @@ struct SpGemmExecutor::Impl {
     // pair check; every other entry resolves its row-wise kernel.
     entry->use_pb = resolved == "pb";
     if (!entry->use_pb) {
-      entry->fn = post_op_semiring_algorithm(resolved, op.semiring, op.mask,
-                                             op.complement, op.post_op,
-                                             &entry->fn_fuses_post_op);
+      entry->fn = semiring_algorithm(resolved, op.semiring, op.mask,
+                                     op.complement, op.post_op);
     }
     entry->resolved = std::move(resolved);
     if (entry->use_pb) {
@@ -416,9 +413,8 @@ struct SpGemmExecutor::Impl {
         // semiring, instead of failing.  The downgrade
         // is a property of the cached plan — re-raising the budget means
         // a new executor (or larger cache pressure evicting the entry).
-        entry->fn = post_op_semiring_algorithm("hash", op.semiring, op.mask,
-                                               op.complement, op.post_op,
-                                               &entry->fn_fuses_post_op);
+        entry->fn = semiring_algorithm("hash", op.semiring, op.mask,
+                                       op.complement, op.post_op);
         entry->resolved = "hash";
         entry->use_pb = false;
         entry->degraded = true;
@@ -460,7 +456,6 @@ struct SpGemmExecutor::Impl {
     mtx::CsrMatrix c;
     pb::PbTelemetry pb_stats;
     bool oom_fallback = false;
-    bool post_op_applied = entry->fn_fuses_post_op;  // by a row-wise kernel
     {
       // Runtime-registered semirings indirect through the process-global
       // DynSemiring bridge; serialize those executions.  Built-ins (and
@@ -497,28 +492,22 @@ struct SpGemmExecutor::Impl {
             ++stats.degraded_runs;
           }
           const SpGemmOp& op = entry->op;
-          const SpGemmFn fn = post_op_semiring_algorithm(
-              "hash", op.semiring, op.mask, op.complement, op.post_op,
-              &post_op_applied);
-          c = fn(p);
+          c = semiring_algorithm("hash", op.semiring, op.mask, op.complement,
+                                 op.post_op)(p);
           oom_fallback = true;
         }
       } else {
         throw_if_stopped(cancel);
         c = entry->fn(p);
       }
-      // Unfused epilogue: a row-wise kernel or the oom fallback produced
-      // the plain product — shape/merge it here so every path returns the
-      // same matrix the fused kernels build directly.  hash and unmasked
-      // hashvec applied the post-op themselves; it runs exactly once.
-      // Inside the dyn scope: semiring_ewise_add over a runtime semiring
-      // rides the same process-global bridge.
-      if (!entry->use_pb || oom_fallback) {
+      // The registry's kernels return the finished product, mask and
+      // post-op included; only an accumulation target is left, merged
+      // here as pb merges it during conversion.  Inside the dyn scope:
+      // semiring_ewise_add over a runtime semiring rides the same
+      // process-global bridge.
+      if (accumulate != nullptr && (!entry->use_pb || oom_fallback)) {
         throw_if_stopped(cancel);
-        if (!post_op_applied) apply_post_op(c, entry->op.post_op);
-        if (accumulate != nullptr) {
-          c = semiring_ewise_add(entry->op.semiring, *accumulate, c);
-        }
+        c = semiring_ewise_add(entry->op.semiring, *accumulate, c);
       }
     }
     // Row-wise kernels have no internal poll points: honor a deadline
@@ -589,9 +578,8 @@ struct SpGemmExecutor::Impl {
       auto entry = std::make_shared<CachedPlanEntry>();
       entry->op = op;
       entry->resolved = op.algo;
-      entry->fn = post_op_semiring_algorithm(op.algo, op.semiring, op.mask,
-                                             op.complement, op.post_op,
-                                             &entry->fn_fuses_post_op);
+      entry->fn = semiring_algorithm(op.algo, op.semiring, op.mask,
+                                     op.complement, op.post_op);
       r.entry = std::move(entry);
       return r;
     }

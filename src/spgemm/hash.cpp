@@ -4,9 +4,8 @@
 // Generalized over any semiring via the keyed insert-or-combine step in
 // hash_table.hpp, which narrow rows apply in a dense window instead
 // (hash_spgemm_semiring<S>, hash_impl.hpp); hash_spgemm is the numeric
-// (+, ×) instantiation, the masked form fuses an output mask into every
-// row loop, and hash_post_op_semiring also fuses the op's post-op (see
-// hash_impl.hpp).
+// (+, ×) instantiation.  The op's mask and post-op, when given, are fused
+// into the same row loop (see hash_impl.hpp).
 #include "spgemm/hash_impl.hpp"
 #include "spgemm/hash_table.hpp"
 #include "spgemm/masked.hpp"
@@ -16,63 +15,28 @@
 namespace pbs {
 
 template <typename S>
-mtx::CsrMatrix hash_spgemm_semiring(const SpGemmProblem& p) {
-  return detail::hash_spgemm_impl<S, detail::HashAccumulator>(p);
-}
-
-template mtx::CsrMatrix hash_spgemm_semiring<PlusTimes>(const SpGemmProblem&);
-template mtx::CsrMatrix hash_spgemm_semiring<MinPlus>(const SpGemmProblem&);
-template mtx::CsrMatrix hash_spgemm_semiring<MaxMin>(const SpGemmProblem&);
-template mtx::CsrMatrix hash_spgemm_semiring<BoolOrAnd>(const SpGemmProblem&);
-// The runtime-semiring bridge (spgemm/op.hpp).
-template mtx::CsrMatrix hash_spgemm_semiring<DynSemiring>(const SpGemmProblem&);
-
-mtx::CsrMatrix hash_spgemm(const SpGemmProblem& p) {
-  return hash_spgemm_semiring<PlusTimes>(p);
-}
-
-template <typename S>
-mtx::CsrMatrix hash_masked_semiring(const SpGemmProblem& p,
-                                    const mtx::CsrMatrix& mask,
-                                    bool complement) {
-  detail::check_mask_shape("hash_masked_semiring", p, mask);
-  return detail::hash_spgemm_impl<S, detail::HashAccumulator>(p, &mask,
-                                                              complement);
-}
-
-template mtx::CsrMatrix hash_masked_semiring<PlusTimes>(const SpGemmProblem&,
-                                                        const mtx::CsrMatrix&,
-                                                        bool);
-template mtx::CsrMatrix hash_masked_semiring<MinPlus>(const SpGemmProblem&,
-                                                      const mtx::CsrMatrix&,
-                                                      bool);
-template mtx::CsrMatrix hash_masked_semiring<MaxMin>(const SpGemmProblem&,
-                                                     const mtx::CsrMatrix&,
-                                                     bool);
-template mtx::CsrMatrix hash_masked_semiring<BoolOrAnd>(const SpGemmProblem&,
-                                                        const mtx::CsrMatrix&,
-                                                        bool);
-template mtx::CsrMatrix hash_masked_semiring<DynSemiring>(
-    const SpGemmProblem&, const mtx::CsrMatrix&, bool);
-
-template <typename S>
-mtx::CsrMatrix hash_post_op_semiring(const SpGemmProblem& p,
-                                     const mtx::CsrMatrix* mask,
-                                     bool complement, const PostOp& post_op) {
-  if (mask != nullptr) detail::check_mask_shape("hash_post_op_semiring", p, *mask);
+mtx::CsrMatrix hash_spgemm_semiring(const SpGemmProblem& p,
+                                    const mtx::CsrMatrix* mask,
+                                    bool complement, const PostOp& post_op) {
+  if (mask != nullptr) detail::check_mask_shape("hash_spgemm_semiring", p, *mask);
   return detail::hash_spgemm_impl<S, detail::HashAccumulator>(
       p, mask, complement, post_op);
 }
 
-template mtx::CsrMatrix hash_post_op_semiring<PlusTimes>(
+template mtx::CsrMatrix hash_spgemm_semiring<PlusTimes>(
     const SpGemmProblem&, const mtx::CsrMatrix*, bool, const PostOp&);
-template mtx::CsrMatrix hash_post_op_semiring<MinPlus>(
+template mtx::CsrMatrix hash_spgemm_semiring<MinPlus>(
     const SpGemmProblem&, const mtx::CsrMatrix*, bool, const PostOp&);
-template mtx::CsrMatrix hash_post_op_semiring<MaxMin>(
+template mtx::CsrMatrix hash_spgemm_semiring<MaxMin>(
     const SpGemmProblem&, const mtx::CsrMatrix*, bool, const PostOp&);
-template mtx::CsrMatrix hash_post_op_semiring<BoolOrAnd>(
+template mtx::CsrMatrix hash_spgemm_semiring<BoolOrAnd>(
     const SpGemmProblem&, const mtx::CsrMatrix*, bool, const PostOp&);
-template mtx::CsrMatrix hash_post_op_semiring<DynSemiring>(
+// The runtime-semiring bridge (spgemm/op.hpp).
+template mtx::CsrMatrix hash_spgemm_semiring<DynSemiring>(
     const SpGemmProblem&, const mtx::CsrMatrix*, bool, const PostOp&);
+
+mtx::CsrMatrix hash_spgemm(const SpGemmProblem& p) {
+  return hash_spgemm_semiring<PlusTimes>(p);
+}
 
 }  // namespace pbs

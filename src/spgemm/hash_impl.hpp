@@ -46,7 +46,7 @@
 // inside) the mask row's pattern — the row's stamp array marks the
 // allowed columns, so a probe costs O(1) and rows whose plain mask row is
 // empty are skipped outright.  The mask therefore applies before the
-// post-op, as the executor's post-pass would see it.
+// post-op, as pattern_filter then apply_post_op would apply them.
 #pragma once
 
 #include <omp.h>
@@ -314,9 +314,8 @@ mtx::CsrMatrix hash_one_pass(const mtx::CsrMatrix& a, const mtx::CsrMatrix& b,
 
 template <typename S, typename Accumulator>
 mtx::CsrMatrix hash_spgemm_impl(const SpGemmProblem& p,
-                                const mtx::CsrMatrix* mask = nullptr,
-                                bool complement = false,
-                                const PostOp& post_op = {}) {
+                                const mtx::CsrMatrix* mask, bool complement,
+                                const PostOp& post_op) {
   const mtx::CsrMatrix& a = p.a_csr;
   const mtx::CsrMatrix& b = p.b_csr;
   if (post_op.drops_entries()) {

@@ -5,18 +5,17 @@
 // auto-vectorizer produces the same wide compare (see hash_table.hpp).
 #include "spgemm/hash_impl.hpp"
 #include "spgemm/hash_table.hpp"
+#include "spgemm/masked.hpp"
 #include "spgemm/semiring_ops.hpp"
 
 namespace pbs {
 
-mtx::CsrMatrix hashvec_spgemm(const SpGemmProblem& p) {
-  return detail::hash_spgemm_impl<PlusTimes, detail::GroupedAccumulator>(p);
-}
-
-mtx::CsrMatrix hashvec_post_op_spgemm(const SpGemmProblem& p,
-                                      const PostOp& post_op) {
+mtx::CsrMatrix hashvec_spgemm(const SpGemmProblem& p,
+                              const mtx::CsrMatrix* mask, bool complement,
+                              const PostOp& post_op) {
+  if (mask != nullptr) detail::check_mask_shape("hashvec_spgemm", p, *mask);
   return detail::hash_spgemm_impl<PlusTimes, detail::GroupedAccumulator>(
-      p, nullptr, false, post_op);
+      p, mask, complement, post_op);
 }
 
 }  // namespace pbs

@@ -9,7 +9,8 @@
 // The kernel is semiring-templated (heap_spgemm_semiring<S>): merging is
 // pure structure, so generalizing costs exactly the two scalar ops — the
 // run's scale multiply becomes S::mul and the duplicate accumulation
-// S::add.  heap_spgemm is the numeric (+, ×) instantiation.
+// S::add.  heap_spgemm is the numeric (+, ×) instantiation.  An output
+// mask is dropped at emission, in the same row loop.
 #include <omp.h>
 
 #include <vector>
@@ -89,10 +90,13 @@ class RunHeap {
   std::vector<Node> heap_;
 };
 
-}  // namespace
-
-template <typename S>
-mtx::CsrMatrix heap_spgemm_semiring(const SpGemmProblem& p) {
+/// The heap row loop, compiled once per mask polarity (none, plain,
+/// complemented) so the merge carries no runtime mask test.  A
+/// masked-out column still drains its runs (structure drives the heap)
+/// but skips their accumulation and emission; the shared MaskStamp makes
+/// the per-column test O(1).
+template <typename S, bool kMasked, bool kComplement>
+mtx::CsrMatrix heap_rows(const SpGemmProblem& p, const mtx::CsrMatrix* mask) {
   const mtx::CsrMatrix& a = p.a_csr;
   const mtx::CsrMatrix& b = p.b_csr;
 
@@ -100,6 +104,7 @@ mtx::CsrMatrix heap_spgemm_semiring(const SpGemmProblem& p) {
   struct Scratch {
     std::vector<Run> runs;
     RunHeap heap;
+    detail::MaskStamp stamp;
   };
   // assemble_rowwise parallelizes over row blocks; scratch lives in
   // thread-local storage keyed by omp thread id.
@@ -108,6 +113,10 @@ mtx::CsrMatrix heap_spgemm_semiring(const SpGemmProblem& p) {
   return detail::assemble_rowwise(
       a.nrows, b.ncols, [&](index_t r, detail::BlockBuffer& buf) {
         Scratch& s = scratch[static_cast<std::size_t>(omp_get_thread_num())];
+        if constexpr (kMasked) {
+          if (!kComplement && mask->row_nnz(r) == 0) return;
+          s.stamp.stamp_row(*mask, r);
+        }
         s.runs.clear();
         s.heap.reset();
 
@@ -122,81 +131,12 @@ mtx::CsrMatrix heap_spgemm_semiring(const SpGemmProblem& p) {
 
         while (!s.heap.empty()) {
           const index_t col = s.heap.top_col();
+          bool keep = true;
+          if constexpr (kMasked) keep = !s.stamp.skip(r, col, kComplement);
           // Drain every run currently sitting on `col`, combining the
           // first contribution directly so S::zero() never enters the
           // accumulation (it is an identity, but this keeps the numeric
           // instantiation bit-identical to the pre-semiring kernel).
-          bool first = true;
-          value_t acc = S::zero();
-          while (!s.heap.empty() && s.heap.top_col() == col) {
-            const int ri = s.heap.top_run();
-            Run& run = s.runs[static_cast<std::size_t>(ri)];
-            const value_t product = S::mul(run.scale, b.vals[run.cur]);
-            acc = first ? product : S::add(acc, product);
-            first = false;
-            ++run.cur;
-            if (run.cur < run.end) {
-              s.heap.replace_top(b.colids[run.cur]);
-            } else {
-              s.heap.pop();
-            }
-          }
-          buf.cols.push_back(col);
-          buf.vals.push_back(acc);
-        }
-      });
-}
-
-template mtx::CsrMatrix heap_spgemm_semiring<PlusTimes>(const SpGemmProblem&);
-template mtx::CsrMatrix heap_spgemm_semiring<MinPlus>(const SpGemmProblem&);
-template mtx::CsrMatrix heap_spgemm_semiring<MaxMin>(const SpGemmProblem&);
-template mtx::CsrMatrix heap_spgemm_semiring<BoolOrAnd>(const SpGemmProblem&);
-// The runtime-semiring bridge (spgemm/op.hpp).
-template mtx::CsrMatrix heap_spgemm_semiring<DynSemiring>(const SpGemmProblem&);
-
-mtx::CsrMatrix heap_spgemm(const SpGemmProblem& p) {
-  return heap_spgemm_semiring<PlusTimes>(p);
-}
-
-template <typename S>
-mtx::CsrMatrix heap_masked_semiring(const SpGemmProblem& p,
-                                    const mtx::CsrMatrix& mask,
-                                    bool complement) {
-  detail::check_mask_shape("heap_masked_semiring", p, mask);
-  const mtx::CsrMatrix& a = p.a_csr;
-  const mtx::CsrMatrix& b = p.b_csr;
-
-  // The merge must still walk every run (structure drives the heap), but
-  // masked-out columns are dropped as they surface, skipping their
-  // accumulation and emission.  The shared MaskStamp makes the per-column
-  // test O(1).
-  struct Scratch {
-    std::vector<Run> runs;
-    RunHeap heap;
-    detail::MaskStamp stamp;
-  };
-  std::vector<Scratch> scratch(static_cast<std::size_t>(max_threads()));
-
-  return detail::assemble_rowwise(
-      a.nrows, b.ncols, [&](index_t r, detail::BlockBuffer& buf) {
-        Scratch& s = scratch[static_cast<std::size_t>(omp_get_thread_num())];
-        if (!complement && mask.row_nnz(r) == 0) return;
-        s.stamp.stamp_row(mask, r);
-        s.runs.clear();
-        s.heap.reset();
-
-        for (nnz_t i = a.rowptr[r]; i < a.rowptr[static_cast<std::size_t>(r) + 1]; ++i) {
-          const index_t k = a.colids[i];
-          const nnz_t lo = b.rowptr[k];
-          const nnz_t hi = b.rowptr[static_cast<std::size_t>(k) + 1];
-          if (lo == hi) continue;
-          s.heap.push(static_cast<int>(s.runs.size()), b.colids[lo]);
-          s.runs.push_back(Run{lo, hi, a.vals[i]});
-        }
-
-        while (!s.heap.empty()) {
-          const index_t col = s.heap.top_col();
-          const bool keep = !s.stamp.skip(r, col, complement);
           bool first = true;
           value_t acc = S::zero();
           while (!s.heap.empty() && s.heap.top_col() == col) {
@@ -222,19 +162,32 @@ mtx::CsrMatrix heap_masked_semiring(const SpGemmProblem& p,
       });
 }
 
-template mtx::CsrMatrix heap_masked_semiring<PlusTimes>(const SpGemmProblem&,
-                                                        const mtx::CsrMatrix&,
-                                                        bool);
-template mtx::CsrMatrix heap_masked_semiring<MinPlus>(const SpGemmProblem&,
-                                                      const mtx::CsrMatrix&,
-                                                      bool);
-template mtx::CsrMatrix heap_masked_semiring<MaxMin>(const SpGemmProblem&,
-                                                     const mtx::CsrMatrix&,
-                                                     bool);
-template mtx::CsrMatrix heap_masked_semiring<BoolOrAnd>(const SpGemmProblem&,
-                                                        const mtx::CsrMatrix&,
-                                                        bool);
-template mtx::CsrMatrix heap_masked_semiring<DynSemiring>(
-    const SpGemmProblem&, const mtx::CsrMatrix&, bool);
+}  // namespace
+
+template <typename S>
+mtx::CsrMatrix heap_spgemm_semiring(const SpGemmProblem& p,
+                                    const mtx::CsrMatrix* mask,
+                                    bool complement) {
+  if (mask == nullptr) return heap_rows<S, false, false>(p, nullptr);
+  detail::check_mask_shape("heap_spgemm_semiring", p, *mask);
+  return complement ? heap_rows<S, true, true>(p, mask)
+                    : heap_rows<S, true, false>(p, mask);
+}
+
+template mtx::CsrMatrix heap_spgemm_semiring<PlusTimes>(
+    const SpGemmProblem&, const mtx::CsrMatrix*, bool);
+template mtx::CsrMatrix heap_spgemm_semiring<MinPlus>(
+    const SpGemmProblem&, const mtx::CsrMatrix*, bool);
+template mtx::CsrMatrix heap_spgemm_semiring<MaxMin>(
+    const SpGemmProblem&, const mtx::CsrMatrix*, bool);
+template mtx::CsrMatrix heap_spgemm_semiring<BoolOrAnd>(
+    const SpGemmProblem&, const mtx::CsrMatrix*, bool);
+// The runtime-semiring bridge (spgemm/op.hpp).
+template mtx::CsrMatrix heap_spgemm_semiring<DynSemiring>(
+    const SpGemmProblem&, const mtx::CsrMatrix*, bool);
+
+mtx::CsrMatrix heap_spgemm(const SpGemmProblem& p) {
+  return heap_spgemm_semiring<PlusTimes>(p);
+}
 
 }  // namespace pbs

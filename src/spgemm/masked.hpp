@@ -6,37 +6,41 @@
 // pattern — for triangle counting that reduces the output from nnz(L²) to
 // nnz(L) entries and removes the separate Hadamard pass.
 //
-// Every Gustavson family member has a fused masked form, each generalized
-// over the semiring (the PB pipeline's fused mask lives in its compress
-// stage — pb/plan.hpp's MaskSpec):
-//
-//   spgemm_masked_semiring<S> — dense-accumulator (SPA) row loop
-//   heap_masked_semiring<S>   — k-way heap merge, masked at emission
-//   hash_masked_semiring<S>   — two-phase hash, masked in both phases
-//                               (declared here, defined in hash.cpp)
+// Every Gustavson kernel takes the mask as optional arguments of its one
+// signature (mask = nullptr is unmasked; `complement` selects the
+// positions NOT in the pattern): spgemm_semiring<S> (SPA),
+// heap_spgemm_semiring<S>, hash_spgemm_semiring<S> and hashvec_spgemm
+// skip masked-out columns in their row loops, and the PB pipeline fuses
+// the mask in its compress stage (pb/plan.hpp's MaskSpec).  Entries of
+// the mask act purely as a pattern — values are ignored.
 //
 // A masked multiplication runs through the operation descriptor
 // (spgemm/op.hpp): set SpGemmOp::mask/complement and call
-// SpGemmExecutor::run — selection then accounts for the mask's density
-// and every algorithm (including PB) fuses it.
+// SpGemmExecutor::run — selection then accounts for the mask's density,
+// and the registry (spgemm/registry.hpp) filters the product of every
+// kernel that does not fuse it.  This header holds what the fused row
+// loops share.
 #pragma once
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "matrix/csr.hpp"
-#include "spgemm/semiring_ops.hpp"
 #include "spgemm/spgemm.hpp"
 
-namespace pbs {
-
-namespace detail {
+namespace pbs::detail {
 
 /// Throws std::invalid_argument unless mask is (a.nrows x b.ncols).
-void check_mask_shape(const char* who, const SpGemmProblem& p,
-                      const mtx::CsrMatrix& mask);
+inline void check_mask_shape(const char* who, const SpGemmProblem& p,
+                             const mtx::CsrMatrix& mask) {
+  if (mask.nrows != p.a_csr.nrows || mask.ncols != p.b_csr.ncols) {
+    throw std::invalid_argument(std::string(who) + ": mask shape mismatch");
+  }
+}
 
 /// Per-thread mask stamps shared by the fused masked row loops (hash,
-/// heap): allowed[c] == r marks column c allowed for the current row r,
+/// heap, spa): allowed[c] == r marks column c allowed for the current row r,
 /// so clearing between rows is free and a probe is O(1); `skip` applies
 /// the polarity (complement flips the test).
 struct MaskStamp {
@@ -55,59 +59,4 @@ struct MaskStamp {
   }
 };
 
-}  // namespace detail
-
-/// C(i,j) = ⊕_k A(i,k) ⊗ B(k,j) for (i,j) in the pattern of `mask`; all
-/// other positions are structurally zero.  Entries of `mask` act purely as
-/// a pattern — values are ignored.  With `complement = true` the mask
-/// selects the positions NOT in its pattern (GraphBLAS-style complemented
-/// mask).  Dense-accumulator row loop; O(flop) probes but only
-/// O(nnz(mask(r,:))) accumulator slots per row.
-template <typename S>
-mtx::CsrMatrix spgemm_masked_semiring(const mtx::CsrMatrix& a,
-                                      const mtx::CsrMatrix& b,
-                                      const mtx::CsrMatrix& mask,
-                                      bool complement = false);
-
-// Instantiated in masked.cpp (built-in four + the runtime bridge).
-extern template mtx::CsrMatrix spgemm_masked_semiring<PlusTimes>(
-    const mtx::CsrMatrix&, const mtx::CsrMatrix&, const mtx::CsrMatrix&, bool);
-extern template mtx::CsrMatrix spgemm_masked_semiring<MinPlus>(
-    const mtx::CsrMatrix&, const mtx::CsrMatrix&, const mtx::CsrMatrix&, bool);
-extern template mtx::CsrMatrix spgemm_masked_semiring<MaxMin>(
-    const mtx::CsrMatrix&, const mtx::CsrMatrix&, const mtx::CsrMatrix&, bool);
-extern template mtx::CsrMatrix spgemm_masked_semiring<BoolOrAnd>(
-    const mtx::CsrMatrix&, const mtx::CsrMatrix&, const mtx::CsrMatrix&, bool);
-
-/// Masked k-way heap merge (heap_spgemm_semiring with the mask applied as
-/// merged columns surface).  Defined in heap.cpp.
-template <typename S>
-mtx::CsrMatrix heap_masked_semiring(const SpGemmProblem& p,
-                                    const mtx::CsrMatrix& mask,
-                                    bool complement = false);
-
-extern template mtx::CsrMatrix heap_masked_semiring<PlusTimes>(
-    const SpGemmProblem&, const mtx::CsrMatrix&, bool);
-extern template mtx::CsrMatrix heap_masked_semiring<MinPlus>(
-    const SpGemmProblem&, const mtx::CsrMatrix&, bool);
-extern template mtx::CsrMatrix heap_masked_semiring<MaxMin>(
-    const SpGemmProblem&, const mtx::CsrMatrix&, bool);
-extern template mtx::CsrMatrix heap_masked_semiring<BoolOrAnd>(
-    const SpGemmProblem&, const mtx::CsrMatrix&, bool);
-
-/// Masked two-phase hash accumulation.  Defined in hash.cpp.
-template <typename S>
-mtx::CsrMatrix hash_masked_semiring(const SpGemmProblem& p,
-                                    const mtx::CsrMatrix& mask,
-                                    bool complement = false);
-
-extern template mtx::CsrMatrix hash_masked_semiring<PlusTimes>(
-    const SpGemmProblem&, const mtx::CsrMatrix&, bool);
-extern template mtx::CsrMatrix hash_masked_semiring<MinPlus>(
-    const SpGemmProblem&, const mtx::CsrMatrix&, bool);
-extern template mtx::CsrMatrix hash_masked_semiring<MaxMin>(
-    const SpGemmProblem&, const mtx::CsrMatrix&, bool);
-extern template mtx::CsrMatrix hash_masked_semiring<BoolOrAnd>(
-    const SpGemmProblem&, const mtx::CsrMatrix&, bool);
-
-}  // namespace pbs
+}  // namespace pbs::detail

@@ -196,10 +196,10 @@ struct SpGemmOp {
 
   /// Elementwise post-op (scale / prune / top-k, common/post_op.hpp)
   /// applied to the product before it is returned.  pb fuses it into its
-  /// per-bin filter and hash and unmasked hashvec into their row loop,
-  /// so a pruning op never materializes the unpruned C there; after
-  /// heap, spa and masked hashvec the executor runs apply_post_op as one
-  /// parallel pass over the full product.  Applies after the mask;
+  /// per-bin filter and hash and hashvec into their row loop, so a
+  /// pruning op never materializes the unpruned C there; the other
+  /// algorithms' registry kernels (spgemm/registry.hpp) run apply_post_op
+  /// as one parallel pass over the full product.  Applies after the mask;
   /// rejected at plan time for value-free semirings (there are no values
   /// to scale or compare) and in combination with accumulate (prune/top-k
   /// over a merged C is ambiguous).

@@ -1,8 +1,10 @@
 #include "spgemm/registry.hpp"
 
 #include <stdexcept>
+#include <type_traits>
 
 #include "matrix/ops.hpp"
+#include "spgemm/epilogue.hpp"
 #include "spgemm/executor.hpp"
 #include "spgemm/masked.hpp"
 #include "spgemm/op.hpp"
@@ -16,39 +18,21 @@ const std::vector<std::string>& all_semirings() { return semiring_names(); }
 
 /// "pb" as a registry kernel: one product on a fresh SpGemmExecutor, so
 /// the PB pipeline runs nowhere but inside an executor.  The executor
-/// activates a runtime semiring itself and fuses the mask into compress.
-/// Each call starts on a cold workspace pool; repeated products (timing
-/// loops, iterative applications) should hold one executor instead.
+/// activates a runtime semiring itself, fuses the mask into compress and
+/// the post-op into the per-bin filter stage.  Each call starts on a cold
+/// workspace pool; repeated products (timing loops, iterative
+/// applications) should hold one executor instead.
 SpGemmFn pb_kernel(const std::string& semiring, const mtx::CsrMatrix* mask,
-                   bool complement) {
-  return [semiring, mask, complement](const SpGemmProblem& p) {
+                   bool complement, const PostOp& post_op) {
+  return [semiring, mask, complement, post_op](const SpGemmProblem& p) {
     SpGemmOp op;
     op.algo = "pb";
     op.semiring = semiring;
     op.mask = mask;
     op.complement = complement;
+    op.post_op = post_op;
     return SpGemmExecutor().run(p, op);
   };
-}
-
-template <typename S>
-mtx::CsrMatrix heap_run(const SpGemmProblem& p) {
-  return heap_spgemm_semiring<S>(p);
-}
-
-template <typename S>
-mtx::CsrMatrix hash_run(const SpGemmProblem& p) {
-  return hash_spgemm_semiring<S>(p);
-}
-
-template <typename S>
-mtx::CsrMatrix spa_run(const SpGemmProblem& p) {
-  return spgemm_semiring<S>(p.a_csr, p.b_csr);
-}
-
-template <typename S>
-mtx::CsrMatrix reference_run(const SpGemmProblem& p) {
-  return reference_spgemm_semiring<S>(p);
 }
 
 /// make<S>() for the named semiring: the compiled instantiation for a
@@ -66,53 +50,64 @@ SpGemmFn semiring_kernel(const std::string& semiring, Make make) {
   };
 }
 
-/// The generalized kernel of `algo` over S; algo must be one of the
-/// registry entries flagged `generalized`.
-template <typename S>
-SpGemmFn generalized_kernel(const std::string& algo) {
-  if (algo == "heap") return heap_run<S>;
-  if (algo == "hash") return hash_run<S>;
-  if (algo == "spa") return spa_run<S>;
-  if (algo == "reference") return reference_run<S>;
-  throw std::logic_error("registry: algorithm '" + algo +
-                         "' advertises generalized semirings but has no "
-                         "generalized kernel");
+/// `fn` followed by the epilogue steps it does not fuse: the mask as a
+/// pattern_filter, then the post-op.  Either may be absent.
+SpGemmFn finish(SpGemmFn fn, const mtx::CsrMatrix* mask, bool complement,
+                const PostOp& post_op) {
+  if (mask == nullptr && !post_op.active()) return fn;
+  return [fn, mask, complement, post_op](const SpGemmProblem& p) {
+    if (mask != nullptr) detail::check_mask_shape("semiring_algorithm", p, *mask);
+    mtx::CsrMatrix c = fn(p);
+    if (mask != nullptr) c = mtx::pattern_filter(c, *mask, complement);
+    apply_post_op(c, post_op);
+    return c;
+  };
 }
 
-/// Ditto for the fused masked kernels: heap/hash/spa fuse the mask into
-/// their row loops; the remaining baselines fall back to
-/// multiply-then-pattern_filter (exact, unfused).
+/// The finished kernel of `algo` over S.  hash and hashvec fuse the whole
+/// epilogue, heap and spa the mask; finish() applies the rest.  The
+/// numeric-only baselines arrive here only with S = PlusTimes, which
+/// check_algorithm_semiring guarantees.
 template <typename S>
-SpGemmFn masked_kernel(const std::string& algo, const mtx::CsrMatrix* mask,
-                       bool complement) {
-  if (algo == "heap") {
-    return [mask, complement](const SpGemmProblem& p) {
-      return heap_masked_semiring<S>(p, *mask, complement);
+SpGemmFn kernel(const std::string& algo, const mtx::CsrMatrix* mask,
+                bool complement, const PostOp& post_op) {
+  if (algo == "hash") {
+    return [mask, complement, post_op](const SpGemmProblem& p) {
+      return hash_spgemm_semiring<S>(p, mask, complement, post_op);
     };
   }
-  if (algo == "hash") {
-    return [mask, complement](const SpGemmProblem& p) {
-      return hash_masked_semiring<S>(p, *mask, complement);
-    };
+  if (algo == "heap") {
+    return finish(
+        [mask, complement](const SpGemmProblem& p) {
+          return heap_spgemm_semiring<S>(p, mask, complement);
+        },
+        nullptr, false, post_op);
   }
   if (algo == "spa") {
-    return [mask, complement](const SpGemmProblem& p) {
-      detail::check_mask_shape("spgemm_masked_semiring", p, *mask);
-      return spgemm_masked_semiring<S>(p.a_csr, p.b_csr, *mask, complement);
-    };
+    return finish(
+        [mask, complement](const SpGemmProblem& p) {
+          return spgemm_semiring<S>(p.a_csr, p.b_csr, mask, complement);
+        },
+        nullptr, false, post_op);
   }
-  // Unfused fallback: exact result, paid as a full multiply plus an
-  // O(nnz) pattern filter.  Generalized algorithms without a fused masked
-  // form (reference) resolve their kernel directly — S may be the runtime
-  // bridge, whose sentinel name must not be re-looked-up; the numeric-only
-  // baselines only ever reach here with a built-in S.
-  const SpGemmFn plain = algorithm(algo).generalized
-                             ? generalized_kernel<S>(algo)
-                             : semiring_algorithm(algo, S::name);
-  return [plain, mask, complement](const SpGemmProblem& p) {
-    detail::check_mask_shape("masked_semiring_algorithm", p, *mask);
-    return mtx::pattern_filter(plain(p), *mask, complement);
-  };
+  if (algo == "reference") {
+    return finish(reference_spgemm_semiring<S>, mask, complement, post_op);
+  }
+  if constexpr (std::is_same_v<S, PlusTimes>) {
+    if (algo == "hashvec") {
+      return [mask, complement, post_op](const SpGemmProblem& p) {
+        return hashvec_spgemm(p, mask, complement, post_op);
+      };
+    }
+    if (algo == "esc") {
+      return finish(esc_column_spgemm, mask, complement, post_op);
+    }
+    if (algo == "outer_heap") {
+      return finish(outer_heap_spgemm, mask, complement, post_op);
+    }
+  }
+  throw std::logic_error("registry: algorithm '" + algo +
+                         "' has no kernel over this semiring");
 }
 
 }  // namespace
@@ -153,23 +148,21 @@ const std::vector<AlgoInfo>& algorithms() {
   static const std::vector<AlgoInfo> algos = {
       {"pb",
        "PB-SpGEMM: outer-product ESC with propagation blocking (this paper)",
-       pb_kernel(PlusTimes::name, nullptr, false), true, all_semirings(),
-       true},
-      {"heap", "column/row Gustavson with k-way heap merge [22]",
-       heap_spgemm, true, all_semirings(), true},
-      {"hash", "column/row Gustavson with hash accumulation [12]",
-       hash_spgemm, true, all_semirings(), true},
+       true, all_semirings(), true},
+      {"heap", "column/row Gustavson with k-way heap merge [22]", true,
+       all_semirings(), true},
+      {"hash", "column/row Gustavson with hash accumulation [12]", true,
+       all_semirings(), true},
       {"hashvec", "hash variant with vectorized bucket-group probing [12]",
-       hashvec_spgemm, true},
-      {"spa", "column/row Gustavson with dense accumulator [25]",
-       spa_spgemm, true, all_semirings(), true},
-      {"esc", "row-partitioned expand-sort-compress [15]",
-       esc_column_spgemm, true},
+       true},
+      {"spa", "column/row Gustavson with dense accumulator [25]", true,
+       all_semirings(), true},
+      {"esc", "row-partitioned expand-sort-compress [15]", true},
       {"outer_heap",
        "outer product with incremental sorted-merge accumulation [23]",
-       outer_heap_spgemm, false},
+       false},
       {"reference", "serial ordered-map gold standard (validation only)",
-       reference_spgemm, false, all_semirings(), true},
+       false, all_semirings(), true},
   };
   return algos;
 }
@@ -205,54 +198,13 @@ std::string algorithm_semiring_matrix() {
 }
 
 SpGemmFn semiring_algorithm(const std::string& algo,
-                            const std::string& semiring) {
-  const AlgoInfo& info = check_algorithm_semiring(algo, semiring);
-
-  if (semiring == PlusTimes::name) return info.fn;
-  if (algo == "pb") return pb_kernel(semiring, nullptr, false);
-
-  // The generalized kernels; the check above guarantees the pair is
-  // supported, so `semiring` here is a non-plus_times name of a
-  // generalized algorithm.
-  return semiring_kernel(semiring, [&]<typename S>() -> SpGemmFn {
-    return generalized_kernel<S>(algo);
-  });
-}
-
-SpGemmFn masked_semiring_algorithm(const std::string& algo,
-                                   const std::string& semiring,
-                                   const mtx::CsrMatrix* mask,
-                                   bool complement) {
-  if (mask == nullptr) return semiring_algorithm(algo, semiring);
+                            const std::string& semiring,
+                            const mtx::CsrMatrix* mask, bool complement,
+                            const PostOp& post_op) {
   check_algorithm_semiring(algo, semiring);
-  if (algo == "pb") return pb_kernel(semiring, mask, complement);
-
+  if (algo == "pb") return pb_kernel(semiring, mask, complement, post_op);
   return semiring_kernel(semiring, [&]<typename S>() -> SpGemmFn {
-    return masked_kernel<S>(algo, mask, complement);
-  });
-}
-
-SpGemmFn post_op_semiring_algorithm(const std::string& algo,
-                                    const std::string& semiring,
-                                    const mtx::CsrMatrix* mask,
-                                    bool complement, const PostOp& post_op,
-                                    bool* fused) {
-  // Masked hashvec is pattern_filter over plain hashvec: the mask lands
-  // after the kernel, so the post-op must wait for the post-pass.
-  const bool fuses = post_op.active() &&
-                     (algo == "hash" || (algo == "hashvec" && mask == nullptr));
-  *fused = fuses;
-  if (!fuses) return masked_semiring_algorithm(algo, semiring, mask, complement);
-  check_algorithm_semiring(algo, semiring);
-  if (algo == "hashvec") {
-    return [post_op](const SpGemmProblem& p) {
-      return hashvec_post_op_spgemm(p, post_op);
-    };
-  }
-  return semiring_kernel(semiring, [&]<typename S>() -> SpGemmFn {
-    return [mask, complement, post_op](const SpGemmProblem& p) {
-      return hash_post_op_semiring<S>(p, mask, complement, post_op);
-    };
+    return kernel<S>(algo, mask, complement, post_op);
   });
 }
 

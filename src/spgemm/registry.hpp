@@ -7,6 +7,8 @@
 // — the built-in four plus anything added through SemiringRegistry
 // (spgemm/op.hpp) at runtime; the remaining baselines are numeric (+, ×)
 // only and say so in their lookup error rather than silently falling back.
+// One resolver, semiring_algorithm, turns a name, a semiring and the op's
+// epilogue into a kernel that returns the finished product.
 #pragma once
 
 #include <string>
@@ -20,8 +22,6 @@ namespace pbs {
 struct AlgoInfo {
   std::string name;
   std::string description;
-  /// The numeric (+, ×) kernel — what the paper's figures measure.
-  SpGemmFn fn;
   /// False for algorithms that are quadratic-ish and only suitable for
   /// validation-scale inputs (reference, outer_heap).
   bool scales_to_large = true;
@@ -56,41 +56,27 @@ const AlgoInfo& check_algorithm_semiring(const std::string& algo,
                                          const std::string& semiring);
 
 /// Unified (algorithm × semiring) lookup: returns the kernel computing
-/// A ⊗ B with `algo` over `semiring` (built-in or runtime-registered).
-/// Throws like check_algorithm_semiring — callers never silently fall
-/// back to a different algorithm or semiring.  This is the row-wise
-/// kernel layer SpGemmExecutor (spgemm/executor.hpp) resolves its
-/// non-pb entries through.  The "pb" kernel is one product on a fresh
-/// SpGemmExecutor: correct anywhere, but it starts each call on a cold
-/// workspace pool, so repeated pb products should hold an executor.
+/// the op's finished product — A ⊗ B with `algo` over `semiring`
+/// (built-in or runtime-registered), restricted to `mask`'s pattern (or,
+/// with `complement`, to the positions outside it) and shaped by
+/// `post_op`.  Each kernel fuses the part of that epilogue it can: the
+/// mask in the row loops of heap, hash, hashvec and spa and in pb's
+/// compress stage, the post-op in pb, hash and hashvec.  The returned
+/// kernel applies the rest to the product, pattern_filter and then
+/// apply_post_op (spgemm/epilogue.hpp), so every algorithm returns the
+/// same matrix.  Throws like check_algorithm_semiring — callers never
+/// silently fall back to a different algorithm or semiring.  `mask` is
+/// captured by pointer and must outlive the returned kernel; its shape
+/// is validated per call.  This is the row-wise kernel layer
+/// SpGemmExecutor (spgemm/executor.hpp) resolves its non-pb entries
+/// through.  The "pb" kernel is one product on a fresh SpGemmExecutor:
+/// correct anywhere, but it starts each call on a cold workspace pool,
+/// so repeated pb products should hold an executor.
 SpGemmFn semiring_algorithm(const std::string& algo,
-                            const std::string& semiring);
-
-/// Masked counterpart: the returned kernel computes (A ⊗ B) restricted to
-/// `mask`'s pattern (or its complement) with the mask fused into the
-/// algorithm — the Gustavson row loops for heap/hash/spa, the compress
-/// stage for pb (through the executor), and a multiply-then-filter
-/// fallback for the remaining baselines (still exact, just unfused).
-/// `mask` is captured by pointer and must outlive the returned kernel;
-/// its shape is validated per call.
-SpGemmFn masked_semiring_algorithm(const std::string& algo,
-                                   const std::string& semiring,
-                                   const mtx::CsrMatrix* mask,
-                                   bool complement);
-
-/// masked_semiring_algorithm with the op's post-op: `hash` (every
-/// semiring, plain or under its fused mask) and unmasked `hashvec` apply
-/// `post_op` inside their row loop (hash_post_op_semiring), so a pruning
-/// op never builds the unpruned product, and `*fused` reads true.  Every
-/// other kernel is masked_semiring_algorithm's and `*fused` reads false:
-/// the caller applies the post-op to its result (apply_post_op,
-/// spgemm/epilogue.hpp).  Masked hashvec is one of those — its mask is a
-/// pattern_filter after the kernel, and must come before the post-op.
-SpGemmFn post_op_semiring_algorithm(const std::string& algo,
-                                    const std::string& semiring,
-                                    const mtx::CsrMatrix* mask,
-                                    bool complement, const PostOp& post_op,
-                                    bool* fused);
+                            const std::string& semiring,
+                            const mtx::CsrMatrix* mask = nullptr,
+                            bool complement = false,
+                            const PostOp& post_op = {});
 
 /// Human-readable support matrix, one "algo: semiring..." line per
 /// algorithm (used by CLI --help and lookup errors).  Runtime-registered

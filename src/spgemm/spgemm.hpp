@@ -56,16 +56,13 @@ mtx::CsrMatrix hash_spgemm(const SpGemmProblem& p);
 
 /// Hash variant probing 8-slot bucket groups, the scalar-emulated analogue
 /// of the paper's vector-register probing HashVecSpGEMM [12].  Shares
-/// hash_spgemm's row loop, dense window included.
-mtx::CsrMatrix hashvec_spgemm(const SpGemmProblem& p);
-
-/// hashvec_spgemm with `post_op` fused into its row loop, as
-/// hash_post_op_semiring (spgemm/semiring.hpp) fuses it into hash's.
-mtx::CsrMatrix hashvec_post_op_spgemm(const SpGemmProblem& p,
-                                      const PostOp& post_op);
-
-/// Row-wise Gustavson with a dense sparse-accumulator (SPA) [20], [25].
-mtx::CsrMatrix spa_spgemm(const SpGemmProblem& p);
+/// hash_spgemm_semiring's row loop, dense window included, and like it
+/// fuses an optional output mask (nullptr = unmasked; `complement` flips
+/// it) and `post_op` (spgemm/hash_impl.hpp).
+mtx::CsrMatrix hashvec_spgemm(const SpGemmProblem& p,
+                              const mtx::CsrMatrix* mask = nullptr,
+                              bool complement = false,
+                              const PostOp& post_op = {});
 
 /// Row-partitioned expand-sort-compress, the CPU analogue of the GPU ESC
 /// algorithms [15], [18] (Table II row 2).

@@ -13,7 +13,9 @@ using testutil::from_triplets;
 
 class EveryAlgorithm : public ::testing::TestWithParam<const char*> {
  protected:
-  SpGemmFn fn() const { return algorithm(GetParam()).fn; }
+  SpGemmFn fn() const {
+    return semiring_algorithm(GetParam(), PlusTimes::name);
+  }
 };
 
 TEST_P(EveryAlgorithm, IdentitySquare) {

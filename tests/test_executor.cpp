@@ -14,6 +14,7 @@
 #include "model/selection.hpp"
 #include "pb/symbolic.hpp"
 #include "pb/workspace_pool.hpp"
+#include "spgemm/epilogue.hpp"
 #include "spgemm/executor.hpp"
 #include "spgemm/registry.hpp"
 #include "spgemm/semiring.hpp"
@@ -70,22 +71,41 @@ TEST(Executor, MatchesReferenceAcrossAlgorithmsAndSemirings) {
 }
 
 TEST(Executor, MaskedRunsMatchThePatternFilterOracle) {
+  // Every registered algorithm with every epilogue: plain, masked and
+  // complemented, each without a post-op, with prune + top-k and with a
+  // scale.  The oracle masks the reference product and then shapes it;
+  // every kernel must keep that order, whether it fuses a step or the
+  // registry applies it after the kernel.
   const mtx::CsrMatrix a = testutil::exact_er(150, 150, 5.0, 42);
   const mtx::CsrMatrix mask = testutil::exact_er(150, 150, 2.0, 43);
   const SpGemmProblem p = SpGemmProblem::square(a);
   const mtx::CsrMatrix product = reference_spgemm(p);
+  PostOp prune_top_k;
+  prune_top_k.prune_threshold = 10.0;
+  prune_top_k.top_k = 3;
+  PostOp scale;
+  scale.scale = 0.5;
   SpGemmExecutor exec;
-  for (const bool complement : {false, true}) {
-    SpGemmOp op;
-    op.algo = "pb";
-    op.mask = &mask;
-    op.complement = complement;
-    RunInfo info;
-    const mtx::CsrMatrix c = exec.run(p, op, &info);
-    EXPECT_TRUE(mtx::equal_exact(
-        c, mtx::pattern_filter(product, mask, complement)))
-        << "complement " << complement;
-    EXPECT_TRUE(info.used_pb);
+  for (const AlgoInfo& algo : algorithms()) {
+    for (const int polarity : {0, 1, 2}) {  // plain, masked, complemented
+      for (const PostOp& post : {PostOp{}, prune_top_k, scale}) {
+        SpGemmOp op;
+        op.algo = algo.name;
+        op.mask = polarity == 0 ? nullptr : &mask;
+        op.complement = polarity == 2;
+        op.post_op = post;
+        mtx::CsrMatrix expected =
+            polarity == 0 ? product
+                          : mtx::pattern_filter(product, mask, op.complement);
+        apply_post_op(expected, post);
+        RunInfo info;
+        const mtx::CsrMatrix c = exec.run(p, op, &info);
+        EXPECT_TRUE(mtx::equal_exact(c, expected))
+            << algo.name << " polarity " << polarity << " post-op '"
+            << post_op_to_string(post) << "'";
+        EXPECT_EQ(info.used_pb, algo.name == "pb") << algo.name;
+      }
+    }
   }
   SpGemmOp bad;
   bad.mask = &a;  // right shape...

@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cmath>
 #include <functional>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -409,10 +410,9 @@ Coverage coverage(const mtx::CsrMatrix& product, const PostOp& post) {
   return cov;
 }
 
-// hash (every valued built-in semiring; unmasked, masked, complemented)
-// and hashvec (plus_times; unmasked, and masked, whose mask is a filter
-// after the kernel and so keeps the executor's post-pass) apply the
-// post-op inside the kernel.  Whatever path runs, the executor's result
+// hash (every valued built-in semiring) and hashvec (plus_times), each
+// unmasked, masked and complemented, apply the mask and the post-op
+// inside the kernel.  Whatever path runs, the executor's result
 // must equal the same op without the post-op followed by apply_post_op,
 // byte for byte, at one lane and full width — and under plus_times also
 // pb's fused result.  Integer-valued operands make |v| ties common, so a
@@ -441,6 +441,7 @@ TEST(FusedEpilogue, HashFamilyPostOpMatchesThePostPass) {
   }
   cases.push_back({"hashvec", "plus_times", 40.0, false, false});
   cases.push_back({"hashvec", "plus_times", 40.0, true, false});
+  cases.push_back({"hashvec", "plus_times", 40.0, true, true});
 
   for (const Case& cs : cases) {
     SpGemmOp plain;
@@ -577,6 +578,57 @@ TEST(PostOpSpec, MalformedSpecsThrow) {
   EXPECT_THROW((void)parse_post_op("topk:0"), std::invalid_argument);
   EXPECT_THROW((void)parse_post_op("topk:-3"), std::invalid_argument);
   EXPECT_THROW((void)parse_post_op("scale:inf"), std::invalid_argument);
+  // A number must fill its term, and a top-k must fit index_t.
+  EXPECT_THROW((void)parse_post_op("topk:4294967297"), std::invalid_argument);
+  EXPECT_THROW((void)parse_post_op("topk:2147483648"), std::invalid_argument);
+  EXPECT_THROW((void)parse_post_op("topk:5x"), std::invalid_argument);
+  EXPECT_THROW((void)parse_post_op("prune:0.5garbage"), std::invalid_argument);
+  EXPECT_THROW((void)parse_post_op("scale:2junk"), std::invalid_argument);
+  EXPECT_EQ(parse_post_op("topk:2147483647").top_k,
+            std::numeric_limits<index_t>::max());
+}
+
+// Every single-character insertion, deletion and substitution of a few
+// valid specs, over an alphabet of digits, signs, separators and letters
+// the number syntax knows: each mutant either throws
+// std::invalid_argument or parses to an op whose knobs hold the
+// invariants the kernels rely on.
+TEST(PostOpSpec, MutatedSpecsThrowOrParseToAValidOp) {
+  const std::string alphabet = "0123456789+-.,:eExXinfa ";
+  int parsed = 0;
+  int rejected = 0;
+  for (const std::string seed :
+       {"prune:0.25,topk:64,scale:2", "topk:2147483647", "prune:1e-5",
+        "scale:-1.5e3,topk:9"}) {
+    std::vector<std::string> mutants;
+    for (std::size_t i = 0; i <= seed.size(); ++i) {
+      for (const char c : alphabet) {
+        mutants.push_back(seed.substr(0, i) + c + seed.substr(i));
+        if (i < seed.size()) {
+          mutants.push_back(seed.substr(0, i) + c + seed.substr(i + 1));
+        }
+      }
+      if (i < seed.size()) {
+        mutants.push_back(seed.substr(0, i) + seed.substr(i + 1));
+      }
+    }
+    for (const std::string& spec : mutants) {
+      PostOp op;
+      try {
+        op = parse_post_op(spec);
+      } catch (const std::invalid_argument&) {
+        ++rejected;
+        continue;
+      }
+      ++parsed;
+      EXPECT_TRUE(op.prune_threshold >= 0 && std::isfinite(op.prune_threshold))
+          << spec;
+      EXPECT_GE(op.top_k, 0) << spec;
+      EXPECT_TRUE(std::isfinite(op.scale)) << spec;
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 }  // namespace

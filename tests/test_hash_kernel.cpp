@@ -91,14 +91,12 @@ void expect_hash_kernels_match_heap(const mtx::CsrMatrix& a,
   for (const bool complement : {false, true}) {
     const std::string tag = what + (complement ? " complemented" : " masked");
     const mtx::CsrMatrix oracle =
-        heap_masked_semiring<PlusTimes>(p, mask, complement);
+        heap_spgemm_semiring<PlusTimes>(p, &mask, complement);
     expect_canonical_and_equal(
-        hash_masked_semiring<PlusTimes>(p, mask, complement), oracle,
+        hash_spgemm_semiring<PlusTimes>(p, &mask, complement), oracle,
         tag + " hash");
-    expect_canonical_and_equal(
-        masked_semiring_algorithm("hashvec", PlusTimes::name, &mask,
-                                  complement)(p),
-        oracle, tag + " hashvec");
+    expect_canonical_and_equal(hashvec_spgemm(p, &mask, complement), oracle,
+                               tag + " hashvec");
   }
 }
 
@@ -213,10 +211,10 @@ RowKinds row_kinds(const mtx::CsrMatrix& a, const mtx::CsrMatrix& b) {
 }
 
 /// Every path through the hash kernels' row loop on A·B against heap's
-/// product, at one lane and at full width: `hash` under four semirings,
-/// plain, masked and complemented; `hashvec` under plus_times, plain and
-/// masked; and the fused post-ops prune + top-k and scale only (one pass
-/// and two phases), against heap followed by apply_post_op.
+/// product, at one lane and at full width: `hash` under four semirings
+/// and `hashvec` under plus_times, each plain, masked and complemented;
+/// and the fused post-ops prune + top-k and scale only (one pass and two
+/// phases), against heap followed by apply_post_op.
 void expect_every_path_matches_heap(const mtx::CsrMatrix& a,
                                     const mtx::CsrMatrix& b,
                                     const std::string& what) {
@@ -234,31 +232,29 @@ void expect_every_path_matches_heap(const mtx::CsrMatrix& a,
       for (const int polarity : {0, 1, 2}) {  // plain, masked, complemented
         const mtx::CsrMatrix* m = polarity == 0 ? nullptr : &mask;
         const bool complement = polarity == 2;
-        const bool hashvec = semiring == "plus_times" && polarity < 2;
+        const bool hashvec = semiring == "plus_times";
         const std::string tag =
             what + " " + semiring +
             (polarity == 0 ? "" : complement ? " complemented" : " masked") +
             " at " + std::to_string(lanes) + " lane(s)";
         const mtx::CsrMatrix gold =
-            masked_semiring_algorithm("heap", semiring, m, complement)(p);
+            semiring_algorithm("heap", semiring, m, complement)(p);
         expect_canonical_and_equal(
-            masked_semiring_algorithm("hash", semiring, m, complement)(p),
-            gold, tag + " hash");
+            semiring_algorithm("hash", semiring, m, complement)(p), gold,
+            tag + " hash");
         if (hashvec) {
           expect_canonical_and_equal(
-              masked_semiring_algorithm("hashvec", semiring, m, complement)(p),
-              gold, tag + " hashvec");
+              semiring_algorithm("hashvec", semiring, m, complement)(p), gold,
+              tag + " hashvec");
         }
         if (semiring == "bool_or_and") continue;  // value-free: no post-op
         for (const PostOp& post : {prune_top_k, scale_only}) {
           mtx::CsrMatrix shaped = gold;
           apply_post_op(shaped, post);
           for (const std::string algo : {"hash", "hashvec"}) {
-            if (algo == "hashvec" && (!hashvec || m != nullptr)) continue;
-            bool fused = false;
-            const mtx::CsrMatrix got = post_op_semiring_algorithm(
-                algo, semiring, m, complement, post, &fused)(p);
-            EXPECT_TRUE(fused) << tag << " " << algo;
+            if (algo == "hashvec" && !hashvec) continue;
+            const mtx::CsrMatrix got =
+                semiring_algorithm(algo, semiring, m, complement, post)(p);
             expect_canonical_and_equal(
                 got, shaped,
                 tag + " " + algo + " post-op " + post_op_to_string(post));
@@ -383,14 +379,12 @@ TEST(HashKernel, DenseWindowKeepsANegativeZeroFirstProduct) {
   scale_only.scale = 0.5;
   for (const int lanes : {1, max_threads()}) {
     const ThreadCountGuard guard(lanes);
-    bool fused = false;
     const std::vector<std::pair<std::string, mtx::CsrMatrix>> results = {
         {"hash", hash_spgemm(p)},
         {"hashvec", hashvec_spgemm(p)},
-        {"masked hash", hash_masked_semiring<PlusTimes>(p, mask, false)},
+        {"masked hash", hash_spgemm_semiring<PlusTimes>(p, &mask)},
         {"scaled hash",
-         post_op_semiring_algorithm("hash", "plus_times", nullptr, false,
-                                    scale_only, &fused)(p)},
+         hash_spgemm_semiring<PlusTimes>(p, nullptr, false, scale_only)},
     };
     for (const auto& [what, c] : results) {
       for (index_t r = 0; r < 2; ++r) {
@@ -441,8 +435,8 @@ TEST(HashKernel, UnsortedBRowsKeepTheHashTable) {
     EXPECT_TRUE(
         mtx::equal_exact(hashvec_spgemm(unsorted), hashvec_spgemm(sorted)));
     EXPECT_TRUE(mtx::equal_exact(
-        hash_post_op_semiring<PlusTimes>(unsorted, nullptr, false, prune_top_k),
-        hash_post_op_semiring<PlusTimes>(sorted, nullptr, false, prune_top_k)));
+        hash_spgemm_semiring<PlusTimes>(unsorted, nullptr, false, prune_top_k),
+        hash_spgemm_semiring<PlusTimes>(sorted, nullptr, false, prune_top_k)));
   }
 }
 

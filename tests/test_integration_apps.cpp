@@ -71,10 +71,10 @@ TEST(TriangleCounting, AgreesAcrossAlgorithms) {
       mtx::symmetrize(testutil::exact_er(300, 300, 6.0, 41));
   const mtx::CsrMatrix lower = mtx::to_pattern(mtx::tril(adj));
   const SpGemmProblem p = SpGemmProblem::square(lower);
-  const value_t via_pb =
-      mtx::value_sum(mtx::hadamard(algorithm("pb").fn(p), lower));
-  const value_t via_hash =
-      mtx::value_sum(mtx::hadamard(algorithm("hash").fn(p), lower));
+  const value_t via_pb = mtx::value_sum(
+      mtx::hadamard(semiring_algorithm("pb", PlusTimes::name)(p), lower));
+  const value_t via_hash = mtx::value_sum(
+      mtx::hadamard(semiring_algorithm("hash", PlusTimes::name)(p), lower));
   EXPECT_DOUBLE_EQ(via_pb, via_hash);
 }
 
@@ -184,7 +184,7 @@ TEST(AmgGalerkin, CoarseOperatorOfLaplacianIsLaplacianLike) {
   const mtx::CsrMatrix prolong = mtx::coo_to_csr(pcoo);
   const mtx::CsrMatrix restrict_op = mtx::transpose(prolong);
 
-  const auto& pb = algorithm("pb").fn;
+  const SpGemmFn pb = semiring_algorithm("pb", PlusTimes::name);
   const mtx::CsrMatrix ap = pb(SpGemmProblem::multiply(a, prolong));
   const mtx::CsrMatrix coarse = pb(SpGemmProblem::multiply(restrict_op, ap));
 

@@ -94,7 +94,8 @@ TEST(Masked, TriangleCountingEquivalence) {
       mtx::symmetrize(testutil::exact_er(200, 200, 6.0, 75));
   const mtx::CsrMatrix lower = mtx::to_pattern(mtx::tril(adj));
   const value_t via_masked = mtx::value_sum(spa_masked(lower, lower, lower));
-  const mtx::CsrMatrix full = algorithm("pb").fn(SpGemmProblem::square(lower));
+  const mtx::CsrMatrix full =
+      semiring_algorithm("pb", PlusTimes::name)(SpGemmProblem::square(lower));
   const value_t via_hadamard = mtx::value_sum(mtx::hadamard(full, lower));
   EXPECT_DOUBLE_EQ(via_masked, via_hadamard);
 }
@@ -166,13 +167,13 @@ TEST_P(MaskedSemiring, EveryFusedKernelMatchesOracle) {
     const mtx::CsrMatrix expected = semiring_oracle(semiring, p, mask, complement);
     // Direct fused kernels...
     dispatch_semiring(semiring, [&]<typename S>() {
-      EXPECT_TRUE(equal_exact(
-          spgemm_masked_semiring<S>(a, b, mask, complement), expected))
+      EXPECT_TRUE(equal_exact(spgemm_semiring<S>(a, b, &mask, complement),
+                              expected))
           << "spa " << semiring << " c=" << complement;
-      EXPECT_TRUE(equal_exact(heap_masked_semiring<S>(p, mask, complement),
+      EXPECT_TRUE(equal_exact(heap_spgemm_semiring<S>(p, &mask, complement),
                               expected))
           << "heap " << semiring << " c=" << complement;
-      EXPECT_TRUE(equal_exact(hash_masked_semiring<S>(p, mask, complement),
+      EXPECT_TRUE(equal_exact(hash_spgemm_semiring<S>(p, &mask, complement),
                               expected))
           << "hash " << semiring << " c=" << complement;
     });

@@ -11,6 +11,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "matrix/mstats.hpp"
 #include "matrix/ops.hpp"
@@ -202,7 +204,7 @@ TEST(RegistrySemiring, EveryAdvertisedPairResolvesAndAgrees) {
   for (const AlgoInfo& info : algorithms()) {
     for (const std::string& s : info.semirings) {
       const mtx::CsrMatrix c = semiring_algorithm(info.name, s)(p);
-      const mtx::CsrMatrix expected = spgemm_semiring_named(s, a, a);
+      const mtx::CsrMatrix expected = semiring_algorithm("spa", s)(p);
       EXPECT_TRUE(equal_exact(c, expected)) << info.name << " x " << s;
     }
   }
@@ -235,13 +237,26 @@ TEST(RegistrySemiring, UnknownNamesFail) {
 }
 
 TEST(RegistrySemiring, PlusTimesRoutesToRegisteredNumericKernel) {
-  // The plus_times column must be the same fn the paper's figures measure.
+  // The plus_times column must compute what each algorithm's numeric
+  // (+, ×) entry point does — the kernels the paper's figures name.
   const mtx::CsrMatrix a = testutil::exact_er(80, 80, 4.0, 54);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  for (const AlgoInfo& info : algorithms()) {
-    EXPECT_TRUE(equal_exact(semiring_algorithm(info.name, "plus_times")(p),
-                            info.fn(p)))
-        << info.name;
+  const std::vector<std::pair<std::string, SpGemmFn>> numeric = {
+      {"pb", [](const SpGemmProblem& q) { return testutil::pb_product(q); }},
+      {"heap", heap_spgemm},
+      {"hash", hash_spgemm},
+      {"hashvec", [](const SpGemmProblem& q) { return hashvec_spgemm(q); }},
+      {"spa",
+       [](const SpGemmProblem& q) {
+         return spgemm_semiring<PlusTimes>(q.a_csr, q.b_csr);
+       }},
+      {"esc", esc_column_spgemm},
+      {"outer_heap", outer_heap_spgemm},
+      {"reference", reference_spgemm}};
+  ASSERT_EQ(numeric.size(), algorithms().size());
+  for (const auto& [name, fn] : numeric) {
+    EXPECT_TRUE(equal_exact(semiring_algorithm(name, "plus_times")(p), fn(p)))
+        << name;
   }
 }
 

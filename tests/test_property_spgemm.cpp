@@ -44,7 +44,8 @@ TEST_P(SpGemmProperty, SquareMatchesReference) {
   const mtx::CsrMatrix a = build_input(p);
   const SpGemmProblem problem = SpGemmProblem::square(a);
   const mtx::CsrMatrix expected = reference_spgemm(problem);
-  const mtx::CsrMatrix actual = algorithm(p.algo).fn(problem);
+  const mtx::CsrMatrix actual =
+      semiring_algorithm(p.algo, PlusTimes::name)(problem);
   ASSERT_TRUE(actual.valid());
   EXPECT_TRUE(equal_exact(actual, expected))
       << p.algo << " diverges from reference on " << p.family;
@@ -54,7 +55,7 @@ TEST_P(SpGemmProperty, OutputNnzMatchesSymbolic) {
   const PropertyCase& p = GetParam();
   const mtx::CsrMatrix a = build_input(p);
   const SpGemmProblem problem = SpGemmProblem::square(a);
-  const mtx::CsrMatrix c = algorithm(p.algo).fn(problem);
+  const mtx::CsrMatrix c = semiring_algorithm(p.algo, PlusTimes::name)(problem);
   EXPECT_EQ(c.nnz(), mtx::symbolic_nnz(a, a));
 }
 
@@ -84,7 +85,7 @@ TEST(SpGemmAlgebra, AssociativityOnExactValues) {
   const mtx::CsrMatrix a = testutil::exact_er(150, 150, 4.0, 5);
   const mtx::CsrMatrix b = testutil::exact_er(150, 150, 4.0, 6);
   const mtx::CsrMatrix c = testutil::exact_er(150, 150, 4.0, 7);
-  const auto& pb = algorithm("pb").fn;
+  const SpGemmFn pb = semiring_algorithm("pb", PlusTimes::name);
   const auto ab_c = pb(SpGemmProblem::multiply(
       pb(SpGemmProblem::multiply(a, b)), c));
   const auto a_bc = pb(SpGemmProblem::multiply(
@@ -96,7 +97,7 @@ TEST(SpGemmAlgebra, TransposeOfProduct) {
   // (AB)ᵀ == Bᵀ Aᵀ
   const mtx::CsrMatrix a = testutil::exact_er(120, 80, 4.0, 8);
   const mtx::CsrMatrix b = testutil::exact_er(80, 100, 4.0, 9);
-  const auto& pb = algorithm("pb").fn;
+  const SpGemmFn pb = semiring_algorithm("pb", PlusTimes::name);
   const auto abt = mtx::transpose(pb(SpGemmProblem::multiply(a, b)));
   const auto btat = pb(SpGemmProblem::multiply(mtx::transpose(b), mtx::transpose(a)));
   EXPECT_TRUE(equal_exact(abt, btat));
@@ -109,7 +110,7 @@ TEST(SpGemmAlgebra, DiagonalScalingCommutesThroughProduct) {
   std::vector<value_t> dvals(100);
   for (std::size_t i = 0; i < 100; ++i) dvals[i] = static_cast<value_t>(1 + i % 4);
   const auto d = mtx::CsrMatrix::diagonal(dvals);
-  const auto& pb = algorithm("pb").fn;
+  const SpGemmFn pb = semiring_algorithm("pb", PlusTimes::name);
   const auto lhs = pb(SpGemmProblem::multiply(pb(SpGemmProblem::multiply(d, a)), b));
   const auto rhs = pb(SpGemmProblem::multiply(d, pb(SpGemmProblem::multiply(a, b))));
   EXPECT_TRUE(equal_exact(lhs, rhs));
@@ -121,7 +122,7 @@ TEST(SpGemmAlgebra, FlopConservation) {
   const auto problem = SpGemmProblem::square(a);
   const nnz_t flop = mtx::count_flops(a, a);
   for (const char* algo : {"pb", "heap", "hash"}) {
-    const auto c = algorithm(algo).fn(problem);
+    const auto c = semiring_algorithm(algo, PlusTimes::name)(problem);
     EXPECT_LE(c.nnz(), flop);
     EXPECT_LE(c.nnz(), static_cast<nnz_t>(a.nrows) * a.nrows);
     EXPECT_GE(static_cast<double>(flop) / static_cast<double>(c.nnz()), 1.0);

@@ -130,11 +130,12 @@ TEST(Semiring, MaxMinWidestPath) {
 
 TEST(Semiring, NamedDispatch) {
   const mtx::CsrMatrix a = testutil::exact_er(50, 50, 3.0, 63);
-  EXPECT_TRUE(equal_exact(spgemm_semiring_named("plus_times", a, a),
+  const SpGemmProblem p = SpGemmProblem::square(a);
+  EXPECT_TRUE(equal_exact(semiring_algorithm("spa", "plus_times")(p),
                           spgemm_semiring<PlusTimes>(a, a)));
-  EXPECT_TRUE(equal_exact(spgemm_semiring_named("min_plus", a, a),
+  EXPECT_TRUE(equal_exact(semiring_algorithm("spa", "min_plus")(p),
                           spgemm_semiring<MinPlus>(a, a)));
-  EXPECT_THROW(spgemm_semiring_named("nope", a, a), std::invalid_argument);
+  EXPECT_THROW(semiring_algorithm("spa", "nope"), std::invalid_argument);
 }
 
 TEST(Semiring, DimensionMismatchThrows) {

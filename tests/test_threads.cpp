@@ -14,7 +14,7 @@ class ThreadSweep : public ::testing::TestWithParam<const char*> {};
 TEST_P(ThreadSweep, ResultIndependentOfThreadCount) {
   const mtx::CsrMatrix a = testutil::exact_rmat(9, 6.0, 51);
   const SpGemmProblem p = SpGemmProblem::square(a);
-  const SpGemmFn fn = algorithm(GetParam()).fn;
+  const SpGemmFn fn = semiring_algorithm(GetParam(), PlusTimes::name);
 
   mtx::CsrMatrix serial;
   {
@@ -58,7 +58,7 @@ TEST(ThreadSweep, OversubscriptionIsSafe) {
   const mtx::CsrMatrix a = testutil::exact_er(40, 40, 3.0, 53);
   const SpGemmProblem p = SpGemmProblem::square(a);
   ThreadCountGuard guard(16);
-  const mtx::CsrMatrix c = algorithm("pb").fn(p);
+  const mtx::CsrMatrix c = semiring_algorithm("pb", PlusTimes::name)(p);
   EXPECT_TRUE(equal_exact(c, reference_spgemm(p)));
 }
 

@@ -34,9 +34,9 @@
 // prune |v| < T, then keep the top-k per row): pb fuses it into its
 // per-bin filter and hash and hashvec into their row loop (one pass with
 // no symbolic phase when it prunes), so none of them materializes the
-// unpruned product; after heap, spa and masked hashvec the executor runs
-// it as one parallel pass over the full product.  It is an error on
-// value-free semirings.
+// unpruned product; after heap, spa and the other baselines it runs as
+// one parallel pass over the full product.  It is an error on value-free
+// semirings.
 // `semiring` demonstrates runtime semiring registration: it registers the
 // tropical (max, +) semiring "plus_max" through SemiringRegistry and runs
 // the multiplication over it through the executor.  `info` prints
@@ -557,8 +557,8 @@ void usage() {
       "elementwise epilogue — scale, then prune |v| < T, then top-k per\n"
       "row.  pb fuses it into its per-bin filter and hash and hashvec into\n"
       "their row loop, so they never materialize the unpruned product;\n"
-      "after heap, spa and masked hashvec the executor runs it as one\n"
-      "parallel pass over the full product.  It is an error on value-free\n"
+      "after heap, spa and the other baselines it runs as one parallel\n"
+      "pass over the full product.  It is an error on value-free\n"
       "semirings.\n"
       "--mem-budget-mb N caps the executor's pooled workspace memory: a\n"
       "PB stream that cannot fit degrades to the row-wise fallback and\n"
